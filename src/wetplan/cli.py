@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -226,7 +226,25 @@ def _run_deploy(resolved, seed: int, workers: int):
     return header, rows
 
 
+# Expected transmitters per outage trial above which a scenario is refused
+# before anything is drawn; the default scenario has about 1,257.
+MAX_MEAN_SOURCES = 1e7
+
+
 def _run_outage(resolved, seed: int, workers: int):
+    """Outage vs density, one row per (architecture, density), architecture-major.
+
+    The architectures share draws (common random numbers): each trial's field
+    and channels are sampled once per density and rectified under every
+    architecture in ``archs``.
+    """
+    densities, archs = resolved["densities"], resolved["archs"]
+    mean_sources = max(densities) * math.pi * resolved["disk_radius"] * resolved["disk_radius"]
+    if not mean_sources <= MAX_MEAN_SOURCES:
+        raise ConfigError(
+            f"densities and disk_radius give {mean_sources:.4g} expected transmitters per trial "
+            f"(max(densities) * pi * disk_radius**2); the limit is {MAX_MEAN_SOURCES:.0e}"
+        )
     base = OutageConfig(
         density=0.0,
         disk_radius=resolved["disk_radius"],
@@ -234,20 +252,18 @@ def _run_outage(resolved, seed: int, workers: int):
         pathloss=_pathloss_from(resolved),
         rician=RicianParams(resolved["rician.k_factor"]),
         target=resolved["target"],
-        arch="single",
         n_antennas=resolved["n_antennas"],
         curve=HarvesterCurve(resolved["curve.breakpoints"]),
         trials=resolved["trials"],
         seed=seed,
     )
+    per_density = sweep_density(base, densities, workers, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
-    rows = []
-    for arch in resolved["archs"]:
-        config = dataclasses.replace(base, arch=arch)
-        for density, result in zip(resolved["densities"], sweep_density(config, resolved["densities"], workers)):
-            rows.append(
-                (density, arch, base.n_antennas, result.trials, result.outage_estimate, result.ci95_halfwidth)
-            )
+    rows = [
+        (density, arch, base.n_antennas, results[i].trials, results[i].outage_estimate, results[i].ci95_halfwidth)
+        for i, arch in enumerate(archs)
+        for density, results in zip(densities, per_density)
+    ]
     return header, rows
 
 
@@ -428,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=0, help="64-bit unsigned run seed (default 0)")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps (default 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for the outage trials; other subcommands ignore it (default 1)")
         p.add_argument("--plot-data", action="store_true", help="also emit gnuplot-style .dat series")
         if name == "outage":
             p.add_argument("--trials", type=int, help="Monte Carlo trials per point")

@@ -85,6 +85,8 @@ class HarvesterCurve:
 def harvest(p_in, curve: HarvesterCurve):
     """Harvested DC power (W) for input RF power ``p_in`` (W, scalar or array)."""
     arr = np.atleast_1d(np.asarray(p_in, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input power must be finite")
     if np.any(arr < 0):
         raise ValueError("input power must be >= 0")
     dbm = np.full(arr.shape, -np.inf)

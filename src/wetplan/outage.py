@@ -4,11 +4,17 @@ Each trial owns a seed derived from (scenario seed, trial index), so estimates
 are reproducible and independent of execution order or worker count. Density
 sweeps derive per-density sub-seeds from the density value itself, so
 duplicate densities produce identical results.
+
+Architectures share draws (common random numbers): a trial samples its field
+and channels once and rectifies that snapshot under every architecture asked
+for. The sub-seeds do not depend on the architecture, so each architecture's
+estimate is the one it would get on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,11 +78,26 @@ class OutageResult:
     mean_harvested: float
 
 
-def field_harvest(config: OutageConfig, positions, seed) -> float:
-    """Harvested power (W) for a fixed transmitter layout around the device."""
+# The rf codebook depends only on the antenna count, so a sweep builds it once.
+_codebook = functools.lru_cache(dft_codebook)
+
+
+def _plan(config: OutageConfig, archs) -> tuple[str, ...]:
+    """The architectures to rectify under: ``config.arch`` when ``archs`` is None."""
+    names = (config.arch,) if archs is None else tuple(archs)
+    if not names:
+        raise ValueError("need at least one architecture")
+    for arch in names:
+        if arch not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    return names
+
+
+def _rectify(config: OutageConfig, positions, seed, archs: tuple[str, ...]) -> tuple[float, ...]:
+    """Draw the channels from a transmitter layout once; harvest under each architecture."""
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
-        return 0.0
+        return (0.0,) * len(archs)
     h = sample_channels(
         pts,
         Position2D(0.0, 0.0),
@@ -85,8 +106,13 @@ def field_harvest(config: OutageConfig, positions, seed) -> float:
         config.pathloss,
         seed,
     )
-    codebook = dft_codebook(config.n_antennas) if config.arch == "rf" else None
-    return harvest_architecture((h, config.tx_power), config.arch, config.curve, codebook)
+    codebook = _codebook(config.n_antennas) if "rf" in archs else None
+    return tuple(harvest_architecture((h, config.tx_power), arch, config.curve, codebook) for arch in archs)
+
+
+def field_harvest(config: OutageConfig, positions, seed) -> float:
+    """Harvested power (W) for a fixed transmitter layout around the device."""
+    return _rectify(config, positions, seed, _plan(config, None))[0]
 
 
 def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -94,38 +120,55 @@ def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(index)])
 
 
-def run_trial(config: OutageConfig, seed) -> float:
-    """One Monte Carlo draw: sample the field, then the channels, then rectify."""
+def run_trial(config: OutageConfig, seed, archs=None):
+    """One Monte Carlo draw: sample the field, then the channels, then rectify.
+
+    Returns the harvested power under ``config.arch``. Given ``archs``, returns
+    a tuple with one harvested power per architecture, all from the same draws.
+    """
+    names = _plan(config, archs)
     rng = np.random.default_rng(seed)
     positions = sample_hppp(config.density, config.disk_radius, rng)
-    return field_harvest(config, positions, rng)
+    harvested = _rectify(config, positions, rng, names)
+    return harvested[0] if archs is None else harvested
 
 
-def _run_range(config: OutageConfig, lo: int, hi: int, out: np.ndarray) -> None:
+def _run_range(config: OutageConfig, archs, lo: int, hi: int, out: np.ndarray) -> None:
     for t in range(lo, hi):
-        out[t] = run_trial(config, trial_seed(config.seed, t))
+        out[:, t] = run_trial(config, trial_seed(config.seed, t), archs)
 
 
-def run_outage(config: OutageConfig, workers: int = 1) -> OutageResult:
+def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
+    n = harvested.shape[0]
+    p_hat = float(np.mean(harvested < target))
+    half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n)
+    return OutageResult(p_hat, half, n, float(np.mean(harvested)))
+
+
+def run_outage(config: OutageConfig, workers: int = 1, archs=None):
     """Estimate the probability that harvested power misses the target.
+
+    Returns the estimate for ``config.arch``. Given ``archs``, returns a tuple
+    with one estimate per architecture, all from the same trials.
 
     The result is bit-identical for any ``workers`` value: every trial owns a
     counter-based seed and results aggregate by trial index.
     """
+    names = _plan(config, archs)
     n = config.trials
-    harvested = np.empty(n)
+    # One contiguous row per architecture, so each row reduces as a lone array would.
+    harvested = np.empty((len(names), n))
     if workers <= 1:
-        _run_range(config, 0, n, harvested)
+        _run_range(config, names, 0, n, harvested)
     else:
         chunk = math.ceil(n / workers)
         bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, config, lo, hi, harvested) for lo, hi in bounds]
+            futures = [pool.submit(_run_range, config, names, lo, hi, harvested) for lo, hi in bounds]
             for f in futures:
                 f.result()
-    p_hat = float(np.mean(harvested < config.target))
-    half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return OutageResult(p_hat, half, n, float(np.mean(harvested)))
+    results = tuple(_estimate(row, config.target) for row in harvested)
+    return results[0] if archs is None else results
 
 
 def _density_seed(seed: int, density: float) -> int:
@@ -133,11 +176,12 @@ def _density_seed(seed: int, density: float) -> int:
     return int(np.random.SeedSequence([int(seed), bits]).generate_state(1, dtype=np.uint64)[0])
 
 
-def sweep_density(config: OutageConfig, densities, workers: int = 1) -> list[OutageResult]:
+def sweep_density(config: OutageConfig, densities, workers: int = 1, archs=None) -> list:
     """Run the outage estimator once per density, in input order.
 
     Sub-seeds derive from each density's value, so repeated entries give
-    identical results.
+    identical results. Given ``archs``, each entry is a tuple with one result
+    per architecture, all from the same trials.
     """
     values = list(densities)
     if not values:
@@ -145,5 +189,5 @@ def sweep_density(config: OutageConfig, densities, workers: int = 1) -> list[Out
     results = []
     for d in values:
         sub = dataclasses.replace(config, density=float(d), seed=_density_seed(config.seed, float(d)))
-        results.append(run_outage(sub, workers=workers))
+        results.append(run_outage(sub, workers, archs))
     return results

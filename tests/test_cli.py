@@ -1,9 +1,18 @@
+import csv
+import hashlib
+
 import pytest
 
+import wetplan.cli
 from wetplan.cli import RunConfig, RunManifest, emit_plot_data, main, run, verify_manifest
 from wetplan.config import SCHEMAS, ConfigError, resolve_config
 
 FAST_OUTAGE = ("trials=200", "densities=1.0, 3.0", "n_antennas=2")
+
+# SHA-256 of outage.csv for GOLDEN_OUTAGE at seed 17, recorded before the
+# architectures shared their draws; any change to the outage bytes fails here.
+GOLDEN_OUTAGE = ("trials=300", "densities=1.0, 2.0", "n_antennas=2")
+GOLDEN_OUTAGE_SHA256 = "4f24aa1132bef346cfc9953f6764da52eaf840b534e348f1dea8d5d705b9dc5c"
 
 
 def run_cli(subcommand, out, *, sets=(), seed=0, workers=1, config=None, trials=None, plot=False):
@@ -98,6 +107,37 @@ def test_runs_are_byte_identical_across_worker_counts(tmp_path):
     assert run_cli("outage", serial, sets=FAST_OUTAGE, seed=3, workers=1) == 0
     assert run_cli("outage", parallel, sets=FAST_OUTAGE, seed=3, workers=4) == 0
     assert (serial / "outage.csv").read_bytes() == (parallel / "outage.csv").read_bytes()
+
+
+def test_outage_csv_matches_golden_digest(tmp_path):
+    out = tmp_path / "outage"
+    assert run_cli("outage", out, sets=GOLDEN_OUTAGE, seed=17) == 0
+    assert hashlib.sha256((out / "outage.csv").read_bytes()).hexdigest() == GOLDEN_OUTAGE_SHA256
+
+
+def test_outage_values_do_not_depend_on_architecture_order(tmp_path):
+    values = []
+    for order in ("single, dc, rf", "rf, dc, single"):
+        out = tmp_path / order.replace(", ", "_")
+        assert run_cli("outage", out, sets=GOLDEN_OUTAGE + (f"archs={order}",), seed=17) == 0
+        with open(out / "outage.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["architecture"] for r in rows] == [a for a in order.split(", ") for _ in range(2)]
+        values.append({(r["architecture"], r["density"]): r for r in rows})
+    assert values[0] == values[1]
+
+
+def test_outage_too_many_sources_fails_before_drawing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the outage sweep ran")
+
+    monkeypatch.setattr(wetplan.cli, "sweep_density", refuse)
+    out = tmp_path / "outage"
+    assert run_cli("outage", out, sets=("densities=0.5, 1e9",)) == 1
+    assert not out.exists() or not any(out.iterdir())
+    for radius in ("disk_radius=1e4", "disk_radius=1e200"):
+        with pytest.raises(ConfigError, match=r"densities.*disk_radius"):
+            wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0, 1)
 
 
 def test_deploy_k_zero_fails_without_writing_files(tmp_path):

@@ -48,6 +48,21 @@ def test_harvest_monotone_and_bounded():
     assert np.all(out <= p + 1e-18)
 
 
+def test_harvest_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        harvest(float("nan"), CURVE)
+    with pytest.raises(ValueError, match="finite"):
+        harvest([1e-3, float("nan")], CURVE)
+
+
+def test_harvest_rejects_infinite():
+    for bad in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            harvest(bad, CURVE)
+        with pytest.raises(ValueError, match="finite"):
+            harvest(np.array([1e-3, bad]), CURVE)
+
+
 def test_harvester_curve_validation():
     with pytest.raises(ValueError):
         HarvesterCurve(breakpoints=((-30.0, 0.05),))

@@ -82,6 +82,27 @@ def test_rf_trial_uses_best_codeword():
         assert np.isclose(run_trial(cfg, trial_seed(cfg.seed, t)), harvest(best, cfg.curve), rtol=1e-12)
 
 
+def test_shared_draws_match_one_architecture_at_a_time():
+    base = make_config(n_antennas=4, trials=300)
+    archs = ("rf", "single", "dc")
+    configs = [dataclasses.replace(base, arch=a) for a in archs]
+    for t in range(20):
+        seed = trial_seed(base.seed, t)
+        assert run_trial(base, seed, archs) == tuple(run_trial(c, seed) for c in configs)
+    assert run_outage(base, archs=archs) == tuple(run_outage(c) for c in configs)
+    swept = sweep_density(base, [0.02, 0.05], archs=archs)
+    for i, c in enumerate(configs):
+        assert [r[i] for r in swept] == sweep_density(c, [0.02, 0.05])
+
+
+def test_shared_draws_reject_bad_architecture_lists():
+    cfg = make_config(trials=10)
+    with pytest.raises(ValueError):
+        run_outage(cfg, archs=())
+    with pytest.raises(ValueError):
+        run_trial(make_config(density=0.0), trial_seed(0, 0), ("single", "hybrid"))
+
+
 def test_outage_monotone_in_density():
     cfg = make_config(trials=4000)
     results = sweep_density(cfg, [0.01, 0.03, 0.08])
