@@ -27,9 +27,7 @@ from .channel import (
     PathLossParams,
     Position2D,
     RicianParams,
-    TransmitterField,
     path_gain,
-    sample_channel,
     sample_channels,
     sample_hppp,
     steering_vector,
@@ -84,9 +82,7 @@ __all__ = [
     "PathLossParams",
     "Position2D",
     "RicianParams",
-    "TransmitterField",
     "path_gain",
-    "sample_channel",
     "sample_channels",
     "sample_hppp",
     "steering_vector",

@@ -2,14 +2,13 @@
 
 All samplers take an explicit ``seed`` (an int, a ``numpy.random.SeedSequence``,
 or a ``Generator``) and are pure functions of their inputs, so draws can be
-evaluated in any order or in parallel without changing results.
+evaluated in any order without changing results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,12 +17,10 @@ __all__ = [
     "PathLossParams",
     "RicianParams",
     "ArrayConfig",
-    "TransmitterField",
     "positions_to_array",
     "path_gain",
     "sample_hppp",
     "steering_vector",
-    "sample_channel",
     "sample_channels",
 ]
 
@@ -108,19 +105,6 @@ class ArrayConfig:
             raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
 
 
-@dataclass(frozen=True)
-class TransmitterField:
-    """Transmitter locations sharing one transmit power level (watts each)."""
-
-    positions: np.ndarray
-    tx_power: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", positions_to_array(self.positions))
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
-
-
 def path_gain(d, params: PathLossParams):
     """Linear power gain at distance ``d`` meters (scalar or array).
 
@@ -197,25 +181,3 @@ def sample_channels(
     amp = np.sqrt(path_gain(dist, pathloss))
     return amp[:, None] * mix
 
-
-def sample_channel(
-    source,
-    device,
-    array: ArrayConfig,
-    rician: RicianParams,
-    pathloss: PathLossParams,
-    seed,
-    size: int | None = None,
-) -> np.ndarray:
-    """Single-link version of :func:`sample_channels`.
-
-    With ``size=None`` returns one (n_antennas,) vector; with an integer
-    ``size`` returns (size, n_antennas) i.i.d. fading draws of the same link.
-    """
-    draws = 1 if size is None else int(size)
-    if draws < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    src = positions_to_array([source] if isinstance(source, (Position2D, tuple, list)) else source)
-    pts = np.tile(src[:1], (draws, 1))
-    h = sample_channels(pts, device, array, rician, pathloss, seed)
-    return h[0] if size is None else h

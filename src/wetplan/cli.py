@@ -43,7 +43,6 @@ class RunConfig:
     output_dir: str = "out"
     overrides: tuple[str, ...] = ()
     trials: int | None = None
-    workers: int = 1
     plot_data: bool = False
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class RunConfig:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}; expected one of {SUBCOMMANDS}")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def _pathloss_from(resolved) -> PathLossParams:
     )
 
 
-def _run_cost(resolved, seed: int, workers: int):
+def _run_cost(resolved, seed: int):
     params = CostParams(
         devices_per_pb=resolved["devices_per_pb"],
         install_grid_pb=resolved["install_grid_pb"],
@@ -185,7 +182,7 @@ def _run_cost(resolved, seed: int, workers: int):
     return header, rows
 
 
-def _run_deploy(resolved, seed: int, workers: int):
+def _run_deploy(resolved, seed: int):
     x_min, y_min, x_max, y_max = resolved["map.area"]
     amap = AmbientMap(
         components=tuple(
@@ -231,7 +228,7 @@ def _run_deploy(resolved, seed: int, workers: int):
 MAX_MEAN_SOURCES = 1e7
 
 
-def _run_outage(resolved, seed: int, workers: int):
+def _run_outage(resolved, seed: int):
     """Outage vs density, one row per (architecture, density), architecture-major.
 
     The architectures share draws (common random numbers): each trial's field
@@ -257,7 +254,7 @@ def _run_outage(resolved, seed: int, workers: int):
         trials=resolved["trials"],
         seed=seed,
     )
-    per_density = sweep_density(base, densities, workers, archs)
+    per_density = sweep_density(base, densities, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
     rows = [
         (density, arch, base.n_antennas, results[i].trials, results[i].outage_estimate, results[i].ci95_halfwidth)
@@ -267,7 +264,7 @@ def _run_outage(resolved, seed: int, workers: int):
     return header, rows
 
 
-def _run_rfchains(resolved, seed: int, workers: int):
+def _run_rfchains(resolved, seed: int):
     model = ChannelModel(
         pathloss=_pathloss_from(resolved),
         rician=RicianParams(resolved["rician.k_factor"]),
@@ -397,14 +394,17 @@ def run(rc: RunConfig) -> int:
         resolved = resolve_config(schema, rc.config_path, overrides)
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed, rc.workers)
+        header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed)
+        # An earlier run's manifest would list outputs this run overwrites or removes.
+        manifest_path = out_dir / "manifest.txt"
+        manifest_path.unlink(missing_ok=True)
         csv_path = out_dir / f"{rc.subcommand}.csv"
-        write_csv(csv_path, header, rows)
         created.append(csv_path)
+        write_csv(csv_path, header, rows)
         if rc.plot_data:
             dat_path = out_dir / f"{rc.subcommand}.dat"
-            dat_path.write_text(emit_plot_data(csv_path))
             created.append(dat_path)
+            dat_path.write_text(emit_plot_data(csv_path))
 
         manifest = RunManifest(
             version=__version__,
@@ -414,7 +414,7 @@ def run(rc: RunConfig) -> int:
             resolved={name: canonical(schema[name], value) for name, value in resolved.items()},
             outputs={p.name: _sha256(p) for p in created},
         )
-        manifest_path = out_dir / "manifest.txt"
+        created.append(manifest_path)
         manifest_path.write_text(manifest.to_text())
         return 0
     except Exception as err:  # argparse-level issues never reach here
@@ -444,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=0, help="64-bit unsigned run seed (default 0)")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads for the outage trials; other subcommands ignore it (default 1)")
         p.add_argument("--plot-data", action="store_true", help="also emit gnuplot-style .dat series")
         if name == "outage":
             p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
@@ -462,7 +460,6 @@ def main(argv=None) -> int:
             output_dir=args.out,
             overrides=tuple(args.set),
             trials=getattr(args, "trials", None),
-            workers=args.workers,
             plot_data=args.plot_data,
         )
     except ConfigError as err:

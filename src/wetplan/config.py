@@ -15,6 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+from .ambient import example_map
+from .harvesting import DEFAULT_BREAKPOINTS
+
 __all__ = [
     "ConfigError",
     "ConfigKey",
@@ -235,8 +238,6 @@ def _pathloss_keys(exponent: float, fixed_loss_db: float) -> list[ConfigKey]:
     ]
 
 
-_DEFAULT_CURVE = ((-30.0, 0.05), (-20.0, 0.15), (-10.0, 0.30), (0.0, 0.45), (10.0, 0.50))
-
 # Example deployment scenario: devices spread over the 40x40 m area of the
 # shipped ambient map (see wetplan.ambient.example_map).
 _DEFAULT_DEPLOY_DEVICES = (
@@ -248,12 +249,6 @@ _DEFAULT_DEPLOY_DEVICES = (
     (14.0, -3.0),
     (16.0, 9.0),
     (-17.0, 15.0),
-)
-_DEFAULT_MAP_COMPONENTS = (
-    (4.0, -12.0, 10.0, 4.0),
-    (3.0, 8.0, 14.0, 5.0),
-    (2.5, 12.0, -8.0, 4.0),
-    (1.5, -6.0, -14.0, 6.0),
 )
 
 
@@ -293,15 +288,19 @@ def _cost_schema() -> dict[str, ConfigKey]:
 
 
 def _deploy_schema() -> dict[str, ConfigKey]:
+    amap = example_map()
+    area = amap.area
     keys = [
         ConfigKey("k", "int", 5, "number of beacons to place", check=_at_least(1, "k")),
         ConfigKey("cap", "float", 1.0, "beacon transmit power cap (W)", check=_positive("cap")),
         ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES, "device positions as x:y",
                   check=lambda vs: None if vs else "need at least one device"),
-        ConfigKey("map.components", "quad_list", _DEFAULT_MAP_COMPONENTS,
+        ConfigKey("map.components", "quad_list",
+                  tuple((c.weight, c.center.x, c.center.y, c.width) for c in amap.components),
                   "ambient components as weight:x:y:width",
                   check=lambda vs: None if vs else "need at least one component"),
-        ConfigKey("map.area", "rect", (-20.0, -20.0, 20.0, 20.0), "area as xmin:ymin:xmax:ymax"),
+        ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max),
+                  "area as xmin:ymin:xmax:ymax"),
         ConfigKey("solver.n_starts", "int", 8, "random restarts per stage", check=_nonnegative("restarts")),
         ConfigKey("solver.greedy_grid", "int", 24, "coarse grid nodes per axis", check=_at_least(2, "grid")),
         ConfigKey("solver.nm_max_iter", "int", 250, "Nelder-Mead iteration budget", check=_at_least(1, "budget")),
@@ -323,7 +322,7 @@ def _outage_schema() -> dict[str, ConfigKey]:
                   check=lambda vs: None if vs else "need at least one architecture"),
         ConfigKey("n_antennas", "int", 4, "receive antennas", check=_at_least(1, "antennas")),
         ConfigKey("trials", "int", 10_000, "Monte Carlo trials per point", check=_at_least(1, "trials")),
-        ConfigKey("curve.breakpoints", "pair_list", _DEFAULT_CURVE, "harvester table as dbm:efficiency",
+        ConfigKey("curve.breakpoints", "pair_list", DEFAULT_BREAKPOINTS, "harvester table as dbm:efficiency",
                   check=lambda vs: None if len(vs) >= 2 else "need at least 2 breakpoints"),
     ]
     keys.extend(_pathloss_keys(2.7, 40.0))

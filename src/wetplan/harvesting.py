@@ -1,9 +1,9 @@
 """Rectenna transfer curves and the single / DC / RF-combining receiver paths.
 
-A snapshot of the incident RF environment is either a list of
-``(channel_vector, power_scale)`` pairs (one per source) or an equivalent
-``(H, powers)`` tuple with ``H`` of shape (n_sources, n_antennas). Sources add
-in power (they are unsynchronized), antennas combine per architecture.
+A snapshot of the incident RF environment is an ``(H, p)`` tuple: ``H`` is an
+(n_sources, n_antennas) complex array of channel vectors and ``p`` the transmit
+power of each source, a scalar or an (n_sources,) array. Sources add in power
+(they are unsynchronized), antennas combine per architecture.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "harvest",
     "dft_codebook",
     "rf_combine",
-    "per_antenna_powers",
     "harvest_architecture",
 ]
 
@@ -132,36 +131,18 @@ def dft_codebook(m: int) -> Codebook:
 
 
 def _as_snapshot(channels) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a snapshot into (H (n, M) complex, powers (n,) float)."""
-    if (
-        isinstance(channels, tuple)
-        and len(channels) == 2
-        and isinstance(channels[0], np.ndarray)
-        and np.asarray(channels[0]).ndim == 2
-    ):
-        h = np.asarray(channels[0], dtype=complex)
-        p = np.broadcast_to(np.asarray(channels[1], dtype=float), (h.shape[0],)).copy()
-    else:
-        pairs = list(channels)
-        if not pairs:
-            return np.zeros((0, 0), dtype=complex), np.zeros(0)
-        vecs = [np.asarray(v, dtype=complex).ravel() for v, _ in pairs]
-        lengths = {v.shape[0] for v in vecs}
-        if len(lengths) != 1:
-            raise ValueError(f"channel vectors have mismatched lengths {sorted(lengths)}")
-        h = np.vstack(vecs)
-        p = np.array([float(s) for _, s in pairs])
-    if np.any(p < 0):
+    """Check an ``(H, p)`` snapshot; returns H (n, M) complex and p (n,) float."""
+    if not (isinstance(channels, tuple) and len(channels) == 2):
+        raise TypeError("a snapshot must be an (H, p) tuple")
+    h = np.asarray(channels[0], dtype=complex)
+    p = np.asarray(channels[1], dtype=float)
+    if h.ndim != 2 or h.shape[1] == 0:
+        raise ValueError(f"H must have shape (n_sources, n_antennas >= 1), got {h.shape}")
+    if not (np.isfinite(h).all() and np.isfinite(p).all()):
+        raise ValueError("channels and per-source powers must be finite")
+    if (p < 0).any():
         raise ValueError("per-source power scales must be >= 0")
-    return h, p
-
-
-def per_antenna_powers(channels) -> np.ndarray:
-    """Incident RF power per antenna with incoherent (power) addition of sources."""
-    h, p = _as_snapshot(channels)
-    if h.shape[0] == 0:
-        raise ValueError("cannot infer antenna count from an empty snapshot")
-    return (np.abs(h) ** 2 * p[:, None]).sum(axis=0)
+    return h, np.broadcast_to(p, (h.shape[0],))
 
 
 def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
@@ -187,36 +168,23 @@ def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
 
 
 def harvest_architecture(channels, arch: str, curve: HarvesterCurve, codebook: Codebook | None = None) -> float:
-    """Harvested DC power of one snapshot under a receiver architecture.
+    """Harvested DC power of one ``(H, p)`` snapshot under a receiver architecture.
 
     ``single`` rectifies antenna 0 only, ``dc`` sums one rectifier output per
     antenna, ``rf`` rectifies the best-codeword combined signal (phase-shifter
-    power treated as free). ``channels`` may also be a plain 1-D array of
-    per-antenna incident powers for the single/dc paths.
+    power treated as free).
     """
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-
-    plain = (isinstance(channels, np.ndarray) and channels.ndim == 1 and not np.iscomplexobj(channels)) or (
-        isinstance(channels, (list, tuple)) and len(channels) > 0 and all(np.isscalar(c) for c in channels)
-    )
-    if plain:
-        powers = np.asarray(channels, dtype=float)
-        if arch == "rf":
-            raise ValueError("rf combining needs complex channel vectors, not per-antenna powers")
-    else:
-        h, p = _as_snapshot(channels)
-        if h.shape[0] == 0:
-            return 0.0
-        if arch == "rf":
-            if codebook is None:
-                raise ValueError("rf architecture requires a codebook")
-            _, combined = rf_combine((h, p), codebook)
-            return float(harvest(combined, curve))
-        powers = (np.abs(h) ** 2 * p[:, None]).sum(axis=0)
-
+    if arch == "rf":
+        if codebook is None:
+            raise ValueError("rf architecture requires a codebook")
+        _, combined = rf_combine(channels, codebook)
+        return float(harvest(combined, curve))
+    h, p = _as_snapshot(channels)
+    if h.shape[0] == 0:
+        return 0.0
+    powers = (np.abs(h) ** 2 * p[:, None]).sum(axis=0)
     if arch == "single":
         return float(harvest(powers[0], curve))
-    if arch == "dc":
-        return float(np.sum(harvest(powers, curve)))
-    raise ValueError("rf architecture requires a channel snapshot")
+    return float(np.sum(harvest(powers, curve)))

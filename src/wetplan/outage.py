@@ -1,7 +1,7 @@
 """Monte Carlo estimation of ambient-harvesting outage versus transmitter density.
 
 Each trial owns a seed derived from (scenario seed, trial index), so estimates
-are reproducible and independent of execution order or worker count. Density
+are reproducible and independent of execution order. Density
 sweeps derive per-density sub-seeds from the density value itself, so
 duplicate densities produce identical results.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,11 +132,6 @@ def run_trial(config: OutageConfig, seed, archs=None):
     return harvested[0] if archs is None else harvested
 
 
-def _run_range(config: OutageConfig, archs, lo: int, hi: int, out: np.ndarray) -> None:
-    for t in range(lo, hi):
-        out[:, t] = run_trial(config, trial_seed(config.seed, t), archs)
-
-
 def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
     n = harvested.shape[0]
     p_hat = float(np.mean(harvested < target))
@@ -145,28 +139,18 @@ def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
     return OutageResult(p_hat, half, n, float(np.mean(harvested)))
 
 
-def run_outage(config: OutageConfig, workers: int = 1, archs=None):
+def run_outage(config: OutageConfig, archs=None):
     """Estimate the probability that harvested power misses the target.
 
     Returns the estimate for ``config.arch``. Given ``archs``, returns a tuple
-    with one estimate per architecture, all from the same trials.
-
-    The result is bit-identical for any ``workers`` value: every trial owns a
-    counter-based seed and results aggregate by trial index.
+    with one estimate per architecture, all from the same trials. Every trial
+    owns a counter-based seed, so the result depends only on ``config``.
     """
     names = _plan(config, archs)
-    n = config.trials
     # One contiguous row per architecture, so each row reduces as a lone array would.
-    harvested = np.empty((len(names), n))
-    if workers <= 1:
-        _run_range(config, names, 0, n, harvested)
-    else:
-        chunk = math.ceil(n / workers)
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, config, names, lo, hi, harvested) for lo, hi in bounds]
-            for f in futures:
-                f.result()
+    harvested = np.empty((len(names), config.trials))
+    for t in range(config.trials):
+        harvested[:, t] = run_trial(config, trial_seed(config.seed, t), names)
     results = tuple(_estimate(row, config.target) for row in harvested)
     return results[0] if archs is None else results
 
@@ -176,7 +160,7 @@ def _density_seed(seed: int, density: float) -> int:
     return int(np.random.SeedSequence([int(seed), bits]).generate_state(1, dtype=np.uint64)[0])
 
 
-def sweep_density(config: OutageConfig, densities, workers: int = 1, archs=None) -> list:
+def sweep_density(config: OutageConfig, densities, archs=None) -> list:
     """Run the outage estimator once per density, in input order.
 
     Sub-seeds derive from each density's value, so repeated entries give
@@ -189,5 +173,5 @@ def sweep_density(config: OutageConfig, densities, workers: int = 1, archs=None)
     results = []
     for d in values:
         sub = dataclasses.replace(config, density=float(d), seed=_density_seed(config.seed, float(d)))
-        results.append(run_outage(sub, workers, archs))
+        results.append(run_outage(sub, archs))
     return results

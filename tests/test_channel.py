@@ -9,9 +9,7 @@ from wetplan.channel import (
     PathLossParams,
     Position2D,
     RicianParams,
-    TransmitterField,
     path_gain,
-    sample_channel,
     sample_channels,
     sample_hppp,
     steering_vector,
@@ -85,13 +83,6 @@ def test_hppp_mean_count_matches_poisson_intensity():
     assert abs(mean - 0.1 * math.pi * 100.0) < 0.2
 
 
-def test_transmitter_field_validation():
-    with pytest.raises(ValueError):
-        TransmitterField(positions=[(0.0, 0.0)], tx_power=0.0)
-    field = TransmitterField(positions=[Position2D(1.0, 2.0)], tx_power=1.0)
-    assert field.positions.shape == (1, 2)
-
-
 def test_steering_vector_single_antenna():
     np.testing.assert_allclose(steering_vector(0.7, ArrayConfig(1)), [1.0 + 0.0j])
 
@@ -107,10 +98,15 @@ def test_steering_vector_endfire_phases():
     np.testing.assert_allclose(np.abs(v), 1.0)
 
 
+def _link(x, y, draws=1):
+    """``draws`` rows of the same source at (x, y): i.i.d. fading draws of one link."""
+    return np.tile([[x, y]], (draws, 1))
+
+
 def test_sample_channel_los_limit():
-    src, dev = Position2D(3.0, 4.0), Position2D(0.0, 0.0)
+    dev = Position2D(0.0, 0.0)
     arr = ArrayConfig(4)
-    h = sample_channel(src, dev, arr, RicianParams(1e12), PL_FIG4, seed=7)
+    [h] = sample_channels(_link(3.0, 4.0), dev, arr, RicianParams(1e12), PL_FIG4, seed=7)
     theta = math.atan2(4.0, 3.0)
     expected = math.sqrt(path_gain(5.0, PL_FIG4)) * steering_vector(theta, arr)
     np.testing.assert_allclose(h, expected, rtol=1e-5)
@@ -118,16 +114,16 @@ def test_sample_channel_los_limit():
 
 def test_sample_channel_power_normalization():
     # E[|h_0|^2] equals the path gain regardless of K.
-    src, dev = Position2D(5.0, 0.0), Position2D(0.0, 0.0)
-    h = sample_channel(src, dev, ArrayConfig(2), RicianParams(10.0), PL_FIG4, seed=11, size=100_000)
+    dev = Position2D(0.0, 0.0)
+    h = sample_channels(_link(5.0, 0.0, 100_000), dev, ArrayConfig(2), RicianParams(10.0), PL_FIG4, seed=11)
     mean_p0 = np.mean(np.abs(h[:, 0]) ** 2)
     assert np.isclose(mean_p0, path_gain(5.0, PL_FIG4), rtol=0.02)
 
 
 def test_sample_channel_total_power_invariant():
-    src, dev = Position2D(2.0, 6.0), Position2D(0.0, 0.0)
+    dev = Position2D(0.0, 0.0)
     m = 4
-    h = sample_channel(src, dev, ArrayConfig(m), RicianParams(3.0), PL_FIG4, seed=13, size=50_000)
+    h = sample_channels(_link(2.0, 6.0, 50_000), dev, ArrayConfig(m), RicianParams(3.0), PL_FIG4, seed=13)
     total = np.mean(np.sum(np.abs(h) ** 2, axis=1))
     d = math.hypot(2.0, 6.0)
     assert np.isclose(total, m * path_gain(d, PL_FIG4), rtol=0.02)
@@ -135,8 +131,8 @@ def test_sample_channel_total_power_invariant():
 
 def test_sample_channel_rayleigh_power_is_exponential():
     # M=1, K=0: |h|^2 ~ Exp(mean = path gain); KS test at the 1% level.
-    src, dev = Position2D(4.0, 0.0), Position2D(0.0, 0.0)
-    h = sample_channel(src, dev, ArrayConfig(1), RicianParams(0.0), PL_FIG4, seed=17, size=20_000)
+    dev = Position2D(0.0, 0.0)
+    h = sample_channels(_link(4.0, 0.0, 20_000), dev, ArrayConfig(1), RicianParams(0.0), PL_FIG4, seed=17)
     power = np.abs(h[:, 0]) ** 2
     scale = path_gain(4.0, PL_FIG4)
     result = stats.kstest(power, "expon", args=(0.0, scale))
@@ -144,9 +140,8 @@ def test_sample_channel_rayleigh_power_is_exponential():
 
 
 def test_sample_channel_determinism():
-    src, dev = Position2D(1.0, 1.0), Position2D(0.0, 0.0)
-    args = (src, dev, ArrayConfig(3), RicianParams(10.0), PL_FIG4)
-    np.testing.assert_array_equal(sample_channel(*args, seed=5), sample_channel(*args, seed=5))
+    args = (_link(1.0, 1.0), Position2D(0.0, 0.0), ArrayConfig(3), RicianParams(10.0), PL_FIG4)
+    np.testing.assert_array_equal(sample_channels(*args, seed=5), sample_channels(*args, seed=5))
 
 
 def test_sample_channels_matches_per_source_shape():

@@ -15,7 +15,7 @@ GOLDEN_OUTAGE = ("trials=300", "densities=1.0, 2.0", "n_antennas=2")
 GOLDEN_OUTAGE_SHA256 = "4f24aa1132bef346cfc9953f6764da52eaf840b534e348f1dea8d5d705b9dc5c"
 
 
-def run_cli(subcommand, out, *, sets=(), seed=0, workers=1, config=None, trials=None, plot=False):
+def run_cli(subcommand, out, *, sets=(), seed=0, config=None, trials=None, plot=False):
     rc = RunConfig(
         subcommand=subcommand,
         seed=seed,
@@ -23,7 +23,6 @@ def run_cli(subcommand, out, *, sets=(), seed=0, workers=1, config=None, trials=
         output_dir=str(out),
         overrides=tuple(sets),
         trials=trials,
-        workers=workers,
         plot_data=plot,
     )
     return run(rc)
@@ -102,13 +101,6 @@ def test_runs_are_byte_identical_across_invocations(tmp_path):
     assert (first / "outage.csv").read_bytes() == (second / "outage.csv").read_bytes()
 
 
-def test_runs_are_byte_identical_across_worker_counts(tmp_path):
-    serial, parallel = tmp_path / "w1", tmp_path / "w4"
-    assert run_cli("outage", serial, sets=FAST_OUTAGE, seed=3, workers=1) == 0
-    assert run_cli("outage", parallel, sets=FAST_OUTAGE, seed=3, workers=4) == 0
-    assert (serial / "outage.csv").read_bytes() == (parallel / "outage.csv").read_bytes()
-
-
 def test_outage_csv_matches_golden_digest(tmp_path):
     out = tmp_path / "outage"
     assert run_cli("outage", out, sets=GOLDEN_OUTAGE, seed=17) == 0
@@ -137,7 +129,7 @@ def test_outage_too_many_sources_fails_before_drawing(tmp_path, monkeypatch):
     assert not out.exists() or not any(out.iterdir())
     for radius in ("disk_radius=1e4", "disk_radius=1e200"):
         with pytest.raises(ConfigError, match=r"densities.*disk_radius"):
-            wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0, 1)
+            wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0)
 
 
 def test_deploy_k_zero_fails_without_writing_files(tmp_path):
@@ -159,6 +151,18 @@ def test_manifest_digests_verify_and_detect_tampering(tmp_path):
     assert verify_manifest(manifest)
     (out / "cost.csv").write_text("tampered\n")
     assert not verify_manifest(manifest)
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("cost", out) == 0
+
+    def fail(csv_path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(wetplan.cli, "emit_plot_data", fail)
+    assert run_cli("cost", out, plot=True) == 1
+    assert not any(out.iterdir())
 
 
 def test_manifest_config_reproduces_run(tmp_path):
@@ -218,5 +222,9 @@ def test_run_config_validation():
         RunConfig(subcommand="nope")
     with pytest.raises(ConfigError):
         RunConfig(subcommand="cost", seed=-1)
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="cost", workers=0)
+
+
+def test_workers_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["outage", "--workers", "2", "--trials", "10", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2

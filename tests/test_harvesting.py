@@ -5,12 +5,12 @@ import pytest
 
 from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, steering_vector
 from wetplan.harvesting import (
+    ARCHITECTURES,
     Codebook,
     HarvesterCurve,
     dft_codebook,
     harvest,
     harvest_architecture,
-    per_antenna_powers,
     rf_combine,
 )
 
@@ -95,24 +95,23 @@ def test_rf_combine_singleton_codebook():
     rng = np.random.default_rng(1)
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w = h / np.linalg.norm(h)
-    idx, power = rf_combine([(h, 2.0)], Codebook(w[None, :]))
+    idx, power = rf_combine((h[None, :], 2.0), Codebook(w[None, :]))
     assert idx == 0
     assert np.isclose(power, 2.0 * np.abs(np.vdot(w, h)) ** 2, rtol=1e-12)
 
 
 def test_rf_combine_single_antenna_recovers_incident_power():
-    h = np.array([0.3 - 0.4j])
-    snapshot = [(h, 1.5), (np.array([0.1 + 0.2j]), 0.5)]
-    _, power = rf_combine(snapshot, dft_codebook(1))
-    assert np.isclose(power, per_antenna_powers(snapshot)[0], rtol=1e-12)
+    h, p = np.array([[0.3 - 0.4j], [0.1 + 0.2j]]), np.array([1.5, 0.5])
+    _, power = rf_combine((h, p), dft_codebook(1))
+    assert np.isclose(power, float(np.sum(np.abs(h[:, 0]) ** 2 * p)), rtol=1e-12)
 
 
 def test_rf_combine_beats_every_fixed_codeword():
     rng = np.random.default_rng(7)
     cb = dft_codebook(4)
-    snapshot = [(rng.standard_normal(4) + 1j * rng.standard_normal(4), 1.0) for _ in range(5)]
-    _, best = rf_combine(snapshot, cb)
-    h, p = np.vstack([v for v, _ in snapshot]), np.array([s for _, s in snapshot])
+    h = np.vstack([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)])
+    p = np.ones(5)
+    _, best = rf_combine((h, p), cb)
     for w in cb.codewords:
         fixed = float(np.sum(p * np.abs(h @ w.conj()) ** 2))
         assert best >= fixed * (1.0 - 1e-12)
@@ -122,9 +121,9 @@ def test_rf_combine_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         Codebook(np.zeros((0, 2), dtype=complex))
     with pytest.raises(ValueError):
-        rf_combine([(np.ones(3, dtype=complex), 1.0)], dft_codebook(2))
+        rf_combine((np.ones((1, 3), dtype=complex), 1.0), dft_codebook(2))
     with pytest.raises(ValueError):
-        rf_combine([(np.ones(2, dtype=complex), 1.0), (np.ones(3, dtype=complex), 1.0)], dft_codebook(2))
+        rf_combine((np.ones(2, dtype=complex), 1.0), dft_codebook(2))
 
 
 def test_architectures_coincide_for_single_antenna():
@@ -135,9 +134,9 @@ def test_architectures_coincide_for_single_antenna():
 
 
 def test_dc_additivity_with_equal_antenna_powers():
-    powers = np.full(4, 2e-4)
+    h = np.full((1, 4), math.sqrt(2e-4), dtype=complex)
     assert np.isclose(
-        harvest_architecture(powers, "dc", CURVE),
+        harvest_architecture((h, 1.0), "dc", CURVE),
         4.0 * harvest(2e-4, CURVE),
         rtol=1e-12,
     )
@@ -151,9 +150,9 @@ def test_rf_matched_codeword_gains_factor_m():
     theta = math.asin(2.0 / m)
     gain = 5e-4
     h = math.sqrt(gain) * steering_vector(theta, ArrayConfig(m))
-    snapshot = [(h, 1.0)]
+    snapshot = (h[None, :], 1.0)
     _, combined = rf_combine(snapshot, dft_codebook(m))
-    single_in = per_antenna_powers(snapshot)[0]
+    single_in = abs(h[0]) ** 2
     assert np.isclose(combined, m * single_in, rtol=1e-10)
     assert harvest_architecture(snapshot, "rf", CURVE, dft_codebook(m)) == harvest(combined, CURVE)
 
@@ -171,18 +170,43 @@ def test_dc_dominates_single_on_random_snapshots():
 
 
 def test_empty_snapshot_harvests_nothing():
-    assert harvest_architecture([], "dc", CURVE) == 0.0
-    assert harvest_architecture([], "rf", CURVE, dft_codebook(2)) == 0.0
+    empty = (np.zeros((0, 2), dtype=complex), 1.0)
+    assert harvest_architecture(empty, "dc", CURVE) == 0.0
+    assert harvest_architecture(empty, "rf", CURVE, dft_codebook(2)) == 0.0
 
 
 def test_rf_without_codebook_is_an_error():
     h = np.ones((1, 2), dtype=complex)
     with pytest.raises(ValueError):
         harvest_architecture((h, 1.0), "rf", CURVE)
-    with pytest.raises(ValueError):
-        harvest_architecture(np.array([1e-3, 2e-3]), "rf", CURVE, dft_codebook(2))
 
 
 def test_unknown_architecture_rejected():
     with pytest.raises(ValueError):
-        harvest_architecture(np.array([1e-3]), "hybrid", CURVE)
+        harvest_architecture((np.ones((1, 1), dtype=complex), 1.0), "hybrid", CURVE)
+
+
+def test_snapshot_must_be_an_h_p_tuple():
+    with pytest.raises(TypeError):
+        harvest_architecture(np.array([1e-3, 2e-3]), "dc", CURVE)
+    with pytest.raises(TypeError):
+        harvest_architecture([(np.ones(2, dtype=complex), 1.0)], "single", CURVE)
+    with pytest.raises(ValueError):
+        harvest_architecture((np.ones((2, 0), dtype=complex), 1.0), "single", CURVE)
+    with pytest.raises(ValueError, match=">= 0"):
+        harvest_architecture((np.ones((2, 2), dtype=complex), np.array([1.0, -1.0])), "dc", CURVE)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_non_finite_snapshot_is_rejected(arch):
+    # single reads only antenna 0, so a bad value on antenna 1 must still be caught.
+    finite = np.array([[0.05, 0.05]], dtype=complex)
+    for h, p in (
+        (np.array([[0.05, np.nan]], dtype=complex), 1.0),
+        (np.array([[0.05, complex(0.0, np.inf)]]), 1.0),
+        (np.array([[0.05, -np.inf]], dtype=complex), 1.0),
+        (finite, np.inf),
+        (finite, np.array([np.nan])),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            harvest_architecture((h, p), arch, CURVE, dft_codebook(2))

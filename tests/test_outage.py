@@ -116,11 +116,6 @@ def test_outage_monotone_in_target():
     assert lenient.outage_estimate <= strict.outage_estimate
 
 
-def test_run_outage_worker_invariance():
-    cfg = make_config(trials=600)
-    assert run_outage(cfg, workers=1) == run_outage(cfg, workers=5)
-
-
 def test_sweep_density_determinism_and_duplicates():
     cfg = make_config(trials=500)
     first = sweep_density(cfg, [0.02, 0.05, 0.02])
