@@ -1,11 +1,22 @@
 """Minimum-power multicast energy precoding and the RF-chain consumption sweep.
 
 The precoder problem (min ||w||^2 s.t. |h_i^H w|^2 >= gamma for every device)
-is solved through its semidefinite relaxation with a penalized projected-
-gradient scheme (PSD projection via eigenvalue clipping), followed by rank-1
-extraction: Gaussian samples of the relaxed solution plus matched-filter and
-leading-eigenvector candidates, each rescaled to exact feasibility, cheapest
-kept. Beacon consumption follows the linear amplifier + per-chain model.
+is solved in three phases:
+
+1. Reduce: normalize the channels and restrict the problem to their span, so
+   the semidefinite relaxation (SDR) is at most n_devices-dimensional.
+2. Relax: a penalized projected-gradient scheme (FISTA with restarts; PSD
+   projection via eigenvalue clipping) that certifies a dual lower bound.
+   Relaxations run as ``(B, n, r)`` stacks, one per reduced shape, each
+   problem with its own penalty and counters, so a stack gives bitwise the
+   iterates of solving each problem alone.
+3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
+   leading-eigenvector and caller-supplied candidates, each rescaled to exact
+   feasibility, cheapest kept.
+
+``sweep_rf_chains`` reduces and relaxes every antenna count at once and
+extracts in order, since each candidate pool holds the previous precoder.
+Beacon consumption follows the linear amplifier + per-chain model.
 """
 
 from __future__ import annotations
@@ -29,6 +40,11 @@ __all__ = [
     "draw_device_positions",
     "sweep_rf_chains",
 ]
+
+
+# Relaxation round limits: penalty rounds (rho x10 each) and FISTA iterations per round.
+_MAX_OUTER = 8
+_MAX_INNER = 2000
 
 
 class PrecoderError(RuntimeError):
@@ -100,15 +116,8 @@ def consumption(tx_power: float, n_rf: int, pa_efficiency: float = 0.35, p_rf: f
 
 
 def _margins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real quadratic forms u_i^H V u_i for every row of u."""
-    return np.real(np.sum((u.conj() @ v) * u, axis=1))
-
-
-def _psd_project(v: np.ndarray) -> np.ndarray:
-    v = 0.5 * (v + v.conj().T)
-    w, phi = np.linalg.eigh(v)
-    w = np.maximum(w, 0.0)
-    return (phi * w) @ phi.conj().T
+    """Real quadratic forms u_i^H V u_i for every row of u (stacks too)."""
+    return ((u.conj() @ v) * u).sum(axis=-1).real
 
 
 class _RelaxationState:
@@ -145,48 +154,134 @@ class _RelaxationState:
         )
 
 
-def _solve_relaxation(
-    hhat: np.ndarray, tau: np.ndarray, tol: float, max_outer: int, max_inner: int
-) -> tuple[np.ndarray | None, float, float, bool]:
-    """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, by penalty + FISTA.
+@dataclass(frozen=True)
+class _Reduced:
+    """A problem in normalized units on the span of its channels.
 
-    ``hhat`` rows are unit vectors, ``tau`` lies in (0, 1] with max 1. Returns
+    ``hhat`` holds the reduced unit rows c_i, with hhat_i^H (B y) = c_i^H y
+    for the orthonormal ``basis`` B (M, r); ``tau`` lies in (0, 1] with max 1,
+    and a normalized cost c is a transmit power of ``cstar * c``.
+    """
+
+    hhat: np.ndarray
+    tau: np.ndarray
+    cstar: float
+    basis: np.ndarray
+
+
+def _reduce(problem: MulticastProblem) -> _Reduced:
+    h = problem.channels
+    norms = np.linalg.norm(h, axis=1)
+    hhat = h / norms[:, None]
+    thresholds = problem.gamma / norms**2  # per-device floor on |hhat_i^H w|^2
+    cstar = float(np.max(thresholds))
+    # The optimum is supported on span{h_i}: any orthogonal precoder (or V)
+    # component changes no margin and only adds power. Solving in that
+    # subspace keeps the SDP at most n_devices-dimensional.
+    basis, _ = np.linalg.qr(hhat.T)  # (M, r) orthonormal columns
+    return _Reduced(hhat @ basis.conj(), thresholds / cstar, cstar, basis)
+
+
+def _solve_relaxations(
+    problems: list[_Reduced], tol: float, max_outer: int, max_inner: int
+) -> list[tuple[np.ndarray | None, float, float, bool]]:
+    """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
+
+    Problems of one reduced shape run as one stack; each keeps its own
+    penalty, step, momentum and iteration counters, so its iterates are
+    bitwise those of solving it alone. Returns, per problem,
     (feasibility-scaled V, primal value, certified dual bound, converged).
     """
-    n, m = hhat.shape
-    eye = np.eye(m)
-    v = np.eye(m, dtype=complex)  # feasible start: margins = 1 >= tau
-    state = _RelaxationState()
-    rho = 8.0
-    for _ in range(max_outer):
-        step = 1.0 / (1.0 + 2.0 * rho * n)
-        y = v.copy()
-        t_mom = 1.0
-        for it in range(max_inner):
+    if max_outer < 1 or max_inner < 1:
+        raise ValueError("max_outer and max_inner must be >= 1")
+    results: list = [None] * len(problems)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, prob in enumerate(problems):
+        groups.setdefault(prob.hhat.shape, []).append(k)
+    for members in groups.values():
+        hhat = np.stack([problems[k].hhat for k in members])
+        tau = np.stack([problems[k].tau for k in members])
+        for k, res in zip(members, _solve_stack(hhat, tau, tol, max_outer, max_inner)):
+            results[k] = res
+    return results
+
+
+def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float, max_outer: int, max_inner: int) -> list:
+    """Penalty + FISTA on a ``(B, n, r)`` stack, one problem per matrix.
+
+    Every operation acts on each matrix alone, with the strides a 2-D array
+    would have, so a problem's iterates do not depend on the rest of its
+    stack. A problem leaves the stack once its primal-dual gap closes or its
+    outer rounds run out.
+    """
+    b, n, r = hhat.shape
+    results: list = [None] * b
+    states = [_RelaxationState() for _ in range(b)]
+    live = np.arange(b)
+    eye = np.eye(r)
+    v = np.repeat(np.eye(r, dtype=complex)[None], b, axis=0)  # feasible start: margins = 1 >= tau
+    y = v.copy()
+    rho = np.full(b, 8.0)
+    t_mom = np.ones(b)
+    inner = np.zeros(b, dtype=int)
+    outer = np.zeros(b, dtype=int)
+    while live.size:
+        twice_rho = (2.0 * rho)[:, None, None]
+        step = (1.0 / (1.0 + 2.0 * rho * n))[:, None, None]
+        hhat_t, hhat_c = hhat.transpose(0, 2, 1), hhat.conj()
+        # Iterate up to the next 50-iteration check or round limit of any
+        # problem, or until one stalls; the stacks change only then.
+        steps = int(np.min(np.minimum(50 - inner % 50, max_inner - inner)))
+        for done in range(1, steps + 1):
             shortfall = np.maximum(0.0, tau - _margins(hhat, y))
-            grad = eye - 2.0 * rho * (hhat.T * shortfall) @ hhat.conj()
-            v_new = _psd_project(y - step * grad)
-            # Nesterov momentum with gradient-based restart.
-            if np.real(np.vdot(y - v_new, v_new - v)) > 0:
-                t_mom = 1.0
-                y = v_new
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-                y = v_new + ((t_mom - 1.0) / t_next) * (v_new - v)
-                t_mom = t_next
-            delta = np.linalg.norm(v_new - v) / max(1.0, np.linalg.norm(v))
+            grad = eye - (twice_rho * (hhat_t * shortfall[:, None, :])) @ hhat_c
+            x = y - step * grad
+            w, phi = np.linalg.eigh(0.5 * (x + x.conj().transpose(0, 2, 1)))
+            v_new = (phi * np.maximum(w, 0.0)[:, None, :]) @ phi.conj().transpose(0, 2, 1)
+            moved = v_new - v
+            # Nesterov momentum with gradient-based restart. The restart test
+            # and the stall test read only a sign and a threshold, so they
+            # use plain sums: Re<a, b> is the dot product of the real views.
+            moved_f = moved.reshape(live.size, -1).view(float)
+            restart = np.einsum("ij,ij->i", (y - v_new).reshape(live.size, -1).view(float), moved_f) > 0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            y = np.where(restart[:, None, None], v_new, v_new + ((t_mom - 1.0) / t_next)[:, None, None] * moved)
+            t_mom = np.where(restart, 1.0, t_next)
+            # ||V_new - V|| / max(1, ||V||) < 1e-11, squared.
+            v_f = v.reshape(live.size, -1).view(float)
+            v_sq = np.einsum("ij,ij->i", v_f, v_f)
+            stalled = np.einsum("ij,ij->i", moved_f, moved_f) < 1e-22 * np.maximum(1.0, v_sq)
             v = v_new
-            if (it + 1) % 50 == 0:
-                state.update(hhat, tau, v, rho)
-                if state.gap_closed(tol):
-                    return state.v_feasible, state.primal, state.dual, True
-            if delta < 1e-11:
+            if stalled.any():
                 break
-        state.update(hhat, tau, v, rho)
-        if state.gap_closed(tol):
-            return state.v_feasible, state.primal, state.dual, True
-        rho *= 10.0
-    return state.v_feasible, state.primal, state.dual, False
+        inner += done
+        check = inner % 50 == 0
+        round_over = stalled | (inner == max_inner)
+        keep = np.ones(live.size, dtype=bool)
+        for i in np.flatnonzero(check | round_over):
+            state = states[live[i]]
+            closed = False
+            if check[i]:
+                state.update(hhat[i], tau[i], v[i], rho[i])
+                closed = state.gap_closed(tol)
+            if round_over[i] and not closed:
+                state.update(hhat[i], tau[i], v[i], rho[i])
+                closed = state.gap_closed(tol)
+                if not closed and outer[i] + 1 < max_outer:
+                    # Next round: ten times the penalty, momentum restarted.
+                    rho[i] *= 10.0
+                    outer[i] += 1
+                    y[i] = v[i]
+                    t_mom[i] = 1.0
+                    inner[i] = 0
+                    continue
+            if closed or round_over[i]:
+                keep[i] = False
+                results[live[i]] = (state.v_feasible, state.primal, state.dual, closed)
+        if not keep.all():
+            live, hhat, tau, v, y = live[keep], hhat[keep], tau[keep], v[keep], y[keep]
+            rho, t_mom, inner, outer = rho[keep], t_mom[keep], inner[keep], outer[keep]
+    return results
 
 
 def _best_candidate(
@@ -220,46 +315,26 @@ def _best_candidate(
     return w, float(cost[j])
 
 
-def min_power_precoder(
-    problem: MulticastProblem,
-    tol: float = 1e-4,
-    n_randomizations: int = 200,
-    seed: int = 0,
-    max_outer: int = 8,
-    max_inner: int = 2000,
-    extra_candidates: tuple = (),
+def _extract(
+    red: _Reduced,
+    relaxed: tuple,
+    tol: float,
+    max_outer: int,
+    n_randomizations: int,
+    seed: int,
+    extra_candidates: tuple,
 ) -> PrecoderSolution:
-    """Minimum-transmit-power precoder meeting every device's received floor.
-
-    The returned precoder satisfies |h_i^H w|^2 >= gamma exactly at the worst
-    device. ``sdr_lower_bound`` is a certified value of the semidefinite
-    relaxation's dual, so it lower-bounds every feasible transmit power; the
-    solver stops once the relaxation's primal-dual gap closes within ``tol``.
-    """
-    h = problem.channels
-    gamma = problem.gamma
-    norms = np.linalg.norm(h, axis=1)
-    hhat = h / norms[:, None]
-    thresholds = gamma / norms**2  # per-device floor on |hhat_i^H w|^2
-    cstar = float(np.max(thresholds))
-    tau = thresholds / cstar
-
-    # The optimum is supported on span{h_i}: any orthogonal precoder (or V)
-    # component changes no margin and only adds power. Solving in that
-    # subspace keeps the SDP at most n_devices-dimensional.
-    basis, _ = np.linalg.qr(hhat.T)  # (M, r) orthonormal columns
-    reduced = hhat @ basis.conj()  # rows c_i with h_i^H (B y) = c_i^H y
-
-    v, _, dual, converged = _solve_relaxation(reduced, tau, tol, max_outer, max_inner)
+    """Cheapest rank-1 precoder from a solved relaxation and extra candidates."""
+    v, _, dual, converged = relaxed
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    extras = tuple(np.asarray(e, dtype=complex).ravel() @ basis.conj() for e in extra_candidates)
-    picked = _best_candidate(reduced, tau, v, n_randomizations, rng, extras)
+    extras = tuple(np.asarray(e, dtype=complex).ravel() @ red.basis.conj() for e in extra_candidates)
+    picked = _best_candidate(red.hhat, red.tau, v, n_randomizations, rng, extras)
 
     precoder, tx_power = None, math.inf
     if picked is not None:
         w_norm, cost = picked
-        precoder = math.sqrt(cstar) * (basis @ w_norm)
-        tx_power = cstar * cost
+        precoder = math.sqrt(red.cstar) * (red.basis @ w_norm)
+        tx_power = red.cstar * cost
     if not converged:
         best = None
         if picked is not None:
@@ -273,8 +348,29 @@ def min_power_precoder(
         precoder=precoder,
         tx_power=tx_power,
         feasible=True,
-        sdr_lower_bound=cstar * dual,
+        sdr_lower_bound=red.cstar * dual,
     )
+
+
+def min_power_precoder(
+    problem: MulticastProblem,
+    tol: float = 1e-4,
+    n_randomizations: int = 200,
+    seed: int = 0,
+    max_outer: int = _MAX_OUTER,
+    max_inner: int = _MAX_INNER,
+    extra_candidates: tuple = (),
+) -> PrecoderSolution:
+    """Minimum-transmit-power precoder meeting every device's received floor.
+
+    The returned precoder satisfies |h_i^H w|^2 >= gamma exactly at the worst
+    device. ``sdr_lower_bound`` is a certified value of the semidefinite
+    relaxation's dual, so it lower-bounds every feasible transmit power; the
+    solver stops once the relaxation's primal-dual gap closes within ``tol``.
+    """
+    red = _reduce(problem)
+    (relaxed,) = _solve_relaxations([red], tol, max_outer, max_inner)
+    return _extract(red, relaxed, tol, max_outer, n_randomizations, seed, extra_candidates)
 
 
 @dataclass(frozen=True)
@@ -345,21 +441,24 @@ def sweep_rf_chains(
         seed=np.random.SeedSequence([int(seed), 1]),
     )
 
+    reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]
+    relaxed = _solve_relaxations(reduced, tol, _MAX_OUTER, _MAX_INNER)
+
     points: list[ConsumptionPoint] = []
     prev_w: np.ndarray | None = None
-    for m in ms:
+    for m, red, rel in zip(ms, reduced, relaxed):
         extras = ()
         if prev_w is not None:
             extras = (np.concatenate([prev_w, np.zeros(m - prev_w.shape[0], dtype=complex)]),)
         try:
-            sol = min_power_precoder(
-                MulticastProblem(h_full[:, :m], gamma),
-                tol=tol,
-                n_randomizations=n_randomizations,
-                seed=int(
-                    np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0]
-                ),
-                extra_candidates=extras,
+            sol = _extract(
+                red,
+                rel,
+                tol,
+                _MAX_OUTER,
+                n_randomizations,
+                int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0]),
+                extras,
             )
         except PrecoderError as err:
             raise PrecoderError(f"precoder failed at m={m}: {err}", best=err.best) from err

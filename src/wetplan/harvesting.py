@@ -155,8 +155,6 @@ def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
     if codebook is None or codebook.codewords.shape[0] == 0:
         raise ValueError("codebook must be non-empty")
     h, p = _as_snapshot(channels)
-    if h.shape[0] == 0:
-        return 0, 0.0
     if h.shape[1] != codebook.n_antennas:
         raise ValueError(
             f"channel length {h.shape[1]} does not match codebook antennas {codebook.n_antennas}"

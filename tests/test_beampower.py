@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wetplan import beampower
 from wetplan.beampower import (
     ChannelModel,
     MulticastProblem,
@@ -95,6 +96,37 @@ def test_nonconvergence_raises_with_best_candidate():
     assert best is not None
     margins = np.abs(h.conj() @ best.precoder) ** 2
     assert np.all(margins >= 1e-3 * (1.0 - 1e-9))
+
+
+def test_stacked_relaxations_match_solving_each_alone():
+    # Nested channel prefixes, as in the RF-chain sweep (reduced shapes (3, 1),
+    # (3, 2) and five of (3, 3)), plus unrelated problems of shared shapes.
+    rng = np.random.default_rng(8)
+    h = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))) * 1e-2
+    problems = [MulticastProblem(h[:, :m], 1e-6) for m in range(1, 8)]
+    for n, m in ((2, 2), (3, 3), (1, 4), (2, 2)):
+        g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        problems.append(MulticastProblem(g, 10 ** rng.uniform(-4, -2)))
+    reduced = [beampower._reduce(p) for p in problems]
+    together = beampower._solve_relaxations(reduced, 1e-4, beampower._MAX_OUTER, beampower._MAX_INNER)
+    for red, joint in zip(reduced, together):
+        (alone,) = beampower._solve_relaxations([red], 1e-4, beampower._MAX_OUTER, beampower._MAX_INNER)
+        assert joint[1:] == alone[1:]
+        assert joint[0].tobytes() == alone[0].tobytes()
+    assert all(res[3] for res in together)
+
+
+def test_sweep_failure_names_first_unconverged_m(monkeypatch):
+    # One short round: m = 1..3 still converge, m = 4 is the first that does not.
+    monkeypatch.setattr(beampower, "_MAX_OUTER", 1)
+    monkeypatch.setattr(beampower, "_MAX_INNER", 50)
+    converged = sweep_rf_chains(4, 2e-6, [1, 2, 3], seed=0)
+    with pytest.raises(PrecoderError, match=r"^precoder failed at m=4: relaxation did not converge") as err:
+        sweep_rf_chains(4, 2e-6, [1, 2, 3, 4, 5, 6], seed=0)
+    best = err.value.best
+    assert best is not None and best.feasible and best.precoder.shape == (4,)
+    # The failed point's pool still holds the zero-padded m = 3 precoder.
+    assert best.tx_power <= converged.points[-1].tx_power
 
 
 def test_problem_validation():

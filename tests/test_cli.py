@@ -14,6 +14,12 @@ FAST_OUTAGE = ("trials=200", "densities=1.0, 3.0", "n_antennas=2")
 GOLDEN_OUTAGE = ("trials=300", "densities=1.0, 2.0", "n_antennas=2")
 GOLDEN_OUTAGE_SHA256 = "4f24aa1132bef346cfc9953f6764da52eaf840b534e348f1dea8d5d705b9dc5c"
 
+# SHA-256 of rfchains.csv for GOLDEN_RFCHAINS at seed 17, recorded while the
+# relaxations were still solved one at a time. m = 1..3 reduce to fewer
+# dimensions than the 4 devices, and m >= 17 are the slowest relaxations.
+GOLDEN_RFCHAINS = ("m_values=" + ", ".join(str(m) for m in range(1, 25)),)
+GOLDEN_RFCHAINS_SHA256 = "b73f9b75bc96be135cec52d1d2ebe326ead176fe64b88a5accc0824b6f6fb795"
+
 
 def run_cli(subcommand, out, *, sets=(), seed=0, config=None, trials=None, plot=False):
     rc = RunConfig(
@@ -105,6 +111,12 @@ def test_outage_csv_matches_golden_digest(tmp_path):
     out = tmp_path / "outage"
     assert run_cli("outage", out, sets=GOLDEN_OUTAGE, seed=17) == 0
     assert hashlib.sha256((out / "outage.csv").read_bytes()).hexdigest() == GOLDEN_OUTAGE_SHA256
+
+
+def test_rfchains_csv_matches_golden_digest(tmp_path):
+    out = tmp_path / "rfchains"
+    assert run_cli("rfchains", out, sets=GOLDEN_RFCHAINS, seed=17) == 0
+    assert hashlib.sha256((out / "rfchains.csv").read_bytes()).hexdigest() == GOLDEN_RFCHAINS_SHA256
 
 
 def test_outage_values_do_not_depend_on_architecture_order(tmp_path):

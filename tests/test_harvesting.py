@@ -124,6 +124,8 @@ def test_rf_combine_rejects_empty_and_mismatched():
         rf_combine((np.ones((1, 3), dtype=complex), 1.0), dft_codebook(2))
     with pytest.raises(ValueError):
         rf_combine((np.ones(2, dtype=complex), 1.0), dft_codebook(2))
+    with pytest.raises(ValueError, match="antennas"):
+        rf_combine((np.zeros((0, 3)), 1.0), dft_codebook(2))
 
 
 def test_architectures_coincide_for_single_antenna():
