@@ -2,7 +2,9 @@
 
 A beacon parked at a position converts whatever ambient power is available
 there into transmit power, up to its hardware cap; conversion is lossless up
-to the cap.
+to the cap. The mixture is evaluated in one place, ``mixture_power``, on
+component arrays from ``mixture_columns``: the public functions below build
+those arrays per call, and the deployment search builds them once per problem.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ __all__ = [
     "AmbientMap",
     "ambient_power",
     "ambient_power_xy",
+    "mixture_columns",
+    "mixture_power",
     "transmit_power",
     "transmit_power_xy",
     "example_map",
@@ -44,12 +48,16 @@ class Rect:
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
-    def clamp(self, xy: np.ndarray) -> np.ndarray:
-        """Clamp an (n, 2) array of points into the rectangle."""
-        out = np.array(xy, dtype=float, copy=True).reshape(-1, 2)
-        out[:, 0] = np.clip(out[:, 0], self.x_min, self.x_max)
-        out[:, 1] = np.clip(out[:, 1], self.y_min, self.y_max)
-        return out
+    def require_inside(self, xy: np.ndarray, what: str = "position") -> None:
+        """Raise ``ValueError`` naming the first row of the (n, 2) array ``xy`` outside."""
+        x, y = xy[:, 0], xy[:, 1]
+        inside = (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
+        if not np.all(inside):
+            x, y = xy[~inside][0]
+            raise ValueError(
+                f"{what} ({x}, {y}) lies outside the map area "
+                f"x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,25 +89,34 @@ class AmbientMap:
             raise ValueError("ambient map needs at least one component")
 
 
-def ambient_power_xy(amap: AmbientMap, xy, validate: bool = True) -> np.ndarray:
-    """Vectorized ambient power (W) at each row of ``xy``."""
+def mixture_columns(amap: AmbientMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Centre x, centre y, weight and ``2 * width**2`` of each component, as arrays."""
+    comps = amap.components
+    return (
+        np.array([c.center.x for c in comps]),
+        np.array([c.center.y for c in comps]),
+        np.array([c.weight for c in comps]),
+        np.array([2.0 * c.width**2 for c in comps]),
+    )
+
+
+def mixture_power(x: np.ndarray, y: np.ndarray, columns) -> np.ndarray:
+    """Ambient power (W) at the points ``(x[i], y[i])``; no area check.
+
+    One (points, components) broadcast. The components are added in their
+    order by a cumulative sum (``add.accumulate``): numpy's ``sum`` pairs terms
+    up from 8 on, which would change the rounding.
+    """
+    center_x, center_y, weight, two_width_sq = columns
+    d2 = (x[:, None] - center_x) ** 2 + (y[:, None] - center_y) ** 2
+    return np.add.accumulate(weight * np.exp(-d2 / two_width_sq), axis=1)[:, -1]
+
+
+def ambient_power_xy(amap: AmbientMap, xy) -> np.ndarray:
+    """Vectorized ambient power (W) at each row of ``xy``; errors outside the area."""
     pts = positions_to_array(xy)
-    if validate:
-        a = amap.area
-        inside = (
-            (pts[:, 0] >= a.x_min)
-            & (pts[:, 0] <= a.x_max)
-            & (pts[:, 1] >= a.y_min)
-            & (pts[:, 1] <= a.y_max)
-        )
-        if not np.all(inside):
-            bad = pts[~inside][0]
-            raise ValueError(f"position ({bad[0]}, {bad[1]}) lies outside the map area")
-    total = np.zeros(pts.shape[0])
-    for c in amap.components:
-        d2 = (pts[:, 0] - c.center.x) ** 2 + (pts[:, 1] - c.center.y) ** 2
-        total += c.weight * np.exp(-d2 / (2.0 * c.width**2))
-    return total
+    amap.area.require_inside(pts)
+    return mixture_power(pts[:, 0], pts[:, 1], mixture_columns(amap))
 
 
 def ambient_power(amap: AmbientMap, pos) -> float:
@@ -109,15 +126,14 @@ def ambient_power(amap: AmbientMap, pos) -> float:
 
 def transmit_power(amap: AmbientMap, pos, cap: float) -> float:
     """Ambient-limited transmit power: the local ambient power clipped at ``cap``."""
-    if cap <= 0:
-        raise ValueError(f"cap must be > 0, got {cap}")
-    return min(ambient_power(amap, pos), cap)
+    return float(transmit_power_xy(amap, [pos], cap)[0])
 
 
-def transmit_power_xy(amap: AmbientMap, xy, cap: float, validate: bool = True) -> np.ndarray:
+def transmit_power_xy(amap: AmbientMap, xy, cap: float) -> np.ndarray:
+    """Vectorized ``transmit_power`` at each row of ``xy``."""
     if cap <= 0:
         raise ValueError(f"cap must be > 0, got {cap}")
-    return np.minimum(ambient_power_xy(amap, xy, validate=validate), cap)
+    return np.minimum(ambient_power_xy(amap, xy), cap)
 
 
 def example_map() -> AmbientMap:

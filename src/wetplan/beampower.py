@@ -348,7 +348,7 @@ def _extract(
         precoder=precoder,
         tx_power=tx_power,
         feasible=True,
-        sdr_lower_bound=red.cstar * dual,
+        sdr_lower_bound=min(red.cstar * dual, tx_power),
     )
 
 
@@ -365,7 +365,9 @@ def min_power_precoder(
 
     The returned precoder satisfies |h_i^H w|^2 >= gamma exactly at the worst
     device. ``sdr_lower_bound`` is a certified value of the semidefinite
-    relaxation's dual, so it lower-bounds every feasible transmit power; the
+    relaxation's dual, so it lower-bounds every feasible transmit power; it is
+    capped at ``tx_power``, because where the relaxation is tight rounding can
+    put the dual value a few ulps above the precoder that attains it. The
     solver stops once the relaxation's primal-dual gap closes within ``tol``.
     """
     red = _reduce(problem)

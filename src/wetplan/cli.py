@@ -10,6 +10,7 @@ with the same seed reproduces the CSVs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import math
@@ -182,25 +183,46 @@ def _run_cost(resolved, seed: int):
     return header, rows
 
 
+# Entries of the greedy candidate table (solver.greedy_grid**2 points times
+# the devices) above which a deploy scenario is refused before anything is
+# allocated; the default table has 576 * 8 = 4,608.
+MAX_GREEDY_ENTRIES = 10**6
+
+
+@contextlib.contextmanager
+def _naming(keys: str):
+    """Report a ``ValueError`` raised while building a scenario as a ``ConfigError`` naming ``keys``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{keys}: {err}") from err
+
+
 def _run_deploy(resolved, seed: int):
-    x_min, y_min, x_max, y_max = resolved["map.area"]
-    amap = AmbientMap(
-        components=tuple(
-            GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]
-        ),
-        area=Rect(x_min, y_min, x_max, y_max),
-    )
     devices = tuple(Position2D(x, y) for x, y in resolved["devices"])
-    problem = DeploymentProblem(
-        devices=devices,
-        ambient_map=amap,
-        k=resolved["k"],
-        cap=resolved["cap"],
-        pathloss=_pathloss_from(resolved),
-    )
+    grid = resolved["solver.greedy_grid"]
+    if grid * grid * len(devices) > MAX_GREEDY_ENTRIES:
+        raise ConfigError(
+            f"solver.greedy_grid = {grid} and {len(devices)} devices give {grid * grid * len(devices)} "
+            f"greedy candidate entries (solver.greedy_grid**2 * devices); the limit is {MAX_GREEDY_ENTRIES:.0e}"
+        )
+    with _naming("map.area"):
+        area = Rect(*resolved["map.area"])
+    with _naming("map.components"):
+        components = tuple(
+            GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]
+        )
+    with _naming("devices, map.area"):
+        problem = DeploymentProblem(
+            devices=devices,
+            ambient_map=AmbientMap(components, area),
+            k=resolved["k"],
+            cap=resolved["cap"],
+            pathloss=_pathloss_from(resolved),
+        )
     solver = SolverConfig(
         n_starts=resolved["solver.n_starts"],
-        greedy_grid=resolved["solver.greedy_grid"],
+        greedy_grid=grid,
         nm_max_iter=resolved["solver.nm_max_iter"],
     )
     solution = optimize(problem, solver, seed=seed)

@@ -6,6 +6,12 @@ one beacon at a time, combining a greedy coarse-grid placement of the new
 beacon with anchored and uniform restarts, each refined by Nelder-Mead, and it
 returns the best candidate ever evaluated. Per-stage random streams depend
 only on (seed, stage), so the achieved objective never drops when k grows.
+
+Every objective value comes from one ``_Evaluator`` per problem. It builds
+the area bounds, the device coordinates and the ambient components into
+arrays once, so each of the search's tens of thousands of evaluations is one
+clip, one (beacons, components) mixture and one (beacons, devices) path-gain
+broadcast, with the same bits as evaluating each component and beacon in turn.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .ambient import AmbientMap, transmit_power, transmit_power_xy
+from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power
 from .channel import PathLossParams, Position2D, path_gain, positions_to_array
 
 __all__ = [
@@ -54,10 +60,7 @@ class DeploymentProblem:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.cap <= 0:
             raise ValueError(f"cap must be > 0, got {self.cap}")
-        area = self.ambient_map.area
-        for d in devices:
-            if not area.contains(d.x, d.y):
-                raise ValueError(f"device ({d.x}, {d.y}) lies outside the map area")
+        self.ambient_map.area.require_inside(positions_to_array(devices), "device")
 
     def device_xy(self) -> np.ndarray:
         return positions_to_array(self.devices)
@@ -88,20 +91,36 @@ class DeploymentSolution:
     worst_device_index: int
 
 
-def _pb_contributions(xy_pbs: np.ndarray, problem: DeploymentProblem, validate: bool = True) -> np.ndarray:
-    """(n_pb, n_dev) matrix of received power from each beacon at each device."""
-    tx = transmit_power_xy(problem.ambient_map, xy_pbs, problem.cap, validate=validate)
-    dev = problem.device_xy()
-    dx = xy_pbs[:, 0, None] - dev[None, :, 0]
-    dy = xy_pbs[:, 1, None] - dev[None, :, 1]
-    gains = path_gain(np.hypot(dx, dy), problem.pathloss)
-    return tx[:, None] * gains
+class _Evaluator:
+    """One problem's arrays, built once, and the objective on (n, 2) beacon positions."""
 
+    def __init__(self, problem: DeploymentProblem):
+        area = problem.ambient_map.area
+        self.lower = np.array([area.x_min, area.y_min])
+        self.upper = np.array([area.x_max, area.y_max])
+        self.device_x, self.device_y = problem.device_xy().T.copy()
+        self.columns = mixture_columns(problem.ambient_map)
+        self.cap = problem.cap
+        self.pathloss = problem.pathloss
 
-def _objective_xy(xy_pbs: np.ndarray, problem: DeploymentProblem, validate: bool = True) -> tuple[float, int]:
-    received = _pb_contributions(xy_pbs, problem, validate=validate).sum(axis=0)
-    worst = int(np.argmin(received))
-    return float(received[worst]), worst
+    def clamp(self, xy: np.ndarray) -> np.ndarray:
+        """A copy of ``xy`` as (n, 2) points clamped into the area."""
+        return xy.reshape(-1, 2).clip(self.lower, self.upper)
+
+    def tx_power(self, xy: np.ndarray) -> np.ndarray:
+        """Ambient-limited transmit power of a beacon at each row of ``xy``."""
+        return np.minimum(mixture_power(xy[:, 0], xy[:, 1], self.columns), self.cap)
+
+    def contributions(self, xy: np.ndarray) -> np.ndarray:
+        """(n_pb, n_dev) matrix of received power from each beacon at each device."""
+        distance = np.hypot(xy[:, 0, None] - self.device_x, xy[:, 1, None] - self.device_y)
+        return self.tx_power(xy)[:, None] * path_gain(distance, self.pathloss)
+
+    def objective(self, xy: np.ndarray) -> tuple[float, int]:
+        """Worst-device received power and the index of that device."""
+        received = self.contributions(xy).sum(axis=0)
+        worst = int(received.argmin())
+        return float(received[worst]), worst
 
 
 def received_power(device, pbs, problem: DeploymentProblem) -> float:
@@ -116,40 +135,42 @@ def received_power(device, pbs, problem: DeploymentProblem) -> float:
 
 
 def objective(pbs, problem: DeploymentProblem) -> tuple[float, int]:
-    """Worst-device received power and the index of that device."""
-    return _objective_xy(positions_to_array(pbs), problem)
+    """Worst-device received power and the index of that device; errors outside the area."""
+    xy = positions_to_array(pbs)
+    problem.ambient_map.area.require_inside(xy)
+    return _Evaluator(problem).objective(xy)
 
 
-def _build_solution(xy: np.ndarray, problem: DeploymentProblem) -> DeploymentSolution:
-    value, worst = _objective_xy(xy, problem)
+def _build_solution(xy: np.ndarray, evaluator: _Evaluator) -> DeploymentSolution:
+    value, worst = evaluator.objective(xy)
     positions = tuple(Position2D(float(x), float(y)) for x, y in xy)
-    powers = tuple(transmit_power(problem.ambient_map, p, problem.cap) for p in positions)
+    powers = tuple(float(p) for p in evaluator.tx_power(xy))
     return DeploymentSolution(positions, powers, value, worst)
 
 
-def _candidate_points(problem: DeploymentProblem, per_axis: int) -> np.ndarray:
-    """Coarse grid plus device positions and ambient peaks, clamped to the area."""
-    area = problem.ambient_map.area
+def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Every (x, y) pair as rows, x-major: (xs[0], ys[0]), (xs[0], ys[1]), ..."""
+    return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+
+
+def _candidate_points(area: Rect, per_axis: int, anchors: np.ndarray) -> np.ndarray:
+    """Coarse ``per_axis`` x ``per_axis`` grid over the area, followed by ``anchors``."""
     xs = np.linspace(area.x_min, area.x_max, per_axis)
     ys = np.linspace(area.y_min, area.y_max, per_axis)
-    grid = np.array([(x, y) for x in xs for y in ys])
-    anchors = [problem.device_xy()]
-    anchors.append(np.array([(c.center.x, c.center.y) for c in problem.ambient_map.components]))
-    return area.clamp(np.vstack([grid] + anchors))
+    return np.vstack([_grid(xs, ys), anchors])
 
 
 class _BestTracker:
     """Keeps the best (clamped) candidate seen across all solver evaluations."""
 
-    def __init__(self, problem: DeploymentProblem):
-        self.problem = problem
-        self.area = problem.ambient_map.area
+    def __init__(self, evaluator: _Evaluator):
+        self.evaluator = evaluator
         self.best_value = -math.inf
         self.best_xy: np.ndarray | None = None
 
     def evaluate(self, flat: np.ndarray) -> float:
-        xy = self.area.clamp(np.asarray(flat, dtype=float).reshape(-1, 2))
-        value, _ = _objective_xy(xy, self.problem, validate=False)
+        xy = self.evaluator.clamp(flat)
+        value, _ = self.evaluator.objective(xy)
         if value > self.best_value:
             self.best_value = value
             self.best_xy = xy
@@ -163,11 +184,13 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
     the search evaluated, including all restart points.
     """
     solver = solver or SolverConfig()
+    evaluator = _Evaluator(problem)
     area = problem.ambient_map.area
-    candidates = _candidate_points(problem, solver.greedy_grid)
-    cand_contrib = _pb_contributions(candidates, problem, validate=False)
     device_xy = problem.device_xy()
-    peaks = area.clamp(np.array([(c.center.x, c.center.y) for c in problem.ambient_map.components]))
+    peaks = evaluator.clamp(np.column_stack(evaluator.columns[:2]))
+    # Greedy candidates: the grid, the devices and the ambient peaks.
+    candidates = evaluator.clamp(_candidate_points(area, solver.greedy_grid, np.vstack([device_xy, peaks])))
+    cand_contrib = evaluator.contributions(candidates)
     jitter = 0.05 * math.hypot(area.x_max - area.x_min, area.y_max - area.y_min)
 
     prev_xy = np.zeros((0, 2))
@@ -175,7 +198,7 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
     tracker = None
     for stage in range(1, problem.k + 1):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), stage]))
-        tracker = _BestTracker(problem)
+        tracker = _BestTracker(evaluator)
 
         # Greedy start: best coarse candidate for the new beacon, keeping the
         # previous stage's beacons where they are.
@@ -200,7 +223,7 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
                             rng.uniform(area.y_min, area.y_max),
                         ]
                     )
-            starts.append(area.clamp(np.array(rows)))
+            starts.append(evaluator.clamp(np.array(rows)))
 
         max_iter = solver.nm_max_iter * 2 * stage
         for start in starts:
@@ -218,9 +241,9 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
                 },
             )
         prev_xy = tracker.best_xy
-        prev_contrib = _pb_contributions(prev_xy, problem, validate=False).sum(axis=0)
+        prev_contrib = evaluator.contributions(prev_xy).sum(axis=0)
 
-    return _build_solution(prev_xy, problem)
+    return _build_solution(prev_xy, evaluator)
 
 
 def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolution:
@@ -236,7 +259,7 @@ def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolu
     ny = int(math.floor((area.y_max - area.y_min) / resolution + 1e-9)) + 1
     xs = area.x_min + resolution * np.arange(nx)
     ys = area.y_min + resolution * np.arange(ny)
-    grid = np.array([(x, y) for x in xs for y in ys])
+    grid = _grid(xs, ys)
     n_points = grid.shape[0]
 
     n_tuples = math.comb(n_points + problem.k - 1, problem.k)
@@ -246,7 +269,8 @@ def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolu
             f"{n_points} grid points and k={problem.k} (limit {GRID_ORACLE_BUDGET})"
         )
 
-    contrib = _pb_contributions(grid, problem, validate=False)
+    evaluator = _Evaluator(problem)
+    contrib = evaluator.contributions(grid)
     best_value = -math.inf
     best_idx: tuple[int, ...] | None = None
     for head in itertools.combinations_with_replacement(range(n_points), problem.k - 1):
@@ -258,4 +282,4 @@ def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolu
             best_value = float(values[j])
             best_idx = head + (start + j,)
 
-    return _build_solution(grid[list(best_idx)], problem)
+    return _build_solution(grid[list(best_idx)], evaluator)

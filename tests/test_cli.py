@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 
 import pytest
 
@@ -19,6 +20,11 @@ GOLDEN_OUTAGE_SHA256 = "4f24aa1132bef346cfc9953f6764da52eaf840b534e348f1dea8d5d7
 # dimensions than the 4 devices, and m >= 17 are the slowest relaxations.
 GOLDEN_RFCHAINS = ("m_values=" + ", ".join(str(m) for m in range(1, 25)),)
 GOLDEN_RFCHAINS_SHA256 = "b73f9b75bc96be135cec52d1d2ebe326ead176fe64b88a5accc0824b6f6fb795"
+
+# SHA-256 of deploy.csv for GOLDEN_DEPLOY at seed 17, recorded while every
+# objective evaluation still rebuilt its arrays and looped over components.
+GOLDEN_DEPLOY = ("k=3", "solver.n_starts=2")
+GOLDEN_DEPLOY_SHA256 = "ffd699db8d9f1bd46089d263af790e2386cc916e090a30a32491c30224fb511d"
 
 
 def run_cli(subcommand, out, *, sets=(), seed=0, config=None, trials=None, plot=False):
@@ -119,6 +125,12 @@ def test_rfchains_csv_matches_golden_digest(tmp_path):
     assert hashlib.sha256((out / "rfchains.csv").read_bytes()).hexdigest() == GOLDEN_RFCHAINS_SHA256
 
 
+def test_deploy_csv_matches_golden_digest(tmp_path):
+    out = tmp_path / "deploy"
+    assert run_cli("deploy", out, sets=GOLDEN_DEPLOY, seed=17) == 0
+    assert hashlib.sha256((out / "deploy.csv").read_bytes()).hexdigest() == GOLDEN_DEPLOY_SHA256
+
+
 def test_outage_values_do_not_depend_on_architecture_order(tmp_path):
     values = []
     for order in ("single, dc, rf", "rf, dc, single"):
@@ -148,6 +160,42 @@ def test_deploy_k_zero_fails_without_writing_files(tmp_path):
     out = tmp_path / "deploy"
     assert run_cli("deploy", out, sets=("k=0",)) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_deploy_device_outside_area_names_the_keys(tmp_path, capsys):
+    out = tmp_path / "deploy"
+    assert main(["deploy", "--set", "devices=30:0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: devices, map.area: device (30.0, 0.0) lies outside the map area")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_deploy_bad_component_names_the_key(tmp_path, capsys):
+    out = tmp_path / "deploy"
+    assert main(["deploy", "--set", "map.components=1:0:0:0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: map.components: width must be > 0, got 0.0\n"
+    with pytest.raises(ConfigError, match=r"^map\.area: rectangle must have positive extent"):
+        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, ["map.area=0:0:0:5"]), 0)
+
+
+def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypatch):
+    class SearchReached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise SearchReached
+
+    monkeypatch.setattr(wetplan.cli, "optimize", refuse)
+    largest = math.isqrt(wetplan.cli.MAX_GREEDY_ENTRIES // 8)  # the default scenario has 8 devices
+    with pytest.raises(SearchReached):
+        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, [f"solver.greedy_grid={largest}"]), 0)
+    out = tmp_path / "deploy"
+    assert run_cli("deploy", out, sets=(f"solver.greedy_grid={largest + 1}",)) == 1
+    assert not out.exists() or not any(out.iterdir())
+    many_devices = "devices=" + ", ".join(f"{x}:0" for x in range(-10, 10))
+    for sets in (["solver.greedy_grid=1000000000"], ["solver.greedy_grid=224", many_devices]):
+        with pytest.raises(ConfigError, match=r"^solver\.greedy_grid = "):
+            wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, sets), 0)
 
 
 def test_trials_flag_only_for_outage(tmp_path):
