@@ -10,7 +10,7 @@ plus a run manifest.
 
 __version__ = "0.1.0"
 
-from .ambient import AmbientMap, GaussianComponent, Rect, ambient_power, transmit_power
+from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import (
     ChannelModel,
     ConsumptionPoint,
@@ -60,15 +60,13 @@ from .harvesting import (
     harvest_architecture,
     rf_combine,
 )
-from .outage import OutageConfig, OutageResult, field_harvest, run_outage, run_trial, sweep_density
+from .outage import OutageConfig, OutageResult, run_outage, run_trial, sweep_density
 
 __all__ = [
     "__version__",
     "AmbientMap",
     "GaussianComponent",
     "Rect",
-    "ambient_power",
-    "transmit_power",
     "ChannelModel",
     "ConsumptionPoint",
     "MulticastProblem",
@@ -110,7 +108,6 @@ __all__ = [
     "rf_combine",
     "OutageConfig",
     "OutageResult",
-    "field_harvest",
     "run_outage",
     "run_trial",
     "sweep_density",

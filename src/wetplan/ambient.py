@@ -3,8 +3,9 @@
 A beacon parked at a position converts whatever ambient power is available
 there into transmit power, up to its hardware cap; conversion is lossless up
 to the cap. The mixture is evaluated in one place, ``mixture_power``, on
-component arrays from ``mixture_columns``: the public functions below build
-those arrays per call, and the deployment search builds them once per problem.
+component arrays from ``mixture_columns``. The public functions below take an
+(n, 2) array of points, check them against the area and build those arrays
+per call; the deployment search builds them once per problem.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ __all__ = [
     "Rect",
     "GaussianComponent",
     "AmbientMap",
-    "ambient_power",
     "ambient_power_xy",
     "mixture_columns",
     "mixture_power",
-    "transmit_power",
     "transmit_power_xy",
     "example_map",
 ]
@@ -119,18 +118,8 @@ def ambient_power_xy(amap: AmbientMap, xy) -> np.ndarray:
     return mixture_power(pts[:, 0], pts[:, 1], mixture_columns(amap))
 
 
-def ambient_power(amap: AmbientMap, pos) -> float:
-    """Average ambient power (W) available at ``pos``; errors outside the area."""
-    return float(ambient_power_xy(amap, [pos])[0])
-
-
-def transmit_power(amap: AmbientMap, pos, cap: float) -> float:
-    """Ambient-limited transmit power: the local ambient power clipped at ``cap``."""
-    return float(transmit_power_xy(amap, [pos], cap)[0])
-
-
 def transmit_power_xy(amap: AmbientMap, xy, cap: float) -> np.ndarray:
-    """Vectorized ``transmit_power`` at each row of ``xy``."""
+    """Ambient-limited transmit power (W) at each row of ``xy``: the ambient power clipped at ``cap``."""
     if cap <= 0:
         raise ValueError(f"cap must be > 0, got {cap}")
     return np.minimum(ambient_power_xy(amap, xy), cap)

@@ -309,7 +309,8 @@ def _best_candidate(
     valid = (worst > 0.0) & np.isfinite(worst) & (norms > 0.0)
     if not np.any(valid):
         return None
-    cost = np.where(valid, norms / worst, np.inf)
+    cost = np.full(worst.shape, np.inf)
+    cost[valid] = norms[valid] / worst[valid]
     j = int(np.argmin(cost))
     w = pool[j] / math.sqrt(worst[j])
     return w, float(cost[j])

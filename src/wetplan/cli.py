@@ -5,6 +5,11 @@ numbers) plus ``manifest.txt`` recording the toolkit version, the fully
 resolved configuration in re-parseable ``config.<key> = value`` form, the
 seed, and a SHA-256 digest per output file. Re-running the manifest's config
 with the same seed reproduces the CSVs byte for byte.
+
+A runner returns its header and rows; the rows are formatted into cells once,
+and both the CSV and the optional plot data are written from those cells.
+Outputs are renamed into place only after all of them are written, so a
+failed run leaves an earlier run in the same directory as it was.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ import contextlib
 import csv
 import hashlib
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -122,12 +128,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: Path, header: list[str], cells: list[list[str]]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
 
 
 def _pathloss_from(resolved) -> PathLossParams:
@@ -139,23 +144,7 @@ def _pathloss_from(resolved) -> PathLossParams:
 
 
 def _run_cost(resolved, seed: int):
-    params = CostParams(
-        devices_per_pb=resolved["devices_per_pb"],
-        install_grid_pb=resolved["install_grid_pb"],
-        install_green_pb=resolved["install_green_pb"],
-        install_battery_pb=resolved["install_battery_pb"],
-        device_install=resolved["device_install"],
-        device_maintenance_fraction=resolved["device_maintenance_fraction"],
-        battery_pb_annual_fraction=resolved["battery_pb_annual_fraction"],
-        green_pb_replacement_fraction=resolved["green_pb_replacement_fraction"],
-        green_pb_replacement_period_years=resolved["green_pb_replacement_period"],
-        pb_avg_power_w=resolved["pb_avg_power_w"],
-        grid_price_per_kwh=resolved["grid_price_per_kwh"],
-        device_battery_life_years=resolved["device_battery_life"],
-        horizon_years=resolved["horizon"],
-        include_final_replacement=resolved["include_final_replacement"],
-        annualize_green_replacement=resolved["annualize_green_replacement"],
-    )
+    params = CostParams(**{f.name: resolved[f.name] for f in fields(CostParams)})
     if resolved["mode"] == "devices":
         breakdowns = sweep_devices(params, resolved["n_devices"])
     else:
@@ -324,88 +313,67 @@ _RUNNERS = {
 }
 
 
-def _read_rows(csv_path) -> tuple[list[str], list[list[str]]]:
-    with open(csv_path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty CSV: {csv_path}") from None
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"CSV has no data rows: {csv_path}")
-    return header, rows
-
-
-def emit_plot_data(csv_path) -> str:
-    """Render a run's CSV as gnuplot-style columnar text, one block per series."""
-    header, rows = _read_rows(csv_path)
+def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]]) -> str:
+    """Render a run's CSV cells as gnuplot-style columnar text, one block per series."""
+    col = {name: i for i, name in enumerate(header)}
     out: list[str] = []
 
-    def block(title: str, columns: list[str], data_rows) -> None:
+    def block(title: str, columns: list[str], rows) -> None:
         if out:
             out.append("")
             out.append("")
         out.append(f"# series: {title}")
         out.append("# columns: " + " ".join(columns))
-        out.extend(" ".join(str(v) for v in row) for row in data_rows)
+        out.extend(" ".join(r[col[c]] for c in columns) for r in rows)
 
-    col = {name: i for i, name in enumerate(header)}
-    if "scenario" in col:
-        varying = {r[col["n_devices"]] for r in rows}
+    if subcommand == "cost":
+        varying = {r[col["n_devices"]] for r in cells}
         x_name = "n_devices" if len(varying) > 1 else "horizon"
         out.append(f"# cost sweep: x = {x_name}, y = total cost (USD)")
-        scenarios = sorted({r[col["scenario"]] for r in rows})
-        for scenario in scenarios:
-            series = [r for r in rows if r[col["scenario"]] == scenario]
+        for scenario in sorted({r[col["scenario"]] for r in cells}):
+            series = [r for r in cells if r[col["scenario"]] == scenario]
             if x_name == "n_devices":
-                block(scenario, [x_name, "total"], ((r[col[x_name]], r[col["total"]]) for r in series))
+                block(scenario, [x_name, "total"], series)
             else:
                 for life in sorted({r[col["battery_life"]] for r in series}, key=float):
                     sub = [r for r in series if r[col["battery_life"]] == life]
-                    block(
-                        f"{scenario} battery_life={life}",
-                        [x_name, "total"],
-                        ((r[col[x_name]], r[col["total"]]) for r in sub),
-                    )
-    elif "architecture" in col:
+                    block(f"{scenario} battery_life={life}", [x_name, "total"], sub)
+    elif subcommand == "outage":
         out.append("# outage vs density: x = transmitters per m^2, y = outage probability")
-        pairs = sorted({(r[col["architecture"]], r[col["antennas"]]) for r in rows})
-        for arch, antennas in pairs:
-            series = [r for r in rows if r[col["architecture"]] == arch and r[col["antennas"]] == antennas]
-            block(
-                f"{arch} antennas={antennas}",
-                ["density", "outage", "ci95"],
-                ((r[col["density"]], r[col["outage"]], r[col["ci95"]]) for r in series),
-            )
-    elif "m" in col:
-        best = [r for r in rows if r[col["is_optimum"]] == "1"]
+        for arch, antennas in sorted({(r[col["architecture"]], r[col["antennas"]]) for r in cells}):
+            series = [r for r in cells if r[col["architecture"]] == arch and r[col["antennas"]] == antennas]
+            block(f"{arch} antennas={antennas}", ["density", "outage", "ci95"], series)
+    elif subcommand == "rfchains":
+        best = [r for r in cells if r[col["is_optimum"]] == "1"]
         out.append("# consumption vs RF chains: x = active chains, y = beacon consumption (W)")
         if best:
             out.append(f"# optimum at m = {best[0][col['m']]}")
-        block(
-            "consumption",
-            ["m", "tx_power_w", "consumption_w", "is_optimum"],
-            ((r[col["m"]], r[col["tx_power_w"]], r[col["consumption_w"]], r[col["is_optimum"]]) for r in rows),
-        )
-    elif "row_type" in col:
+        block("consumption", ["m", "tx_power_w", "consumption_w", "is_optimum"], cells)
+    elif subcommand == "deploy":
         out.append("# deployment: positions in meters; powers in watts")
         for kind, columns in (("pb", ["x", "y", "tx_power_w"]), ("device", ["x", "y", "received_power_w", "is_worst"])):
-            series = [r for r in rows if r[col["row_type"]] == kind]
-            block(kind, columns, ((tuple(r[col[c]] for c in columns)) for r in series))
+            block(kind, columns, [r for r in cells if r[col["row_type"]] == kind])
     else:
-        raise ValueError(f"unrecognized CSV header: {header}")
+        raise ValueError(f"no plot layout for subcommand {subcommand!r}")
     return "\n".join(out) + "\n"
 
 
 def run(rc: RunConfig) -> int:
     """Execute one run; returns the process exit status.
 
-    On any failure every partially written output is removed.
+    Every output is written under a temporary name in the output directory
+    and renamed into place, the manifest last, once all of them are written.
+    On any failure only the temporary files are removed, so an earlier run's
+    outputs stay as they were.
     """
     started = time.perf_counter()
     out_dir = Path(rc.output_dir)
-    created: list[Path] = []
+    staged: dict[Path, Path] = {}  # final path -> temporary path
+
+    def stage(name: str) -> Path:
+        staged[out_dir / name] = out_dir / f".{name}.tmp"
+        return staged[out_dir / name]
+
     try:
         schema = SCHEMAS[rc.subcommand]
         overrides = list(rc.overrides)
@@ -417,16 +385,10 @@ def run(rc: RunConfig) -> int:
 
         out_dir.mkdir(parents=True, exist_ok=True)
         header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed)
-        # An earlier run's manifest would list outputs this run overwrites or removes.
-        manifest_path = out_dir / "manifest.txt"
-        manifest_path.unlink(missing_ok=True)
-        csv_path = out_dir / f"{rc.subcommand}.csv"
-        created.append(csv_path)
-        write_csv(csv_path, header, rows)
+        cells = [[_fmt(v) for v in row] for row in rows]
+        write_csv(stage(f"{rc.subcommand}.csv"), header, cells)
         if rc.plot_data:
-            dat_path = out_dir / f"{rc.subcommand}.dat"
-            created.append(dat_path)
-            dat_path.write_text(emit_plot_data(csv_path))
+            stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells))
 
         manifest = RunManifest(
             version=__version__,
@@ -434,14 +396,18 @@ def run(rc: RunConfig) -> int:
             seed=rc.seed,
             duration_seconds=time.perf_counter() - started,
             resolved={name: canonical(schema[name], value) for name, value in resolved.items()},
-            outputs={p.name: _sha256(p) for p in created},
+            outputs={final.name: _sha256(tmp) for final, tmp in staged.items()},
         )
-        created.append(manifest_path)
-        manifest_path.write_text(manifest.to_text())
+        stage("manifest.txt").write_text(manifest.to_text())
+        # With the earlier manifest gone first, a rename that fails leaves no
+        # manifest listing outputs this run has already replaced.
+        (out_dir / "manifest.txt").unlink(missing_ok=True)
+        for final, tmp in staged.items():
+            os.replace(tmp, final)
         return 0
     except Exception as err:  # argparse-level issues never reach here
-        for path in created:
-            path.unlink(missing_ok=True)
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
         print(f"error: {err}", file=sys.stderr)
         return 1
 

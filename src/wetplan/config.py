@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .ambient import example_map
+from .costs import CostParams
 from .harvesting import DEFAULT_BREAKPOINTS
 
 __all__ = [
@@ -253,6 +254,7 @@ _DEFAULT_DEPLOY_DEVICES = (
 
 
 def _cost_schema() -> dict[str, ConfigKey]:
+    p = CostParams()
     keys = [
         ConfigKey("mode", "str", "devices", "sweep devices or hardware lifetime", choices=("devices", "lifetime")),
         ConfigKey("n_devices", "int_list", (10, 50, 100), "device counts for the devices sweep",
@@ -263,26 +265,30 @@ def _cost_schema() -> dict[str, ConfigKey]:
                   check=_positive_list("horizons")),
         ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10), "device battery lifetimes (years)",
                   check=_positive_list("battery lives")),
-        ConfigKey("devices_per_pb", "int", 50, "devices served per beacon", check=_at_least(1, "devices per beacon")),
-        ConfigKey("install_grid_pb", "decimal", Fraction(300), "grid beacon install cost ($)"),
-        ConfigKey("install_green_pb", "decimal", Fraction(320), "green beacon install cost ($)"),
-        ConfigKey("install_battery_pb", "decimal", Fraction(370), "battery beacon install cost ($)"),
-        ConfigKey("device_install", "decimal", Fraction(20), "device install cost ($)"),
-        ConfigKey("device_maintenance_fraction", "decimal", Fraction(1, 2),
+        # The keys below are the fields of CostParams, with its defaults.
+        ConfigKey("devices_per_pb", "int", p.devices_per_pb, "devices served per beacon",
+                  check=_at_least(1, "devices per beacon")),
+        ConfigKey("install_grid_pb", "decimal", p.install_grid_pb, "grid beacon install cost ($)"),
+        ConfigKey("install_green_pb", "decimal", p.install_green_pb, "green beacon install cost ($)"),
+        ConfigKey("install_battery_pb", "decimal", p.install_battery_pb, "battery beacon install cost ($)"),
+        ConfigKey("device_install", "decimal", p.device_install, "device install cost ($)"),
+        ConfigKey("device_maintenance_fraction", "decimal", p.device_maintenance_fraction,
                   "battery swap cost as a fraction of device install"),
-        ConfigKey("battery_pb_annual_fraction", "decimal", Fraction(3, 10),
+        ConfigKey("battery_pb_annual_fraction", "decimal", p.battery_pb_annual_fraction,
                   "annual battery-beacon maintenance fraction"),
-        ConfigKey("green_pb_replacement_fraction", "decimal", Fraction(19, 50),
+        ConfigKey("green_pb_replacement_fraction", "decimal", p.green_pb_replacement_fraction,
                   "harvester replacement cost fraction"),
-        ConfigKey("green_pb_replacement_period", "int", 25, "harvester replacement period (years)",
-                  check=_at_least(1, "replacement period")),
-        ConfigKey("pb_avg_power_w", "decimal", Fraction(6), "average beacon draw (W)"),
-        ConfigKey("grid_price_per_kwh", "decimal", Fraction(1, 4), "grid energy price ($/kWh)"),
-        ConfigKey("device_battery_life", "int", 5, "device battery life (years)",
+        ConfigKey("green_pb_replacement_period", "int", p.green_pb_replacement_period,
+                  "harvester replacement period (years)", check=_at_least(1, "replacement period")),
+        ConfigKey("pb_avg_power_w", "decimal", p.pb_avg_power_w, "average beacon draw (W)"),
+        ConfigKey("grid_price_per_kwh", "decimal", p.grid_price_per_kwh, "grid energy price ($/kWh)"),
+        ConfigKey("device_battery_life", "int", p.device_battery_life, "device battery life (years)",
                   check=_at_least(1, "battery life")),
-        ConfigKey("horizon", "int", 15, "planning horizon (years)", check=_at_least(1, "horizon")),
-        ConfigKey("include_final_replacement", "bool", False, "bill a swap landing on the final year"),
-        ConfigKey("annualize_green_replacement", "bool", True, "spread harvester replacement per year"),
+        ConfigKey("horizon", "int", p.horizon, "planning horizon (years)", check=_at_least(1, "horizon")),
+        ConfigKey("include_final_replacement", "bool", p.include_final_replacement,
+                  "bill a swap landing on the final year"),
+        ConfigKey("annualize_green_replacement", "bool", p.annualize_green_replacement,
+                  "spread harvester replacement per year"),
     ]
     return {k.name: k for k in keys}
 

@@ -65,11 +65,11 @@ class CostParams:
     device_maintenance_fraction: Fraction = Fraction(1, 2)
     battery_pb_annual_fraction: Fraction = Fraction(3, 10)
     green_pb_replacement_fraction: Fraction = Fraction(19, 50)
-    green_pb_replacement_period_years: int = 25
+    green_pb_replacement_period: int = 25
     pb_avg_power_w: Fraction = Fraction(6)
     grid_price_per_kwh: Fraction = Fraction(1, 4)
-    device_battery_life_years: int = 5
-    horizon_years: int = 15
+    device_battery_life: int = 5
+    horizon: int = 15
     include_final_replacement: bool = False
     annualize_green_replacement: bool = True
 
@@ -91,12 +91,12 @@ class CostParams:
             object.__setattr__(self, name, value)
         if self.devices_per_pb < 1:
             raise ValueError(f"devices_per_pb must be >= 1, got {self.devices_per_pb}")
-        if self.green_pb_replacement_period_years <= 0:
-            raise ValueError("green_pb_replacement_period_years must be > 0")
-        if self.device_battery_life_years <= 0:
-            raise ValueError("device_battery_life_years must be > 0")
-        if self.horizon_years <= 0:
-            raise ValueError("horizon_years must be > 0")
+        if self.green_pb_replacement_period <= 0:
+            raise ValueError("green_pb_replacement_period must be > 0")
+        if self.device_battery_life <= 0:
+            raise ValueError("device_battery_life must be > 0")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _round_cents(dollars: Fraction) -> int:
 
 
 def _pb_opex_per_unit(scenario: str, p: CostParams) -> Fraction:
-    t = p.horizon_years
+    t = p.horizon
     if scenario == "grid_pb":
         kwh = p.pb_avg_power_w * HOURS_PER_YEAR * t / 1000
         return kwh * p.grid_price_per_kwh
@@ -138,8 +138,8 @@ def _pb_opex_per_unit(scenario: str, p: CostParams) -> Fraction:
         return t * p.battery_pb_annual_fraction * p.install_battery_pb
     if scenario == "green_pb":
         if p.annualize_green_replacement:
-            return t * p.green_pb_replacement_fraction * p.install_green_pb / p.green_pb_replacement_period_years
-        full = t // p.green_pb_replacement_period_years
+            return t * p.green_pb_replacement_fraction * p.install_green_pb / p.green_pb_replacement_period
+        full = t // p.green_pb_replacement_period
         return full * p.green_pb_replacement_fraction * p.install_green_pb
     raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -154,7 +154,7 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     device_install = n_devices * params.device_install
     if scenario == "baseline":
         swaps = battery_replacements(
-            params.horizon_years, params.device_battery_life_years, params.include_final_replacement
+            params.horizon, params.device_battery_life, params.include_final_replacement
         )
         maintenance = n_devices * swaps * params.device_install * params.device_maintenance_fraction
         pb_install = pb_opex = Fraction(0)
@@ -174,8 +174,8 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     return CostBreakdown(
         scenario=scenario,
         n_devices=n_devices,
-        horizon_years=params.horizon_years,
-        battery_life_years=params.device_battery_life_years,
+        horizon_years=params.horizon,
+        battery_life_years=params.device_battery_life,
         device_install_cents=cents[0],
         device_maintenance_cents=cents[1],
         pb_install_cents=cents[2],
@@ -202,7 +202,7 @@ def sweep_hardware_lifetime(
     rows = []
     for horizon in horizons:
         for life in lives:
-            p = dataclasses.replace(params, horizon_years=horizon, device_battery_life_years=life)
+            p = dataclasses.replace(params, horizon=horizon, device_battery_life=life)
             rows.extend(scenario_cost(s, n_devices, p) for s in SCENARIOS)
     return rows
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power
+from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power_xy
 from .channel import PathLossParams, Position2D, path_gain, positions_to_array
 
 __all__ = [
@@ -124,13 +124,17 @@ class _Evaluator:
 
 
 def received_power(device, pbs, problem: DeploymentProblem) -> float:
-    """Received RF power (W) at ``device`` from beacons at ``pbs`` (powers add)."""
+    """Received RF power (W) at ``device`` from beacons at ``pbs`` (powers add).
+
+    Adds the beacons in order with scalar ``math.hypot`` and ``path_gain``;
+    ``_Evaluator.contributions`` differs from this in the last bits.
+    """
     dev = device if isinstance(device, Position2D) else Position2D(float(device[0]), float(device[1]))
     xy = positions_to_array(pbs)
+    tx = transmit_power_xy(problem.ambient_map, xy, problem.cap)
     total = 0.0
-    for row in xy:
-        tx = transmit_power(problem.ambient_map, Position2D(row[0], row[1]), problem.cap)
-        total += tx * path_gain(math.hypot(row[0] - dev.x, row[1] - dev.y), problem.pathloss)
+    for (x, y), p in zip(xy.tolist(), tx.tolist()):
+        total += p * path_gain(math.hypot(x - dev.x, y - dev.y), problem.pathloss)
     return total
 
 

@@ -5,10 +5,12 @@ are reproducible and independent of execution order. Density
 sweeps derive per-density sub-seeds from the density value itself, so
 duplicate densities produce identical results.
 
-Architectures share draws (common random numbers): a trial samples its field
-and channels once and rectifies that snapshot under every architecture asked
-for. The sub-seeds do not depend on the architecture, so each architecture's
-estimate is the one it would get on its own.
+Every entry point takes the architectures to rectify under and returns one
+result per architecture, in that order. They share draws (common random
+numbers): a trial samples its field and channels once and rectifies that
+snapshot under every architecture asked for. The sub-seeds do not depend on
+the architecture, so each architecture's estimate is the one it would get on
+its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .harvesting import ARCHITECTURES, HarvesterCurve, dft_codebook, harvest_arc
 __all__ = [
     "OutageConfig",
     "OutageResult",
-    "field_harvest",
     "run_trial",
     "run_outage",
     "sweep_density",
@@ -44,7 +45,6 @@ class OutageConfig:
     pathloss: PathLossParams = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
     rician: RicianParams = RicianParams(10.0)
     target: float = 1e-3
-    arch: str = "single"
     n_antennas: int = 1
     curve: HarvesterCurve = HarvesterCurve()
     trials: int = 10_000
@@ -59,8 +59,6 @@ class OutageConfig:
             raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
         if self.target <= 0:
             raise ValueError(f"target must be > 0, got {self.target}")
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
         if self.n_antennas < 1:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         if self.trials < 1:
@@ -81,9 +79,9 @@ class OutageResult:
 _codebook = functools.lru_cache(dft_codebook)
 
 
-def _plan(config: OutageConfig, archs) -> tuple[str, ...]:
-    """The architectures to rectify under: ``config.arch`` when ``archs`` is None."""
-    names = (config.arch,) if archs is None else tuple(archs)
+def _plan(archs) -> tuple[str, ...]:
+    """``archs`` as a tuple; errors on an empty list or an unknown name."""
+    names = tuple(archs)
     if not names:
         raise ValueError("need at least one architecture")
     for arch in names:
@@ -109,27 +107,21 @@ def _rectify(config: OutageConfig, positions, seed, archs: tuple[str, ...]) -> t
     return tuple(harvest_architecture((h, config.tx_power), arch, config.curve, codebook) for arch in archs)
 
 
-def field_harvest(config: OutageConfig, positions, seed) -> float:
-    """Harvested power (W) for a fixed transmitter layout around the device."""
-    return _rectify(config, positions, seed, _plan(config, None))[0]
-
-
 def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Counter-based per-trial seed; pure function of (seed, trial index)."""
     return np.random.SeedSequence([int(seed), int(index)])
 
 
-def run_trial(config: OutageConfig, seed, archs=None):
+def run_trial(config: OutageConfig, seed, archs) -> tuple[float, ...]:
     """One Monte Carlo draw: sample the field, then the channels, then rectify.
 
-    Returns the harvested power under ``config.arch``. Given ``archs``, returns
-    a tuple with one harvested power per architecture, all from the same draws.
+    Returns one harvested power (W) per architecture in ``archs``, all from
+    the same draws.
     """
-    names = _plan(config, archs)
+    names = _plan(archs)
     rng = np.random.default_rng(seed)
     positions = sample_hppp(config.density, config.disk_radius, rng)
-    harvested = _rectify(config, positions, rng, names)
-    return harvested[0] if archs is None else harvested
+    return _rectify(config, positions, rng, names)
 
 
 def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
@@ -139,20 +131,19 @@ def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
     return OutageResult(p_hat, half, n, float(np.mean(harvested)))
 
 
-def run_outage(config: OutageConfig, archs=None):
+def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
     """Estimate the probability that harvested power misses the target.
 
-    Returns the estimate for ``config.arch``. Given ``archs``, returns a tuple
-    with one estimate per architecture, all from the same trials. Every trial
-    owns a counter-based seed, so the result depends only on ``config``.
+    Returns one estimate per architecture in ``archs``, all from the same
+    trials. Every trial owns a counter-based seed, so the result depends only
+    on ``config`` and the architecture.
     """
-    names = _plan(config, archs)
+    names = _plan(archs)
     # One contiguous row per architecture, so each row reduces as a lone array would.
     harvested = np.empty((len(names), config.trials))
     for t in range(config.trials):
         harvested[:, t] = run_trial(config, trial_seed(config.seed, t), names)
-    results = tuple(_estimate(row, config.target) for row in harvested)
-    return results[0] if archs is None else results
+    return tuple(_estimate(row, config.target) for row in harvested)
 
 
 def _density_seed(seed: int, density: float) -> int:
@@ -160,12 +151,12 @@ def _density_seed(seed: int, density: float) -> int:
     return int(np.random.SeedSequence([int(seed), bits]).generate_state(1, dtype=np.uint64)[0])
 
 
-def sweep_density(config: OutageConfig, densities, archs=None) -> list:
+def sweep_density(config: OutageConfig, densities, archs) -> list[tuple[OutageResult, ...]]:
     """Run the outage estimator once per density, in input order.
 
-    Sub-seeds derive from each density's value, so repeated entries give
-    identical results. Given ``archs``, each entry is a tuple with one result
-    per architecture, all from the same trials.
+    Each entry is a tuple with one result per architecture in ``archs``, all
+    from the same trials. Sub-seeds derive from each density's value, so
+    repeated entries give identical results.
     """
     values = list(densities)
     if not values:

@@ -7,10 +7,9 @@ from wetplan.ambient import (
     AmbientMap,
     GaussianComponent,
     Rect,
-    ambient_power,
     ambient_power_xy,
     example_map,
-    transmit_power,
+    transmit_power_xy,
 )
 from wetplan.channel import Position2D
 
@@ -23,12 +22,12 @@ def single_component_map(weight=2.0, cx=0.0, cy=0.0, width=3.0):
 
 def test_peak_value_at_center():
     amap = single_component_map(weight=2.0)
-    assert np.isclose(ambient_power(amap, Position2D(0.0, 0.0)), 2.0, rtol=1e-12)
+    assert np.isclose(ambient_power_xy(amap, [Position2D(0.0, 0.0)])[0], 2.0, rtol=1e-12)
 
 
 def test_one_width_away_decays_by_exp_half():
     amap = single_component_map(weight=2.0, width=3.0)
-    value = ambient_power(amap, Position2D(3.0, 0.0))
+    value = ambient_power_xy(amap, [Position2D(3.0, 0.0)])[0]
     assert np.isclose(value, 2.0 * math.exp(-0.5), rtol=1e-12)
 
 
@@ -43,34 +42,34 @@ def test_two_component_sum_matches_hand_formula():
         AREA,
     )
     expected = 2.0 * math.exp(-25.0 / 18.0) + 3.0 * math.exp(-25.0 / 50.0)
-    assert np.isclose(ambient_power(amap, Position2D(1.0, 0.0)), expected, rtol=1e-12)
+    assert np.isclose(ambient_power_xy(amap, [Position2D(1.0, 0.0)])[0], expected, rtol=1e-12)
 
 
 def test_outside_area_raises():
     amap = single_component_map()
     with pytest.raises(ValueError):
-        ambient_power(amap, Position2D(25.0, 0.0))
+        ambient_power_xy(amap, [Position2D(25.0, 0.0)])
 
 
 def test_transmit_power_caps_at_limit():
     # A 3.7 W ambient spot under a 1 W cap transmits exactly 1 W.
     amap = single_component_map(weight=3.7)
-    assert transmit_power(amap, Position2D(0.0, 0.0), cap=1.0) == 1.0
+    assert transmit_power_xy(amap, [Position2D(0.0, 0.0)], cap=1.0)[0] == 1.0
 
 
 def test_transmit_power_passes_below_cap():
     amap = single_component_map(weight=0.4)
-    assert np.isclose(transmit_power(amap, Position2D(0.0, 0.0), cap=1.0), 0.4, rtol=1e-12)
+    assert np.isclose(transmit_power_xy(amap, [Position2D(0.0, 0.0)], cap=1.0)[0], 0.4, rtol=1e-12)
 
 
 def test_transmit_power_zero_ambient():
     amap = single_component_map(weight=0.0)
-    assert transmit_power(amap, Position2D(5.0, 5.0), cap=1.0) == 0.0
+    assert transmit_power_xy(amap, [Position2D(5.0, 5.0)], cap=1.0)[0] == 0.0
 
 
 def test_transmit_power_requires_positive_cap():
     with pytest.raises(ValueError):
-        transmit_power(single_component_map(), Position2D(0.0, 0.0), cap=0.0)
+        transmit_power_xy(single_component_map(), [Position2D(0.0, 0.0)], cap=0.0)
 
 
 def test_field_is_nonnegative_and_capped_everywhere():

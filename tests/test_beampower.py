@@ -57,6 +57,18 @@ def test_scalar_antenna_is_worst_channel_inverse():
     assert np.isclose(sol.tx_power, expected, rtol=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_orthogonal_channels_need_no_division_by_zero():
+    # A randomized candidate can miss one device entirely (worst-case gain 0);
+    # it is skipped without dividing by its zero gain.
+    sol = min_power_precoder(MulticastProblem([[1, 0], [0, 1]], 1e-3))
+    assert sol.feasible
+    assert np.all(np.abs(sol.precoder) ** 2 >= 1e-3 * (1.0 - 1e-4))
+    # The optimum puts 1e-3 on each antenna; randomized extraction lands within 2% of it.
+    assert np.isclose(sol.sdr_lower_bound, 2e-3, rtol=1e-4)
+    assert sol.sdr_lower_bound <= sol.tx_power <= 1.02 * 2e-3
+
+
 def test_two_antenna_three_device_matches_brute_force():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import wetplan.cli
-from wetplan.cli import RunConfig, RunManifest, emit_plot_data, main, run, verify_manifest
+from wetplan.cli import RunConfig, RunManifest, main, run, verify_manifest
 from wetplan.config import SCHEMAS, ConfigError, resolve_config
 
 FAST_OUTAGE = ("trials=200", "densities=1.0, 3.0", "n_antennas=2")
@@ -25,6 +25,37 @@ GOLDEN_RFCHAINS_SHA256 = "b73f9b75bc96be135cec52d1d2ebe326ead176fe64b88a5accc082
 # objective evaluation still rebuilt its arrays and looped over components.
 GOLDEN_DEPLOY = ("k=3", "solver.n_starts=2")
 GOLDEN_DEPLOY_SHA256 = "ffd699db8d9f1bd46089d263af790e2386cc916e090a30a32491c30224fb511d"
+
+# SHA-256 of cost.csv and cost.dat per sweep mode (cost ignores the seed),
+# recorded while _run_cost still mapped each schema key to CostParams by hand.
+# Every scenario moves keys off their defaults, so a key read into the wrong
+# field changes the bytes.
+GOLDEN_COST = {
+    "devices": (
+        ("n_devices=1, 10, 50, 51, 100, 1000", "grid_price_per_kwh=0.13", "device_battery_life=3",
+         "horizon=12", "include_final_replacement=true", "install_green_pb=333.33"),
+        "dbb38d6cef018e31016b3b5c1e32472e8c6bbb90ec945f97997670ba2844ac49",
+        "88eb752c48cbc015637cc78bd0fc41e05fb93c5150827abfa1cabd5b76652618",
+    ),
+    "lifetime": (
+        ("mode=lifetime", "horizons=5, 10, 25, 30", "battery_lives=1, 3, 7", "lifetime_n_devices=120",
+         "devices_per_pb=30", "green_pb_replacement_period=7", "annualize_green_replacement=false",
+         "battery_pb_annual_fraction=0.27"),
+        "a4f69cf4a2daa81be041b30df88a648d69e141c4ae97c8b3dafb83bc74dd9f37",
+        "1ffe03911b875dfd156754742a98b0a0d02c7d3eb67b9e75e0be96a2133c7537",
+    ),
+}
+
+# SHA-256 of the plot data per study at seed 17, recorded while the .dat file
+# was still rendered by re-reading the CSV.
+GOLDEN_PLOT_DATA = {
+    "deploy": (("k=2", "solver.n_starts=1"), "46e0a9183172de42ed44e23ed89c1be06c4a844f755208c7523cbf04cb427c31"),
+    "outage": (
+        ("trials=100", "densities=1.0, 2.0, 3.0", "archs=single, dc", "n_antennas=2"),
+        "1e4bbe6e64b0cd986cb49e70b5026a59fc324b2e1b74742ba60d12789deae794",
+    ),
+    "rfchains": (("m_values=1, 2, 4, 8",), "6400391b87d6f9f48f98c829d13d2fd321cf1cb3b06b16e3013afa24e1a70924"),
+}
 
 
 def run_cli(subcommand, out, *, sets=(), seed=0, config=None, trials=None, plot=False):
@@ -131,6 +162,23 @@ def test_deploy_csv_matches_golden_digest(tmp_path):
     assert hashlib.sha256((out / "deploy.csv").read_bytes()).hexdigest() == GOLDEN_DEPLOY_SHA256
 
 
+@pytest.mark.parametrize("mode", sorted(GOLDEN_COST))
+def test_cost_csv_and_plot_data_match_golden_digests(tmp_path, mode):
+    sets, csv_sha256, dat_sha256 = GOLDEN_COST[mode]
+    out = tmp_path / mode
+    assert run_cli("cost", out, sets=sets, plot=True) == 0
+    assert hashlib.sha256((out / "cost.csv").read_bytes()).hexdigest() == csv_sha256
+    assert hashlib.sha256((out / "cost.dat").read_bytes()).hexdigest() == dat_sha256
+
+
+@pytest.mark.parametrize("study", sorted(GOLDEN_PLOT_DATA))
+def test_plot_data_matches_golden_digest(tmp_path, study):
+    sets, sha256 = GOLDEN_PLOT_DATA[study]
+    out = tmp_path / study
+    assert run_cli(study, out, sets=sets, seed=17, plot=True) == 0
+    assert hashlib.sha256((out / f"{study}.dat").read_bytes()).hexdigest() == sha256
+
+
 def test_outage_values_do_not_depend_on_architecture_order(tmp_path):
     values = []
     for order in ("single, dc, rf", "rf, dc, single"):
@@ -216,13 +264,18 @@ def test_manifest_digests_verify_and_detect_tampering(tmp_path):
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run_cli("cost", out) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
 
-    def fail(csv_path):
+    def fail(*args):
         raise OSError("disk full")
 
+    # The failure comes after this run's cost.csv is written, and its rows
+    # differ from the first run's.
     monkeypatch.setattr(wetplan.cli, "emit_plot_data", fail)
-    assert run_cli("cost", out, plot=True) == 1
-    assert not any(out.iterdir())
+    assert run_cli("cost", out, sets=("n_devices=7",), plot=True) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert sorted(before) == ["cost.csv", "manifest.txt"]
+    assert verify_manifest(out / "manifest.txt")
 
 
 def test_manifest_config_reproduces_run(tmp_path):
@@ -258,17 +311,6 @@ def test_plot_data_rfchains_marks_optimum(tmp_path):
     assert run_cli("rfchains", out, sets=("m_values=1, 2, 4, 8",), plot=True) == 0
     text = (out / "rfchains.dat").read_text()
     assert "# optimum at m =" in text
-
-
-def test_plot_data_rejects_empty_csv(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data(empty)
-    header_only = tmp_path / "header.csv"
-    header_only.write_text("density,architecture,antennas,trials,outage,ci95\n")
-    with pytest.raises(ValueError, match="no data"):
-        emit_plot_data(header_only)
 
 
 def test_main_exit_codes(tmp_path):

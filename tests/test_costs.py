@@ -37,7 +37,7 @@ def test_replacement_count_rejects_bad_lifetimes():
 
 
 def test_baseline_single_device_short_horizon():
-    p = dataclasses.replace(DEFAULTS, horizon_years=5)
+    p = dataclasses.replace(DEFAULTS, horizon=5)
     assert scenario_cost("baseline", 1, p).grand_total_cents == 2000
 
 
@@ -86,7 +86,7 @@ def test_breakdowns_sum_exactly():
 
 def test_fractional_cent_components_still_sum():
     # Horizon 7 makes the green opex 0.38*320*7/25 = $34.048 per beacon.
-    p = dataclasses.replace(DEFAULTS, horizon_years=7)
+    p = dataclasses.replace(DEFAULTS, horizon=7)
     b = scenario_cost("green_pb", 10, p)
     assert b.pb_opex_cents == 3405  # 3404.8 rounds half-even up
     assert (

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.ambient import AmbientMap, GaussianComponent, Rect, transmit_power
+from wetplan.ambient import AmbientMap, GaussianComponent, Rect, transmit_power_xy
 from wetplan.channel import PathLossParams, Position2D
 from wetplan.deployment import (
     DeploymentProblem,
@@ -165,7 +165,7 @@ def test_solutions_respect_area_and_cap():
         for pb, tx in zip(sol.pb_positions, sol.per_pb_tx_power):
             assert AREA.contains(pb.x, pb.y)
             assert tx <= 1.0 + 1e-15
-            assert np.isclose(tx, transmit_power(amap, pb, 1.0), rtol=1e-12)
+            assert np.isclose(tx, transmit_power_xy(amap, [pb], 1.0)[0], rtol=1e-12)
         value, worst = objective(sol.pb_positions, prob)
         assert np.isclose(value, sol.min_received_power, rtol=1e-12)
         assert worst == sol.worst_device_index
