@@ -383,9 +383,9 @@ def run(rc: RunConfig) -> int:
             overrides.append(f"trials={rc.trials}")
         resolved = resolve_config(schema, rc.config_path, overrides)
 
-        out_dir.mkdir(parents=True, exist_ok=True)
         header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed)
         cells = [[_fmt(v) for v in row] for row in rows]
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(stage(f"{rc.subcommand}.csv"), header, cells)
         if rc.plot_data:
             stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells))

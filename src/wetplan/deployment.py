@@ -3,15 +3,20 @@
 The objective is the received RF power of the worst device; beacon transmit
 power is capped by the local ambient field. The solver grows the deployment
 one beacon at a time, combining a greedy coarse-grid placement of the new
-beacon with anchored and uniform restarts, each refined by Nelder-Mead, and it
-returns the best candidate ever evaluated. Per-stage random streams depend
-only on (seed, stage), so the achieved objective never drops when k grows.
+beacon with anchored and uniform restarts, and it returns the best candidate
+ever evaluated. Per-stage random streams depend only on (seed, stage), so the
+achieved objective never drops when k grows.
+
+The starts of a stage are refined together by one lockstep Nelder–Mead
+(``_nelder_mead``) that mirrors scipy's ``minimize(method="Nelder-Mead")``
+step for step: each start evaluates the points scipy would evaluate from it
+alone, but each step batches those of all live starts into one or two calls.
 
 Every objective value comes from one ``_Evaluator`` per problem. It builds
 the area bounds, the device coordinates and the ambient components into
-arrays once, so each of the search's tens of thousands of evaluations is one
-clip, one (beacons, components) mixture and one (beacons, devices) path-gain
-broadcast, with the same bits as evaluating each component and beacon in turn.
+arrays once, so each batch of layouts is one clip, one (beacons, components)
+mixture and one (beacons, devices) path-gain broadcast, with the same bits as
+evaluating each layout, component and beacon in turn.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power_xy
 from .channel import PathLossParams, Position2D, path_gain, positions_to_array
@@ -122,6 +126,11 @@ class _Evaluator:
         worst = int(received.argmin())
         return float(received[worst]), worst
 
+    def values(self, xy: np.ndarray) -> np.ndarray:
+        """Worst-device received power of each layout in the (B, k, 2) stack ``xy``."""
+        contributions = self.contributions(xy.reshape(-1, 2))
+        return contributions.reshape(*xy.shape[:2], self.device_x.size).sum(axis=1).min(axis=1)
+
 
 def received_power(device, pbs, problem: DeploymentProblem) -> float:
     """Received RF power (W) at ``device`` from beacons at ``pbs`` (powers add).
@@ -164,21 +173,113 @@ def _candidate_points(area: Rect, per_axis: int, anchors: np.ndarray) -> np.ndar
     return np.vstack([_grid(xs, ys), anchors])
 
 
-class _BestTracker:
-    """Keeps the best (clamped) candidate seen across all solver evaluations."""
+# Nelder–Mead coefficients (reflection, expansion, contraction, shrink), as in
+# scipy's non-adaptive ``_minimize_neldermead``.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 
-    def __init__(self, evaluator: _Evaluator):
-        self.evaluator = evaluator
-        self.best_value = -math.inf
-        self.best_xy: np.ndarray | None = None
 
-    def evaluate(self, flat: np.ndarray) -> float:
-        xy = self.evaluator.clamp(flat)
-        value, _ = self.evaluator.objective(xy)
-        if value > self.best_value:
-            self.best_value = value
-            self.best_xy = xy
-        return -value
+def _nelder_mead(
+    evaluator: _Evaluator, starts: np.ndarray, max_iter: int, max_fev: int, xatol: float, fatol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder–Mead on ``-objective(clamp(x))`` from each (k, 2) layout of ``starts``, in lockstep.
+
+    Each start follows scipy 1.17.1's ``_minimize_neldermead`` (no bounds)
+    step for step, with its float expressions, sorts and stop tests, so it
+    evaluates the same points in the same order; a start leaves the stack when
+    it converges, reaches ``max_fev`` (the call that would exceed it is not
+    made) or reaches ``max_iter``. A step evaluates the reflections of all
+    live starts in one call, then the expansion or contraction points of those
+    that need one, then the vertices of those that shrink.
+
+    Returns, per start: the best value reached, the clamped layout where it
+    was first reached, the number of evaluations and scipy's ``nit``.
+    """
+    n_starts, k, _ = starts.shape
+    n = 2 * k
+    best = np.full(n_starts, -np.inf)
+    best_xy = starts.copy()
+    nfev = np.zeros(n_starts, dtype=int)
+    nit = np.ones(n_starts, dtype=int)
+
+    def evaluate(ids: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``-objective`` at the (B, m, n) ``vertices`` of starts ``ids`` in order, up to ``max_fev``.
+
+        Returns the (B, m) values (``inf`` where no call was made) and which
+        starts were cut short.
+        """
+        xy = evaluator.clamp(vertices).reshape(*vertices.shape[:2], k, 2)
+        count = np.minimum(max_fev - nfev[ids], vertices.shape[1])
+        made = np.arange(vertices.shape[1]) < count[:, None]
+        values = np.full(made.shape, -np.inf)
+        values[made] = evaluator.values(xy[made])
+        nfev[ids] += count
+        first = values.argmax(axis=1)
+        top = values[np.arange(ids.size), first]
+        better = top > best[ids]
+        best[ids[better]] = top[better]
+        best_xy[ids[better]] = xy[better, first[better]]
+        return -values, ~made[:, -1]
+
+    def ordered(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = fsim.argsort(axis=1)
+        rows = np.arange(order.shape[0])[:, None]
+        return sim[rows, order], fsim[rows, order]
+
+    # Initial simplex: the start, then each coordinate in turn grown by 5% (or
+    # set to 0.00025 where it is zero).
+    x0 = starts.reshape(n_starts, n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    ids = np.arange(n_starts)
+    fsim, _ = evaluate(ids, sim)
+    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice here; argsort breaks ties unstably
+    live = (nfev < max_fev) & (nit < max_iter)
+    ids, sim, fsim = ids[live], sim[live], fsim[live]
+
+    while ids.size:
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+            continue
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = evaluate(ids, xr[:, None])[0][:, 0]
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        inside = ~(expand | reflect | outside)
+
+        # Expansion, outside or inside contraction as a * xbar + b * worst; adding
+        # the negated product gives the same bits as scipy's subtraction.
+        a = np.where(expand, 1 + _RHO * _CHI, np.where(outside, 1 + _PSI * _RHO, 1 - _PSI))
+        b = np.where(expand, -_RHO * _CHI, np.where(outside, -_PSI * _RHO, _PSI))
+        x2 = a[:, None] * xbar + b[:, None] * worst
+        f2 = np.full(ids.size, np.inf)
+        cut = np.zeros(ids.size, dtype=bool)
+        values, cut[~reflect] = evaluate(ids[~reflect], x2[~reflect, None])
+        f2[~reflect] = values[:, 0]
+
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        take_r = reflect | (expand & ~take2)
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+
+        shrink = np.flatnonzero((outside | inside) & ~take2)
+        if shrink.size:
+            lowest = sim[shrink, :1]
+            sim[shrink, 1:] = lowest + _SIGMA * (sim[shrink, 1:] - lowest)
+            fsim[shrink, 1:], cut[shrink] = evaluate(ids[shrink], sim[shrink, 1:])
+
+        nit[ids[~cut]] += 1
+        sim, fsim = ordered(sim, fsim)
+        live = (nfev[ids] < max_fev) & (nit[ids] < max_iter)
+        ids, sim, fsim = ids[live], sim[live], fsim[live]
+
+    return best, best_xy, nfev, nit
 
 
 def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, seed: int = 0) -> DeploymentSolution:
@@ -199,10 +300,8 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
 
     prev_xy = np.zeros((0, 2))
     prev_contrib = np.zeros(device_xy.shape[0])
-    tracker = None
     for stage in range(1, problem.k + 1):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), stage]))
-        tracker = _BestTracker(evaluator)
 
         # Greedy start: best coarse candidate for the new beacon, keeping the
         # previous stage's beacons where they are.
@@ -230,21 +329,11 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
             starts.append(evaluator.clamp(np.array(rows)))
 
         max_iter = solver.nm_max_iter * 2 * stage
-        for start in starts:
-            flat = start.ravel()
-            tracker.evaluate(flat)
-            minimize(
-                tracker.evaluate,
-                flat,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": max_iter,
-                    "maxfev": max_iter,
-                    "xatol": solver.xatol,
-                    "fatol": solver.fatol,
-                },
-            )
-        prev_xy = tracker.best_xy
+        best, best_xy, _, _ = _nelder_mead(
+            evaluator, np.stack(starts), max_iter, max_iter, solver.xatol, solver.fatol
+        )
+        # The first start to reach the best value, at its first evaluation there.
+        prev_xy = best_xy[int(np.argmax(best))]
         prev_contrib = evaluator.contributions(prev_xy).sum(axis=0)
 
     return _build_solution(prev_xy, evaluator)
