@@ -4,6 +4,11 @@ A snapshot of the incident RF environment is an ``(H, p)`` tuple: ``H`` is an
 (n_sources, n_antennas) complex array of channel vectors and ``p`` the transmit
 power of each source, a scalar or an (n_sources,) array. Sources add in power
 (they are unsynchronized), antennas combine per architecture.
+
+A snapshot reduces to its per-antenna incident powers and the best rf
+codeword's combined power; a stack of such reductions, one row per snapshot,
+is rectified with one ``harvest`` call per architecture. ``harvest_architecture``
+is that path on a stack of one, so rectifying a stack gives the same bits.
 """
 
 from __future__ import annotations
@@ -145,6 +150,34 @@ def _as_snapshot(channels) -> tuple[np.ndarray, np.ndarray]:
     return h, np.broadcast_to(p, (h.shape[0],))
 
 
+# The two reductions of one snapshot. They are unchecked: ``h`` is (n, M)
+# complex and ``p`` the per-source power as a scalar or an (n, 1) column.
+
+
+def _antenna_powers(h: np.ndarray, p) -> np.ndarray:
+    """Incident power per antenna, ``sum_s p_s * |h_s|**2``, shape (M,)."""
+    return (np.abs(h) ** 2 * p).sum(axis=0)
+
+
+def _codeword_powers(h: np.ndarray, p, codewords: np.ndarray) -> np.ndarray:
+    """Combined power of each codeword, ``sum_s p_s * |w^H h_s|**2``, shape (K,)."""
+    proj = h @ codewords.conj().T  # (n_sources, n_codewords)
+    return (np.abs(proj) ** 2 * p).sum(axis=0)
+
+
+def _rectify(antenna_powers: np.ndarray, combined: np.ndarray, arch: str, curve: HarvesterCurve) -> np.ndarray:
+    """Harvested DC power (T,) of T reduced snapshots under one architecture.
+
+    ``antenna_powers`` is (T, M) per-antenna incident power and ``combined``
+    (T,) the best codeword's power; an architecture reads only its own input.
+    """
+    if arch == "single":
+        return harvest(antenna_powers[:, 0], curve)
+    if arch == "dc":
+        return harvest(antenna_powers, curve).sum(axis=1)
+    return harvest(combined, curve)
+
+
 def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
     """Best codeword index and its combined RF input power.
 
@@ -159,8 +192,7 @@ def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
         raise ValueError(
             f"channel length {h.shape[1]} does not match codebook antennas {codebook.n_antennas}"
         )
-    proj = h @ codebook.codewords.conj().T  # (n_sources, n_codewords)
-    powers = (np.abs(proj) ** 2 * p[:, None]).sum(axis=0)
+    powers = _codeword_powers(h, p[:, None], codebook.codewords)
     best = int(np.argmax(powers))
     return best, float(powers[best])
 
@@ -178,11 +210,6 @@ def harvest_architecture(channels, arch: str, curve: HarvesterCurve, codebook: C
         if codebook is None:
             raise ValueError("rf architecture requires a codebook")
         _, combined = rf_combine(channels, codebook)
-        return float(harvest(combined, curve))
+        return float(_rectify(None, np.array([combined]), arch, curve)[0])
     h, p = _as_snapshot(channels)
-    if h.shape[0] == 0:
-        return 0.0
-    powers = (np.abs(h) ** 2 * p[:, None]).sum(axis=0)
-    if arch == "single":
-        return float(harvest(powers[0], curve))
-    return float(np.sum(harvest(powers, curve)))
+    return float(_rectify(_antenna_powers(h, p[:, None])[None], None, arch, curve)[0])

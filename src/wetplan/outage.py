@@ -11,6 +11,11 @@ numbers): a trial samples its field and channels once and rectifies that
 snapshot under every architecture asked for. The sub-seeds do not depend on
 the architecture, so each architecture's estimate is the one it would get on
 its own.
+
+Each trial reduces its draws to per-antenna incident powers and the best rf
+codeword's combined power; the trials of one estimate are then rectified
+together, one ``harvest`` call per architecture. ``run_trial`` is the same
+path on one trial.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
-from .harvesting import ARCHITECTURES, HarvesterCurve, dft_codebook, harvest_architecture
+from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
 __all__ = [
     "OutageConfig",
@@ -51,6 +56,9 @@ class OutageConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("density", "disk_radius", "tx_power", "target"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.density < 0:
             raise ValueError(f"density must be >= 0, got {self.density}")
         if self.disk_radius <= 0:
@@ -90,26 +98,31 @@ def _plan(archs) -> tuple[str, ...]:
     return names
 
 
-def _rectify(config: OutageConfig, positions, seed, archs: tuple[str, ...]) -> tuple[float, ...]:
-    """Draw the channels from a transmitter layout once; harvest under each architecture."""
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return (0.0,) * len(archs)
-    h = sample_channels(
-        pts,
-        Position2D(0.0, 0.0),
-        ArrayConfig(config.n_antennas),
-        config.rician,
-        config.pathloss,
-        seed,
-    )
-    codebook = _codebook(config.n_antennas) if "rf" in archs else None
-    return tuple(harvest_architecture((h, config.tx_power), arch, config.curve, codebook) for arch in archs)
-
-
 def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Counter-based per-trial seed; pure function of (seed, trial index)."""
     return np.random.SeedSequence([int(seed), int(index)])
+
+
+def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, seeds) -> np.ndarray:
+    """Harvested power of ``count`` trials, one contiguous row per architecture.
+
+    ``seeds`` yields the trials' seeds one at a time (a ``SeedSequence`` takes
+    ~2 KB). A contiguous row reduces in ``_estimate`` as a lone array would.
+    """
+    antenna_powers = np.zeros((count, config.n_antennas))
+    combined = np.zeros(count)
+    codewords = _codebook(config.n_antennas).codewords if "rf" in archs else None
+    device, array = Position2D(0.0, 0.0), ArrayConfig(config.n_antennas)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        positions = sample_hppp(config.density, config.disk_radius, rng)
+        if positions.shape[0] == 0:
+            continue
+        h = sample_channels(positions, device, array, config.rician, config.pathloss, rng)
+        antenna_powers[t] = _antenna_powers(h, config.tx_power)
+        if codewords is not None:
+            combined[t] = _codeword_powers(h, config.tx_power, codewords).max()
+    return np.array([_rectify(antenna_powers, combined, arch, config.curve) for arch in archs])
 
 
 def run_trial(config: OutageConfig, seed, archs) -> tuple[float, ...]:
@@ -118,10 +131,7 @@ def run_trial(config: OutageConfig, seed, archs) -> tuple[float, ...]:
     Returns one harvested power (W) per architecture in ``archs``, all from
     the same draws.
     """
-    names = _plan(archs)
-    rng = np.random.default_rng(seed)
-    positions = sample_hppp(config.density, config.disk_radius, rng)
-    return _rectify(config, positions, rng, names)
+    return tuple(float(v) for v in _harvest_trials(config, _plan(archs), 1, [seed])[:, 0])
 
 
 def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
@@ -138,11 +148,8 @@ def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
     trials. Every trial owns a counter-based seed, so the result depends only
     on ``config`` and the architecture.
     """
-    names = _plan(archs)
-    # One contiguous row per architecture, so each row reduces as a lone array would.
-    harvested = np.empty((len(names), config.trials))
-    for t in range(config.trials):
-        harvested[:, t] = run_trial(config, trial_seed(config.seed, t), names)
+    seeds = (trial_seed(config.seed, t) for t in range(config.trials))
+    harvested = _harvest_trials(config, _plan(archs), config.trials, seeds)
     return tuple(_estimate(row, config.target) for row in harvested)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ def test_ci_halfwidth_formula():
     assert np.isclose(result.ci95_halfwidth, 1.96 * np.sqrt(p * (1 - p) / 2000), rtol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["density", "disk_radius", "tx_power", "target"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make_config(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         make_config(density=-0.1)
@@ -157,3 +166,55 @@ def test_config_validation():
         make_config(trials=0)
     with pytest.raises(ValueError):
         make_config(n_antennas=0)
+
+
+# SHA-256 of the (trials, 3) float64 array of per-trial harvested powers under
+# (single, dc, rf), 200 trials of make_config(density=d, n_antennas=m). At
+# d = 0.01 (about three sources per disk) 7 of the 200 trials draw no source.
+TRIAL_DIGESTS = {
+    (0.0, 1): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
+    (0.0, 2): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
+    (0.0, 4): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
+    (0.01, 1): "935539ca4584a2bd4ad51aaea6fbf85b8a13ce7b672644f3ce662248269bbb46",
+    (0.01, 2): "1cea1820f452a68bb2d81b112d06a319054fab3745b24f8d85b28df295a5518b",
+    (0.01, 4): "f3e36b556bb3861b897ae41117d1f93d1581a1154434956bd6a10ac020b641b8",
+    (0.5, 1): "79536513ab9a980015310da9b395e6e58eda56b21701c24645a96e0d9276baf3",
+    (0.5, 2): "a9e0e8230f328eb6dfc0708380e89ca3f80f60d4e640788087d53d2f09247c0f",
+    (0.5, 4): "14bce56d31aa97dc29636447cfae0622458f0f846cfe8a94eb2a975338d7e163",
+    # 16 antennas: numpy sums the dc row pairwise from 8 terms on.
+    (0.5, 16): "85f96ca5a87007d1afd1d2c8202f494a0657303d425584495807144f9ffdc005",
+}
+
+
+def _per_trial(cfg):
+    return np.array([run_trial(cfg, trial_seed(cfg.seed, t), ARCHITECTURES) for t in range(cfg.trials)])
+
+
+@pytest.mark.parametrize("density, antennas", sorted(TRIAL_DIGESTS))
+def test_per_trial_bytes_are_pinned(density, antennas):
+    cfg = make_config(density=density, n_antennas=antennas, trials=200)
+    digest = hashlib.sha256(_per_trial(cfg).tobytes()).hexdigest()
+    assert digest == TRIAL_DIGESTS[density, antennas]
+
+
+@pytest.mark.parametrize("density, antennas", sorted(TRIAL_DIGESTS))
+def test_batched_trials_equal_each_trial_alone(density, antennas):
+    cfg = make_config(density=density, n_antennas=antennas, trials=200)
+    for archs in (ARCHITECTURES, ("rf",), ("dc", "single")):
+        alone = np.array([run_trial(cfg, trial_seed(cfg.seed, t), archs) for t in range(cfg.trials)])
+        seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
+        batched = wetplan.outage._harvest_trials(cfg, archs, cfg.trials, iter(seeds))
+        assert batched.shape == (len(archs), cfg.trials)
+        assert (batched == alone.T).all()
+
+
+def test_outage_result_bits_are_pinned():
+    # float.hex of (outage_estimate, ci95_halfwidth, mean_harvested); the CSV
+    # does not carry mean_harvested.
+    results = run_outage(make_config(n_antennas=4, trials=500), ARCHITECTURES)
+    assert [r.trials for r in results] == [500] * 3
+    assert [(r.outage_estimate.hex(), r.ci95_halfwidth.hex(), r.mean_harvested.hex()) for r in results] == [
+        ("0x1.4dd2f1a9fbe77p-1", "0x1.5609be3480857p-5", "0x1.3f2bfce05e873p-10"),
+        ("0x1.916872b020c4ap-3", "0x1.1d0c21ed270dap-5", "0x1.40de1f6375d8bp-8"),
+        ("0x1.999999999999ap-2", "0x1.5fc6be9f91247p-5", "0x1.1680655381712p-9"),
+    ]
