@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Position2D, positions_to_array
+from .channel import Position2D, _require_finite, positions_to_array
 
 __all__ = [
     "Rect",
@@ -68,6 +68,7 @@ class GaussianComponent:
     width: float
 
     def __post_init__(self):
+        _require_finite(self, "weight", "width")
         if self.weight < 0:
             raise ValueError(f"weight must be >= 0, got {self.weight}")
         if self.width <= 0:

@@ -25,6 +25,14 @@ __all__ = [
 ]
 
 
+def _require_finite(params, *names: str) -> None:
+    """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Position2D:
     """A point in the deployment plane, in meters."""
@@ -72,6 +80,7 @@ class PathLossParams:
     reference_distance: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "exponent", "fixed_loss_db", "reference_distance")
         if self.exponent <= 0:
             raise ValueError(f"path loss exponent must be > 0, got {self.exponent}")
         if self.reference_distance <= 0:
@@ -87,6 +96,7 @@ class RicianParams:
     k_factor: float
 
     def __post_init__(self):
+        _require_finite(self, "k_factor")
         if self.k_factor < 0:
             raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
 
@@ -115,12 +125,17 @@ def path_gain(d, params: PathLossParams):
     arr = np.asarray(d, dtype=float)
     if np.any(arr < 0):
         raise ValueError("distance must be >= 0")
-    fixed = 10.0 ** (-params.fixed_loss_db / 10.0)
-    ratio = np.maximum(arr, params.reference_distance) / params.reference_distance
-    gain = fixed * ratio ** (-params.exponent)
+    gain = _path_gain(arr, params)
     if arr.ndim == 0:
         return float(gain)
     return gain
+
+
+def _path_gain(d: np.ndarray, params: PathLossParams) -> np.ndarray:
+    """``path_gain`` on an array of distances already known to be >= 0."""
+    fixed = 10.0 ** (-params.fixed_loss_db / 10.0)
+    ratio = np.maximum(d, params.reference_distance) / params.reference_distance
+    return fixed * ratio ** (-params.exponent)
 
 
 def sample_hppp(density: float, radius: float, seed) -> np.ndarray:

@@ -10,7 +10,12 @@ achieved objective never drops when k grows.
 The starts of a stage are refined together by one lockstep Nelder–Mead
 (``_nelder_mead``) that mirrors scipy's ``minimize(method="Nelder-Mead")``
 step for step: each start evaluates the points scipy would evaluate from it
-alone, but each step batches those of all live starts into one or two calls.
+alone, but each step batches those of all live starts into one call for the
+reflections, one for the expansion or contraction points and one for any
+shrinks. The step is kept to few numpy calls: one comparison classifies every
+start's step, one masked write replaces the worst vertices, the budget mask
+is built only for a batch in which some start runs short, and the stacks are
+compacted only when a start leaves.
 
 Every objective value comes from one ``_Evaluator`` per problem. It builds
 the area bounds, the device coordinates and the ambient components into
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power_xy
-from .channel import PathLossParams, Position2D, path_gain, positions_to_array
+from .channel import PathLossParams, Position2D, _path_gain, _require_finite, path_gain, positions_to_array
 
 __all__ = [
     "DeploymentProblem",
@@ -62,6 +67,7 @@ class DeploymentProblem:
             raise ValueError("at least one device is required")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        _require_finite(self, "cap")
         if self.cap <= 0:
             raise ValueError(f"cap must be > 0, got {self.cap}")
         self.ambient_map.area.require_inside(positions_to_array(devices), "device")
@@ -77,8 +83,6 @@ class SolverConfig:
     n_starts: int = 8
     greedy_grid: int = 24
     nm_max_iter: int = 250
-    xatol: float = 1e-3
-    fatol: float = 1e-12
 
     def __post_init__(self):
         if self.n_starts < 0 or self.greedy_grid < 2 or self.nm_max_iter < 1:
@@ -117,8 +121,9 @@ class _Evaluator:
 
     def contributions(self, xy: np.ndarray) -> np.ndarray:
         """(n_pb, n_dev) matrix of received power from each beacon at each device."""
+        # ``hypot`` is never negative, so the gain skips ``path_gain``'s check.
         distance = np.hypot(xy[:, 0, None] - self.device_x, xy[:, 1, None] - self.device_y)
-        return self.tx_power(xy)[:, None] * path_gain(distance, self.pathloss)
+        return self.tx_power(xy)[:, None] * _path_gain(distance, self.pathloss)
 
     def objective(self, xy: np.ndarray) -> tuple[float, int]:
         """Worst-device received power and the index of that device."""
@@ -173,13 +178,23 @@ def _candidate_points(area: Rect, per_axis: int, anchors: np.ndarray) -> np.ndar
     return np.vstack([_grid(xs, ys), anchors])
 
 
-# Nelder–Mead coefficients (reflection, expansion, contraction, shrink), as in
-# scipy's non-adaptive ``_minimize_neldermead``.
+# Nelder–Mead coefficients (reflection, expansion, contraction, shrink) and
+# stop tolerances, as in scipy's non-adaptive ``_minimize_neldermead``.
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_XATOL, _FATOL = 1e-3, 1e-12
+# The columns of ``fsim`` that the reflection is compared with, in scipy's
+# order, and the second point of each step kind (expansion, reflection,
+# outside and inside contraction) as a * xbar + b * worst. Adding the negated
+# product gives the same bits as scipy's subtraction; the reflection row is
+# never evaluated.
+_CASCADE = np.array([0, -2, -1])
+_A = np.array([1 + _RHO * _CHI, 1 + _RHO, 1 + _PSI * _RHO, 1 - _PSI], dtype=float)
+_B = np.array([-_RHO * _CHI, -_RHO, -_PSI * _RHO, _PSI], dtype=float)
+_EXPAND, _REFLECT, _OUTSIDE, _INSIDE = range(4)
 
 
 def _nelder_mead(
-    evaluator: _Evaluator, starts: np.ndarray, max_iter: int, max_fev: int, xatol: float, fatol: float
+    evaluator: _Evaluator, starts: np.ndarray, max_iter: int, max_fev: int, xatol: float = _XATOL, fatol: float = _FATOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nelder–Mead on ``-objective(clamp(x))`` from each (k, 2) layout of ``starts``, in lockstep.
 
@@ -200,25 +215,39 @@ def _nelder_mead(
     best_xy = starts.copy()
     nfev = np.zeros(n_starts, dtype=int)
     nit = np.ones(n_starts, dtype=int)
+    cut = np.zeros(n_starts, dtype=bool)  # the start's last step was cut short by max_fev
 
-    def evaluate(ids: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(ids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
         """``-objective`` at the (B, m, n) ``vertices`` of starts ``ids`` in order, up to ``max_fev``.
 
-        Returns the (B, m) values (``inf`` where no call was made) and which
-        starts were cut short.
+        Returns the (B, m) values, ``inf`` where no call was made. The mask of
+        calls made is built only when some start has fewer calls left than
+        ``m``; such a start is marked in ``cut``.
         """
-        xy = evaluator.clamp(vertices).reshape(*vertices.shape[:2], k, 2)
-        count = np.minimum(max_fev - nfev[ids], vertices.shape[1])
-        made = np.arange(vertices.shape[1]) < count[:, None]
-        values = np.full(made.shape, -np.inf)
-        values[made] = evaluator.values(xy[made])
-        nfev[ids] += count
-        first = values.argmax(axis=1)
-        top = values[np.arange(ids.size), first]
+        m = vertices.shape[1]
+        xy = evaluator.clamp(vertices).reshape(-1, m, k, 2)
+        left = max_fev - nfev[ids]
+        if (left >= m).all():
+            values = evaluator.values(xy.reshape(-1, k, 2)).reshape(-1, m)
+            nfev[ids] += m
+        else:
+            count = np.minimum(left, m)
+            made = np.arange(m) < count[:, None]
+            values = np.full(made.shape, -np.inf)
+            values[made] = evaluator.values(xy[made])
+            nfev[ids] += count
+            cut[ids[~made[:, -1]]] = True
+        if m == 1:
+            top, at = values[:, 0], xy[:, 0]
+        else:
+            first = values.argmax(axis=1)
+            rows = np.arange(ids.size)
+            top, at = values[rows, first], xy[rows, first]
         better = top > best[ids]
-        best[ids[better]] = top[better]
-        best_xy[ids[better]] = xy[better, first[better]]
-        return -values, ~made[:, -1]
+        if better.any():
+            best[ids[better]] = top[better]
+            best_xy[ids[better]] = at[better]
+        return -values
 
     def ordered(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = fsim.argsort(axis=1)
@@ -231,55 +260,64 @@ def _nelder_mead(
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     ids = np.arange(n_starts)
-    fsim, _ = evaluate(ids, sim)
+    fsim = evaluate(ids, sim)
+    cut[:] = False  # scipy counts its first iteration even when the simplex is cut short
     sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice here; argsort breaks ties unstably
-    live = (nfev < max_fev) & (nit < max_iter)
-    ids, sim, fsim = ids[live], sim[live], fsim[live]
 
+    it = 1  # scipy's ``nit`` of every live start
     while ids.size:
-        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-        )
-        if done.any():
-            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+        # Leave at max_iter, at max_fev, then on convergence; the stacks are
+        # only compacted when some start leaves.
+        if it >= max_iter:
+            nit[ids] = it
+            break
+        stay = nfev[ids] < max_fev
+        if not stay.all():
+            nit[ids[~stay]] = it
+            ids, sim, fsim = ids[stay], sim[stay], fsim[stay]
             continue
+        # scipy's max of |fsim[0] - fsim[1:]| is its last term: fsim is sorted,
+        # and rounding keeps the order of the differences.
+        close = fsim[:, -1] - fsim[:, 0] <= fatol
+        if close.any():
+            done = close.copy()
+            done[close] = np.abs(sim[close, 1:] - sim[close, :1]).max(axis=(1, 2)) <= xatol
+            if done.any():
+                nit[ids[done]] = it
+                ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+                continue
 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
         xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = evaluate(ids, xr[:, None])[0][:, 0]
-        expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        inside = ~(expand | reflect | outside)
+        fxr = evaluate(ids, xr[:, None])[:, 0]
+        # scipy's cascade: expand if fxr < fsim[0], else reflect if fxr <
+        # fsim[-2], else contract outside if fxr < fsim[-1], else inside.
+        below = fxr[:, None] < fsim[:, _CASCADE]
+        kind = np.where(below.any(axis=1), below.argmax(axis=1), _INSIDE)
+        x2 = _A[kind, None] * xbar + _B[kind, None] * worst
+        f2 = fxr.copy()
+        second = (kind != _REFLECT).nonzero()[0]
+        f2[second] = evaluate(ids[second], x2[second, None])[:, 0]
 
-        # Expansion, outside or inside contraction as a * xbar + b * worst; adding
-        # the negated product gives the same bits as scipy's subtraction.
-        a = np.where(expand, 1 + _RHO * _CHI, np.where(outside, 1 + _PSI * _RHO, 1 - _PSI))
-        b = np.where(expand, -_RHO * _CHI, np.where(outside, -_PSI * _RHO, _PSI))
-        x2 = a[:, None] * xbar + b[:, None] * worst
-        f2 = np.full(ids.size, np.inf)
-        cut = np.zeros(ids.size, dtype=bool)
-        values, cut[~reflect] = evaluate(ids[~reflect], x2[~reflect, None])
-        f2[~reflect] = values[:, 0]
-
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        take_r = reflect | (expand & ~take2)
-        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
-        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
-
-        shrink = np.flatnonzero((outside | inside) & ~take2)
+        # The second point replaces the worst vertex when it beats fxr
+        # (expansion), ties or beats it (outside) or beats the worst vertex
+        # (inside); an expansion that does not keeps the reflection, and a
+        # contraction that does not shrinks the simplex towards its best vertex.
+        take2 = np.where(kind == _INSIDE, f2 < fsim[:, -1], np.where(kind == _OUTSIDE, f2 <= fxr, f2 < fxr))
+        replace = (kind < _OUTSIDE) | take2
+        np.copyto(sim[:, -1], np.where(take2[:, None], x2, xr), where=replace[:, None])
+        np.copyto(fsim[:, -1], np.where(take2, f2, fxr), where=replace)
+        shrink = (~replace).nonzero()[0]
         if shrink.size:
             lowest = sim[shrink, :1]
             sim[shrink, 1:] = lowest + _SIGMA * (sim[shrink, 1:] - lowest)
-            fsim[shrink, 1:], cut[shrink] = evaluate(ids[shrink], sim[shrink, 1:])
+            fsim[shrink, 1:] = evaluate(ids[shrink], sim[shrink, 1:])
 
-        nit[ids[~cut]] += 1
+        it += 1
         sim, fsim = ordered(sim, fsim)
-        live = (nfev[ids] < max_fev) & (nit[ids] < max_iter)
-        ids, sim, fsim = ids[live], sim[live], fsim[live]
 
-    return best, best_xy, nfev, nit
+    return best, best_xy, nfev, nit - cut
 
 
 def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, seed: int = 0) -> DeploymentSolution:
@@ -329,9 +367,7 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
             starts.append(evaluator.clamp(np.array(rows)))
 
         max_iter = solver.nm_max_iter * 2 * stage
-        best, best_xy, _, _ = _nelder_mead(
-            evaluator, np.stack(starts), max_iter, max_iter, solver.xatol, solver.fatol
-        )
+        best, best_xy, _, _ = _nelder_mead(evaluator, np.stack(starts), max_iter, max_iter)
         # The first start to reach the best value, at its first evaluation there.
         prev_xy = best_xy[int(np.argmax(best))]
         prev_contrib = evaluator.contributions(prev_xy).sum(axis=0)

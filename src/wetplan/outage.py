@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
+from .channel import (
+    ArrayConfig,
+    PathLossParams,
+    Position2D,
+    RicianParams,
+    _require_finite,
+    sample_channels,
+    sample_hppp,
+)
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
 __all__ = [
@@ -56,9 +64,7 @@ class OutageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("density", "disk_radius", "tx_power", "target"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self, "density", "disk_radius", "tx_power", "target")
         if self.density < 0:
             raise ValueError(f"density must be >= 0, got {self.density}")
         if self.disk_radius <= 0:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wetplan.cli
+import wetplan.deployment
 from wetplan.cli import RunConfig, RunManifest, main, run, verify_manifest
 from wetplan.config import SCHEMAS, ConfigError, resolve_config
 
@@ -164,6 +165,23 @@ def test_deploy_csv_matches_golden_digest(tmp_path):
     out = tmp_path / "deploy"
     assert run_cli("deploy", out, sets=GOLDEN_DEPLOY, seed=17) == 0
     assert hashlib.sha256((out / "deploy.csv").read_bytes()).hexdigest() == GOLDEN_DEPLOY_SHA256
+
+
+def test_default_deploy_search_path_is_pinned(tmp_path, monkeypatch):
+    # Totals over every Nelder–Mead start of the default deploy at seed 0,
+    # recorded while each start still ran through scipy's minimize: a search
+    # that keeps the CSV bytes by luck but evaluates other points fails here.
+    search, runs = wetplan.deployment._nelder_mead, []
+
+    def recorded(*args, **kwargs):
+        runs.append(search(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(wetplan.deployment, "_nelder_mead", recorded)
+    assert main(["deploy", "--seed", "0", "--out", str(tmp_path / "deploy")]) == 0
+    nfev = [int(n) for _, _, stage_nfev, _ in runs for n in stage_nfev]
+    nit = [int(n) for _, _, _, stage_nit in runs for n in stage_nit]
+    assert (len(nfev), sum(nfev), sum(nit)) == (45, 53_131, 34_648)
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_COST))

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect, transmit_power_xy
-from wetplan.channel import PathLossParams, Position2D
+from wetplan.channel import PathLossParams, Position2D, RicianParams
 from wetplan.deployment import (
     DeploymentProblem,
     SolverConfig,
@@ -189,3 +190,26 @@ def test_problem_validation():
         DeploymentProblem((Position2D(50.0, 0.0),), amap, k=1)
     with pytest.raises(ValueError):
         DeploymentProblem((Position2D(0.0, 0.0),), amap, k=1, cap=0.0)
+
+
+COMPONENT = functools.partial(GaussianComponent, weight=1.0, center=Position2D(0.0, 0.0), width=2.0)
+PATHLOSS = functools.partial(PathLossParams, exponent=3.0)
+PROBLEM = functools.partial(DeploymentProblem, devices=(Position2D(0.0, 0.0),), ambient_map=uniform_map(), k=1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(COMPONENT, "weight", id="GaussianComponent.weight"),
+        pytest.param(COMPONENT, "width", id="GaussianComponent.width"),
+        pytest.param(PATHLOSS, "exponent", id="PathLossParams.exponent"),
+        pytest.param(PATHLOSS, "fixed_loss_db", id="PathLossParams.fixed_loss_db"),
+        pytest.param(PATHLOSS, "reference_distance", id="PathLossParams.reference_distance"),
+        pytest.param(RicianParams, "k_factor", id="RicianParams.k_factor"),
+        pytest.param(PROBLEM, "cap", id="DeploymentProblem.cap"),
+    ],
+)
+def test_model_parameters_reject_non_finite_values(build, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(**{field: value})

@@ -232,7 +232,7 @@ def test_lockstep_search_matches_scipy_start_by_start():
         assert (bits(best[winner]), bits(best_xy[winner])) == (bits(old_value), bits(old_xy))
 
         n = 2 * starts.shape[1]
-        for blocks, result in runs:
+        for i, (blocks, result) in enumerate(runs):
             seen.add(("converged", "maxfev", "maxiter")[result.status])
             shrinks = [len(b) - 2 for b in blocks[1:] if len(b) > 2]
             if shrinks:
@@ -240,6 +240,22 @@ def test_lockstep_search_matches_scipy_start_by_start():
             layouts = [bits(xy) for b in blocks for xy in b]
             if len(set(layouts)) < len(layouts):
                 seen.add("one clamped layout twice")
+            # scipy does not count a step cut short by maxfev, but its callback
+            # still ends the step's block. Cut at the second point, the step's
+            # batch is the second points; cut later, it is the shrunk vertices.
+            if len(blocks) == result.nit + 2:
+                step = result.nit
+                full = 2 if len(blocks[step]) == 1 else n + 2
+                if any(step < len(b) and len(b[step]) >= full for j, (b, _) in enumerate(runs) if j != i):
+                    seen.add("one batch with a start cut by maxfev and one not")
 
     check()
-    assert seen == {"converged", "maxfev", "maxiter", "shrink", "shrink cut by maxfev", "one clamped layout twice"}
+    assert seen == {
+        "converged",
+        "maxfev",
+        "maxiter",
+        "shrink",
+        "shrink cut by maxfev",
+        "one clamped layout twice",
+        "one batch with a start cut by maxfev and one not",
+    }
