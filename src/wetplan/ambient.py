@@ -38,6 +38,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self):
+        _require_finite(self, "x_min", "y_min", "x_max", "y_max")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError(
                 f"rectangle must have positive extent, got x [{self.x_min}, {self.x_max}], "

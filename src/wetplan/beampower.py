@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels
+from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, _require_finite, sample_channels
 
 __all__ = [
     "MulticastProblem",
@@ -68,6 +68,7 @@ class MulticastProblem:
         object.__setattr__(self, "channels", h)
         if h.shape[0] < 1 or h.shape[1] < 1:
             raise ValueError("need at least one device channel with one antenna")
+        _require_finite(self, "gamma")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if np.any(np.linalg.norm(h, axis=1) == 0):
@@ -106,6 +107,7 @@ class RfChainSweep:
 def consumption(tx_power: float, n_rf: int, pa_efficiency: float = 0.35, p_rf: float = 0.5) -> float:
     """Beacon power draw: amplifier input at the given efficiency plus the
     per-RF-chain overhead."""
+    _require_finite(locals(), "tx_power", "p_rf")
     if tx_power < 0:
         raise ValueError(f"tx_power must be >= 0, got {tx_power}")
     if not 0.0 < pa_efficiency <= 1.0:
@@ -182,9 +184,7 @@ def _reduce(problem: MulticastProblem) -> _Reduced:
     return _Reduced(hhat @ basis.conj(), thresholds / cstar, cstar, basis)
 
 
-def _solve_relaxations(
-    problems: list[_Reduced], tol: float, max_outer: int, max_inner: int
-) -> list[tuple[np.ndarray | None, float, float, bool]]:
+def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray | None, float, float, bool]]:
     """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
 
     Problems of one reduced shape run as one stack; each keeps its own
@@ -192,8 +192,6 @@ def _solve_relaxations(
     bitwise those of solving it alone. Returns, per problem,
     (feasibility-scaled V, primal value, certified dual bound, converged).
     """
-    if max_outer < 1 or max_inner < 1:
-        raise ValueError("max_outer and max_inner must be >= 1")
     results: list = [None] * len(problems)
     groups: dict[tuple[int, int], list[int]] = {}
     for k, prob in enumerate(problems):
@@ -201,12 +199,12 @@ def _solve_relaxations(
     for members in groups.values():
         hhat = np.stack([problems[k].hhat for k in members])
         tau = np.stack([problems[k].tau for k in members])
-        for k, res in zip(members, _solve_stack(hhat, tau, tol, max_outer, max_inner)):
+        for k, res in zip(members, _solve_stack(hhat, tau, tol)):
             results[k] = res
     return results
 
 
-def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float, max_outer: int, max_inner: int) -> list:
+def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
     """Penalty + FISTA on a ``(B, n, r)`` stack, one problem per matrix.
 
     Every operation acts on each matrix alone, with the strides a 2-D array
@@ -231,7 +229,7 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float, max_outer: int, 
         hhat_t, hhat_c = hhat.transpose(0, 2, 1), hhat.conj()
         # Iterate up to the next 50-iteration check or round limit of any
         # problem, or until one stalls; the stacks change only then.
-        steps = int(np.min(np.minimum(50 - inner % 50, max_inner - inner)))
+        steps = int(np.min(np.minimum(50 - inner % 50, _MAX_INNER - inner)))
         for done in range(1, steps + 1):
             shortfall = np.maximum(0.0, tau - _margins(hhat, y))
             grad = eye - (twice_rho * (hhat_t * shortfall[:, None, :])) @ hhat_c
@@ -255,26 +253,20 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float, max_outer: int, 
             if stalled.any():
                 break
         inner += done
-        check = inner % 50 == 0
-        round_over = stalled | (inner == max_inner)
+        round_over = stalled | (inner == _MAX_INNER)
         keep = np.ones(live.size, dtype=bool)
-        for i in np.flatnonzero(check | round_over):
+        for i in np.flatnonzero((inner % 50 == 0) | round_over):
             state = states[live[i]]
-            closed = False
-            if check[i]:
-                state.update(hhat[i], tau[i], v[i], rho[i])
-                closed = state.gap_closed(tol)
-            if round_over[i] and not closed:
-                state.update(hhat[i], tau[i], v[i], rho[i])
-                closed = state.gap_closed(tol)
-                if not closed and outer[i] + 1 < max_outer:
-                    # Next round: ten times the penalty, momentum restarted.
-                    rho[i] *= 10.0
-                    outer[i] += 1
-                    y[i] = v[i]
-                    t_mom[i] = 1.0
-                    inner[i] = 0
-                    continue
+            state.update(hhat[i], tau[i], v[i], rho[i])
+            closed = state.gap_closed(tol)
+            if round_over[i] and not closed and outer[i] + 1 < _MAX_OUTER:
+                # Next round: ten times the penalty, momentum restarted.
+                rho[i] *= 10.0
+                outer[i] += 1
+                y[i] = v[i]
+                t_mom[i] = 1.0
+                inner[i] = 0
+                continue
             if closed or round_over[i]:
                 keep[i] = False
                 results[live[i]] = (state.v_feasible, state.primal, state.dual, closed)
@@ -320,7 +312,6 @@ def _extract(
     red: _Reduced,
     relaxed: tuple,
     tol: float,
-    max_outer: int,
     n_randomizations: int,
     seed: int,
     extra_candidates: tuple,
@@ -341,7 +332,7 @@ def _extract(
         if picked is not None:
             best = PrecoderSolution(precoder, tx_power, True, math.nan)
         raise PrecoderError(
-            f"relaxation did not converge within {max_outer} outer rounds (tol {tol})", best=best
+            f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {tol})", best=best
         )
     if picked is None:
         raise PrecoderError("no feasible rank-1 candidate found", best=None)
@@ -358,8 +349,6 @@ def min_power_precoder(
     tol: float = 1e-4,
     n_randomizations: int = 200,
     seed: int = 0,
-    max_outer: int = _MAX_OUTER,
-    max_inner: int = _MAX_INNER,
     extra_candidates: tuple = (),
 ) -> PrecoderSolution:
     """Minimum-transmit-power precoder meeting every device's received floor.
@@ -372,8 +361,8 @@ def min_power_precoder(
     solver stops once the relaxation's primal-dual gap closes within ``tol``.
     """
     red = _reduce(problem)
-    (relaxed,) = _solve_relaxations([red], tol, max_outer, max_inner)
-    return _extract(red, relaxed, tol, max_outer, n_randomizations, seed, extra_candidates)
+    (relaxed,) = _solve_relaxations([red], tol)
+    return _extract(red, relaxed, tol, n_randomizations, seed, extra_candidates)
 
 
 @dataclass(frozen=True)
@@ -386,6 +375,9 @@ class ChannelModel:
     disk_radius: float = 10.0
 
     def __post_init__(self):
+        _require_finite(self, "element_spacing", "disk_radius")
+        if self.element_spacing <= 0:
+            raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
         if self.disk_radius <= 0:
             raise ValueError(f"disk_radius must be > 0, got {self.disk_radius}")
 
@@ -445,7 +437,7 @@ def sweep_rf_chains(
     )
 
     reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]
-    relaxed = _solve_relaxations(reduced, tol, _MAX_OUTER, _MAX_INNER)
+    relaxed = _solve_relaxations(reduced, tol)
 
     points: list[ConsumptionPoint] = []
     prev_w: np.ndarray | None = None
@@ -458,7 +450,6 @@ def sweep_rf_chains(
                 red,
                 rel,
                 tol,
-                _MAX_OUTER,
                 n_randomizations,
                 int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0]),
                 extras,

@@ -26,9 +26,12 @@ __all__ = [
 
 
 def _require_finite(params, *names: str) -> None:
-    """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field."""
+    """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field.
+
+    ``params`` is an object, or a dict such as a function's ``locals()``.
+    """
     for name in names:
-        value = getattr(params, name)
+        value = params[name] if isinstance(params, dict) else getattr(params, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -111,6 +114,7 @@ class ArrayConfig:
     def __post_init__(self):
         if int(self.n_antennas) != self.n_antennas or self.n_antennas < 1:
             raise ValueError(f"n_antennas must be an integer >= 1, got {self.n_antennas}")
+        _require_finite(self, "element_spacing")
         if self.element_spacing <= 0:
             raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
 

@@ -22,17 +22,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import ChannelModel, sweep_rf_chains
-from .channel import PathLossParams, Position2D, RicianParams
+from .channel import Position2D
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
-from .harvesting import HarvesterCurve
 from .outage import OutageConfig, sweep_density
 
 __all__ = ["RunConfig", "RunManifest", "main", "run", "emit_plot_data", "verify_manifest"]
@@ -135,16 +134,27 @@ def write_csv(path: Path, header: list[str], cells: list[list[str]]) -> None:
         writer.writerows(cells)
 
 
-def _pathloss_from(resolved) -> PathLossParams:
-    return PathLossParams(
-        exponent=resolved["pathloss.exponent"],
-        fixed_loss_db=resolved["pathloss.fixed_loss_db"],
-        reference_distance=resolved["pathloss.reference_distance"],
-    )
+def _build(cls, resolved, prefix: str = "", **given):
+    """A ``cls`` dataclass whose fields are read from the config keys of the same name.
+
+    Field ``f`` reads ``resolved[prefix + f]``; a field whose default is a
+    dataclass is built from the keys under ``prefix + f + "."``; any other
+    field keeps its default. ``given`` supplies the values no key holds.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = prefix + f.name
+        if key in resolved:
+            values[f.name] = resolved[key]
+        elif is_dataclass(f.default):
+            values[f.name] = _build(type(f.default), resolved, key + ".")
+    return cls(**values)
 
 
 def _run_cost(resolved, seed: int):
-    params = CostParams(**{f.name: resolved[f.name] for f in fields(CostParams)})
+    params = _build(CostParams, resolved)
     if resolved["mode"] == "devices":
         breakdowns = sweep_devices(params, resolved["n_devices"])
     else:
@@ -188,11 +198,10 @@ def _naming(keys: str):
 
 
 def _run_deploy(resolved, seed: int):
-    devices = tuple(Position2D(x, y) for x, y in resolved["devices"])
-    grid = resolved["solver.greedy_grid"]
-    if grid * grid * len(devices) > MAX_GREEDY_ENTRIES:
+    n_devices, grid = len(resolved["devices"]), resolved["solver.greedy_grid"]
+    if grid * grid * n_devices > MAX_GREEDY_ENTRIES:
         raise ConfigError(
-            f"solver.greedy_grid = {grid} and {len(devices)} devices give {grid * grid * len(devices)} "
+            f"solver.greedy_grid = {grid} and {n_devices} devices give {grid * grid * n_devices} "
             f"greedy candidate entries (solver.greedy_grid**2 * devices); the limit is {MAX_GREEDY_ENTRIES:.0e}"
         )
     with _naming("map.area"):
@@ -202,24 +211,13 @@ def _run_deploy(resolved, seed: int):
             GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]
         )
     with _naming("devices, map.area"):
-        problem = DeploymentProblem(
-            devices=devices,
-            ambient_map=AmbientMap(components, area),
-            k=resolved["k"],
-            cap=resolved["cap"],
-            pathloss=_pathloss_from(resolved),
-        )
-    solver = SolverConfig(
-        n_starts=resolved["solver.n_starts"],
-        greedy_grid=grid,
-        nm_max_iter=resolved["solver.nm_max_iter"],
-    )
-    solution = optimize(problem, solver, seed=seed)
+        problem = _build(DeploymentProblem, resolved, ambient_map=AmbientMap(components, area))
+    solution = optimize(problem, _build(SolverConfig, resolved, "solver."), seed=seed)
     header = ["row_type", "index", "x", "y", "tx_power_w", "received_power_w", "is_worst"]
     rows = []
     for i, (pb, tx) in enumerate(zip(solution.pb_positions, solution.per_pb_tx_power)):
         rows.append(("pb", i, pb.x, pb.y, tx, "", ""))
-    for j, device in enumerate(devices):
+    for j, device in enumerate(problem.devices):
         rows.append(
             (
                 "device",
@@ -253,18 +251,7 @@ def _run_outage(resolved, seed: int):
             f"densities and disk_radius give {mean_sources:.4g} expected transmitters per trial "
             f"(max(densities) * pi * disk_radius**2); the limit is {MAX_MEAN_SOURCES:.0e}"
         )
-    base = OutageConfig(
-        density=0.0,
-        disk_radius=resolved["disk_radius"],
-        tx_power=resolved["tx_power"],
-        pathloss=_pathloss_from(resolved),
-        rician=RicianParams(resolved["rician.k_factor"]),
-        target=resolved["target"],
-        n_antennas=resolved["n_antennas"],
-        curve=HarvesterCurve(resolved["curve.breakpoints"]),
-        trials=resolved["trials"],
-        seed=seed,
-    )
+    base = _build(OutageConfig, resolved, density=0.0, seed=seed)
     per_density = sweep_density(base, densities, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
     rows = [
@@ -276,11 +263,7 @@ def _run_outage(resolved, seed: int):
 
 
 def _run_rfchains(resolved, seed: int):
-    model = ChannelModel(
-        pathloss=_pathloss_from(resolved),
-        rician=RicianParams(resolved["rician.k_factor"]),
-        disk_radius=resolved["disk_radius"],
-    )
+    model = _build(ChannelModel, resolved)
     devices = (
         [Position2D(x, y) for x, y in resolved["devices"]]
         if resolved["devices"]

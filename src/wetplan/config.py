@@ -5,19 +5,32 @@ Hierarchy is spelled with dots (``pathloss.exponent = 3``). Every key must be
 in the experiment's schema; unknown keys fail with a nearest-sibling hint and
 every value failure names its key, so batch runs die loudly rather than
 silently drifting from the intended scenario.
+
+A key that sets a library parameter takes its default from that parameter:
+the dataclass field defaults of ``CostParams``, ``DeploymentProblem``,
+``SolverConfig``, ``OutageConfig`` and ``ChannelModel`` (``pathloss.*``,
+``rician.*`` and ``curve.*`` from their nested defaults) and the keyword
+defaults of ``sweep_rf_chains``. Only keys with no library counterpart
+(device layouts, sweep lists, ``k``, ``gamma``, ``n_antennas``) spell
+their default here.
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 from .ambient import example_map
+from .beampower import ChannelModel, sweep_rf_chains
+from .channel import PathLossParams
 from .costs import CostParams
-from .harvesting import DEFAULT_BREAKPOINTS
+from .deployment import DeploymentProblem, SolverConfig
+from .harvesting import ARCHITECTURES
+from .outage import OutageConfig
 
 __all__ = [
     "ConfigError",
@@ -225,15 +238,15 @@ def _nonneg_list(label: str):
     return lambda vs: None if vs and all(v >= 0 for v in vs) else f"{label} must be a non-empty list of non-negatives"
 
 
-def _pathloss_keys(exponent: float, fixed_loss_db: float) -> list[ConfigKey]:
+def _pathloss_keys(pathloss: PathLossParams) -> list[ConfigKey]:
     return [
-        ConfigKey("pathloss.exponent", "float", exponent, "path loss exponent", check=_positive("exponent")),
+        ConfigKey("pathloss.exponent", "float", pathloss.exponent, "path loss exponent", check=_positive("exponent")),
         ConfigKey(
-            "pathloss.fixed_loss_db", "float", fixed_loss_db,
+            "pathloss.fixed_loss_db", "float", pathloss.fixed_loss_db,
             "distance-independent loss in dB", check=_nonnegative("fixed loss"),
         ),
         ConfigKey(
-            "pathloss.reference_distance", "float", 1.0,
+            "pathloss.reference_distance", "float", pathloss.reference_distance,
             "near-field clamp distance in meters", check=_positive("reference distance"),
         ),
     ]
@@ -296,9 +309,11 @@ def _cost_schema() -> dict[str, ConfigKey]:
 def _deploy_schema() -> dict[str, ConfigKey]:
     amap = example_map()
     area = amap.area
+    problem = {f.name: f.default for f in fields(DeploymentProblem)}
+    solver = SolverConfig()
     keys = [
         ConfigKey("k", "int", 5, "number of beacons to place", check=_at_least(1, "k")),
-        ConfigKey("cap", "float", 1.0, "beacon transmit power cap (W)", check=_positive("cap")),
+        ConfigKey("cap", "float", problem["cap"], "beacon transmit power cap (W)", check=_positive("cap")),
         ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES, "device positions as x:y",
                   check=lambda vs: None if vs else "need at least one device"),
         ConfigKey("map.components", "quad_list",
@@ -307,35 +322,41 @@ def _deploy_schema() -> dict[str, ConfigKey]:
                   check=lambda vs: None if vs else "need at least one component"),
         ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max),
                   "area as xmin:ymin:xmax:ymax"),
-        ConfigKey("solver.n_starts", "int", 8, "random restarts per stage", check=_nonnegative("restarts")),
-        ConfigKey("solver.greedy_grid", "int", 24, "coarse grid nodes per axis", check=_at_least(2, "grid")),
-        ConfigKey("solver.nm_max_iter", "int", 250, "Nelder-Mead iteration budget", check=_at_least(1, "budget")),
+        ConfigKey("solver.n_starts", "int", solver.n_starts, "random restarts per stage",
+                  check=_nonnegative("restarts")),
+        ConfigKey("solver.greedy_grid", "int", solver.greedy_grid, "coarse grid nodes per axis",
+                  check=_at_least(2, "grid")),
+        ConfigKey("solver.nm_max_iter", "int", solver.nm_max_iter, "Nelder-Mead iteration budget",
+                  check=_at_least(1, "budget")),
     ]
-    keys.extend(_pathloss_keys(3.0, 0.0))
+    keys.extend(_pathloss_keys(problem["pathloss"]))
     return {k.name: k for k in keys}
 
 
 def _outage_schema() -> dict[str, ConfigKey]:
+    o = OutageConfig(density=0.0)
     keys = [
         ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0),
                   "transmitter densities per m^2", check=_nonneg_list("densities")),
-        ConfigKey("disk_radius", "float", 10.0, "deployment disk radius (m)", check=_positive("radius")),
-        ConfigKey("tx_power", "float", 1.0, "transmit power per source (W)", check=_positive("tx power")),
-        ConfigKey("rician.k_factor", "float", 10.0, "Rician K-factor (linear)", check=_nonnegative("K")),
-        ConfigKey("target", "float", 1e-3, "required harvested power (W)", check=_positive("target")),
-        ConfigKey("archs", "str_list", ("single", "dc", "rf"), "receiver architectures to sweep",
-                  choices=("single", "dc", "rf"),
+        ConfigKey("disk_radius", "float", o.disk_radius, "deployment disk radius (m)", check=_positive("radius")),
+        ConfigKey("tx_power", "float", o.tx_power, "transmit power per source (W)", check=_positive("tx power")),
+        ConfigKey("rician.k_factor", "float", o.rician.k_factor, "Rician K-factor (linear)", check=_nonnegative("K")),
+        ConfigKey("target", "float", o.target, "required harvested power (W)", check=_positive("target")),
+        ConfigKey("archs", "str_list", ARCHITECTURES, "receiver architectures to sweep", choices=ARCHITECTURES,
                   check=lambda vs: None if vs else "need at least one architecture"),
+        # The reference scenario has 4 antennas, against OutageConfig's 1.
         ConfigKey("n_antennas", "int", 4, "receive antennas", check=_at_least(1, "antennas")),
-        ConfigKey("trials", "int", 10_000, "Monte Carlo trials per point", check=_at_least(1, "trials")),
-        ConfigKey("curve.breakpoints", "pair_list", DEFAULT_BREAKPOINTS, "harvester table as dbm:efficiency",
+        ConfigKey("trials", "int", o.trials, "Monte Carlo trials per point", check=_at_least(1, "trials")),
+        ConfigKey("curve.breakpoints", "pair_list", o.curve.breakpoints, "harvester table as dbm:efficiency",
                   check=lambda vs: None if len(vs) >= 2 else "need at least 2 breakpoints"),
     ]
-    keys.extend(_pathloss_keys(2.7, 40.0))
+    keys.extend(_pathloss_keys(o.pathloss))
     return {k.name: k for k in keys}
 
 
 def _rfchains_schema() -> dict[str, ConfigKey]:
+    model = ChannelModel()
+    sweep = {name: p.default for name, p in inspect.signature(sweep_rf_chains).parameters.items()}
     keys = [
         ConfigKey("gamma", "float", 2e-6, "required received RF power per device (W)", check=_positive("gamma")),
         ConfigKey("m_values", "int_list", tuple(range(1, 33)), "RF chain counts to sweep",
@@ -343,17 +364,18 @@ def _rfchains_schema() -> dict[str, ConfigKey]:
                   else "must be strictly increasing integers >= 1"),
         ConfigKey("n_devices", "int", 4, "devices drawn uniformly in the disk", check=_at_least(1, "devices")),
         ConfigKey("devices", "pair_list", (), "explicit device positions (overrides n_devices)"),
-        ConfigKey("disk_radius", "float", 10.0, "device disk radius (m)", check=_positive("radius")),
-        ConfigKey("rician.k_factor", "float", 10.0, "Rician K-factor (linear)", check=_nonnegative("K")),
-        ConfigKey("pa_efficiency", "float", 0.35, "power amplifier efficiency",
+        ConfigKey("disk_radius", "float", model.disk_radius, "device disk radius (m)", check=_positive("radius")),
+        ConfigKey("rician.k_factor", "float", model.rician.k_factor, "Rician K-factor (linear)",
+                  check=_nonnegative("K")),
+        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"], "power amplifier efficiency",
                   check=lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}"),
-        ConfigKey("p_rf_chain_w", "float", 0.5, "consumption per active RF chain (W)",
+        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"], "consumption per active RF chain (W)",
                   check=_nonnegative("chain power")),
-        ConfigKey("solver.tol", "float", 1e-4, "relaxation gap tolerance", check=_positive("tolerance")),
-        ConfigKey("solver.randomizations", "int", 200, "rank-1 extraction samples",
+        ConfigKey("solver.tol", "float", sweep["tol"], "relaxation gap tolerance", check=_positive("tolerance")),
+        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], "rank-1 extraction samples",
                   check=_at_least(1, "randomizations")),
     ]
-    keys.extend(_pathloss_keys(2.7, 40.0))
+    keys.extend(_pathloss_keys(model.pathloss))
     return {k.name: k for k in keys}
 
 

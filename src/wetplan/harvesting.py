@@ -24,7 +24,6 @@ __all__ = [
     "HarvesterCurve",
     "Codebook",
     "dbm_to_watts",
-    "watts_to_dbm",
     "harvest",
     "dft_codebook",
     "rf_combine",
@@ -46,12 +45,6 @@ ARCHITECTURES = ("single", "dc", "rf")
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError(f"power must be > 0 to convert to dBm, got {watts}")
-    return 10.0 * math.log10(watts * 1000.0)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ path on one trial.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -89,10 +88,6 @@ class OutageResult:
     mean_harvested: float
 
 
-# The rf codebook depends only on the antenna count, so a sweep builds it once.
-_codebook = functools.lru_cache(dft_codebook)
-
-
 def _plan(archs) -> tuple[str, ...]:
     """``archs`` as a tuple; errors on an empty list or an unknown name."""
     names = tuple(archs)
@@ -117,7 +112,7 @@ def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, se
     """
     antenna_powers = np.zeros((count, config.n_antennas))
     combined = np.zeros(count)
-    codewords = _codebook(config.n_antennas).codewords if "rf" in archs else None
+    codewords = dft_codebook(config.n_antennas).codewords if "rf" in archs else None
     device, array = Position2D(0.0, 0.0), ArrayConfig(config.n_antennas)
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)

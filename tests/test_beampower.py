@@ -13,7 +13,8 @@ from wetplan.beampower import (
     min_power_precoder,
     sweep_rf_chains,
 )
-from wetplan.channel import Position2D, RicianParams, path_gain
+from wetplan.ambient import Rect
+from wetplan.channel import ArrayConfig, Position2D, RicianParams, path_gain
 
 
 def test_consumption_closed_forms():
@@ -99,11 +100,13 @@ def test_solution_feasible_and_above_certified_bound():
         assert sol.tx_power >= sol.sdr_lower_bound * (1.0 - tol)
 
 
-def test_nonconvergence_raises_with_best_candidate():
+def test_nonconvergence_raises_with_best_candidate(monkeypatch):
+    monkeypatch.setattr(beampower, "_MAX_OUTER", 1)
+    monkeypatch.setattr(beampower, "_MAX_INNER", 2)
     rng = np.random.default_rng(6)
     h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     with pytest.raises(PrecoderError) as err:
-        min_power_precoder(MulticastProblem(h, 1e-3), tol=1e-15, max_outer=1, max_inner=2)
+        min_power_precoder(MulticastProblem(h, 1e-3), tol=1e-15)
     best = err.value.best
     assert best is not None
     margins = np.abs(h.conj() @ best.precoder) ** 2
@@ -120,9 +123,9 @@ def test_stacked_relaxations_match_solving_each_alone():
         g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         problems.append(MulticastProblem(g, 10 ** rng.uniform(-4, -2)))
     reduced = [beampower._reduce(p) for p in problems]
-    together = beampower._solve_relaxations(reduced, 1e-4, beampower._MAX_OUTER, beampower._MAX_INNER)
+    together = beampower._solve_relaxations(reduced, 1e-4)
     for red, joint in zip(reduced, together):
-        (alone,) = beampower._solve_relaxations([red], 1e-4, beampower._MAX_OUTER, beampower._MAX_INNER)
+        (alone,) = beampower._solve_relaxations([red], 1e-4)
         assert joint[1:] == alone[1:]
         assert joint[0].tobytes() == alone[0].tobytes()
     assert all(res[3] for res in together)
@@ -146,6 +149,34 @@ def test_problem_validation():
         MulticastProblem(np.zeros((2, 3), dtype=complex), 1e-3)
     with pytest.raises(ValueError):
         MulticastProblem(np.ones((2, 3), dtype=complex), 0.0)
+
+
+NON_FINITE_INPUTS = {
+    "ArrayConfig.element_spacing": ("element_spacing", lambda x: ArrayConfig(2, element_spacing=x)),
+    "MulticastProblem.gamma": ("gamma", lambda x: MulticastProblem([[1 + 1j]], x)),
+    "ChannelModel.element_spacing": ("element_spacing", lambda x: ChannelModel(element_spacing=x)),
+    "ChannelModel.disk_radius": ("disk_radius", lambda x: ChannelModel(disk_radius=x)),
+    "Rect.x_min": ("x_min", lambda x: Rect(x, 0.0, 1.0, 1.0)),
+    "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
+    "Rect.x_max": ("x_max", lambda x: Rect(0.0, 0.0, x, 1.0)),
+    "Rect.y_max": ("y_max", lambda x: Rect(0.0, 0.0, 1.0, x)),
+    "consumption.tx_power": ("tx_power", lambda x: consumption(x, 2)),
+    "consumption.p_rf": ("p_rf", lambda x: consumption(1.0, 2, p_rf=x)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_INPUTS))
+def test_model_inputs_reject_non_finite_values(field, value):
+    name, build = NON_FINITE_INPUTS[field]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+        build(value)
+
+
+def test_channel_model_requires_positive_element_spacing():
+    for spacing in (0.0, -1.0):
+        with pytest.raises(ValueError, match="element_spacing must be > 0"):
+            ChannelModel(element_spacing=spacing)
 
 
 def test_sweep_los_single_device_closed_form():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -10,8 +11,14 @@ import pytest
 
 import wetplan.cli
 import wetplan.deployment
+from wetplan.ambient import AmbientMap, GaussianComponent, Rect
+from wetplan.beampower import ChannelModel
+from wetplan.channel import PathLossParams, Position2D, RicianParams
 from wetplan.cli import RunConfig, RunManifest, main, run, verify_manifest
 from wetplan.config import SCHEMAS, ConfigError, resolve_config
+from wetplan.deployment import DeploymentProblem, SolverConfig
+from wetplan.harvesting import HarvesterCurve
+from wetplan.outage import OutageConfig
 
 FAST_OUTAGE = ("trials=200", "densities=1.0, 3.0", "n_antennas=2")
 
@@ -191,6 +198,101 @@ def test_cost_csv_and_plot_data_match_golden_digests(tmp_path, mode):
     assert run_cli("cost", out, sets=sets, plot=True) == 0
     assert hashlib.sha256((out / "cost.csv").read_bytes()).hexdigest() == csv_sha256
     assert hashlib.sha256((out / "cost.dat").read_bytes()).hexdigest() == dat_sha256
+
+
+# Per study: where the runner hands its scenario over, and runs of --set
+# values that together move every schema key off its default. rfchains needs
+# two runs, since explicit devices override n_devices.
+OFF_DEFAULT = {
+    "deploy": ("optimize", [(
+        "k=3", "cap=0.75", "devices=-1:2, 3:-4", "map.components=2:1:-1:6, 0.5:-3:3:4",
+        "map.area=-20:-25:22:21", "solver.n_starts=3", "solver.greedy_grid=7", "solver.nm_max_iter=41",
+        "pathloss.exponent=2.2", "pathloss.fixed_loss_db=3.5", "pathloss.reference_distance=0.5",
+    )]),
+    "outage": ("sweep_density", [(
+        "densities=0.25, 3", "disk_radius=7.5", "tx_power=2.5", "rician.k_factor=3", "target=2e-4",
+        "archs=rf, single", "n_antennas=3", "trials=77", "curve.breakpoints=-25:0.1, 5:0.4, 12:0.6",
+        "pathloss.exponent=2.1", "pathloss.fixed_loss_db=30", "pathloss.reference_distance=0.8",
+    )]),
+    "rfchains": ("sweep_rf_chains", [(
+        "gamma=3e-6", "m_values=1, 3", "n_devices=5", "disk_radius=7.5", "rician.k_factor=3",
+        "pa_efficiency=0.6", "p_rf_chain_w=0.25", "solver.tol=2e-3", "solver.randomizations=17",
+        "pathloss.exponent=2.1", "pathloss.fixed_loss_db=30", "pathloss.reference_distance=0.8",
+    ), ("devices=1:1, 2:-3",)]),
+}
+
+
+@pytest.mark.parametrize("study", sorted(OFF_DEFAULT))
+def test_every_key_reaches_its_field(monkeypatch, study):
+    class Handed(Exception):
+        pass
+
+    target, runs = OFF_DEFAULT[study]
+    schema, moved, calls = SCHEMAS[study], set(), []
+    signature = inspect.signature(getattr(wetplan.cli, target))
+
+    def capture(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        raise Handed
+
+    for sets in runs:
+        resolved = resolve_config(schema, None, sets)
+        moved |= {name for name in schema if resolved[name] != schema[name].default}
+    assert moved == set(schema)
+
+    monkeypatch.setattr(wetplan.cli, target, capture)
+    for sets in runs:
+        with pytest.raises(Handed):
+            wetplan.cli._RUNNERS[study](resolve_config(schema, None, sets), 11)
+    pathloss = PathLossParams(exponent=2.1, fixed_loss_db=30.0, reference_distance=0.8)
+    if study == "deploy":
+        (call,) = calls
+        area = Rect(-20.0, -25.0, 22.0, 21.0)
+        components = (GaussianComponent(2.0, Position2D(1.0, -1.0), 6.0),
+                      GaussianComponent(0.5, Position2D(-3.0, 3.0), 4.0))
+        assert call == {
+            "problem": DeploymentProblem(
+                devices=(Position2D(-1.0, 2.0), Position2D(3.0, -4.0)),
+                ambient_map=AmbientMap(components, area),
+                k=3,
+                cap=0.75,
+                pathloss=PathLossParams(exponent=2.2, fixed_loss_db=3.5, reference_distance=0.5),
+            ),
+            "solver": SolverConfig(n_starts=3, greedy_grid=7, nm_max_iter=41),
+            "seed": 11,
+        }
+    elif study == "outage":
+        (call,) = calls
+        assert call == {
+            "config": OutageConfig(
+                density=0.0,
+                disk_radius=7.5,
+                tx_power=2.5,
+                pathloss=pathloss,
+                rician=RicianParams(3.0),
+                target=2e-4,
+                n_antennas=3,
+                curve=HarvesterCurve(((-25.0, 0.1), (5.0, 0.4), (12.0, 0.6))),
+                trials=77,
+                seed=11,
+            ),
+            "densities": (0.25, 3.0),
+            "archs": ("rf", "single"),
+        }
+    else:
+        drawn, explicit = calls
+        assert drawn == {
+            "devices": 5,
+            "gamma": 3e-6,
+            "m_values": (1, 3),
+            "model": ChannelModel(pathloss=pathloss, rician=RicianParams(3.0), disk_radius=7.5),
+            "seed": 11,
+            "pa_efficiency": 0.6,
+            "p_rf": 0.25,
+            "tol": 2e-3,
+            "n_randomizations": 17,
+        }
+        assert explicit["devices"] == [Position2D(1.0, 1.0), Position2D(2.0, -3.0)]
 
 
 @pytest.mark.parametrize("study", sorted(GOLDEN_PLOT_DATA))
