@@ -51,15 +51,7 @@ from .deployment import (
     optimize,
     received_power,
 )
-from .harvesting import (
-    ARCHITECTURES,
-    Codebook,
-    HarvesterCurve,
-    dft_codebook,
-    harvest,
-    harvest_architecture,
-    rf_combine,
-)
+from .harvesting import ARCHITECTURES, HarvesterCurve, dft_codebook, harvest
 from .outage import OutageConfig, OutageResult, run_outage, run_trial, sweep_density
 
 __all__ = [
@@ -100,12 +92,9 @@ __all__ = [
     "optimize",
     "received_power",
     "ARCHITECTURES",
-    "Codebook",
     "HarvesterCurve",
     "dft_codebook",
     "harvest",
-    "harvest_architecture",
-    "rf_combine",
     "OutageConfig",
     "OutageResult",
     "run_outage",

@@ -1,11 +1,12 @@
-"""Gaussian-mixture ambient power fields and the resulting capped transmit power.
+"""Gaussian-mixture ambient power fields.
 
 A beacon parked at a position converts whatever ambient power is available
 there into transmit power, up to its hardware cap; conversion is lossless up
-to the cap. The mixture is evaluated in one place, ``mixture_power``, on
-component arrays from ``mixture_columns``. The public functions below take an
-(n, 2) array of points, check them against the area and build those arrays
-per call; the deployment search builds them once per problem.
+to the cap, which ``deployment`` applies. The mixture is evaluated in one
+place, ``mixture_power``, on component arrays from ``mixture_columns``.
+``ambient_power_xy`` takes an (n, 2) array of points, checks them against the
+area and builds those arrays per call; the deployment search builds them once
+per problem.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ambient_power_xy",
     "mixture_columns",
     "mixture_power",
-    "transmit_power_xy",
     "example_map",
 ]
 
@@ -118,13 +118,6 @@ def ambient_power_xy(amap: AmbientMap, xy) -> np.ndarray:
     pts = positions_to_array(xy)
     amap.area.require_inside(pts)
     return mixture_power(pts[:, 0], pts[:, 1], mixture_columns(amap))
-
-
-def transmit_power_xy(amap: AmbientMap, xy, cap: float) -> np.ndarray:
-    """Ambient-limited transmit power (W) at each row of ``xy``: the ambient power clipped at ``cap``."""
-    if cap <= 0:
-        raise ValueError(f"cap must be > 0, got {cap}")
-    return np.minimum(ambient_power_xy(amap, xy), cap)
 
 
 def example_map() -> AmbientMap:

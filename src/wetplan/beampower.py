@@ -420,6 +420,11 @@ def sweep_rf_chains(
         raise ValueError("m_values must be strictly increasing integers >= 1")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
+    if n_randomizations < 0:
+        raise ValueError(f"n_randomizations must be >= 0, got {n_randomizations}")
 
     if isinstance(devices, (int, np.integer)):
         positions = draw_device_positions(int(devices), model.disk_radius, np.random.SeedSequence([int(seed), 0]))

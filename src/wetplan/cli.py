@@ -188,6 +188,12 @@ def _run_cost(resolved, seed: int):
 MAX_GREEDY_ENTRIES = 10**6
 
 
+def _refuse_above(value, limit, keys: str, what: str) -> None:
+    """Refuse a scenario whose ``value`` (``what``, set by ``keys``) exceeds ``limit``."""
+    if not value <= limit:
+        raise ConfigError(f"{keys} give {value:.4g} {what}; the limit is {limit:.0e}")
+
+
 @contextlib.contextmanager
 def _naming(keys: str):
     """Report a ``ValueError`` raised while building a scenario as a ``ConfigError`` naming ``keys``."""
@@ -199,11 +205,10 @@ def _naming(keys: str):
 
 def _run_deploy(resolved, seed: int):
     n_devices, grid = len(resolved["devices"]), resolved["solver.greedy_grid"]
-    if grid * grid * n_devices > MAX_GREEDY_ENTRIES:
-        raise ConfigError(
-            f"solver.greedy_grid = {grid} and {n_devices} devices give {grid * grid * n_devices} "
-            f"greedy candidate entries (solver.greedy_grid**2 * devices); the limit is {MAX_GREEDY_ENTRIES:.0e}"
-        )
+    _refuse_above(
+        grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} devices",
+        "greedy candidate entries (solver.greedy_grid**2 * devices)",
+    )
     with _naming("map.area"):
         area = Rect(*resolved["map.area"])
     with _naming("map.components"):
@@ -235,6 +240,10 @@ def _run_deploy(resolved, seed: int):
 # Expected transmitters per outage trial above which a scenario is refused
 # before anything is drawn; the default scenario has about 1,257.
 MAX_MEAN_SOURCES = 1e7
+# Entries of one array (160 MB as complex) above which an outage or rfchains
+# scenario is refused before anything is drawn; the largest default array is
+# outage's (trials, n_antennas) power stack, with 40,000.
+MAX_ARRAY_ENTRIES = 10**7
 
 
 def _run_outage(resolved, seed: int):
@@ -244,13 +253,21 @@ def _run_outage(resolved, seed: int):
     and channels are sampled once per density and rectified under every
     architecture in ``archs``.
     """
-    densities, archs = resolved["densities"], resolved["archs"]
+    densities, archs, m = resolved["densities"], resolved["archs"], resolved["n_antennas"]
     mean_sources = max(densities) * math.pi * resolved["disk_radius"] * resolved["disk_radius"]
-    if not mean_sources <= MAX_MEAN_SOURCES:
-        raise ConfigError(
-            f"densities and disk_radius give {mean_sources:.4g} expected transmitters per trial "
-            f"(max(densities) * pi * disk_radius**2); the limit is {MAX_MEAN_SOURCES:.0e}"
-        )
+    _refuse_above(
+        mean_sources, MAX_MEAN_SOURCES, "densities and disk_radius",
+        "expected transmitters per trial (max(densities) * pi * disk_radius**2)",
+    )
+    if "rf" in archs:
+        _refuse_above(m * m, MAX_ARRAY_ENTRIES, "n_antennas", "rf codebook entries (n_antennas**2)")
+    _refuse_above(
+        mean_sources * m, MAX_ARRAY_ENTRIES, "densities, disk_radius and n_antennas",
+        "expected channel entries per trial (max(densities) * pi * disk_radius**2 * n_antennas)",
+    )
+    _refuse_above(
+        resolved["trials"] * m, MAX_ARRAY_ENTRIES, "trials and n_antennas", "power entries (trials * n_antennas)"
+    )
     base = _build(OutageConfig, resolved, density=0.0, seed=seed)
     per_density = sweep_density(base, densities, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
@@ -263,12 +280,17 @@ def _run_outage(resolved, seed: int):
 
 
 def _run_rfchains(resolved, seed: int):
-    model = _build(ChannelModel, resolved)
-    devices = (
-        [Position2D(x, y) for x, y in resolved["devices"]]
-        if resolved["devices"]
-        else resolved["n_devices"]
+    devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
+    m_max = max(resolved["m_values"])
+    _refuse_above(
+        (len(resolved["devices"]) or resolved["n_devices"]) * m_max, MAX_ARRAY_ENTRIES,
+        "n_devices (or devices) and m_values", "channel entries (devices * max(m_values))",
     )
+    _refuse_above(
+        resolved["solver.randomizations"] * m_max, MAX_ARRAY_ENTRIES, "solver.randomizations and m_values",
+        "candidate entries (solver.randomizations * max(m_values))",
+    )
+    model = _build(ChannelModel, resolved)
     sweep = sweep_rf_chains(
         devices,
         resolved["gamma"],

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientMap, Rect, mixture_columns, mixture_power, transmit_power_xy
+from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import PathLossParams, Position2D, _path_gain, _require_finite, path_gain, positions_to_array
 
 __all__ = [
@@ -85,8 +85,12 @@ class SolverConfig:
     nm_max_iter: int = 250
 
     def __post_init__(self):
-        if self.n_starts < 0 or self.greedy_grid < 2 or self.nm_max_iter < 1:
-            raise ValueError("invalid solver configuration")
+        if self.n_starts < 0:
+            raise ValueError(f"n_starts must be >= 0, got {self.n_starts}")
+        if self.greedy_grid < 2:
+            raise ValueError(f"greedy_grid must be >= 2, got {self.greedy_grid}")
+        if self.nm_max_iter < 1:
+            raise ValueError(f"nm_max_iter must be >= 1, got {self.nm_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,15 @@ class _Evaluator:
 def received_power(device, pbs, problem: DeploymentProblem) -> float:
     """Received RF power (W) at ``device`` from beacons at ``pbs`` (powers add).
 
-    Adds the beacons in order with scalar ``math.hypot`` and ``path_gain``;
-    ``_Evaluator.contributions`` differs from this in the last bits.
+    Transmit powers come from ``_Evaluator.tx_power``, as in the objective; a
+    beacon outside the area is an error. The beacons are added in order with
+    scalar ``math.hypot`` and ``path_gain``, unlike ``_Evaluator.contributions``,
+    so the two differ in the last bits.
     """
     dev = device if isinstance(device, Position2D) else Position2D(float(device[0]), float(device[1]))
     xy = positions_to_array(pbs)
-    tx = transmit_power_xy(problem.ambient_map, xy, problem.cap)
+    problem.ambient_map.area.require_inside(xy, "beacon")
+    tx = _Evaluator(problem).tx_power(xy)
     total = 0.0
     for (x, y), p in zip(xy.tolist(), tx.tolist()):
         total += p * path_gain(math.hypot(x - dev.x, y - dev.y), problem.pathloss)

@@ -1,14 +1,13 @@
 """Rectenna transfer curves and the single / DC / RF-combining receiver paths.
 
-A snapshot of the incident RF environment is an ``(H, p)`` tuple: ``H`` is an
-(n_sources, n_antennas) complex array of channel vectors and ``p`` the transmit
-power of each source, a scalar or an (n_sources,) array. Sources add in power
-(they are unsynchronized), antennas combine per architecture.
-
-A snapshot reduces to its per-antenna incident powers and the best rf
-codeword's combined power; a stack of such reductions, one row per snapshot,
-is rectified with one ``harvest`` call per architecture. ``harvest_architecture``
-is that path on a stack of one, so rectifying a stack gives the same bits.
+The receiver sees ``h``, an (n_sources, n_antennas) complex array of channel
+vectors, and each source's transmit power ``p``. Sources add in power (they
+are unsynchronized); antennas combine per architecture. ``_antenna_powers``
+and ``_codeword_powers`` reduce one draw to its per-antenna incident powers
+and the combined power of each codeword of a DFT codebook; ``_rectify``
+turns a stack of such reductions, one row per draw, into harvested power
+with one ``harvest`` call per architecture. The outage trials are the only
+caller; they check the architecture names.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ __all__ = [
     "DEFAULT_BREAKPOINTS",
     "ARCHITECTURES",
     "HarvesterCurve",
-    "Codebook",
     "dbm_to_watts",
     "harvest",
     "dft_codebook",
-    "rf_combine",
-    "harvest_architecture",
 ]
 
 # Input power (dBm) -> conversion efficiency. Chosen so a mW-scale target is
@@ -64,6 +60,8 @@ class HarvesterCurve:
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise ValueError("need at least 2 breakpoints")
+        if not all(math.isfinite(v) for pt in pts for v in pt):
+            raise ValueError(f"breakpoints must be finite, got {pts}")
         dbm = [p for p, _ in pts]
         if any(b <= a for a, b in zip(dbm, dbm[1:])):
             raise ValueError("breakpoint input powers must be strictly increasing")
@@ -100,50 +98,15 @@ def harvest(p_in, curve: HarvesterCurve):
     return out
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Receive combining codewords, one unit-norm row per codeword."""
-
-    codewords: np.ndarray
-
-    def __post_init__(self):
-        cw = np.atleast_2d(np.asarray(self.codewords, dtype=complex))
-        object.__setattr__(self, "codewords", cw)
-        if cw.shape[0] == 0 or cw.shape[1] == 0:
-            raise ValueError("codebook must be non-empty")
-        norms = np.linalg.norm(cw, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("every codeword must have unit Euclidean norm")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.codewords.shape[1]
-
-
-def dft_codebook(m: int) -> Codebook:
-    """Orthonormal DFT codebook: codeword k has element exp(2j*pi*k*m/M)/sqrt(M)."""
+def dft_codebook(m: int) -> np.ndarray:
+    """Orthonormal (M, M) DFT codebook: row k has element exp(2j*pi*k*m/M)/sqrt(M)."""
     if int(m) != m or m < 1:
         raise ValueError(f"codebook size must be an integer >= 1, got {m}")
     k = np.arange(m)
-    return Codebook(np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m))
+    return np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m)
 
 
-def _as_snapshot(channels) -> tuple[np.ndarray, np.ndarray]:
-    """Check an ``(H, p)`` snapshot; returns H (n, M) complex and p (n,) float."""
-    if not (isinstance(channels, tuple) and len(channels) == 2):
-        raise TypeError("a snapshot must be an (H, p) tuple")
-    h = np.asarray(channels[0], dtype=complex)
-    p = np.asarray(channels[1], dtype=float)
-    if h.ndim != 2 or h.shape[1] == 0:
-        raise ValueError(f"H must have shape (n_sources, n_antennas >= 1), got {h.shape}")
-    if not (np.isfinite(h).all() and np.isfinite(p).all()):
-        raise ValueError("channels and per-source powers must be finite")
-    if (p < 0).any():
-        raise ValueError("per-source power scales must be >= 0")
-    return h, np.broadcast_to(p, (h.shape[0],))
-
-
-# The two reductions of one snapshot. They are unchecked: ``h`` is (n, M)
+# The two reductions of one draw. They are unchecked: ``h`` is (n, M)
 # complex and ``p`` the per-source power as a scalar or an (n, 1) column.
 
 
@@ -159,50 +122,16 @@ def _codeword_powers(h: np.ndarray, p, codewords: np.ndarray) -> np.ndarray:
 
 
 def _rectify(antenna_powers: np.ndarray, combined: np.ndarray, arch: str, curve: HarvesterCurve) -> np.ndarray:
-    """Harvested DC power (T,) of T reduced snapshots under one architecture.
+    """Harvested DC power (T,) of T reduced draws under one architecture.
 
     ``antenna_powers`` is (T, M) per-antenna incident power and ``combined``
     (T,) the best codeword's power; an architecture reads only its own input.
+    ``single`` rectifies antenna 0, ``dc`` sums one rectifier output per
+    antenna and ``rf`` rectifies the best codeword's combined signal
+    (phase-shifter power treated as free).
     """
     if arch == "single":
         return harvest(antenna_powers[:, 0], curve)
     if arch == "dc":
         return harvest(antenna_powers, curve).sum(axis=1)
     return harvest(combined, curve)
-
-
-def rf_combine(channels, codebook: Codebook) -> tuple[int, float]:
-    """Best codeword index and its combined RF input power.
-
-    The combined power of codeword ``w`` is ``sum_s p_s * |w^H h_s|**2``
-    (coherent across antennas, incoherent across sources). Ties break toward
-    the lowest index.
-    """
-    if codebook is None or codebook.codewords.shape[0] == 0:
-        raise ValueError("codebook must be non-empty")
-    h, p = _as_snapshot(channels)
-    if h.shape[1] != codebook.n_antennas:
-        raise ValueError(
-            f"channel length {h.shape[1]} does not match codebook antennas {codebook.n_antennas}"
-        )
-    powers = _codeword_powers(h, p[:, None], codebook.codewords)
-    best = int(np.argmax(powers))
-    return best, float(powers[best])
-
-
-def harvest_architecture(channels, arch: str, curve: HarvesterCurve, codebook: Codebook | None = None) -> float:
-    """Harvested DC power of one ``(H, p)`` snapshot under a receiver architecture.
-
-    ``single`` rectifies antenna 0 only, ``dc`` sums one rectifier output per
-    antenna, ``rf`` rectifies the best-codeword combined signal (phase-shifter
-    power treated as free).
-    """
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-    if arch == "rf":
-        if codebook is None:
-            raise ValueError("rf architecture requires a codebook")
-        _, combined = rf_combine(channels, codebook)
-        return float(_rectify(None, np.array([combined]), arch, curve)[0])
-    h, p = _as_snapshot(channels)
-    return float(_rectify(_antenna_powers(h, p[:, None])[None], None, arch, curve)[0])

@@ -112,7 +112,7 @@ def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, se
     """
     antenna_powers = np.zeros((count, config.n_antennas))
     combined = np.zeros(count)
-    codewords = dft_codebook(config.n_antennas).codewords if "rf" in archs else None
+    codewords = dft_codebook(config.n_antennas) if "rf" in archs else None
     device, array = Position2D(0.0, 0.0), ArrayConfig(config.n_antennas)
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParam
 from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
 from wetplan.deployment import DeploymentProblem, grid_oracle, objective, optimize
-from wetplan.harvesting import HarvesterCurve, dft_codebook, harvest, rf_combine
+from wetplan.harvesting import HarvesterCurve, _codeword_powers, dft_codebook, harvest
 from wetplan.outage import OutageConfig, run_trial, sweep_density, trial_seed
 
 
@@ -100,10 +100,13 @@ def test_criterion_4_outage_monotonicity_and_combining():
         h = sample_channels(
             positions, Position2D(0.0, 0.0), ArrayConfig(4), config.rician, config.pathloss, rng
         )
-        _, best = rf_combine((h, config.tx_power), cb)
-        for w in cb.codewords:
-            fixed = float(np.sum(config.tx_power * np.abs(h @ w.conj()) ** 2))
-            assert best >= fixed * (1.0 - 1e-12)
+        best = _codeword_powers(h, config.tx_power, cb).max()
+        fixed = [float(np.sum(config.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]
+        for power in fixed:
+            assert best >= power * (1.0 - 1e-12)
+        assert best <= max(fixed) * (1.0 + 1e-12)
+        [harvested] = run_trial(config, trial_seed(config.seed, t), ("rf",))
+        assert harvested == harvest(best, config.curve)
         checked += 1
     assert checked >= 150
     estimates = [f"{r.outage_estimate:.3f}" for r in results]

@@ -9,15 +9,26 @@ from wetplan.ambient import (
     Rect,
     ambient_power_xy,
     example_map,
-    transmit_power_xy,
 )
-from wetplan.channel import Position2D
+from wetplan.channel import PathLossParams, Position2D
+from wetplan.deployment import DeploymentProblem, received_power
 
 AREA = Rect(-20.0, -20.0, 20.0, 20.0)
 
 
 def single_component_map(weight=2.0, cx=0.0, cy=0.0, width=3.0):
     return AmbientMap((GaussianComponent(weight, Position2D(cx, cy), width),), AREA)
+
+
+def co_located_power(amap, at):
+    """Power a device receives from one beacon at its own position under lossless path loss.
+
+    Within the reference distance the path gain is 1, so this is the beacon's
+    ambient-limited transmit power under its 1 W cap.
+    """
+    lossless = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
+    problem = DeploymentProblem((at,), amap, k=1, cap=1.0, pathloss=lossless)
+    return received_power(at, [at], problem)
 
 
 def test_peak_value_at_center():
@@ -49,27 +60,30 @@ def test_outside_area_raises():
     amap = single_component_map()
     with pytest.raises(ValueError):
         ambient_power_xy(amap, [Position2D(25.0, 0.0)])
+    problem = DeploymentProblem((Position2D(0.0, 0.0),), amap, k=1)
+    with pytest.raises(ValueError, match=r"^beacon \(25\.0, 0\.0\) lies outside"):
+        received_power(Position2D(0.0, 0.0), [Position2D(25.0, 0.0)], problem)
 
 
 def test_transmit_power_caps_at_limit():
     # A 3.7 W ambient spot under a 1 W cap transmits exactly 1 W.
     amap = single_component_map(weight=3.7)
-    assert transmit_power_xy(amap, [Position2D(0.0, 0.0)], cap=1.0)[0] == 1.0
+    assert co_located_power(amap, Position2D(0.0, 0.0)) == 1.0
 
 
 def test_transmit_power_passes_below_cap():
     amap = single_component_map(weight=0.4)
-    assert np.isclose(transmit_power_xy(amap, [Position2D(0.0, 0.0)], cap=1.0)[0], 0.4, rtol=1e-12)
+    assert np.isclose(co_located_power(amap, Position2D(0.0, 0.0)), 0.4, rtol=1e-12)
 
 
 def test_transmit_power_zero_ambient():
     amap = single_component_map(weight=0.0)
-    assert transmit_power_xy(amap, [Position2D(5.0, 5.0)], cap=1.0)[0] == 0.0
+    assert co_located_power(amap, Position2D(5.0, 5.0)) == 0.0
 
 
 def test_transmit_power_requires_positive_cap():
-    with pytest.raises(ValueError):
-        transmit_power_xy(single_component_map(), [Position2D(0.0, 0.0)], cap=0.0)
+    with pytest.raises(ValueError, match="cap must be > 0"):
+        DeploymentProblem((Position2D(0.0, 0.0),), single_component_map(), k=1, cap=0.0)
 
 
 def test_field_is_nonnegative_and_capped_everywhere():

@@ -224,6 +224,34 @@ def test_sweep_validation():
         sweep_rf_chains(2, 0.0, [1, 2], seed=0)
 
 
+# (sweep_rf_chains argument, a bad value, the error it must raise)
+BAD_SWEEP_ARGUMENTS = [
+    ("tol", math.nan, r"^tol must be finite and > 0, got nan$"),
+    ("tol", math.inf, r"^tol must be finite and > 0, got inf$"),
+    ("tol", -1.0, r"^tol must be finite and > 0, got -1\.0$"),
+    ("tol", 0.0, r"^tol must be finite and > 0, got 0\.0$"),
+    ("pa_efficiency", 0.0, r"^pa_efficiency must be in \(0, 1\], got 0\.0$"),
+    ("pa_efficiency", 1.5, r"^pa_efficiency must be in \(0, 1\], got 1\.5$"),
+    ("pa_efficiency", math.nan, r"^pa_efficiency must be in \(0, 1\], got nan$"),
+    ("p_rf", -0.5, r"p_rf must be >= 0"),
+    ("p_rf", math.inf, r"^p_rf must be finite, got inf$"),
+    ("n_randomizations", -3, r"^n_randomizations must be >= 0, got -3$"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, message", BAD_SWEEP_ARGUMENTS, ids=[f"{n}={v}" for n, v, _ in BAD_SWEEP_ARGUMENTS]
+)
+def test_sweep_checks_numeric_arguments_before_any_work(monkeypatch, name, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep drew channels or solved a relaxation")
+
+    monkeypatch.setattr(beampower, "sample_channels", refuse)
+    monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
+    with pytest.raises(ValueError, match=message):
+        sweep_rf_chains(4, 2e-6, range(1, 33), seed=0, **{name: value})
+
+
 def test_device_positions_live_in_disk_and_are_seeded():
     a = draw_device_positions(50, 10.0, seed=1)
     b = draw_device_positions(50, 10.0, seed=1)

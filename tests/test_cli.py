@@ -328,6 +328,56 @@ def test_outage_too_many_sources_fails_before_drawing(tmp_path, monkeypatch):
             wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0)
 
 
+class SweepReached(Exception):
+    pass
+
+
+def _reach_sweep(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise SweepReached
+
+    monkeypatch.setattr(wetplan.cli, name, refuse)
+
+
+# Per product: the study, the sweep it calls, overrides at the array bound,
+# the same just past it, and the keys the refusal names. With 4 antennas and
+# 32 RF chains the bound is 2,500,000 trials, a disk radius of 446 m, or
+# 312,500 devices or randomizations; 3,162 antennas give a codebook of
+# 9,998,244 entries.
+TOO_LARGE = {
+    "codebook": ("outage", "sweep_density", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"],
+                 "n_antennas"),
+    "channels": ("outage", "sweep_density", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
+                 "densities, disk_radius and n_antennas"),
+    "power_stack": ("outage", "sweep_density", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
+    "rfchains_channels": ("rfchains", "sweep_rf_chains", ["n_devices=312500"], ["n_devices=312501"],
+                          r"n_devices \(or devices\) and m_values"),
+    "candidates": ("rfchains", "sweep_rf_chains", ["solver.randomizations=312500"],
+                   ["solver.randomizations=312501"], r"solver\.randomizations and m_values"),
+}
+
+
+@pytest.mark.parametrize("product", sorted(TOO_LARGE))
+def test_scenarios_too_large_to_allocate_fail_before_drawing(tmp_path, monkeypatch, product):
+    study, sweep, fits, too_large, keys = TOO_LARGE[product]
+    _reach_sweep(monkeypatch, sweep)
+    runner = getattr(wetplan.cli, f"_run_{study}")
+    with pytest.raises(SweepReached):
+        runner(resolve_config(SCHEMAS[study], None, fits), 0)
+    with pytest.raises(ConfigError, match=rf"^{keys} give .*; the limit is 1e\+07$"):
+        runner(resolve_config(SCHEMAS[study], None, too_large), 0)
+    out = tmp_path / study
+    assert run_cli(study, out, sets=too_large) == 1
+    assert not out.exists()
+
+
+def test_outage_codebook_bound_applies_only_with_rf(monkeypatch):
+    _reach_sweep(monkeypatch, "sweep_density")
+    sets = ["n_antennas=3163", "trials=1", "archs=single, dc"]
+    with pytest.raises(SweepReached):
+        wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, sets), 0)
+
+
 def test_deploy_k_zero_fails_without_writing_files(tmp_path):
     out = tmp_path / "deploy"
     assert run_cli("deploy", out, sets=("k=0",)) == 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.ambient import AmbientMap, GaussianComponent, Rect, transmit_power_xy
+from wetplan.ambient import AmbientMap, GaussianComponent, Rect, ambient_power_xy
 from wetplan.channel import PathLossParams, Position2D, RicianParams
 from wetplan.deployment import (
     DeploymentProblem,
@@ -166,7 +166,7 @@ def test_solutions_respect_area_and_cap():
         for pb, tx in zip(sol.pb_positions, sol.per_pb_tx_power):
             assert AREA.contains(pb.x, pb.y)
             assert tx <= 1.0 + 1e-15
-            assert np.isclose(tx, transmit_power_xy(amap, [pb], 1.0)[0], rtol=1e-12)
+            assert np.isclose(tx, min(ambient_power_xy(amap, [pb])[0], 1.0), rtol=1e-12)
         value, worst = objective(sol.pb_positions, prob)
         assert np.isclose(value, sol.min_received_power, rtol=1e-12)
         assert worst == sol.worst_device_index
@@ -213,3 +213,17 @@ PROBLEM = functools.partial(DeploymentProblem, devices=(Position2D(0.0, 0.0),), 
 def test_model_parameters_reject_non_finite_values(build, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         build(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("n_starts", -1, r"^n_starts must be >= 0, got -1$"),
+        ("greedy_grid", 1, r"^greedy_grid must be >= 2, got 1$"),
+        ("nm_max_iter", 0, r"^nm_max_iter must be >= 1, got 0$"),
+    ],
+    ids=["n_starts", "greedy_grid", "nm_max_iter"],
+)
+def test_solver_config_names_the_bad_field(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{name: value})

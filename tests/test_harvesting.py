@@ -6,12 +6,12 @@ import pytest
 from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, steering_vector
 from wetplan.harvesting import (
     ARCHITECTURES,
-    Codebook,
     HarvesterCurve,
+    _antenna_powers,
+    _codeword_powers,
+    _rectify,
     dft_codebook,
     harvest,
-    harvest_architecture,
-    rf_combine,
 )
 
 CURVE = HarvesterCurve()
@@ -72,37 +72,46 @@ def test_harvester_curve_validation():
         HarvesterCurve(breakpoints=((-30.0, 0.05), (-20.0, 1.5)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+def test_harvester_curve_refuses_non_finite_breakpoints(index, bad):
+    points = [[-10.0, 0.1], [0.0, 0.2]]
+    points[index][0] = bad
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        HarvesterCurve(tuple(map(tuple, points)))
+
+
+def _harvest_all(h, p, m):
+    """Harvested power of one draw under every architecture, through the outage kernels."""
+    p = np.broadcast_to(p, (h.shape[0],))[:, None]
+    antenna_powers = _antenna_powers(h, p)[None]
+    combined = _codeword_powers(h, p, dft_codebook(m)).max()[None]
+    return {arch: float(_rectify(antenna_powers, combined, arch, CURVE)[0]) for arch in ARCHITECTURES}
+
+
 def test_dft_codebook_trivial_sizes():
-    cb1 = dft_codebook(1)
-    np.testing.assert_allclose(cb1.codewords, [[1.0 + 0.0j]])
-    cb2 = dft_codebook(2)
+    np.testing.assert_allclose(dft_codebook(1), [[1.0 + 0.0j]])
     s = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(cb2.codewords, [[s, s], [s, -s]], atol=1e-15)
+    np.testing.assert_allclose(dft_codebook(2), [[s, s], [s, -s]], atol=1e-15)
 
 
 def test_dft_codebook_orthonormal():
     cb = dft_codebook(8)
-    gram = cb.codewords @ cb.codewords.conj().T
+    gram = cb @ cb.conj().T
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-12)
-
-
-def test_codebook_requires_unit_norm():
-    with pytest.raises(ValueError):
-        Codebook(np.array([[2.0 + 0.0j, 0.0]]))
 
 
 def test_rf_combine_singleton_codebook():
     rng = np.random.default_rng(1)
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w = h / np.linalg.norm(h)
-    idx, power = rf_combine((h[None, :], 2.0), Codebook(w[None, :]))
-    assert idx == 0
+    [power] = _codeword_powers(h[None, :], 2.0, w[None, :])
     assert np.isclose(power, 2.0 * np.abs(np.vdot(w, h)) ** 2, rtol=1e-12)
 
 
 def test_rf_combine_single_antenna_recovers_incident_power():
     h, p = np.array([[0.3 - 0.4j], [0.1 + 0.2j]]), np.array([1.5, 0.5])
-    _, power = rf_combine((h, p), dft_codebook(1))
+    [power] = _codeword_powers(h, p[:, None], dft_codebook(1))
     assert np.isclose(power, float(np.sum(np.abs(h[:, 0]) ** 2 * p)), rtol=1e-12)
 
 
@@ -111,37 +120,21 @@ def test_rf_combine_beats_every_fixed_codeword():
     cb = dft_codebook(4)
     h = np.vstack([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)])
     p = np.ones(5)
-    _, best = rf_combine((h, p), cb)
-    for w in cb.codewords:
-        fixed = float(np.sum(p * np.abs(h @ w.conj()) ** 2))
-        assert best >= fixed * (1.0 - 1e-12)
-
-
-def test_rf_combine_rejects_empty_and_mismatched():
-    with pytest.raises(ValueError):
-        Codebook(np.zeros((0, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        rf_combine((np.ones((1, 3), dtype=complex), 1.0), dft_codebook(2))
-    with pytest.raises(ValueError):
-        rf_combine((np.ones(2, dtype=complex), 1.0), dft_codebook(2))
-    with pytest.raises(ValueError, match="antennas"):
-        rf_combine((np.zeros((0, 3)), 1.0), dft_codebook(2))
+    best = _codeword_powers(h, p[:, None], cb).max()
+    fixed = [float(np.sum(p * np.abs(h @ w.conj()) ** 2)) for w in cb]
+    for power in fixed:
+        assert best >= power * (1.0 - 1e-12)
+    assert best <= max(fixed) * (1.0 + 1e-12)
 
 
 def test_architectures_coincide_for_single_antenna():
-    h = np.array([[0.02 + 0.01j]])
-    snapshot = (h, 1.0)
-    out = [harvest_architecture(snapshot, arch, CURVE, dft_codebook(1)) for arch in ("single", "dc", "rf")]
-    assert out[0] == out[1] == out[2] > 0.0
+    out = _harvest_all(np.array([[0.02 + 0.01j]]), 1.0, 1)
+    assert out["single"] == out["dc"] == out["rf"] > 0.0
 
 
 def test_dc_additivity_with_equal_antenna_powers():
     h = np.full((1, 4), math.sqrt(2e-4), dtype=complex)
-    assert np.isclose(
-        harvest_architecture((h, 1.0), "dc", CURVE),
-        4.0 * harvest(2e-4, CURVE),
-        rtol=1e-12,
-    )
+    assert np.isclose(_harvest_all(h, 1.0, 4)["dc"], 4.0 * harvest(2e-4, CURVE), rtol=1e-12)
 
 
 def test_rf_matched_codeword_gains_factor_m():
@@ -152,11 +145,10 @@ def test_rf_matched_codeword_gains_factor_m():
     theta = math.asin(2.0 / m)
     gain = 5e-4
     h = math.sqrt(gain) * steering_vector(theta, ArrayConfig(m))
-    snapshot = (h[None, :], 1.0)
-    _, combined = rf_combine(snapshot, dft_codebook(m))
+    combined = _codeword_powers(h[None, :], 1.0, dft_codebook(m)).max()
     single_in = abs(h[0]) ** 2
     assert np.isclose(combined, m * single_in, rtol=1e-10)
-    assert harvest_architecture(snapshot, "rf", CURVE, dft_codebook(m)) == harvest(combined, CURVE)
+    assert _harvest_all(h[None, :], 1.0, m)["rf"] == harvest(combined, CURVE)
 
 
 def test_dc_dominates_single_on_random_snapshots():
@@ -165,50 +157,10 @@ def test_dc_dominates_single_on_random_snapshots():
     for trial in range(50):
         pts = rng.uniform(-5, 5, size=(3, 2))
         h = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(4), RicianParams(10.0), pl, seed=trial)
-        snapshot = (h, 1.0)
-        dc = harvest_architecture(snapshot, "dc", CURVE)
-        single = harvest_architecture(snapshot, "single", CURVE)
-        assert dc >= single
+        out = _harvest_all(h, 1.0, 4)
+        assert out["dc"] >= out["single"]
 
 
 def test_empty_snapshot_harvests_nothing():
-    empty = (np.zeros((0, 2), dtype=complex), 1.0)
-    assert harvest_architecture(empty, "dc", CURVE) == 0.0
-    assert harvest_architecture(empty, "rf", CURVE, dft_codebook(2)) == 0.0
-
-
-def test_rf_without_codebook_is_an_error():
-    h = np.ones((1, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        harvest_architecture((h, 1.0), "rf", CURVE)
-
-
-def test_unknown_architecture_rejected():
-    with pytest.raises(ValueError):
-        harvest_architecture((np.ones((1, 1), dtype=complex), 1.0), "hybrid", CURVE)
-
-
-def test_snapshot_must_be_an_h_p_tuple():
-    with pytest.raises(TypeError):
-        harvest_architecture(np.array([1e-3, 2e-3]), "dc", CURVE)
-    with pytest.raises(TypeError):
-        harvest_architecture([(np.ones(2, dtype=complex), 1.0)], "single", CURVE)
-    with pytest.raises(ValueError):
-        harvest_architecture((np.ones((2, 0), dtype=complex), 1.0), "single", CURVE)
-    with pytest.raises(ValueError, match=">= 0"):
-        harvest_architecture((np.ones((2, 2), dtype=complex), np.array([1.0, -1.0])), "dc", CURVE)
-
-
-@pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_non_finite_snapshot_is_rejected(arch):
-    # single reads only antenna 0, so a bad value on antenna 1 must still be caught.
-    finite = np.array([[0.05, 0.05]], dtype=complex)
-    for h, p in (
-        (np.array([[0.05, np.nan]], dtype=complex), 1.0),
-        (np.array([[0.05, complex(0.0, np.inf)]]), 1.0),
-        (np.array([[0.05, -np.inf]], dtype=complex), 1.0),
-        (finite, np.inf),
-        (finite, np.array([np.nan])),
-    ):
-        with pytest.raises(ValueError, match="finite"):
-            harvest_architecture((h, p), arch, CURVE, dft_codebook(2))
+    out = _harvest_all(np.zeros((0, 2), dtype=complex), 1.0, 2)
+    assert out == {arch: 0.0 for arch in ARCHITECTURES}

@@ -1,5 +1,5 @@
 """Property tests of the rectifier curve and of the three receiver architectures on
-random ``(H, p)`` snapshots."""
+random ``(H, p)`` snapshots, each reduced and rectified as a stack of one."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from wetplan.harvesting import (
     _rectify,
     dft_codebook,
     harvest,
-    harvest_architecture,
 )
 
 CURVE = HarvesterCurve()
@@ -36,9 +35,18 @@ def snapshots(draw, sources=st.integers(0, 6), antennas=st.integers(1, 4)):
     return h, p
 
 
+def _reduce(snapshot, codebook):
+    """Per-antenna and best-codeword powers of one snapshot, as the outage trials reduce it."""
+    h, p = snapshot
+    p = np.broadcast_to(p, (h.shape[0],))[:, None]
+    return _antenna_powers(h, p), _codeword_powers(h, p, codebook).max()
+
+
 def _all_archs(snapshot):
-    codebook = dft_codebook(snapshot[0].shape[1])
-    return {arch: harvest_architecture(snapshot, arch, CURVE, codebook) for arch in ARCHITECTURES}
+    antenna_powers, combined = _reduce(snapshot, dft_codebook(snapshot[0].shape[1]))
+    return {
+        arch: float(_rectify(antenna_powers[None], np.array([combined]), arch, CURVE)[0]) for arch in ARCHITECTURES
+    }
 
 
 @PROPERTY
@@ -100,12 +108,12 @@ def test_harvest_is_non_decreasing_and_never_above_its_input(curve, inputs):
 @given(st.integers(1, 4).flatmap(lambda m: st.lists(snapshots(antennas=st.just(m)), min_size=1, max_size=8)))
 def test_rectifying_a_stack_equals_each_snapshot_alone(stack):
     # Reduce each snapshot as the outage trials do, rectify the (T, M) and
-    # (T,) stacks at once, and compare bit for bit with one call per snapshot.
+    # (T,) stacks at once, and compare bit for bit with rectifying each row alone.
     codebook = dft_codebook(stack[0][0].shape[1])
-    reduced = [(h, np.broadcast_to(p, (h.shape[0],))[:, None]) for h, p in stack]
-    antenna_powers = np.array([_antenna_powers(h, p) for h, p in reduced])
-    combined = np.array([_codeword_powers(h, p, codebook.codewords).max() for h, p in reduced])
+    reduced = [_reduce(snapshot, codebook) for snapshot in stack]
+    antenna_powers = np.array([a for a, _ in reduced])
+    combined = np.array([c for _, c in reduced])
     for arch in ARCHITECTURES:
         batched = _rectify(antenna_powers, combined, arch, CURVE)
-        alone = [harvest_architecture(snapshot, arch, CURVE, codebook) for snapshot in stack]
+        alone = [_rectify(antenna_powers[t : t + 1], combined[t : t + 1], arch, CURVE)[0] for t in range(len(stack))]
         assert batched.tobytes() == np.array(alone).tobytes(), arch

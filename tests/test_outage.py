@@ -5,7 +5,7 @@ import pytest
 
 import wetplan.outage
 from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
-from wetplan.harvesting import ARCHITECTURES, dft_codebook, harvest, rf_combine
+from wetplan.harvesting import ARCHITECTURES, _codeword_powers, dft_codebook, harvest
 from wetplan.outage import OutageConfig, run_outage, run_trial, sweep_density, trial_seed
 
 # 20 dB fixed loss keeps the 1 mW target reachable at modest densities, which
@@ -83,10 +83,11 @@ def test_rf_trial_uses_best_codeword():
         if positions.shape[0] == 0:
             continue
         h = sample_channels(positions, Position2D(0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
-        _, best = rf_combine((h, cfg.tx_power), cb)
-        for w in cb.codewords:
-            fixed = float(np.sum(cfg.tx_power * np.abs(h @ w.conj()) ** 2))
-            assert best >= fixed * (1.0 - 1e-12)
+        best = _codeword_powers(h, cfg.tx_power, cb).max()
+        fixed = [float(np.sum(cfg.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]
+        for power in fixed:
+            assert best >= power * (1.0 - 1e-12)
+        assert best <= max(fixed) * (1.0 + 1e-12)
         [harvested] = run_trial(cfg, trial_seed(cfg.seed, t), ("rf",))
         assert np.isclose(harvested, harvest(best, cfg.curve), rtol=1e-12)
 
