@@ -344,6 +344,14 @@ def _extract(
     )
 
 
+def _check_solver_arguments(tol: float, n_randomizations: int) -> None:
+    """Refuse a relaxation tolerance or a randomization count no solve can use."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if n_randomizations < 0:
+        raise ValueError(f"n_randomizations must be >= 0, got {n_randomizations}")
+
+
 def min_power_precoder(
     problem: MulticastProblem,
     tol: float = 1e-4,
@@ -360,6 +368,7 @@ def min_power_precoder(
     put the dual value a few ulps above the precoder that attains it. The
     solver stops once the relaxation's primal-dual gap closes within ``tol``.
     """
+    _check_solver_arguments(tol, n_randomizations)
     red = _reduce(problem)
     (relaxed,) = _solve_relaxations([red], tol)
     return _extract(red, relaxed, tol, n_randomizations, seed, extra_candidates)
@@ -420,11 +429,8 @@ def sweep_rf_chains(
         raise ValueError("m_values must be strictly increasing integers >= 1")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_solver_arguments(tol, n_randomizations)
     consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
-    if n_randomizations < 0:
-        raise ValueError(f"n_randomizations must be >= 0, got {n_randomizations}")
 
     if isinstance(devices, (int, np.integer)):
         positions = draw_device_positions(int(devices), model.disk_radius, np.random.SeedSequence([int(seed), 0]))

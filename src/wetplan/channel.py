@@ -85,7 +85,7 @@ class PathLossParams:
     def __post_init__(self):
         _require_finite(self, "exponent", "fixed_loss_db", "reference_distance")
         if self.exponent <= 0:
-            raise ValueError(f"path loss exponent must be > 0, got {self.exponent}")
+            raise ValueError(f"exponent must be > 0, got {self.exponent}")
         if self.reference_distance <= 0:
             raise ValueError(f"reference_distance must be > 0, got {self.reference_distance}")
         if self.fixed_loss_db < 0:

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import ChannelModel, sweep_rf_chains
-from .channel import Position2D
+from .channel import Position2D, positions_to_array
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
@@ -48,7 +48,6 @@ class RunConfig:
     config_path: str | None = None
     output_dir: str = "out"
     overrides: tuple[str, ...] = ()
-    trials: int | None = None
     plot_data: bool = False
 
     def __post_init__(self):
@@ -140,6 +139,8 @@ def _build(cls, resolved, prefix: str = "", **given):
     Field ``f`` reads ``resolved[prefix + f]``; a field whose default is a
     dataclass is built from the keys under ``prefix + f + "."``; any other
     field keeps its default. ``given`` supplies the values no key holds.
+    ``cls`` checks the values itself; its ``ValueError`` becomes a
+    ``ConfigError`` with ``prefix`` put in front, so that it names the key.
     """
     values = dict(given)
     for f in fields(cls):
@@ -150,7 +151,10 @@ def _build(cls, resolved, prefix: str = "", **given):
             values[f.name] = resolved[key]
         elif is_dataclass(f.default):
             values[f.name] = _build(type(f.default), resolved, key + ".")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from err
 
 
 def _run_cost(resolved, seed: int):
@@ -204,11 +208,6 @@ def _naming(keys: str):
 
 
 def _run_deploy(resolved, seed: int):
-    n_devices, grid = len(resolved["devices"]), resolved["solver.greedy_grid"]
-    _refuse_above(
-        grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} devices",
-        "greedy candidate entries (solver.greedy_grid**2 * devices)",
-    )
     with _naming("map.area"):
         area = Rect(*resolved["map.area"])
     with _naming("map.components"):
@@ -216,8 +215,15 @@ def _run_deploy(resolved, seed: int):
             GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]
         )
     with _naming("devices, map.area"):
-        problem = _build(DeploymentProblem, resolved, ambient_map=AmbientMap(components, area))
-    solution = optimize(problem, _build(SolverConfig, resolved, "solver."), seed=seed)
+        area.require_inside(positions_to_array(resolved["devices"]), "device")
+    problem = _build(DeploymentProblem, resolved, ambient_map=AmbientMap(components, area))
+    solver = _build(SolverConfig, resolved, "solver.")
+    n_devices, grid = len(problem.devices), solver.greedy_grid
+    _refuse_above(
+        grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} devices",
+        "greedy candidate entries (solver.greedy_grid**2 * devices)",
+    )
+    solution = optimize(problem, solver, seed=seed)
     header = ["row_type", "index", "x", "y", "tx_power_w", "received_power_w", "is_worst"]
     rows = []
     for i, (pb, tx) in enumerate(zip(solution.pb_positions, solution.per_pb_tx_power)):
@@ -253,8 +259,9 @@ def _run_outage(resolved, seed: int):
     and channels are sampled once per density and rectified under every
     architecture in ``archs``.
     """
-    densities, archs, m = resolved["densities"], resolved["archs"], resolved["n_antennas"]
-    mean_sources = max(densities) * math.pi * resolved["disk_radius"] * resolved["disk_radius"]
+    base = _build(OutageConfig, resolved, density=0.0, seed=seed)
+    densities, archs, m = resolved["densities"], resolved["archs"], base.n_antennas
+    mean_sources = max(densities) * math.pi * base.disk_radius * base.disk_radius
     _refuse_above(
         mean_sources, MAX_MEAN_SOURCES, "densities and disk_radius",
         "expected transmitters per trial (max(densities) * pi * disk_radius**2)",
@@ -265,10 +272,7 @@ def _run_outage(resolved, seed: int):
         mean_sources * m, MAX_ARRAY_ENTRIES, "densities, disk_radius and n_antennas",
         "expected channel entries per trial (max(densities) * pi * disk_radius**2 * n_antennas)",
     )
-    _refuse_above(
-        resolved["trials"] * m, MAX_ARRAY_ENTRIES, "trials and n_antennas", "power entries (trials * n_antennas)"
-    )
-    base = _build(OutageConfig, resolved, density=0.0, seed=seed)
+    _refuse_above(base.trials * m, MAX_ARRAY_ENTRIES, "trials and n_antennas", "power entries (trials * n_antennas)")
     per_density = sweep_density(base, densities, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
     rows = [
@@ -280,6 +284,7 @@ def _run_outage(resolved, seed: int):
 
 
 def _run_rfchains(resolved, seed: int):
+    model = _build(ChannelModel, resolved)
     devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
     m_max = max(resolved["m_values"])
     _refuse_above(
@@ -290,7 +295,6 @@ def _run_rfchains(resolved, seed: int):
         resolved["solver.randomizations"] * m_max, MAX_ARRAY_ENTRIES, "solver.randomizations and m_values",
         "candidate entries (solver.randomizations * max(m_values))",
     )
-    model = _build(ChannelModel, resolved)
     sweep = sweep_rf_chains(
         devices,
         resolved["gamma"],
@@ -381,12 +385,7 @@ def run(rc: RunConfig) -> int:
 
     try:
         schema = SCHEMAS[rc.subcommand]
-        overrides = list(rc.overrides)
-        if rc.trials is not None:
-            if rc.subcommand != "outage":
-                raise ConfigError("--trials only applies to the outage subcommand")
-            overrides.append(f"trials={rc.trials}")
-        resolved = resolve_config(schema, rc.config_path, overrides)
+        resolved = resolve_config(schema, rc.config_path, rc.overrides)
 
         header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed)
         cells = [[_fmt(v) for v in row] for row in rows]
@@ -445,14 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # --trials (outage only) is the last override, so it wins over --set trials=.
+    trials = getattr(args, "trials", None)
     try:
         rc = RunConfig(
             subcommand=args.subcommand,
             seed=args.seed,
             config_path=args.config,
             output_dir=args.out,
-            overrides=tuple(args.set),
-            trials=getattr(args, "trials", None),
+            overrides=tuple(args.set) + (() if trials is None else (f"trials={trials}",)),
             plot_data=args.plot_data,
         )
     except ConfigError as err:

@@ -3,30 +3,32 @@
 Files are plain text, one ``key = value`` per line, ``#`` starts a comment.
 Hierarchy is spelled with dots (``pathloss.exponent = 3``). Every key must be
 in the experiment's schema; unknown keys fail with a nearest-sibling hint and
-every value failure names its key, so batch runs die loudly rather than
-silently drifting from the intended scenario.
+every parse failure names its key and where it came from (file line or
+``--set #n``), so batch runs die loudly rather than silently drifting from
+the intended scenario.
 
-A key that sets a library parameter takes its default from that parameter:
-the dataclass field defaults of ``CostParams``, ``DeploymentProblem``,
-``SolverConfig``, ``OutageConfig`` and ``ChannelModel`` (``pathloss.*``,
-``rician.*`` and ``curve.*`` from their nested defaults) and the keyword
-defaults of ``sweep_rf_chains``. Only keys with no library counterpart
-(device layouts, sweep lists, ``k``, ``gamma``, ``n_antennas``) spell
-their default here.
+A key that sets a library field is generated from that field: the fields of
+``CostParams``, ``DeploymentProblem``, ``SolverConfig`` (``solver.*``),
+``OutageConfig`` and ``ChannelModel``, with ``pathloss.*``, ``rician.*`` and
+``curve.*`` from their nested dataclasses. Such a key has the field's name,
+its default, a kind read from the default's type, and no check of its own:
+the library's constructor checks the value when the study builds its
+objects, and the refusal names the dotted key. Only the keys with no library
+field (device layouts, sweep lists, ``k``, ``gamma``, the arguments of
+``sweep_rf_chains``) are written out here, with their own checks.
 """
 
 from __future__ import annotations
 
 import difflib
 import inspect
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 from .ambient import example_map
 from .beampower import ChannelModel, sweep_rf_chains
-from .channel import PathLossParams
 from .costs import CostParams
 from .deployment import DeploymentProblem, SolverConfig
 from .harvesting import ARCHITECTURES
@@ -52,7 +54,6 @@ class ConfigKey:
     name: str
     kind: str
     default: object
-    help: str = ""
     choices: tuple = ()
     check: Callable[[object], str | None] | None = None
 
@@ -95,71 +96,64 @@ def _split_items(text: str) -> list[str]:
     return [part for part in items if part]
 
 
-def _parse_tuple_item(text: str, arity: int, label: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != arity:
-        raise ConfigError(f"expected {label} as {arity} colon-separated numbers, got {text!r}")
-    return tuple(_parse_float(p) for p in parts)
+def _list_of(parse):
+    return lambda text: tuple(parse(item) for item in _split_items(text))
+
+
+def _numbers(arity: int, label: str):
+    def parse(text: str) -> tuple[float, ...]:
+        parts = text.strip().split(":")
+        if len(parts) != arity:
+            raise ConfigError(f"expected {label} as {arity} colon-separated numbers, got {text.strip()!r}")
+        return tuple(_parse_float(p) for p in parts)
+
+    return parse
+
+
+def _render_float(value) -> str:
+    return repr(float(value))
+
+
+def _render_int(value) -> str:
+    return str(int(value))
+
+
+def _render_numbers(values) -> str:
+    return ":".join(_render_float(v) for v in values)
+
+
+def _joined(render):
+    return lambda values: ", ".join(render(v) for v in values)
+
+
+# kind -> (parse the text of one value, render a value back to that text)
+_KINDS = {
+    "float": (_parse_float, _render_float),
+    "int": (_parse_int, _render_int),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "decimal": (_parse_decimal, str),
+    "str": (str.strip, str),
+    "float_list": (_list_of(_parse_float), _joined(_render_float)),
+    "int_list": (_list_of(_parse_int), _joined(_render_int)),
+    "str_list": (_list_of(str), _joined(str)),
+    "pair_list": (_list_of(_numbers(2, "x:y pair")), _joined(_render_numbers)),
+    "quad_list": (_list_of(_numbers(4, "quadruple")), _joined(_render_numbers)),
+    "rect": (_numbers(4, "xmin:ymin:xmax:ymax rectangle"), _render_numbers),
+}
 
 
 def _parse_value(key: ConfigKey, text: str):
-    kind = key.kind
-    if kind == "float":
-        return _parse_float(text)
-    if kind == "int":
-        return _parse_int(text)
-    if kind == "bool":
-        return _parse_bool(text)
-    if kind == "decimal":
-        return _parse_decimal(text)
-    if kind == "str":
-        value = text.strip()
-        if key.choices and value not in key.choices:
-            raise ConfigError(f"must be one of {key.choices}, got {value!r}")
-        return value
-    if kind == "float_list":
-        return tuple(_parse_float(p) for p in _split_items(text))
-    if kind == "int_list":
-        return tuple(_parse_int(p) for p in _split_items(text))
-    if kind == "str_list":
-        values = tuple(_split_items(text))
-        bad = [v for v in values if key.choices and v not in key.choices]
-        if bad:
-            raise ConfigError(f"must be among {key.choices}, got {bad[0]!r}")
-        return values
-    if kind == "pair_list":
-        return tuple(_parse_tuple_item(p, 2, "x:y pair") for p in _split_items(text))
-    if kind == "quad_list":
-        return tuple(_parse_tuple_item(p, 4, "quadruple") for p in _split_items(text))
-    if kind == "rect":
-        return _parse_tuple_item(text.strip(), 4, "xmin:ymin:xmax:ymax rectangle")
-    raise ConfigError(f"internal: unknown kind {kind!r}")
+    value = _KINDS[key.kind][0](text)
+    if key.choices:
+        for item in value if isinstance(value, tuple) else (value,):
+            if item not in key.choices:
+                raise ConfigError(f"must be one of {key.choices}, got {item!r}")
+    return value
 
 
 def canonical(key: ConfigKey, value) -> str:
     """Render a resolved value in re-parseable config syntax."""
-    kind = key.kind
-    if kind == "float":
-        return repr(float(value))
-    if kind in ("int",):
-        return str(int(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "decimal":
-        return str(value)
-    if kind == "str":
-        return str(value)
-    if kind == "float_list":
-        return ", ".join(repr(float(v)) for v in value)
-    if kind == "int_list":
-        return ", ".join(str(int(v)) for v in value)
-    if kind == "str_list":
-        return ", ".join(str(v) for v in value)
-    if kind in ("pair_list", "quad_list"):
-        return ", ".join(":".join(repr(float(c)) for c in item) for item in value)
-    if kind == "rect":
-        return ":".join(repr(float(c)) for c in value)
-    raise ConfigError(f"internal: unknown kind {kind!r}")
+    return _KINDS[key.kind][1](value)
 
 
 def read_config_file(path) -> list[tuple[int, str, str]]:
@@ -222,10 +216,6 @@ def _positive(label: str):
     return lambda v: None if v > 0 else f"{label} must be > 0, got {v}"
 
 
-def _nonnegative(label: str):
-    return lambda v: None if v >= 0 else f"{label} must be >= 0, got {v}"
-
-
 def _at_least(minimum: int, label: str):
     return lambda v: None if v >= minimum else f"{label} must be >= {minimum}, got {v}"
 
@@ -234,22 +224,31 @@ def _positive_list(label: str):
     return lambda vs: None if vs and all(v > 0 for v in vs) else f"{label} must be a non-empty list of positives"
 
 
-def _nonneg_list(label: str):
-    return lambda vs: None if vs and all(v >= 0 for v in vs) else f"{label} must be a non-empty list of non-negatives"
+def _nonempty(label: str):
+    return lambda vs: None if vs else f"need at least one {label}"
 
 
-def _pathloss_keys(pathloss: PathLossParams) -> list[ConfigKey]:
-    return [
-        ConfigKey("pathloss.exponent", "float", pathloss.exponent, "path loss exponent", check=_positive("exponent")),
-        ConfigKey(
-            "pathloss.fixed_loss_db", "float", pathloss.fixed_loss_db,
-            "distance-independent loss in dB", check=_nonnegative("fixed loss"),
-        ),
-        ConfigKey(
-            "pathloss.reference_distance", "float", pathloss.reference_distance,
-            "near-field clamp distance in meters", check=_positive("reference distance"),
-        ),
-    ]
+# The kind of a key that sets a library field, by the type of its default;
+# the only tuple fields are tuples of pairs.
+_FIELD_KINDS = {bool: "bool", int: "int", float: "float", Fraction: "decimal", tuple: "pair_list"}
+
+
+def _field_keys(template, prefix: str = "", skip=()):
+    """One key per field of ``template``, named ``prefix + field``, defaulting to its value.
+
+    ``template`` is a dataclass instance, or a dataclass for its field
+    defaults; a field with no default is supplied by the study and yields no
+    key. A field whose value is itself a dataclass yields that dataclass's
+    keys under ``field.``. Fields named in ``skip`` yield no key.
+    """
+    for f in fields(template):
+        value = getattr(template, f.name, MISSING)
+        if f.name in skip or value is MISSING:
+            continue
+        if is_dataclass(value):
+            yield from _field_keys(value, f"{prefix}{f.name}.")
+        else:
+            yield ConfigKey(prefix + f.name, _FIELD_KINDS[type(value)], value)
 
 
 # Example deployment scenario: devices spread over the 40x40 m area of the
@@ -266,117 +265,64 @@ _DEFAULT_DEPLOY_DEVICES = (
 )
 
 
-def _cost_schema() -> dict[str, ConfigKey]:
-    p = CostParams()
-    keys = [
-        ConfigKey("mode", "str", "devices", "sweep devices or hardware lifetime", choices=("devices", "lifetime")),
-        ConfigKey("n_devices", "int_list", (10, 50, 100), "device counts for the devices sweep",
-                  check=_positive_list("device counts")),
-        ConfigKey("lifetime_n_devices", "int", 100, "fleet size for the lifetime sweep",
-                  check=_at_least(1, "fleet size")),
-        ConfigKey("horizons", "int_list", (5, 10, 15, 20), "planning horizons (years) for the lifetime sweep",
-                  check=_positive_list("horizons")),
-        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10), "device battery lifetimes (years)",
-                  check=_positive_list("battery lives")),
-        # The keys below are the fields of CostParams, with its defaults.
-        ConfigKey("devices_per_pb", "int", p.devices_per_pb, "devices served per beacon",
-                  check=_at_least(1, "devices per beacon")),
-        ConfigKey("install_grid_pb", "decimal", p.install_grid_pb, "grid beacon install cost ($)"),
-        ConfigKey("install_green_pb", "decimal", p.install_green_pb, "green beacon install cost ($)"),
-        ConfigKey("install_battery_pb", "decimal", p.install_battery_pb, "battery beacon install cost ($)"),
-        ConfigKey("device_install", "decimal", p.device_install, "device install cost ($)"),
-        ConfigKey("device_maintenance_fraction", "decimal", p.device_maintenance_fraction,
-                  "battery swap cost as a fraction of device install"),
-        ConfigKey("battery_pb_annual_fraction", "decimal", p.battery_pb_annual_fraction,
-                  "annual battery-beacon maintenance fraction"),
-        ConfigKey("green_pb_replacement_fraction", "decimal", p.green_pb_replacement_fraction,
-                  "harvester replacement cost fraction"),
-        ConfigKey("green_pb_replacement_period", "int", p.green_pb_replacement_period,
-                  "harvester replacement period (years)", check=_at_least(1, "replacement period")),
-        ConfigKey("pb_avg_power_w", "decimal", p.pb_avg_power_w, "average beacon draw (W)"),
-        ConfigKey("grid_price_per_kwh", "decimal", p.grid_price_per_kwh, "grid energy price ($/kWh)"),
-        ConfigKey("device_battery_life", "int", p.device_battery_life, "device battery life (years)",
-                  check=_at_least(1, "battery life")),
-        ConfigKey("horizon", "int", p.horizon, "planning horizon (years)", check=_at_least(1, "horizon")),
-        ConfigKey("include_final_replacement", "bool", p.include_final_replacement,
-                  "bill a swap landing on the final year"),
-        ConfigKey("annualize_green_replacement", "bool", p.annualize_green_replacement,
-                  "spread harvester replacement per year"),
-    ]
+def _schema(*keys: ConfigKey) -> dict[str, ConfigKey]:
     return {k.name: k for k in keys}
+
+
+def _cost_schema() -> dict[str, ConfigKey]:
+    return _schema(
+        ConfigKey("mode", "str", "devices", choices=("devices", "lifetime")),
+        ConfigKey("n_devices", "int_list", (10, 50, 100), check=_positive_list("device counts")),
+        ConfigKey("lifetime_n_devices", "int", 100, check=_at_least(1, "fleet size")),
+        ConfigKey("horizons", "int_list", (5, 10, 15, 20), check=_positive_list("horizons")),
+        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10), check=_positive_list("battery lives")),
+        *_field_keys(CostParams),
+    )
 
 
 def _deploy_schema() -> dict[str, ConfigKey]:
     amap = example_map()
     area = amap.area
-    problem = {f.name: f.default for f in fields(DeploymentProblem)}
-    solver = SolverConfig()
-    keys = [
-        ConfigKey("k", "int", 5, "number of beacons to place", check=_at_least(1, "k")),
-        ConfigKey("cap", "float", problem["cap"], "beacon transmit power cap (W)", check=_positive("cap")),
-        ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES, "device positions as x:y",
-                  check=lambda vs: None if vs else "need at least one device"),
+    return _schema(
+        ConfigKey("k", "int", 5, check=_at_least(1, "k")),
+        ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES, check=_nonempty("device")),
         ConfigKey("map.components", "quad_list",
                   tuple((c.weight, c.center.x, c.center.y, c.width) for c in amap.components),
-                  "ambient components as weight:x:y:width",
-                  check=lambda vs: None if vs else "need at least one component"),
-        ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max),
-                  "area as xmin:ymin:xmax:ymax"),
-        ConfigKey("solver.n_starts", "int", solver.n_starts, "random restarts per stage",
-                  check=_nonnegative("restarts")),
-        ConfigKey("solver.greedy_grid", "int", solver.greedy_grid, "coarse grid nodes per axis",
-                  check=_at_least(2, "grid")),
-        ConfigKey("solver.nm_max_iter", "int", solver.nm_max_iter, "Nelder-Mead iteration budget",
-                  check=_at_least(1, "budget")),
-    ]
-    keys.extend(_pathloss_keys(problem["pathloss"]))
-    return {k.name: k for k in keys}
+                  check=_nonempty("component")),
+        ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max)),
+        *_field_keys(DeploymentProblem),
+        *_field_keys(SolverConfig, "solver."),
+    )
 
 
 def _outage_schema() -> dict[str, ConfigKey]:
-    o = OutageConfig(density=0.0)
-    keys = [
+    return _schema(
         ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0),
-                  "transmitter densities per m^2", check=_nonneg_list("densities")),
-        ConfigKey("disk_radius", "float", o.disk_radius, "deployment disk radius (m)", check=_positive("radius")),
-        ConfigKey("tx_power", "float", o.tx_power, "transmit power per source (W)", check=_positive("tx power")),
-        ConfigKey("rician.k_factor", "float", o.rician.k_factor, "Rician K-factor (linear)", check=_nonnegative("K")),
-        ConfigKey("target", "float", o.target, "required harvested power (W)", check=_positive("target")),
-        ConfigKey("archs", "str_list", ARCHITECTURES, "receiver architectures to sweep", choices=ARCHITECTURES,
-                  check=lambda vs: None if vs else "need at least one architecture"),
+                  check=lambda vs: None if vs and all(v >= 0 for v in vs)
+                  else "densities must be a non-empty list of non-negatives"),
+        ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES, check=_nonempty("architecture")),
         # The reference scenario has 4 antennas, against OutageConfig's 1.
-        ConfigKey("n_antennas", "int", 4, "receive antennas", check=_at_least(1, "antennas")),
-        ConfigKey("trials", "int", o.trials, "Monte Carlo trials per point", check=_at_least(1, "trials")),
-        ConfigKey("curve.breakpoints", "pair_list", o.curve.breakpoints, "harvester table as dbm:efficiency",
-                  check=lambda vs: None if len(vs) >= 2 else "need at least 2 breakpoints"),
-    ]
-    keys.extend(_pathloss_keys(o.pathloss))
-    return {k.name: k for k in keys}
+        *_field_keys(OutageConfig(density=0.0, n_antennas=4), skip=("density", "seed")),
+    )
 
 
 def _rfchains_schema() -> dict[str, ConfigKey]:
-    model = ChannelModel()
     sweep = {name: p.default for name, p in inspect.signature(sweep_rf_chains).parameters.items()}
-    keys = [
-        ConfigKey("gamma", "float", 2e-6, "required received RF power per device (W)", check=_positive("gamma")),
-        ConfigKey("m_values", "int_list", tuple(range(1, 33)), "RF chain counts to sweep",
+    return _schema(
+        ConfigKey("gamma", "float", 2e-6, check=_positive("gamma")),
+        ConfigKey("m_values", "int_list", tuple(range(1, 33)),
                   check=lambda vs: None if vs and all(b > a for a, b in zip(vs, vs[1:])) and vs[0] >= 1
                   else "must be strictly increasing integers >= 1"),
-        ConfigKey("n_devices", "int", 4, "devices drawn uniformly in the disk", check=_at_least(1, "devices")),
-        ConfigKey("devices", "pair_list", (), "explicit device positions (overrides n_devices)"),
-        ConfigKey("disk_radius", "float", model.disk_radius, "device disk radius (m)", check=_positive("radius")),
-        ConfigKey("rician.k_factor", "float", model.rician.k_factor, "Rician K-factor (linear)",
-                  check=_nonnegative("K")),
-        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"], "power amplifier efficiency",
+        ConfigKey("n_devices", "int", 4, check=_at_least(1, "devices")),
+        ConfigKey("devices", "pair_list", ()),
+        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"],
                   check=lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}"),
-        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"], "consumption per active RF chain (W)",
-                  check=_nonnegative("chain power")),
-        ConfigKey("solver.tol", "float", sweep["tol"], "relaxation gap tolerance", check=_positive("tolerance")),
-        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], "rank-1 extraction samples",
-                  check=_at_least(1, "randomizations")),
-    ]
-    keys.extend(_pathloss_keys(model.pathloss))
-    return {k.name: k for k in keys}
+        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"],
+                  check=lambda v: None if v >= 0 else f"chain power must be >= 0, got {v}"),
+        ConfigKey("solver.tol", "float", sweep["tol"], check=_positive("tolerance")),
+        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], check=_at_least(1, "randomizations")),
+        *_field_keys(ChannelModel, skip=("element_spacing",)),
+    )
 
 
 SCHEMAS: dict[str, dict[str, ConfigKey]] = {

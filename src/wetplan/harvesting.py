@@ -59,14 +59,14 @@ class HarvesterCurve:
         pts = tuple((float(p), float(e)) for p, e in self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
-            raise ValueError("need at least 2 breakpoints")
+            raise ValueError(f"breakpoints must hold at least 2 points, got {len(pts)}")
         if not all(math.isfinite(v) for pt in pts for v in pt):
             raise ValueError(f"breakpoints must be finite, got {pts}")
         dbm = [p for p, _ in pts]
         if any(b <= a for a, b in zip(dbm, dbm[1:])):
-            raise ValueError("breakpoint input powers must be strictly increasing")
+            raise ValueError("breakpoints must have strictly increasing input powers")
         if any(not 0.0 <= e <= 1.0 for _, e in pts):
-            raise ValueError("efficiencies must lie in [0, 1]")
+            raise ValueError("breakpoints must have efficiencies in [0, 1]")
 
     @property
     def sensitivity_dbm(self) -> float:

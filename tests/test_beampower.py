@@ -252,6 +252,23 @@ def test_sweep_checks_numeric_arguments_before_any_work(monkeypatch, name, value
         sweep_rf_chains(4, 2e-6, range(1, 33), seed=0, **{name: value})
 
 
+BAD_SOLVER_ARGUMENTS = [case for case in BAD_SWEEP_ARGUMENTS if case[0] in ("tol", "n_randomizations")]
+
+
+@pytest.mark.parametrize(
+    "name, value, message", BAD_SOLVER_ARGUMENTS, ids=[f"{n}={v}" for n, v, _ in BAD_SOLVER_ARGUMENTS]
+)
+def test_precoder_checks_solver_arguments_before_solving(monkeypatch, name, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the precoder solved a relaxation")
+
+    monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    with pytest.raises(ValueError, match=message):
+        min_power_precoder(MulticastProblem(h, 1e-3), **{name: value})
+
+
 def test_device_positions_live_in_disk_and_are_seeded():
     a = draw_device_positions(50, 10.0, seed=1)
     b = draw_device_positions(50, 10.0, seed=1)

@@ -70,14 +70,13 @@ GOLDEN_PLOT_DATA = {
 }
 
 
-def run_cli(subcommand, out, *, sets=(), seed=0, config=None, trials=None, plot=False):
+def run_cli(subcommand, out, *, sets=(), seed=0, config=None, plot=False):
     rc = RunConfig(
         subcommand=subcommand,
         seed=seed,
         config_path=config,
         output_dir=str(out),
         overrides=tuple(sets),
-        trials=trials,
         plot_data=plot,
     )
     return run(rc)
@@ -107,12 +106,14 @@ def test_unknown_key_suggests_sibling():
 
 
 def test_malformed_and_out_of_range_values():
-    with pytest.raises(ConfigError, match="trials"):
-        resolve_config(SCHEMAS["outage"], None, ["trials=-5"])
-    with pytest.raises(ConfigError, match="target"):
-        resolve_config(SCHEMAS["outage"], None, ["target=0"])
-    with pytest.raises(ConfigError, match="not a number"):
+    # Parsing refuses what is not a value of the key's kind; the range of a
+    # library field is checked where the runner builds the library object.
+    with pytest.raises(ConfigError, match=r"^--set #1: tx_power: not a number"):
         resolve_config(SCHEMAS["outage"], None, ["tx_power=watts"])
+    for sets, message in ((["trials=-5"], r"^trials must be >= 1, got -5$"), (["target=0"], r"^target must be > 0")):
+        resolved = resolve_config(SCHEMAS["outage"], None, sets)
+        with pytest.raises(ConfigError, match=message):
+            wetplan.cli._run_outage(resolved, 0)
 
 
 def test_config_file_parsing(tmp_path):
@@ -422,8 +423,22 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
 
 def test_trials_flag_only_for_outage(tmp_path):
     out = tmp_path / "cost"
-    assert run_cli("cost", out, trials=50) == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cost", "--trials", "50", "--out", str(out)])
+    assert exit_info.value.code == 2
     assert not out.exists()
+
+
+def test_trials_flag_wins_over_set(tmp_path, monkeypatch):
+    trials = []
+
+    def capture(config, densities, archs):
+        trials.append(config.trials)
+        raise RuntimeError("stop before sampling")
+
+    monkeypatch.setattr(wetplan.cli, "sweep_density", capture)
+    assert main(["outage", "--set", "trials=5", "--trials", "7", "--out", str(tmp_path / "outage")]) == 1
+    assert trials == [7]
 
 
 def test_manifest_digests_verify_and_detect_tampering(tmp_path):

@@ -1,0 +1,177 @@
+"""The four studies' config keys, and how a key that sets a library field is refused."""
+
+import pytest
+
+import wetplan.cli
+from wetplan.cli import main
+from wetplan.config import SCHEMAS, canonical
+
+M_VALUES = ", ".join(str(m) for m in range(1, 33))
+PATHLOSS_27 = {
+    "pathloss.exponent": ("float", "2.7", ()),
+    "pathloss.fixed_loss_db": ("float", "40.0", ()),
+    "pathloss.reference_distance": ("float", "1.0", ()),
+}
+
+# Per study, per key: (kind, canonical default, choices). A field added to a
+# library dataclass would add a key here, so it has to be added on purpose.
+PINNED = {
+    "cost": {
+        "mode": ("str", "devices", ("devices", "lifetime")),
+        "n_devices": ("int_list", "10, 50, 100", ()),
+        "lifetime_n_devices": ("int", "100", ()),
+        "horizons": ("int_list", "5, 10, 15, 20", ()),
+        "battery_lives": ("int_list", "1, 2, 3, 5, 10", ()),
+        "devices_per_pb": ("int", "50", ()),
+        "install_grid_pb": ("decimal", "300", ()),
+        "install_green_pb": ("decimal", "320", ()),
+        "install_battery_pb": ("decimal", "370", ()),
+        "device_install": ("decimal", "20", ()),
+        "device_maintenance_fraction": ("decimal", "1/2", ()),
+        "battery_pb_annual_fraction": ("decimal", "3/10", ()),
+        "green_pb_replacement_fraction": ("decimal", "19/50", ()),
+        "green_pb_replacement_period": ("int", "25", ()),
+        "pb_avg_power_w": ("decimal", "6", ()),
+        "grid_price_per_kwh": ("decimal", "1/4", ()),
+        "device_battery_life": ("int", "5", ()),
+        "horizon": ("int", "15", ()),
+        "include_final_replacement": ("bool", "false", ()),
+        "annualize_green_replacement": ("bool", "true", ()),
+    },
+    "deploy": {
+        "k": ("int", "5", ()),
+        "cap": ("float", "1.0", ()),
+        "devices": (
+            "pair_list",
+            "-15.0:-5.0, -8.0:12.0, -2.0:-16.0, 3.0:4.0, 9.0:16.0, 14.0:-3.0, 16.0:9.0, -17.0:15.0",
+            (),
+        ),
+        "map.components": (
+            "quad_list", "4.0:-12.0:10.0:4.0, 3.0:8.0:14.0:5.0, 2.5:12.0:-8.0:4.0, 1.5:-6.0:-14.0:6.0", ()
+        ),
+        "map.area": ("rect", "-20.0:-20.0:20.0:20.0", ()),
+        "solver.n_starts": ("int", "8", ()),
+        "solver.greedy_grid": ("int", "24", ()),
+        "solver.nm_max_iter": ("int", "250", ()),
+        "pathloss.exponent": ("float", "3.0", ()),
+        "pathloss.fixed_loss_db": ("float", "0.0", ()),
+        "pathloss.reference_distance": ("float", "1.0", ()),
+    },
+    "outage": {
+        "densities": ("float_list", "0.5, 1.0, 2.0, 4.0", ()),
+        "disk_radius": ("float", "10.0", ()),
+        "tx_power": ("float", "1.0", ()),
+        "rician.k_factor": ("float", "10.0", ()),
+        "target": ("float", "0.001", ()),
+        "archs": ("str_list", "single, dc, rf", ("single", "dc", "rf")),
+        "n_antennas": ("int", "4", ()),
+        "trials": ("int", "10000", ()),
+        "curve.breakpoints": ("pair_list", "-30.0:0.05, -20.0:0.15, -10.0:0.3, 0.0:0.45, 10.0:0.5", ()),
+        **PATHLOSS_27,
+    },
+    "rfchains": {
+        "gamma": ("float", "2e-06", ()),
+        "m_values": ("int_list", M_VALUES, ()),
+        "n_devices": ("int", "4", ()),
+        "devices": ("pair_list", "", ()),
+        "disk_radius": ("float", "10.0", ()),
+        "rician.k_factor": ("float", "10.0", ()),
+        "pa_efficiency": ("float", "0.35", ()),
+        "p_rf_chain_w": ("float", "0.5", ()),
+        "solver.tol": ("float", "0.0001", ()),
+        "solver.randomizations": ("int", "200", ()),
+        **PATHLOSS_27,
+    },
+}
+
+# The keys with no library field: each is written out in the schema with
+# its own check. Every other key is generated from a library field.
+STUDY_KEYS = {
+    "cost": {"mode", "n_devices", "lifetime_n_devices", "horizons", "battery_lives"},
+    "deploy": {"k", "devices", "map.components", "map.area"},
+    "outage": {"densities", "archs"},
+    "rfchains": {"gamma", "m_values", "n_devices", "devices", "pa_efficiency", "p_rf_chain_w", "solver.tol",
+                 "solver.randomizations"},
+}
+
+
+@pytest.mark.parametrize("study", sorted(PINNED))
+def test_schema_keys_are_pinned(study):
+    schema = SCHEMAS[study]
+    assert {name: (key.kind, canonical(key, key.default), key.choices) for name, key in schema.items()} == PINNED[study]
+    assert STUDY_KEYS[study] <= set(schema)
+
+
+# Per study, (generated key, a value out of its range). The library object the
+# key sets refuses the value when the runner builds it.
+OUT_OF_RANGE = {
+    "cost": [
+        ("devices_per_pb", "0"),
+        ("install_grid_pb", "-1"),
+        ("install_green_pb", "-0.01"),
+        ("install_battery_pb", "-370"),
+        ("device_install", "-1/3"),
+        ("device_maintenance_fraction", "-0.5"),
+        ("battery_pb_annual_fraction", "-1"),
+        ("green_pb_replacement_fraction", "-1"),
+        ("green_pb_replacement_period", "0"),
+        ("pb_avg_power_w", "-6"),
+        ("grid_price_per_kwh", "-0.25"),
+        ("device_battery_life", "0"),
+        ("horizon", "-15"),
+    ],
+    "deploy": [
+        ("cap", "0"),
+        ("solver.n_starts", "-1"),
+        ("solver.greedy_grid", "1"),
+        ("solver.nm_max_iter", "0"),
+        ("pathloss.exponent", "0"),
+        ("pathloss.fixed_loss_db", "-1"),
+        ("pathloss.reference_distance", "0"),
+    ],
+    "outage": [
+        ("disk_radius", "0"),
+        ("disk_radius", "-1e200"),  # past the size bound too, once squared
+        ("tx_power", "-1"),
+        ("rician.k_factor", "-0.5"),
+        ("target", "0"),
+        ("n_antennas", "0"),
+        ("trials", "0"),
+        ("curve.breakpoints", "-30:0.05"),
+        ("curve.breakpoints", "-20:0.1, -30:0.2"),
+        ("curve.breakpoints", "-30:0.05, -20:1.5"),
+        ("pathloss.exponent", "-2.7"),
+        ("pathloss.fixed_loss_db", "-40"),
+        ("pathloss.reference_distance", "-1"),
+    ],
+    "rfchains": [
+        ("disk_radius", "0"),
+        ("rician.k_factor", "-1"),
+        ("pathloss.exponent", "0"),
+        ("pathloss.fixed_loss_db", "-0.5"),
+        ("pathloss.reference_distance", "0"),
+    ],
+}
+OUT_OF_RANGE_CASES = [(study, key, value) for study, cases in sorted(OUT_OF_RANGE.items()) for key, value in cases]
+
+
+@pytest.mark.parametrize("study", sorted(OUT_OF_RANGE))
+def test_every_ranged_generated_key_has_a_case(study):
+    schema = SCHEMAS[study]
+    ranged = {name for name in set(schema) - STUDY_KEYS[study] if schema[name].kind != "bool"}
+    assert {key for key, _ in OUT_OF_RANGE[study]} == ranged
+
+
+@pytest.mark.parametrize(
+    "study, key, value", OUT_OF_RANGE_CASES, ids=[f"{s}:{k}={v}" for s, k, v in OUT_OF_RANGE_CASES]
+)
+def test_out_of_range_field_value_is_refused_by_name(tmp_path, monkeypatch, capsys, study, key, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study started its search or its sampling")
+
+    for work in ("sweep_devices", "sweep_hardware_lifetime", "optimize", "sweep_density", "sweep_rf_chains"):
+        monkeypatch.setattr(wetplan.cli, work, refuse)
+    out = tmp_path / study
+    assert main([study, "--set", f"{key}={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
