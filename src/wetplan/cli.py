@@ -6,6 +6,10 @@ resolved configuration in re-parseable ``config.<key> = value`` form, the
 seed, and a SHA-256 digest per output file. Re-running the manifest's config
 with the same seed reproduces the CSVs byte for byte.
 
+The manifest also records the environment that produced the bytes
+(``env.<name> = value`` lines: Python and numpy versions, and the CPUs the
+outage trials were split across); ``verify_manifest`` does not read them.
+
 A runner returns its header and rows; the rows are formatted into cells once,
 and both the CSV and the optional plot data are written from those cells.
 Outputs are renamed into place only after all of them are written, so a
@@ -22,8 +26,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .ambient import AmbientMap, GaussianComponent, Rect
@@ -32,7 +38,7 @@ from .channel import Position2D, positions_to_array
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
-from .outage import OutageConfig, sweep_density
+from .outage import OutageConfig, sweep_density, usable_cpus
 
 __all__ = ["RunConfig", "RunManifest", "main", "run", "emit_plot_data", "verify_manifest"]
 
@@ -59,7 +65,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What a run did: version, resolved config, seed, duration, file digests."""
+    """What a run did: version, resolved config, seed, duration, file digests,
+    and the environment that ran it."""
 
     version: str
     subcommand: str
@@ -67,6 +74,7 @@ class RunManifest:
     duration_seconds: float
     resolved: dict[str, str]
     outputs: dict[str, str]
+    env: dict[str, str] = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [
@@ -75,6 +83,7 @@ class RunManifest:
             f"seed = {self.seed}",
             f"duration_seconds = {self.duration_seconds!r}",
         ]
+        lines.extend(f"env.{key} = {value}" for key, value in sorted(self.env.items()))
         lines.extend(f"config.{key} = {value}" for key, value in sorted(self.resolved.items()))
         lines.extend(f"output.{name}.sha256 = {digest}" for name, digest in sorted(self.outputs.items()))
         return "\n".join(lines) + "\n"
@@ -84,6 +93,7 @@ class RunManifest:
         fields: dict[str, str] = {}
         resolved: dict[str, str] = {}
         outputs: dict[str, str] = {}
+        env: dict[str, str] = {}
         for raw in text.splitlines():
             line = raw.strip()
             if not line:
@@ -93,6 +103,8 @@ class RunManifest:
                 resolved[key[len("config."):]] = value
             elif key.startswith("output.") and key.endswith(".sha256"):
                 outputs[key[len("output."):-len(".sha256")]] = value
+            elif key.startswith("env."):
+                env[key[len("env."):]] = value
             else:
                 fields[key] = value
         return cls(
@@ -102,6 +114,7 @@ class RunManifest:
             duration_seconds=float(fields.get("duration_seconds", "0")),
             resolved=resolved,
             outputs=outputs,
+            env=env,
         )
 
 
@@ -401,6 +414,7 @@ def run(rc: RunConfig) -> int:
             duration_seconds=time.perf_counter() - started,
             resolved={name: canonical(schema[name], value) for name, value in resolved.items()},
             outputs={final.name: _sha256(tmp) for final, tmp in staged.items()},
+            env={"cpus": str(usable_cpus()), "numpy": np.__version__, "python": sys.version.split()[0]},
         )
         stage("manifest.txt").write_text(manifest.to_text())
         # With the earlier manifest gone first, a rename that fails leaves no

@@ -16,12 +16,18 @@ Each trial reduces its draws to per-antenna incident powers and the best rf
 codeword's combined power; the trials of one estimate are then rectified
 together, one ``harvest`` call per architecture. ``run_trial`` is the same
 path on one trial.
+
+``run_outage`` splits an estimate's trials into contiguous blocks, one per
+CPU the process may run on, and runs every block after the first in a forked
+child. The trials' seeds do not depend on the block that runs them, so the
+bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,15 +148,99 @@ def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
     return OutageResult(p_hat, half, n, float(np.mean(harvested)))
 
 
+def usable_cpus() -> int:
+    """CPUs an estimate's trials are split across: those the process may run
+    on, or 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block(config: OutageConfig, archs: tuple[str, ...], lo: int, hi: int) -> np.ndarray:
+    """``_harvest_trials`` on trials ``lo`` to ``hi - 1`` of ``config``."""
+    return _harvest_trials(config, archs, hi - lo, (trial_seed(config.seed, t) for t in range(lo, hi)))
+
+
+def _fork_block(config: OutageConfig, archs: tuple[str, ...], lo: int, hi: int):
+    """Fork a child that runs ``_block`` and writes it to a pipe; returns the
+    child's pid and the pipe's read end.
+
+    The child writes the block's float64 bytes and exits 0, or writes its
+    error message and exits 1. It always leaves through ``os._exit``, so it
+    never returns into the caller's code or runs its exit handlers.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    pipe.write(_block(config, archs, lo, hi).tobytes())
+                    code = 0
+                except BaseException as err:
+                    pipe.write(f"{type(err).__name__}: {err}".encode())
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _harvest_split(config: OutageConfig, archs: tuple[str, ...], cpus: int) -> np.ndarray:
+    """``_harvest_trials`` on all of ``config``'s trials, split into
+    ``min(cpus, config.trials)`` contiguous blocks.
+
+    Block 0 runs in this process, after every other block has been forked to
+    a child; the blocks are joined in trial order. A child's failure raises a
+    ``RuntimeError`` that names the density and its trials. On any failure
+    the children still running are killed, and every child is reaped.
+    """
+    workers = min(cpus, config.trials)
+    bounds = [config.trials * k // workers for k in range(workers + 1)]
+    children = []  # (pid, pipe, lo, hi) of each child not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork_block(config, archs, lo, hi), lo, hi))
+        blocks = [_block(config, archs, 0, bounds[1])]
+        while children:
+            pid, pipe, lo, hi = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                detail = data.decode(errors="replace") or f"exit status {code}"
+                raise RuntimeError(
+                    f"outage trials {lo} to {hi - 1} at density {config.density} failed in a worker process: {detail}"
+                )
+            blocks.append(np.frombuffer(data).reshape(len(archs), hi - lo))
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe, _, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return np.concatenate(blocks, axis=1)
+
+
 def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
     """Estimate the probability that harvested power misses the target.
 
     Returns one estimate per architecture in ``archs``, all from the same
     trials. Every trial owns a counter-based seed, so the result depends only
-    on ``config`` and the architecture.
+    on ``config`` and the architecture, not on how many CPUs share the trials.
     """
-    seeds = (trial_seed(config.seed, t) for t in range(config.trials))
-    harvested = _harvest_trials(config, _plan(archs), config.trials, seeds)
+    harvested = _harvest_split(config, _plan(archs), usable_cpus())
     return tuple(_estimate(row, config.target) for row in harvested)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import wetplan.cli
 import wetplan.deployment
+import wetplan.outage
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import ChannelModel
 from wetplan.channel import PathLossParams, Position2D, RicianParams
@@ -467,6 +468,49 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     assert verify_manifest(out / "manifest.txt")
 
 
+def test_manifest_env_lines_round_trip_and_are_not_verified(tmp_path):
+    manifest = RunManifest(
+        "0.1.0", "cost", 3, 0.5, {"mode": "devices"}, {"cost.csv": "ab"}, env={"cpus": "2", "python": "3.11.7"}
+    )
+    text = manifest.to_text()
+    assert "env.cpus = 2\nenv.python = 3.11.7\n" in text
+    assert RunManifest.from_text(text) == manifest
+    out = tmp_path / "run"
+    assert run_cli("cost", out) == 0
+    written = RunManifest.from_text((out / "manifest.txt").read_text())
+    assert sorted(written.env) == ["cpus", "numpy", "python"]
+    assert int(written.env["cpus"]) == wetplan.outage.usable_cpus()
+    text = (out / "manifest.txt").read_text()
+    (out / "manifest.txt").write_text(text.replace("env.python = ", "env.python = other-"))
+    assert verify_manifest(out / "manifest.txt")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["outage", "--trials", "20", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    real = wetplan.outage._harvest_trials
+
+    def fail_after_trial_0(config, archs, count, seeds):
+        seeds = list(seeds)
+        if seeds[0].entropy[1] != 0:
+            raise MemoryError("worker out of memory")
+        return real(config, archs, count, seeds)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(wetplan.outage, "_harvest_trials", fail_after_trial_0)
+    capsys.readouterr()
+    assert main(["outage", "--trials", "20", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: outage trials 10 to 19 at density 0.5 failed in a worker process: MemoryError: worker out of memory\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert verify_manifest(out / "manifest.txt")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_manifest_config_reproduces_run(tmp_path):
     first = tmp_path / "a"
     assert run_cli("outage", first, sets=FAST_OUTAGE, seed=9) == 0
@@ -523,8 +567,12 @@ def test_workers_flag_is_rejected(tmp_path):
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     # A fresh interpreter: scipy is a test dependency only, and importing it
-    # costs every subcommand most of its start-up time and memory.
-    code = "import sys, wetplan, wetplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # costs every subcommand most of its start-up time and memory. The outage
+    # trials fork with os alone, so no process-pool module is loaded either.
+    code = (
+        "import sys, wetplan, wetplan.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))"
+    )
     src = str(Path(wetplan.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

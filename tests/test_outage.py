@@ -1,4 +1,6 @@
 import hashlib
+import os
+import time
 
 import numpy as np
 import pytest
@@ -219,3 +221,89 @@ def test_outage_result_bits_are_pinned():
         ("0x1.916872b020c4ap-3", "0x1.1d0c21ed270dap-5", "0x1.40de1f6375d8bp-8"),
         ("0x1.999999999999ap-2", "0x1.5fc6be9f91247p-5", "0x1.1680655381712p-9"),
     ]
+
+
+def _serial(cfg, archs):
+    seeds = (trial_seed(cfg.seed, t) for t in range(cfg.trials))
+    return wetplan.outage._harvest_trials(cfg, archs, cfg.trials, seeds)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Only a platform that can fork splits the trials.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+# 200 trials split 66/67/67 over 3 CPUs and into blocks of 28 or 29 over 7;
+# 5 trials over 7 CPUs run as 5 one-trial blocks, so 4 forks per call.
+@needs_fork
+@pytest.mark.parametrize("trials", [200, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_split_trials_are_bit_identical_to_one_serial_call(trials, cpus, monkeypatch):
+    forked = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cfg = make_config(density=0.5, n_antennas=4, trials=trials)
+    for archs in (ARCHITECTURES, ("dc",)):
+        split = wetplan.outage._harvest_split(cfg, archs, cpus)
+        assert split.shape == (len(archs), trials)
+        assert split.tobytes() == _serial(cfg, archs).tobytes()
+    assert len(forked) == 2 * (min(cpus, trials) - 1)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_results_do_not_depend_on_the_cpu_count(monkeypatch):
+    cfg = make_config(n_antennas=4, trials=300)
+    seen = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert wetplan.outage.usable_cpus() == cpus
+        seen[cpus] = (run_outage(cfg, ARCHITECTURES), sweep_density(cfg, [0.02, 0.05], ARCHITECTURES))
+    assert seen[1] == seen[3]
+
+
+def _failing_in(blocks, *, otherwise=None):
+    """A ``_harvest_trials`` that raises for the blocks whose first trial
+    ``blocks`` accepts, and runs ``otherwise`` (default: the real one) for the rest."""
+    real = wetplan.outage._harvest_trials
+
+    def fake(config, archs, count, seeds):
+        seeds = list(seeds)
+        first = seeds[0].entropy[1]
+        if blocks(first):
+            raise ValueError(f"no block from trial {first}")
+        return (otherwise or real)(config, archs, count, seeds)
+
+    return fake
+
+
+@needs_fork
+def test_a_failing_worker_names_the_density_and_trials(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 10))
+    with pytest.raises(RuntimeError, match=r"^outage trials 10 to 19 at density 0\.03 failed .*no block from trial 10"):
+        run_outage(make_config(trials=30), ARCHITECTURES)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_failing_own_block_kills_and_reaps_the_workers(monkeypatch):
+    def stall(*args):
+        time.sleep(60)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 0, otherwise=stall))
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="no block from trial 0"):
+        run_outage(make_config(trials=30), ARCHITECTURES)
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
