@@ -9,7 +9,10 @@ is solved in three phases:
    projection via eigenvalue clipping) that certifies a dual lower bound.
    Relaxations run as ``(B, n, r)`` stacks, one per reduced shape, each
    problem with its own penalty and counters, so a stack gives bitwise the
-   iterates of solving each problem alone.
+   iterates of solving each problem alone. Several problems are dealt
+   round-robin across the CPUs the process may run on, one forked worker
+   per CPU after the first; each worker stacks its own share, so the bytes
+   do not depend on the CPU count.
 3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
    leading-eigenvector and caller-supplied candidates, each rescaled to exact
    feasibility, cheapest kept.
@@ -21,11 +24,13 @@ Beacon consumption follows the linear amplifier + per-chain model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_join, usable_cpus
 from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, _require_finite, sample_channels
 
 __all__ = [
@@ -187,11 +192,29 @@ def _reduce(problem: MulticastProblem) -> _Reduced:
 def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray | None, float, float, bool]]:
     """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
 
-    Problems of one reduced shape run as one stack; each keeps its own
-    penalty, step, momentum and iteration counters, so its iterates are
-    bitwise those of solving it alone. Returns, per problem,
-    (feasibility-scaled V, primal value, certified dual bound, converged).
+    The problems are dealt round-robin to one worker per usable CPU (capped
+    at the problem count); worker 0 is this process, the others forked
+    children (``fork_join``). A worker's failure raises a ``RuntimeError``
+    that names the antenna counts of the problems it held. Returns, per
+    problem, (feasibility-scaled V, primal value, certified dual bound,
+    converged), whatever the CPU count.
     """
+    workers = min(usable_cpus(), len(problems))
+    shares = fork_join(
+        [functools.partial(_solve_share, problems[w::workers], tol) for w in range(workers)],
+        lambda w: "SDR relaxations for m = " + ", ".join(str(p.basis.shape[0]) for p in problems[w::workers]),
+    )
+    results: list = [None] * len(problems)
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results
+
+
+def _solve_share(problems: list[_Reduced], tol: float) -> list:
+    """``_solve_relaxations`` in this process: the problems of one reduced
+    shape run as one stack. Each keeps its own penalty, step, momentum and
+    iteration counters, so its iterates are bitwise those of solving it
+    alone, whatever else shares its stack."""
     results: list = [None] * len(problems)
     groups: dict[tuple[int, int], list[int]] = {}
     for k, prob in enumerate(problems):

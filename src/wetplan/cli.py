@@ -32,13 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import ChannelModel, sweep_rf_chains
 from .channel import Position2D, positions_to_array
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
-from .outage import OutageConfig, sweep_density, usable_cpus
+from .outage import OutageConfig, sweep_density
 
 __all__ = ["RunConfig", "RunManifest", "main", "run", "emit_plot_data", "verify_manifest"]
 

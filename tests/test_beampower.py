@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -274,3 +276,97 @@ def test_device_positions_live_in_disk_and_are_seeded():
     b = draw_device_positions(50, 10.0, seed=1)
     assert all(math.hypot(p.x, p.y) <= 10.0 for p in a)
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    forked = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def _nested_prefixes():
+    rng = np.random.default_rng(8)
+    h = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))) * 1e-2
+    return [beampower._reduce(MulticastProblem(h[:, :m], 1e-6)) for m in range(1, 8)]
+
+
+# Only a platform that can fork splits the relaxations.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+# Seven problems over 7 CPUs run one per worker, so 6 forks per call.
+@needs_fork
+def test_split_relaxations_are_byte_equal_to_a_serial_solve(monkeypatch):
+    reduced = _nested_prefixes()
+    serial = beampower._solve_share(reduced, 1e-4)
+    reference = sweep_rf_chains(3, 2e-6, range(1, 8), seed=4)
+    forked = _count_forks(monkeypatch)
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        forked.clear()
+        split = beampower._solve_relaxations(reduced, 1e-4)
+        assert len(forked) == min(cpus, len(reduced)) - 1
+        assert [res[1:] for res in split] == [res[1:] for res in serial]
+        assert [res[0].tobytes() for res in split] == [res[0].tobytes() for res in serial]
+        assert sweep_rf_chains(3, 2e-6, range(1, 8), seed=4) == reference
+        assert len(forked) == 2 * (min(cpus, len(reduced)) - 1)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_one_precoder_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
+    forked = _count_forks(monkeypatch)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    assert min_power_precoder(MulticastProblem(h, 1e-3)).feasible
+    assert forked == []
+
+
+def _failing_stack(*, in_parent, otherwise=None):
+    """A ``_solve_stack`` that raises in this process (``in_parent``) or in
+    its forked workers (otherwise), and runs ``otherwise`` (default: the real
+    one) on the other side."""
+    parent, real = os.getpid(), beampower._solve_stack
+
+    def fake(hhat, tau, tol):
+        if (os.getpid() == parent) == in_parent:
+            raise MemoryError("worker out of memory")
+        return (otherwise or real)(hhat, tau, tol)
+
+    return fake
+
+
+# m = 1..7 over 3 CPUs: the workers hold m = 1, 4, 7 (this process), 2, 5 and 3, 6.
+@needs_fork
+def test_a_failing_relaxation_worker_names_its_antenna_counts(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(beampower, "_solve_stack", _failing_stack(in_parent=False))
+    with pytest.raises(RuntimeError, match=r"^SDR relaxations for m = 2, 5 failed in a worker process: MemoryError: "):
+        sweep_rf_chains(3, 2e-6, range(1, 8), seed=4)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_failing_own_share_kills_and_reaps_the_workers(monkeypatch):
+    def stall(*args):
+        time.sleep(60)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(beampower, "_solve_stack", _failing_stack(in_parent=True, otherwise=stall))
+    started = time.monotonic()
+    with pytest.raises(MemoryError, match="worker out of memory"):
+        beampower._solve_relaxations(_nested_prefixes(), 1e-4)
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import wetplan._fork
+import wetplan.beampower
 import wetplan.cli
 import wetplan.deployment
 import wetplan.outage
@@ -479,7 +481,7 @@ def test_manifest_env_lines_round_trip_and_are_not_verified(tmp_path):
     assert run_cli("cost", out) == 0
     written = RunManifest.from_text((out / "manifest.txt").read_text())
     assert sorted(written.env) == ["cpus", "numpy", "python"]
-    assert int(written.env["cpus"]) == wetplan.outage.usable_cpus()
+    assert int(written.env["cpus"]) == wetplan._fork.usable_cpus()
     text = (out / "manifest.txt").read_text()
     (out / "manifest.txt").write_text(text.replace("env.python = ", "env.python = other-"))
     assert verify_manifest(out / "manifest.txt")
@@ -504,6 +506,32 @@ def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monk
     assert main(["outage", "--trials", "20", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: outage trials 10 to 19 at density 0.5 failed in a worker process: MemoryError: worker out of memory\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert verify_manifest(out / "manifest.txt")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failing_rfchains_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    sets = ["--set", "m_values=1, 2, 3, 4"]
+    assert main(["rfchains", *sets, "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    parent, real = os.getpid(), wetplan.beampower._solve_stack
+
+    def fail_in_workers(hhat, tau, tol):
+        if os.getpid() != parent:
+            raise MemoryError("worker out of memory")
+        return real(hhat, tau, tol)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(wetplan.beampower, "_solve_stack", fail_in_workers)
+    capsys.readouterr()
+    assert main(["rfchains", *sets, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: SDR relaxations for m = 2, 4 failed in a worker process: MemoryError: worker out of memory\n"
     )
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert verify_manifest(out / "manifest.txt")
