@@ -45,13 +45,13 @@ class Rect:
                 f"y [{self.y_min}, {self.y_max}]"
             )
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether the point ``(x, y)`` lies in the rectangle, edges included; elementwise on arrays."""
+        return (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
 
     def require_inside(self, xy: np.ndarray, what: str = "position") -> None:
         """Raise ``ValueError`` naming the first row of the (n, 2) array ``xy`` outside."""
-        x, y = xy[:, 0], xy[:, 1]
-        inside = (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
+        inside = self.contains(xy[:, 0], xy[:, 1])
         if not np.all(inside):
             x, y = xy[~inside][0]
             raise ValueError(

@@ -31,7 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_join, usable_cpus
-from .channel import ArrayConfig, PathLossParams, Position2D, RicianParams, _require_finite, sample_channels
+from .channel import (
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _require_at_most, _require_finite,
+    sample_channels,
+)
 
 __all__ = [
     "MulticastProblem",
@@ -442,7 +445,8 @@ def sweep_rf_chains(
     truncated, so the M-antenna channel is a prefix of the (M+1)-antenna one;
     the previous best precoder is zero-padded into the next candidate pool,
     which makes tx_power(M) non-increasing by construction. Ties in total
-    consumption resolve to the smallest M.
+    consumption resolve to the smallest M. Every argument is checked, and a
+    scenario too large to allocate refused, before anything is drawn.
     """
     model = model or ChannelModel()
     ms = [int(m) for m in m_values]
@@ -450,17 +454,19 @@ def sweep_rf_chains(
         raise ValueError("m_values must be non-empty")
     if any(b <= a for a, b in zip(ms, ms[1:])) or ms[0] < 1:
         raise ValueError("m_values must be strictly increasing integers >= 1")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     _check_solver_arguments(tol, n_randomizations)
     consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
-
-    if isinstance(devices, (int, np.integer)):
-        positions = draw_device_positions(int(devices), model.disk_radius, np.random.SeedSequence([int(seed), 0]))
-    else:
-        positions = list(devices)
-
+    positions = None if isinstance(devices, (int, np.integer)) else list(devices)
     m_max = ms[-1]
+    entries = (int(devices) if positions is None else len(positions)) * m_max
+    _require_at_most(entries, MAX_ARRAY_ENTRIES, "devices and m_values", "channel entries (devices * max(m_values))")
+    _require_at_most(n_randomizations * m_max, MAX_ARRAY_ENTRIES, "n_randomizations and m_values",
+                     "candidate entries (n_randomizations * max(m_values))")
+
+    if positions is None:
+        positions = draw_device_positions(int(devices), model.disk_radius, np.random.SeedSequence([int(seed), 0]))
     h_full = sample_channels(
         positions,
         Position2D(0.0, 0.0),

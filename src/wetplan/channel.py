@@ -25,6 +25,18 @@ __all__ = [
 ]
 
 
+# Entries of one array (160 MB as complex) above which the studies refuse a
+# scenario before anything is drawn; the largest default array is outage's
+# (trials, n_antennas) power stack, with 40,000.
+MAX_ARRAY_ENTRIES = 10**7
+
+
+def _require_at_most(value, limit, names: str, what: str) -> None:
+    """Refuse a scenario whose ``value`` (``what``, set by ``names``) exceeds ``limit``."""
+    if not value <= limit:
+        raise ValueError(f"{names} give {value:.4g} {what}; the limit is {limit:.0e}")
+
+
 def _require_finite(params, *names: str) -> None:
     """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field.
 
@@ -160,14 +172,14 @@ def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
 
 
-def steering_vector(theta: float, array: ArrayConfig) -> np.ndarray:
-    """ULA response for a plane wave at angle ``theta`` off broadside.
+def steering_vector(theta, array: ArrayConfig) -> np.ndarray:
+    """ULA response for plane waves at angles ``theta`` off broadside.
 
-    Element m carries phase ``2*pi*spacing*m*sin(theta)``; entries have unit
-    modulus and element 0 is the phase reference.
+    Element m carries phase ``2*pi*spacing*sin(theta)*m``; entries have unit
+    modulus and element 0 is the phase reference. Returns one row of
+    ``n_antennas`` entries per angle: shape ``theta.shape + (n_antennas,)``.
     """
-    m = np.arange(array.n_antennas)
-    return np.exp(2j * math.pi * array.element_spacing * m * np.sin(theta))
+    return np.exp(2j * math.pi * array.element_spacing * np.multiply.outer(np.sin(theta), np.arange(array.n_antennas)))
 
 
 def sample_channels(
@@ -193,7 +205,7 @@ def sample_channels(
     theta = np.arctan2(diff[:, 1], diff[:, 0])
 
     n, m = pts.shape[0], array.n_antennas
-    los = np.exp(2j * math.pi * array.element_spacing * np.outer(np.sin(theta), np.arange(m)))
+    los = steering_vector(theta, array)
     scatter = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
     k = rician.k_factor
     mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter

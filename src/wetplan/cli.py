@@ -10,8 +10,13 @@ The manifest also records the environment that produced the bytes
 (``env.<name> = value`` lines: Python and numpy versions, and the CPUs the
 outage trials were split across); ``verify_manifest`` does not read them.
 
-A runner returns its header and rows; the rows are formatted into cells once,
-and both the CSV and the optional plot data are written from those cells.
+A runner builds the library objects from the resolved config, calls the
+study's library entry point and returns a header and rows. The library checks
+its own arguments, and refuses a scenario too large to allocate, before it
+draws anything; its refusal names the config key of the same name. The
+rfchains runner spells the two sweep arguments whose keys differ as those
+keys. The rows are formatted into cells once, and both the CSV and the
+optional plot data are written from those cells.
 Outputs are renamed into place only after all of them are written, so a
 failed run leaves an earlier run in the same directory as it was.
 """
@@ -22,8 +27,8 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -200,18 +205,6 @@ def _run_cost(resolved, seed: int):
     return header, rows
 
 
-# Entries of the greedy candidate table (solver.greedy_grid**2 points times
-# the devices) above which a deploy scenario is refused before anything is
-# allocated; the default table has 576 * 8 = 4,608.
-MAX_GREEDY_ENTRIES = 10**6
-
-
-def _refuse_above(value, limit, keys: str, what: str) -> None:
-    """Refuse a scenario whose ``value`` (``what``, set by ``keys``) exceeds ``limit``."""
-    if not value <= limit:
-        raise ConfigError(f"{keys} give {value:.4g} {what}; the limit is {limit:.0e}")
-
-
 @contextlib.contextmanager
 def _naming(keys: str):
     """Report a ``ValueError`` raised while building a scenario as a ``ConfigError`` naming ``keys``."""
@@ -225,45 +218,22 @@ def _run_deploy(resolved, seed: int):
     with _naming("map.area"):
         area = Rect(*resolved["map.area"])
     with _naming("map.components"):
-        components = tuple(
-            GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]
+        ambient_map = AmbientMap(
+            tuple(GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]),
+            area,
         )
     with _naming("devices, map.area"):
         area.require_inside(positions_to_array(resolved["devices"]), "device")
-    problem = _build(DeploymentProblem, resolved, ambient_map=AmbientMap(components, area))
-    solver = _build(SolverConfig, resolved, "solver.")
-    n_devices, grid = len(problem.devices), solver.greedy_grid
-    _refuse_above(
-        grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} devices",
-        "greedy candidate entries (solver.greedy_grid**2 * devices)",
-    )
-    solution = optimize(problem, solver, seed=seed)
+    problem = _build(DeploymentProblem, resolved, ambient_map=ambient_map)
+    solution = optimize(problem, _build(SolverConfig, resolved, "solver."), seed=seed)
     header = ["row_type", "index", "x", "y", "tx_power_w", "received_power_w", "is_worst"]
-    rows = []
-    for i, (pb, tx) in enumerate(zip(solution.pb_positions, solution.per_pb_tx_power)):
-        rows.append(("pb", i, pb.x, pb.y, tx, "", ""))
-    for j, device in enumerate(problem.devices):
-        rows.append(
-            (
-                "device",
-                j,
-                device.x,
-                device.y,
-                "",
-                received_power(device, solution.pb_positions, problem),
-                int(j == solution.worst_device_index),
-            )
-        )
+    pbs = solution.pb_positions
+    rows = [("pb", i, pb.x, pb.y, tx, "", "") for i, (pb, tx) in enumerate(zip(pbs, solution.per_pb_tx_power))]
+    rows += [
+        ("device", j, d.x, d.y, "", received_power(d, pbs, problem), int(j == solution.worst_device_index))
+        for j, d in enumerate(problem.devices)
+    ]
     return header, rows
-
-
-# Expected transmitters per outage trial above which a scenario is refused
-# before anything is drawn; the default scenario has about 1,257.
-MAX_MEAN_SOURCES = 1e7
-# Entries of one array (160 MB as complex) above which an outage or rfchains
-# scenario is refused before anything is drawn; the largest default array is
-# outage's (trials, n_antennas) power stack, with 40,000.
-MAX_ARRAY_ENTRIES = 10**7
 
 
 def _run_outage(resolved, seed: int):
@@ -274,19 +244,7 @@ def _run_outage(resolved, seed: int):
     architecture in ``archs``.
     """
     base = _build(OutageConfig, resolved, density=0.0, seed=seed)
-    densities, archs, m = resolved["densities"], resolved["archs"], base.n_antennas
-    mean_sources = max(densities) * math.pi * base.disk_radius * base.disk_radius
-    _refuse_above(
-        mean_sources, MAX_MEAN_SOURCES, "densities and disk_radius",
-        "expected transmitters per trial (max(densities) * pi * disk_radius**2)",
-    )
-    if "rf" in archs:
-        _refuse_above(m * m, MAX_ARRAY_ENTRIES, "n_antennas", "rf codebook entries (n_antennas**2)")
-    _refuse_above(
-        mean_sources * m, MAX_ARRAY_ENTRIES, "densities, disk_radius and n_antennas",
-        "expected channel entries per trial (max(densities) * pi * disk_radius**2 * n_antennas)",
-    )
-    _refuse_above(base.trials * m, MAX_ARRAY_ENTRIES, "trials and n_antennas", "power entries (trials * n_antennas)")
+    densities, archs = resolved["densities"], resolved["archs"]
     per_density = sweep_density(base, densities, archs)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
     rows = [
@@ -300,31 +258,18 @@ def _run_outage(resolved, seed: int):
 def _run_rfchains(resolved, seed: int):
     model = _build(ChannelModel, resolved)
     devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
-    m_max = max(resolved["m_values"])
-    _refuse_above(
-        (len(resolved["devices"]) or resolved["n_devices"]) * m_max, MAX_ARRAY_ENTRIES,
-        "n_devices (or devices) and m_values", "channel entries (devices * max(m_values))",
-    )
-    _refuse_above(
-        resolved["solver.randomizations"] * m_max, MAX_ARRAY_ENTRIES, "solver.randomizations and m_values",
-        "candidate entries (solver.randomizations * max(m_values))",
-    )
-    sweep = sweep_rf_chains(
-        devices,
-        resolved["gamma"],
-        resolved["m_values"],
-        model=model,
-        seed=seed,
-        pa_efficiency=resolved["pa_efficiency"],
-        p_rf=resolved["p_rf_chain_w"],
-        tol=resolved["solver.tol"],
-        n_randomizations=resolved["solver.randomizations"],
-    )
+    try:
+        sweep = sweep_rf_chains(
+            devices, resolved["gamma"], resolved["m_values"], model=model, seed=seed,
+            pa_efficiency=resolved["pa_efficiency"], p_rf=resolved["p_rf_chain_w"],
+            tol=resolved["solver.tol"], n_randomizations=resolved["solver.randomizations"],
+        )
+    except ValueError as err:
+        # The sweep's refusals name its arguments; two are set by keys spelled otherwise.
+        keys = {"devices": "n_devices (or devices)", "n_randomizations": "solver.randomizations"}
+        raise ConfigError(re.sub(r"\b(devices|n_randomizations)\b", lambda m: keys[m[0]], str(err))) from err
     header = ["m", "tx_power_w", "consumption_w", "is_optimum"]
-    rows = [
-        (pt.n_rf, pt.tx_power, pt.total_consumption, int(pt.n_rf == sweep.optimum_n_rf))
-        for pt in sweep.points
-    ]
+    rows = [(pt.n_rf, pt.tx_power, pt.total_consumption, int(pt.n_rf == sweep.optimum_n_rf)) for pt in sweep.points]
     return header, rows
 
 

@@ -15,7 +15,12 @@ its default, a kind read from the default's type, and no check of its own:
 the library's constructor checks the value when the study builds its
 objects, and the refusal names the dotted key. Only the keys with no library
 field (device layouts, sweep lists, ``k``, ``gamma``, the arguments of
-``sweep_rf_chains``) are written out here, with their own checks.
+``sweep_rf_chains``) are written out here. Those the study's entry point
+checks under the same name (``k``, deploy ``devices``, ``map.components``,
+``densities``, ``archs``, ``gamma``, ``m_values``, ``pa_efficiency``) have no
+check of their own either. The cost lists and the keys spelled differently
+from their library parameter (rfchains ``n_devices``, ``p_rf_chain_w``,
+``solver.tol``, ``solver.randomizations``) keep a check here.
 """
 
 from __future__ import annotations
@@ -224,10 +229,6 @@ def _positive_list(label: str):
     return lambda vs: None if vs and all(v > 0 for v in vs) else f"{label} must be a non-empty list of positives"
 
 
-def _nonempty(label: str):
-    return lambda vs: None if vs else f"need at least one {label}"
-
-
 # The kind of a key that sets a library field, by the type of its default;
 # the only tuple fields are tuples of pairs.
 _FIELD_KINDS = {bool: "bool", int: "int", float: "float", Fraction: "decimal", tuple: "pair_list"}
@@ -284,11 +285,10 @@ def _deploy_schema() -> dict[str, ConfigKey]:
     amap = example_map()
     area = amap.area
     return _schema(
-        ConfigKey("k", "int", 5, check=_at_least(1, "k")),
-        ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES, check=_nonempty("device")),
+        ConfigKey("k", "int", 5),
+        ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES),
         ConfigKey("map.components", "quad_list",
-                  tuple((c.weight, c.center.x, c.center.y, c.width) for c in amap.components),
-                  check=_nonempty("component")),
+                  tuple((c.weight, c.center.x, c.center.y, c.width) for c in amap.components)),
         ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max)),
         *_field_keys(DeploymentProblem),
         *_field_keys(SolverConfig, "solver."),
@@ -297,10 +297,8 @@ def _deploy_schema() -> dict[str, ConfigKey]:
 
 def _outage_schema() -> dict[str, ConfigKey]:
     return _schema(
-        ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0),
-                  check=lambda vs: None if vs and all(v >= 0 for v in vs)
-                  else "densities must be a non-empty list of non-negatives"),
-        ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES, check=_nonempty("architecture")),
+        ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0)),
+        ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES),
         # The reference scenario has 4 antennas, against OutageConfig's 1.
         *_field_keys(OutageConfig(density=0.0, n_antennas=4), skip=("density", "seed")),
     )
@@ -309,18 +307,15 @@ def _outage_schema() -> dict[str, ConfigKey]:
 def _rfchains_schema() -> dict[str, ConfigKey]:
     sweep = {name: p.default for name, p in inspect.signature(sweep_rf_chains).parameters.items()}
     return _schema(
-        ConfigKey("gamma", "float", 2e-6, check=_positive("gamma")),
-        ConfigKey("m_values", "int_list", tuple(range(1, 33)),
-                  check=lambda vs: None if vs and all(b > a for a, b in zip(vs, vs[1:])) and vs[0] >= 1
-                  else "must be strictly increasing integers >= 1"),
+        ConfigKey("gamma", "float", 2e-6),
+        ConfigKey("m_values", "int_list", tuple(range(1, 33))),
         ConfigKey("n_devices", "int", 4, check=_at_least(1, "devices")),
         ConfigKey("devices", "pair_list", ()),
-        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"],
-                  check=lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}"),
+        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"]),
         ConfigKey("p_rf_chain_w", "float", sweep["p_rf"],
                   check=lambda v: None if v >= 0 else f"chain power must be >= 0, got {v}"),
         ConfigKey("solver.tol", "float", sweep["tol"], check=_positive("tolerance")),
-        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], check=_at_least(1, "randomizations")),
+        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], check=_at_least(0, "randomizations")),
         *_field_keys(ChannelModel, skip=("element_spacing",)),
     )
 

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
-from .channel import PathLossParams, Position2D, _path_gain, _require_finite, path_gain, positions_to_array
+from .channel import (
+    PathLossParams, Position2D, _path_gain, _require_at_most, _require_finite, path_gain, positions_to_array,
+)
 
 __all__ = [
     "DeploymentProblem",
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 GRID_ORACLE_BUDGET = 10**7
+# Entries of the greedy candidate table (solver.greedy_grid**2 points times
+# the devices) above which ``optimize`` refuses a scenario before it builds
+# anything; the default table has 576 * 8 = 4,608.
+MAX_GREEDY_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class DeploymentProblem:
         )
         object.__setattr__(self, "devices", devices)
         if not devices:
-            raise ValueError("at least one device is required")
+            raise ValueError("devices must hold at least one device")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         _require_finite(self, "cap")
@@ -331,9 +337,13 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
     """Place ``problem.k`` beacons to maximize the worst device's received power.
 
     Reproducible per seed; the returned objective dominates every candidate
-    the search evaluated, including all restart points.
+    the search evaluated, including all restart points. A greedy candidate
+    table too large to allocate is refused before anything is built.
     """
     solver = solver or SolverConfig()
+    grid, n_devices = solver.greedy_grid, len(problem.devices)
+    _require_at_most(grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} "
+                     "devices", "greedy candidate entries (solver.greedy_grid**2 * devices)")
     evaluator = _Evaluator(problem)
     area = problem.ambient_map.area
     device_xy = problem.device_xy()

@@ -17,6 +17,11 @@ codeword's combined power; the trials of one estimate are then rectified
 together, one ``harvest`` call per architecture. ``run_trial`` is the same
 path on one trial.
 
+``run_outage`` and ``sweep_density`` check their arguments before the first
+trial, and refuse a scenario whose arrays would pass a size limit
+(``MAX_MEAN_SOURCES`` expected transmitters per trial, ``MAX_ARRAY_ENTRIES``
+rf codebook, channel or power-stack entries), naming the fields that set it.
+
 ``run_outage`` splits an estimate's trials into contiguous blocks, one per
 CPU the process may run on, and runs every block after the first in a forked
 child, through the fork-join helper that ``beampower`` shares. The trials'
@@ -35,13 +40,8 @@ import numpy as np
 
 from ._fork import fork_join, usable_cpus
 from .channel import (
-    ArrayConfig,
-    PathLossParams,
-    Position2D,
-    RicianParams,
-    _require_finite,
-    sample_channels,
-    sample_hppp,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _require_at_most, _require_finite,
+    sample_channels, sample_hppp,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
@@ -100,11 +100,33 @@ def _plan(archs) -> tuple[str, ...]:
     """``archs`` as a tuple; errors on an empty list or an unknown name."""
     names = tuple(archs)
     if not names:
-        raise ValueError("need at least one architecture")
+        raise ValueError("archs must name at least one architecture")
     for arch in names:
         if arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
     return names
+
+
+# Expected transmitters per trial above which a scenario is refused before
+# anything is drawn; the default scenario has about 1,257.
+MAX_MEAN_SOURCES = 1e7
+
+
+def _require_fits(config: OutageConfig, archs: tuple[str, ...], density: float, name: str) -> None:
+    """Refuse ``config`` at ``density``, set by ``name`` (a sweep passes its
+    largest), if an array its trials allocate would pass a size limit: a
+    trial's transmitters or channels, the rf codebook, or the (trials,
+    n_antennas) power stack."""
+    m = config.n_antennas
+    sources = density * math.pi * config.disk_radius * config.disk_radius
+    _require_at_most(sources, MAX_MEAN_SOURCES, f"{name} and disk_radius",
+                     "expected transmitters per trial (density * pi * disk_radius**2)")
+    if "rf" in archs:
+        _require_at_most(m * m, MAX_ARRAY_ENTRIES, "n_antennas", "rf codebook entries (n_antennas**2)")
+    _require_at_most(sources * m, MAX_ARRAY_ENTRIES, f"{name}, disk_radius and n_antennas",
+                     "expected channel entries per trial (density * pi * disk_radius**2 * n_antennas)")
+    _require_at_most(config.trials * m, MAX_ARRAY_ENTRIES, "trials and n_antennas",
+                     "power entries (trials * n_antennas)")
 
 
 def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -178,8 +200,11 @@ def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
     Returns one estimate per architecture in ``archs``, all from the same
     trials. Every trial owns a counter-based seed, so the result depends only
     on ``config`` and the architecture, not on how many CPUs share the trials.
+    A scenario too large to allocate is refused before anything is drawn.
     """
-    harvested = _harvest_split(config, _plan(archs), usable_cpus())
+    plan = _plan(archs)
+    _require_fits(config, plan, config.density, "density")
+    harvested = _harvest_split(config, plan, usable_cpus())
     return tuple(_estimate(row, config.target) for row in harvested)
 
 
@@ -193,13 +218,16 @@ def sweep_density(config: OutageConfig, densities, archs) -> list[tuple[OutageRe
 
     Each entry is a tuple with one result per architecture in ``archs``, all
     from the same trials. Sub-seeds derive from each density's value, so
-    repeated entries give identical results.
+    repeated entries give identical results. Every density is checked, and
+    the largest against the size limits, before the first trial.
     """
-    values = list(densities)
+    values = [float(d) for d in densities]
     if not values:
-        raise ValueError("density list must be non-empty")
-    results = []
+        raise ValueError("densities must be non-empty")
     for d in values:
-        sub = dataclasses.replace(config, density=float(d), seed=_density_seed(config.seed, float(d)))
-        results.append(run_outage(sub, archs))
-    return results
+        if not 0.0 <= d < math.inf:
+            raise ValueError(f"densities must be finite and >= 0, got {d}")
+    plan = _plan(archs)
+    _require_fits(config, plan, max(values), "densities")
+    return [run_outage(dataclasses.replace(config, density=d, seed=_density_seed(config.seed, d)), plan)
+            for d in values]

@@ -65,6 +65,14 @@ def test_outside_area_raises():
         received_power(Position2D(0.0, 0.0), [Position2D(25.0, 0.0)], problem)
 
 
+def test_rect_contains_edges_elementwise():
+    area = Rect(-1.0, -2.0, 3.0, 4.0)
+    x = np.array([-1.0, 3.0, 0.0, 3.5, 0.0, np.nan])
+    y = np.array([4.0, -2.0, 0.0, 0.0, -2.5, 0.0])
+    assert area.contains(x, y).tolist() == [True, True, True, False, False, False]
+    assert [area.contains(float(a), float(b)) for a, b in zip(x, y)] == area.contains(x, y).tolist()
+
+
 def test_transmit_power_caps_at_limit():
     # A 3.7 W ambient spot under a 1 W cap transmits exactly 1 W.
     amap = single_component_map(weight=3.7)

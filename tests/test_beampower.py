@@ -238,6 +238,10 @@ BAD_SWEEP_ARGUMENTS = [
     ("p_rf", -0.5, r"p_rf must be >= 0"),
     ("p_rf", math.inf, r"^p_rf must be finite, got inf$"),
     ("n_randomizations", -3, r"^n_randomizations must be >= 0, got -3$"),
+    ("gamma", 0.0, r"^gamma must be finite and > 0, got 0\.0$"),
+    ("gamma", -1.0, r"^gamma must be finite and > 0, got -1\.0$"),
+    ("gamma", math.nan, r"^gamma must be finite and > 0, got nan$"),
+    ("gamma", math.inf, r"^gamma must be finite and > 0, got inf$"),
 ]
 
 
@@ -248,10 +252,41 @@ def test_sweep_checks_numeric_arguments_before_any_work(monkeypatch, name, value
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep drew channels or solved a relaxation")
 
+    monkeypatch.setattr(beampower, "draw_device_positions", refuse)
     monkeypatch.setattr(beampower, "sample_channels", refuse)
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
+    arguments = {"devices": 4, "gamma": 2e-6, "m_values": range(1, 33), "seed": 0}
     with pytest.raises(ValueError, match=message):
-        sweep_rf_chains(4, 2e-6, range(1, 33), seed=0, **{name: value})
+        sweep_rf_chains(**{**arguments, name: value})
+
+
+class DrawReached(Exception):
+    pass
+
+
+# Arguments at the sweep's array limits, the same just past them, and the
+# names the refusal starts with. With 32 RF chains the limit is 312,500
+# devices or randomizations; 10,000 explicit devices fit 1,000 antennas.
+SIZE_LIMITS = [
+    ({"devices": 312_500}, {"devices": 312_501}, "devices and m_values"),
+    ({"devices": [Position2D(1.0, 0.0)] * 10_000, "m_values": (1, 1000)},
+     {"devices": [Position2D(1.0, 0.0)] * 10_001, "m_values": (1, 1000)}, "devices and m_values"),
+    ({"n_randomizations": 312_500}, {"n_randomizations": 312_501}, "n_randomizations and m_values"),
+]
+
+
+@pytest.mark.parametrize("fits, too_large, names", SIZE_LIMITS, ids=["drawn", "explicit", "candidates"])
+def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, fits, too_large, names):
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(beampower, "draw_device_positions", refuse)
+    monkeypatch.setattr(beampower, "sample_channels", refuse)
+    arguments = {"devices": 4, "gamma": 2e-6, "m_values": range(1, 33)}
+    with pytest.raises(DrawReached):
+        sweep_rf_chains(**{**arguments, **fits})
+    with pytest.raises(ValueError, match=rf"^{names} give .*; the limit is 1e\+07$"):
+        sweep_rf_chains(**{**arguments, **too_large})
 
 
 BAD_SOLVER_ARGUMENTS = [case for case in BAD_SWEEP_ARGUMENTS if case[0] in ("tol", "n_randomizations")]

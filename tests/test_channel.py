@@ -91,6 +91,15 @@ def test_steering_vector_broadside_is_all_ones():
     np.testing.assert_allclose(steering_vector(0.0, ArrayConfig(5)), np.ones(5))
 
 
+def test_steering_vector_stacks_one_row_per_angle():
+    arr = ArrayConfig(5, element_spacing=0.37)
+    thetas = np.array([-1.2, 0.0, 0.3, math.pi / 2])
+    stacked = steering_vector(thetas, arr)
+    assert stacked.shape == (4, 5)
+    for theta, row in zip(thetas, stacked):
+        assert np.array_equal(row, steering_vector(theta, arr))
+
+
 def test_steering_vector_endfire_phases():
     v = steering_vector(math.pi / 2, ArrayConfig(4, element_spacing=0.5))
     expected = np.exp(1j * math.pi * np.arange(4))  # phases 0, pi, 2pi, 3pi

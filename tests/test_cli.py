@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,65 +321,71 @@ def test_outage_values_do_not_depend_on_architecture_order(tmp_path):
 
 
 def test_outage_too_many_sources_fails_before_drawing(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the outage sweep ran")
-
-    monkeypatch.setattr(wetplan.cli, "sweep_density", refuse)
+    _reach_draws(monkeypatch)
     out = tmp_path / "outage"
     assert run_cli("outage", out, sets=("densities=0.5, 1e9",)) == 1
     assert not out.exists()
     for radius in ("disk_radius=1e4", "disk_radius=1e200"):
-        with pytest.raises(ConfigError, match=r"densities.*disk_radius"):
+        with pytest.raises(ValueError, match=r"densities.*disk_radius"):
             wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0)
 
 
-class SweepReached(Exception):
+class DrawReached(Exception):
     pass
 
 
-def _reach_sweep(monkeypatch, name):
+def _reach_draws(monkeypatch):
+    """Stop outage and rfchains at their first draw, or at outage's rf codebook,
+    on one CPU (no worker is forked)."""
+
     def refuse(*args, **kwargs):
-        raise SweepReached
+        raise DrawReached
 
-    monkeypatch.setattr(wetplan.cli, name, refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for module, name in (
+        (wetplan.outage, "dft_codebook"),
+        (wetplan.outage, "sample_hppp"),
+        (wetplan.beampower, "draw_device_positions"),
+        (wetplan.beampower, "sample_channels"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
 
 
-# Per product: the study, the sweep it calls, overrides at the array bound,
-# the same just past it, and the keys the refusal names. With 4 antennas and
-# 32 RF chains the bound is 2,500,000 trials, a disk radius of 446 m, or
-# 312,500 devices or randomizations; 3,162 antennas give a codebook of
-# 9,998,244 entries.
+# Per product: the study, overrides at the array bound, the same just past
+# it, and the keys the refusal names. With 4 antennas and 32 RF chains the
+# bound is 2,500,000 trials, a disk radius of 446 m, or 312,500 devices or
+# randomizations; 3,162 antennas give a codebook of 9,998,244 entries.
 TOO_LARGE = {
-    "codebook": ("outage", "sweep_density", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"],
-                 "n_antennas"),
-    "channels": ("outage", "sweep_density", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
+    "codebook": ("outage", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"], "n_antennas"),
+    "channels": ("outage", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
                  "densities, disk_radius and n_antennas"),
-    "power_stack": ("outage", "sweep_density", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
-    "rfchains_channels": ("rfchains", "sweep_rf_chains", ["n_devices=312500"], ["n_devices=312501"],
+    "power_stack": ("outage", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
+    "rfchains_channels": ("rfchains", ["n_devices=312500"], ["n_devices=312501"],
                           r"n_devices \(or devices\) and m_values"),
-    "candidates": ("rfchains", "sweep_rf_chains", ["solver.randomizations=312500"],
-                   ["solver.randomizations=312501"], r"solver\.randomizations and m_values"),
+    "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
+                   r"solver\.randomizations and m_values"),
 }
 
 
 @pytest.mark.parametrize("product", sorted(TOO_LARGE))
-def test_scenarios_too_large_to_allocate_fail_before_drawing(tmp_path, monkeypatch, product):
-    study, sweep, fits, too_large, keys = TOO_LARGE[product]
-    _reach_sweep(monkeypatch, sweep)
+def test_scenarios_too_large_to_allocate_fail_before_drawing(tmp_path, monkeypatch, capsys, product):
+    study, fits, too_large, keys = TOO_LARGE[product]
+    _reach_draws(monkeypatch)
     runner = getattr(wetplan.cli, f"_run_{study}")
-    with pytest.raises(SweepReached):
+    with pytest.raises(DrawReached):
         runner(resolve_config(SCHEMAS[study], None, fits), 0)
-    with pytest.raises(ConfigError, match=rf"^{keys} give .*; the limit is 1e\+07$"):
+    with pytest.raises(ValueError, match=rf"^{keys} give .*; the limit is 1e\+07$"):
         runner(resolve_config(SCHEMAS[study], None, too_large), 0)
     out = tmp_path / study
     assert run_cli(study, out, sets=too_large) == 1
+    assert re.match(rf"error: {keys} give ", capsys.readouterr().err)
     assert not out.exists()
 
 
 def test_outage_codebook_bound_applies_only_with_rf(monkeypatch):
-    _reach_sweep(monkeypatch, "sweep_density")
+    _reach_draws(monkeypatch)
     sets = ["n_antennas=3163", "trials=1", "archs=single, dc"]
-    with pytest.raises(SweepReached):
+    with pytest.raises(DrawReached):
         wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, sets), 0)
 
 
@@ -411,8 +418,8 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise SearchReached
 
-    monkeypatch.setattr(wetplan.cli, "optimize", refuse)
-    largest = math.isqrt(wetplan.cli.MAX_GREEDY_ENTRIES // 8)  # the default scenario has 8 devices
+    monkeypatch.setattr(wetplan.deployment, "_Evaluator", refuse)
+    largest = math.isqrt(wetplan.deployment.MAX_GREEDY_ENTRIES // 8)  # the default scenario has 8 devices
     with pytest.raises(SearchReached):
         wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, [f"solver.greedy_grid={largest}"]), 0)
     out = tmp_path / "deploy"
@@ -420,8 +427,26 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
     assert not out.exists()
     many_devices = "devices=" + ", ".join(f"{x}:0" for x in range(-10, 10))
     for sets in (["solver.greedy_grid=1000000000"], ["solver.greedy_grid=224", many_devices]):
-        with pytest.raises(ConfigError, match=r"^solver\.greedy_grid = "):
+        with pytest.raises(ValueError, match=r"^solver\.greedy_grid = "):
             wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, sets), 0)
+
+
+def test_zero_randomizations_run_and_keep_the_rfchains_invariants(tmp_path):
+    # With no Gaussian samples the extraction picks among the matched-filter,
+    # leading-eigenvector and previous precoders alone.
+    tables = []
+    for sets in ((), ("solver.randomizations=0",)):
+        out = tmp_path / f"run{len(tables)}"
+        assert run_cli("rfchains", out, sets=sets) == 0
+        with open(out / "rfchains.csv", newline="") as handle:
+            tables.append(list(csv.DictReader(handle)))
+    default, zero = tables
+    tx = [float(row["tx_power_w"]) for row in zero]
+    assert all(b <= a for a, b in zip(tx, tx[1:]))
+    assert [row["m"] for row in zero if row["is_optimum"] == "1"] == ["4"]
+    assert [row["m"] for row in zero] == [row["m"] for row in default]
+    for d, z in zip(default, zero):
+        assert math.isclose(float(z["tx_power_w"]), float(d["tx_power_w"]), rel_tol=4.8e-4)
 
 
 def test_trials_flag_only_for_outage(tmp_path):

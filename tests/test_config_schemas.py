@@ -1,8 +1,13 @@
 """The four studies' config keys, and how a key that sets a library field is refused."""
 
+import re
+
 import pytest
 
+import wetplan.beampower
 import wetplan.cli
+import wetplan.deployment
+import wetplan.outage
 from wetplan.cli import main
 from wetplan.config import SCHEMAS, canonical
 
@@ -162,16 +167,88 @@ def test_every_ranged_generated_key_has_a_case(study):
     assert {key for key, _ in OUT_OF_RANGE[study]} == ranged
 
 
+def _refuse_work(monkeypatch):
+    """Make every study fail loudly if it computes costs, builds a search or draws a sample."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study computed costs, started its search or drew a sample")
+
+    for module, name in (
+        (wetplan.cli, "sweep_devices"),
+        (wetplan.cli, "sweep_hardware_lifetime"),
+        (wetplan.deployment, "_Evaluator"),
+        (wetplan.outage, "sample_hppp"),
+        (wetplan.beampower, "draw_device_positions"),
+        (wetplan.beampower, "sample_channels"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+
+
 @pytest.mark.parametrize(
     "study, key, value", OUT_OF_RANGE_CASES, ids=[f"{s}:{k}={v}" for s, k, v in OUT_OF_RANGE_CASES]
 )
 def test_out_of_range_field_value_is_refused_by_name(tmp_path, monkeypatch, capsys, study, key, value):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the study started its search or its sampling")
-
-    for work in ("sweep_devices", "sweep_hardware_lifetime", "optimize", "sweep_density", "sweep_rf_chains"):
-        monkeypatch.setattr(wetplan.cli, work, refuse)
+    _refuse_work(monkeypatch)
     out = tmp_path / study
     assert main([study, "--set", f"{key}={value}", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
+
+
+# Per study, (key with no library field, a value out of its range). The
+# config or the library refuses the value, before any work, naming the key.
+STUDY_OUT_OF_RANGE = {
+    "cost": [
+        ("mode", "both"),
+        ("n_devices", ""),
+        ("n_devices", "10, 0"),
+        ("lifetime_n_devices", "0"),
+        ("horizons", "5, -1"),
+        ("battery_lives", "0"),
+    ],
+    "deploy": [
+        ("k", "0"),
+        ("devices", ""),
+        ("map.components", ""),
+        ("map.area", "5:0:-5:10"),
+    ],
+    "outage": [
+        ("densities", ""),
+        ("densities", "0.5, -1"),
+        ("archs", ""),
+        ("archs", "single, hybrid"),
+    ],
+    "rfchains": [
+        ("gamma", "0"),
+        ("gamma", "-1e-6"),
+        ("m_values", ""),
+        ("m_values", "0, 1"),
+        ("m_values", "2, 2"),
+        ("n_devices", "0"),
+        ("pa_efficiency", "0"),
+        ("pa_efficiency", "1.5"),
+        ("p_rf_chain_w", "-0.5"),
+        ("solver.tol", "0"),
+        ("solver.randomizations", "-1"),
+    ],
+}
+# Study keys that take any value of their kind: explicit rfchains devices
+# (an empty list draws n_devices of them).
+ANY_VALUE = {"rfchains": {"devices"}}
+STUDY_CASES = [(study, key, value) for study, cases in sorted(STUDY_OUT_OF_RANGE.items()) for key, value in cases]
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_OUT_OF_RANGE))
+def test_every_ranged_study_key_has_a_case(study):
+    assert {key for key, _ in STUDY_OUT_OF_RANGE[study]} == STUDY_KEYS[study] - ANY_VALUE.get(study, set())
+
+
+@pytest.mark.parametrize("study, key, value", STUDY_CASES, ids=[f"{s}:{k}={v}" for s, k, v in STUDY_CASES])
+def test_out_of_range_study_value_is_refused_by_name(tmp_path, monkeypatch, capsys, study, key, value):
+    _refuse_work(monkeypatch)
+    out = tmp_path / study
+    assert main([study, "--set", f"{key}={value}", "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", line), line
     assert not out.exists()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wetplan import deployment
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect, ambient_power_xy
 from wetplan.channel import PathLossParams, Position2D, RicianParams
 from wetplan.deployment import (
@@ -190,6 +191,23 @@ def test_problem_validation():
         DeploymentProblem((Position2D(50.0, 0.0),), amap, k=1)
     with pytest.raises(ValueError):
         DeploymentProblem((Position2D(0.0, 0.0),), amap, k=1, cap=0.0)
+
+
+def test_optimize_refuses_a_greedy_table_too_large_before_building_anything(monkeypatch):
+    class SearchReached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise SearchReached
+
+    monkeypatch.setattr(deployment, "_Evaluator", refuse)
+    devices = tuple(Position2D(float(x), 0.0) for x in range(-4, 4))
+    prob = DeploymentProblem(devices, uniform_map(), k=1)
+    largest = math.isqrt(deployment.MAX_GREEDY_ENTRIES // len(devices))
+    with pytest.raises(SearchReached):
+        optimize(prob, SolverConfig(greedy_grid=largest))
+    with pytest.raises(ValueError, match=rf"^solver\.greedy_grid = {largest + 1} and 8 devices give .*; the limit is 1e\+06$"):
+        optimize(prob, SolverConfig(greedy_grid=largest + 1))
 
 
 COMPONENT = functools.partial(GaussianComponent, weight=1.0, center=Position2D(0.0, 0.0), width=2.0)

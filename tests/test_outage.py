@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import os
+import re
 import time
 
 import numpy as np
@@ -145,6 +147,77 @@ def test_sweep_density_singleton_matches_run_outage():
 def test_sweep_density_rejects_empty():
     with pytest.raises(ValueError):
         sweep_density(make_config(), [], SINGLE)
+
+
+class DrawReached(Exception):
+    pass
+
+
+def _stop_at_first_draw(monkeypatch):
+    """Stop a trial at its rf codebook or its first field, on one CPU (no worker is forked)."""
+
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(wetplan.outage, "dft_codebook", refuse)
+    monkeypatch.setattr(wetplan.outage, "sample_hppp", refuse)
+
+
+@pytest.mark.parametrize(
+    "densities, message",
+    [
+        ([], r"^densities must be non-empty$"),
+        ([0.5, -1.0], r"^densities must be finite and >= 0, got -1\.0$"),
+        ([0.5, float("nan")], r"^densities must be finite and >= 0, got nan$"),
+        ([0.5, float("inf")], r"^densities must be finite and >= 0, got inf$"),
+    ],
+    ids=["empty", "negative", "nan", "inf"],
+)
+def test_sweep_density_checks_every_density_before_the_first_trial(monkeypatch, densities, message):
+    _stop_at_first_draw(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        sweep_density(make_config(), densities, SINGLE)
+
+
+DEFAULT_DENSITIES = [0.5, 1.0, 2.0, 4.0]
+# The CLI's default scenario (4 antennas, densities up to 4) at each size
+# limit: fields that fit, the same just past the limit, and the names the
+# refusal starts with (after the density's name). 892 m gives 9,998,868
+# expected transmitters per trial, 446 m ~9,998,000 channel entries, and
+# 3,162 antennas a codebook of 9,998,244 entries.
+SIZE_LIMITS = {
+    "sources": ({"disk_radius": 892, "n_antennas": 1, "trials": 1}, {"disk_radius": 893}, " and disk_radius"),
+    "codebook": ({"n_antennas": 3162, "trials": 1}, {"n_antennas": 3163}, "^n_antennas"),
+    "channels": ({"disk_radius": 446, "trials": 1}, {"disk_radius": 447}, ", disk_radius and n_antennas"),
+    "power_stack": ({"trials": 2_500_000}, {"trials": 2_500_001}, "^trials and n_antennas"),
+}
+
+
+@pytest.mark.parametrize("entry", ["sweep_density", "run_outage"])
+@pytest.mark.parametrize("limit", sorted(SIZE_LIMITS))
+def test_scenarios_too_large_to_allocate_are_refused_before_drawing(monkeypatch, entry, limit):
+    fits, too_large, names = SIZE_LIMITS[limit]
+    if entry == "sweep_density":
+        run, name = (lambda cfg: sweep_density(cfg, DEFAULT_DENSITIES, ARCHITECTURES)), "densities"
+    else:
+        run, name = (lambda cfg: run_outage(dataclasses.replace(cfg, density=4.0), ARCHITECTURES)), "density"
+    _stop_at_first_draw(monkeypatch)
+    cfg = OutageConfig(density=0.0, **{"n_antennas": 4, **fits})
+    with pytest.raises(DrawReached):
+        run(cfg)
+    pattern = names if names.startswith("^") else f"^{name}{re.escape(names)}"
+    with pytest.raises(ValueError, match=rf"{pattern} give .*; the limit is 1e\+07$"):
+        run(dataclasses.replace(cfg, **too_large))
+
+
+def test_the_codebook_limit_applies_only_with_rf(monkeypatch):
+    _stop_at_first_draw(monkeypatch)
+    cfg = OutageConfig(density=4.0, n_antennas=3163, trials=1)
+    with pytest.raises(DrawReached):
+        run_outage(cfg, ("single", "dc"))
+    with pytest.raises(DrawReached):
+        sweep_density(cfg, DEFAULT_DENSITIES, ("single", "dc"))
 
 
 def test_ci_halfwidth_formula():
