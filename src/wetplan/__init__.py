@@ -47,7 +47,6 @@ from .deployment import (
     DeploymentSolution,
     SolverConfig,
     grid_oracle,
-    objective,
     optimize,
     received_power,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "DeploymentSolution",
     "SolverConfig",
     "grid_oracle",
-    "objective",
     "optimize",
     "received_power",
     "ARCHITECTURES",

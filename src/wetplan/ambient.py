@@ -3,10 +3,8 @@
 A beacon parked at a position converts whatever ambient power is available
 there into transmit power, up to its hardware cap; conversion is lossless up
 to the cap, which ``deployment`` applies. The mixture is evaluated in one
-place, ``mixture_power``, on component arrays from ``mixture_columns``.
-``ambient_power_xy`` takes an (n, 2) array of points, checks them against the
-area and builds those arrays per call; the deployment search builds them once
-per problem.
+place, ``mixture_power``, on component arrays from ``mixture_columns``; the
+deployment search builds those arrays once per problem.
 """
 
 from __future__ import annotations
@@ -15,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Position2D, _require_finite, positions_to_array
+from .channel import Position2D, _require_finite
 
 __all__ = [
     "Rect",
     "GaussianComponent",
     "AmbientMap",
-    "ambient_power_xy",
     "mixture_columns",
     "mixture_power",
     "example_map",
@@ -111,13 +108,6 @@ def mixture_power(x: np.ndarray, y: np.ndarray, columns) -> np.ndarray:
     center_x, center_y, weight, two_width_sq = columns
     d2 = (x[:, None] - center_x) ** 2 + (y[:, None] - center_y) ** 2
     return np.add.accumulate(weight * np.exp(-d2 / two_width_sq), axis=1)[:, -1]
-
-
-def ambient_power_xy(amap: AmbientMap, xy) -> np.ndarray:
-    """Vectorized ambient power (W) at each row of ``xy``; errors outside the area."""
-    pts = positions_to_array(xy)
-    amap.area.require_inside(pts)
-    return mixture_power(pts[:, 0], pts[:, 1], mixture_columns(amap))
 
 
 def example_map() -> AmbientMap:

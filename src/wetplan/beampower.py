@@ -14,8 +14,8 @@ is solved in three phases:
    per CPU after the first; each worker stacks its own share, so the bytes
    do not depend on the CPU count.
 3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
-   leading-eigenvector and caller-supplied candidates, each rescaled to exact
-   feasibility, cheapest kept.
+   leading-eigenvector and, in a sweep, the previous precoder, each rescaled
+   to exact feasibility, cheapest kept.
 
 ``sweep_rf_chains`` reduces and relaxes every antenna count at once and
 extracts in order, since each candidate pool holds the previous precoder.
@@ -33,7 +33,7 @@ import numpy as np
 from ._fork import fork_join, usable_cpus
 from .channel import (
     MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _require_at_most, _require_finite,
-    sample_channels,
+    _uniform_disk, sample_channels,
 )
 
 __all__ = [
@@ -53,6 +53,11 @@ __all__ = [
 # Relaxation round limits: penalty rounds (rho x10 each) and FISTA iterations per round.
 _MAX_OUTER = 8
 _MAX_INNER = 2000
+# Defaults of the beacon's consumption model (amplifier efficiency, W per RF
+# chain) and of the precoder solver (relative primal-dual gap, randomized
+# candidates), shared by the functions that take them.
+_PA_EFFICIENCY, _P_RF = 0.35, 0.5
+_TOL, _N_RANDOMIZATIONS = 1e-4, 200
 
 
 class PrecoderError(RuntimeError):
@@ -82,20 +87,11 @@ class MulticastProblem:
         if np.any(np.linalg.norm(h, axis=1) == 0):
             raise ValueError("channels must not contain an all-zero row")
 
-    @property
-    def n_devices(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.channels.shape[1]
-
 
 @dataclass(frozen=True)
 class PrecoderSolution:
     precoder: np.ndarray
     tx_power: float
-    feasible: bool
     sdr_lower_bound: float
 
 
@@ -112,7 +108,7 @@ class RfChainSweep:
     optimum_n_rf: int
 
 
-def consumption(tx_power: float, n_rf: int, pa_efficiency: float = 0.35, p_rf: float = 0.5) -> float:
+def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENCY, p_rf: float = _P_RF) -> float:
     """Beacon power draw: amplifier input at the given efficiency plus the
     per-RF-chain overhead."""
     _require_finite(locals(), "tx_power", "p_rf")
@@ -356,18 +352,13 @@ def _extract(
     if not converged:
         best = None
         if picked is not None:
-            best = PrecoderSolution(precoder, tx_power, True, math.nan)
+            best = PrecoderSolution(precoder, tx_power, math.nan)
         raise PrecoderError(
             f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {tol})", best=best
         )
     if picked is None:
         raise PrecoderError("no feasible rank-1 candidate found", best=None)
-    return PrecoderSolution(
-        precoder=precoder,
-        tx_power=tx_power,
-        feasible=True,
-        sdr_lower_bound=min(red.cstar * dual, tx_power),
-    )
+    return PrecoderSolution(precoder, tx_power, sdr_lower_bound=min(red.cstar * dual, tx_power))
 
 
 def _check_solver_arguments(tol: float, n_randomizations: int) -> None:
@@ -380,10 +371,9 @@ def _check_solver_arguments(tol: float, n_randomizations: int) -> None:
 
 def min_power_precoder(
     problem: MulticastProblem,
-    tol: float = 1e-4,
-    n_randomizations: int = 200,
+    tol: float = _TOL,
+    n_randomizations: int = _N_RANDOMIZATIONS,
     seed: int = 0,
-    extra_candidates: tuple = (),
 ) -> PrecoderSolution:
     """Minimum-transmit-power precoder meeting every device's received floor.
 
@@ -397,7 +387,7 @@ def min_power_precoder(
     _check_solver_arguments(tol, n_randomizations)
     red = _reduce(problem)
     (relaxed,) = _solve_relaxations([red], tol)
-    return _extract(red, relaxed, tol, n_randomizations, seed, extra_candidates)
+    return _extract(red, relaxed, tol, n_randomizations, seed, ())
 
 
 @dataclass(frozen=True)
@@ -421,10 +411,7 @@ def draw_device_positions(n: int, radius: float, seed) -> list[Position2D]:
     """Uniform device positions in a disk of ``radius`` around the beacon."""
     if n < 1:
         raise ValueError(f"need at least one device, got {n}")
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.uniform(size=n))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return [Position2D(float(x), float(y)) for x, y in zip(r * np.cos(phi), r * np.sin(phi))]
+    return [Position2D(float(x), float(y)) for x, y in _uniform_disk(n, radius, np.random.default_rng(seed))]
 
 
 def sweep_rf_chains(
@@ -433,10 +420,10 @@ def sweep_rf_chains(
     m_values,
     model: ChannelModel | None = None,
     seed: int = 0,
-    pa_efficiency: float = 0.35,
-    p_rf: float = 0.5,
-    tol: float = 1e-4,
-    n_randomizations: int = 200,
+    pa_efficiency: float = _PA_EFFICIENCY,
+    p_rf: float = _P_RF,
+    tol: float = _TOL,
+    n_randomizations: int = _N_RANDOMIZATIONS,
 ) -> RfChainSweep:
     """Transmit power and total consumption across antenna/RF-chain counts.
 

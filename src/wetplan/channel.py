@@ -59,9 +59,6 @@ class Position2D:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def positions_to_array(positions) -> np.ndarray:
     """Stack positions (``Position2D`` or (x, y) pairs) into an (n, 2) array."""
@@ -166,7 +163,11 @@ def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(density * math.pi * radius**2))
+    return _uniform_disk(int(rng.poisson(density * math.pi * radius**2)), radius, rng)
+
+
+def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """``n`` i.i.d. points uniform over the disk of ``radius`` at the origin, as an (n, 2) array."""
     r = radius * np.sqrt(rng.uniform(size=n))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
@@ -199,8 +200,7 @@ def sample_channels(
     """
     rng = np.random.default_rng(seed)
     pts = positions_to_array(sources)
-    dev = device.as_array() if isinstance(device, Position2D) else np.asarray(device, dtype=float)
-    diff = pts - dev.reshape(1, 2)
+    diff = pts - positions_to_array([device])
     dist = np.hypot(diff[:, 0], diff[:, 1])
     theta = np.arctan2(diff[:, 1], diff[:, 0])
 

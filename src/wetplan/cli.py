@@ -281,8 +281,12 @@ _RUNNERS = {
 }
 
 
-def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]]) -> str:
-    """Render a run's CSV cells as gnuplot-style columnar text, one block per series."""
+def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]], resolved) -> str:
+    """Render a run's CSV cells as gnuplot-style columnar text, one block per series.
+
+    ``resolved`` is the run's resolved config; the cost sweep's ``mode`` sets
+    its x axis.
+    """
     col = {name: i for i, name in enumerate(header)}
     out: list[str] = []
 
@@ -295,8 +299,7 @@ def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]]) -
         out.extend(" ".join(r[col[c]] for c in columns) for r in rows)
 
     if subcommand == "cost":
-        varying = {r[col["n_devices"]] for r in cells}
-        x_name = "n_devices" if len(varying) > 1 else "horizon"
+        x_name = "n_devices" if resolved["mode"] == "devices" else "horizon"
         out.append(f"# cost sweep: x = {x_name}, y = total cost (USD)")
         for scenario in sorted({r[col["scenario"]] for r in cells}):
             series = [r for r in cells if r[col["scenario"]] == scenario]
@@ -351,7 +354,7 @@ def run(rc: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(stage(f"{rc.subcommand}.csv"), header, cells)
         if rc.plot_data:
-            stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells))
+            stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells, resolved))
 
         manifest = RunManifest(
             version=__version__,

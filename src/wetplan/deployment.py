@@ -42,7 +42,6 @@ __all__ = [
     "SolverConfig",
     "DeploymentSolution",
     "received_power",
-    "objective",
     "optimize",
     "grid_oracle",
 ]
@@ -163,13 +162,6 @@ def received_power(device, pbs, problem: DeploymentProblem) -> float:
     for (x, y), p in zip(xy.tolist(), tx.tolist()):
         total += p * path_gain(math.hypot(x - dev.x, y - dev.y), problem.pathloss)
     return total
-
-
-def objective(pbs, problem: DeploymentProblem) -> tuple[float, int]:
-    """Worst-device received power and the index of that device; errors outside the area."""
-    xy = positions_to_array(pbs)
-    problem.ambient_map.area.require_inside(xy)
-    return _Evaluator(problem).objective(xy)
 
 
 def _build_solution(xy: np.ndarray, evaluator: _Evaluator) -> DeploymentSolution:

@@ -582,6 +582,25 @@ def test_plot_data_cost_has_four_series(tmp_path):
     assert text.count("# series:") == 4
 
 
+@pytest.mark.parametrize(
+    "sets, x_name, first_series",
+    [
+        (("n_devices=10",), "n_devices", "baseline"),
+        (("mode=lifetime", "horizons=10", "battery_lives=3"), "horizon", "baseline battery_life=3"),
+    ],
+    ids=["devices", "lifetime"],
+)
+def test_one_point_cost_sweep_plots_against_its_mode_axis(tmp_path, sets, x_name, first_series):
+    # One point varies neither n_devices nor horizon: the axis comes from mode.
+    out = tmp_path / "cost"
+    assert run_cli("cost", out, sets=sets, plot=True) == 0
+    lines = (out / "cost.dat").read_text().splitlines()
+    assert lines[0] == f"# cost sweep: x = {x_name}, y = total cost (USD)"
+    series = [i for i, line in enumerate(lines) if line.startswith("# series:")]
+    assert len(series) == 4
+    assert lines[series[0]:series[0] + 2] == [f"# series: {first_series}", f"# columns: {x_name} total"]
+
+
 def test_plot_data_outage_groups_by_architecture(tmp_path):
     out = tmp_path / "outage"
     sets = ("trials=100", "densities=1.0, 2.0, 3.0", "archs=single, dc", "n_antennas=2")
@@ -603,6 +622,34 @@ def test_main_exit_codes(tmp_path):
     out = tmp_path / "ok"
     assert main(["cost", "--out", str(out)]) == 0
     assert main(["deploy", "--out", str(tmp_path / "bad"), "--set", "k=0"]) == 1
+
+
+def run_module(*args, cwd):
+    """``python -m wetplan args`` in a fresh interpreter, with this checkout's package first on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wetplan.cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "wetplan", *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_python_m_wetplan_writes_a_verified_run(tmp_path):
+    done = run_module("cost", "--out", str(tmp_path / "run"), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert verify_manifest(tmp_path / "run" / "manifest.txt")
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["cost.csv", "manifest.txt"]
+
+
+@pytest.mark.parametrize(
+    "args, status, message",
+    [
+        (("--set", "n_devicez=5"), 1, r"unknown key 'n_devicez'; did you mean 'n_devices'\?"),
+        (("--seed", "-1"), 2, "seed must be a 64-bit unsigned integer, got -1"),
+    ],
+    ids=["unknown-key", "negative-seed"],
+)
+def test_python_m_wetplan_refusals(tmp_path, args, status, message):
+    done = run_module("cost", *args, "--out", str(tmp_path / "run"), cwd=tmp_path)
+    assert done.returncode == status
+    assert re.search(message, done.stderr)
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_config_validation():

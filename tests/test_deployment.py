@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from wetplan import deployment
-from wetplan.ambient import AmbientMap, GaussianComponent, Rect, ambient_power_xy
+from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.channel import PathLossParams, Position2D, RicianParams
 from wetplan.deployment import (
     DeploymentProblem,
     SolverConfig,
     grid_oracle,
-    objective,
     optimize,
     received_power,
 )
+
+from deployment_reference import reference_ambient, reference_objective
 
 AREA = Rect(-10.0, -10.0, 10.0, 10.0)
 LOSSLESS = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
@@ -54,7 +55,7 @@ def test_objective_single_device_equals_received_power():
     amap = uniform_map()
     prob = DeploymentProblem((Position2D(2.0, 2.0),), amap, k=1, pathloss=LOSSLESS)
     pbs = [(0.0, 0.0)]
-    value, worst = objective(pbs, prob)
+    value, worst = deployment._Evaluator(prob).objective(np.array(pbs))
     assert worst == 0
     assert value == received_power(Position2D(2.0, 2.0), pbs, prob)
 
@@ -63,7 +64,7 @@ def test_objective_argmin_is_far_device():
     amap = uniform_map()
     devices = (Position2D(0.0, 0.0), Position2D(8.0, 8.0))
     prob = DeploymentProblem(devices, amap, k=1, pathloss=LOSSLESS)
-    _, worst = objective([(0.0, 0.0)], prob)
+    _, worst = deployment._Evaluator(prob).objective(np.array([(0.0, 0.0)]))
     assert worst == 1
 
 
@@ -76,7 +77,7 @@ def test_grid_oracle_small_grid_matches_manual_enumeration():
     best = -1.0
     for x in (-10.0, 0.0, 10.0):
         for y in (-10.0, 0.0, 10.0):
-            value, _ = objective([(x, y)], prob)
+            value, _ = reference_objective([(x, y)], prob)
             best = max(best, value)
     assert np.isclose(sol.min_received_power, best, rtol=1e-12)
 
@@ -139,7 +140,7 @@ def test_optimize_beats_random_placement_on_every_seed():
         sol = optimize(prob, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 999]))
         random_pbs = rng.uniform(-10.0, 10.0, size=(2, 2))
-        random_value, _ = objective(random_pbs, prob)
+        random_value, _ = reference_objective(random_pbs, prob)
         assert sol.min_received_power >= random_value
 
 
@@ -167,8 +168,8 @@ def test_solutions_respect_area_and_cap():
         for pb, tx in zip(sol.pb_positions, sol.per_pb_tx_power):
             assert AREA.contains(pb.x, pb.y)
             assert tx <= 1.0 + 1e-15
-            assert np.isclose(tx, min(ambient_power_xy(amap, [pb])[0], 1.0), rtol=1e-12)
-        value, worst = objective(sol.pb_positions, prob)
+            assert np.isclose(tx, min(reference_ambient(amap, np.array([(pb.x, pb.y)]))[0], 1.0), rtol=1e-12)
+        value, worst = reference_objective(sol.pb_positions, prob)
         assert np.isclose(value, sol.min_received_power, rtol=1e-12)
         assert worst == sol.worst_device_index
 

@@ -1,9 +1,9 @@
 """The deployment evaluator and search against the code they replaced.
 
-The reference functions below are copies of the objective as it was computed
-before the evaluator existed: one ambient-mixture term added per component,
-the device array rebuilt and the points clamped column by column on each
-call. The lockstep Nelder–Mead is checked against scipy's, one start at a
+The reference functions (``deployment_reference``, and ``reference_clamp``
+below) are copies of the objective as it was computed before the evaluator
+existed: one ambient-mixture term added per component, the device array
+rebuilt and the points clamped column by column on each call. The lockstep Nelder–Mead is checked against scipy's, one start at a
 time. Every comparison is on the bytes, so a change of rounding fails here.
 """
 
@@ -14,9 +14,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from wetplan.ambient import AmbientMap, GaussianComponent, Rect, ambient_power_xy
-from wetplan.channel import PathLossParams, Position2D, path_gain, positions_to_array
+from wetplan.ambient import AmbientMap, GaussianComponent, Rect, mixture_columns, mixture_power
+from wetplan.channel import PathLossParams, Position2D, positions_to_array
 from wetplan.deployment import DeploymentProblem, _candidate_points, _Evaluator, _grid, _nelder_mead
+
+from deployment_reference import reference_ambient, reference_contributions, reference_objective
 
 # Derandomized so the suite gives the same verdict on every run. A failure is
 # reported as found: shrinking these composite maps takes minutes.
@@ -30,29 +32,6 @@ def reference_clamp(flat, area):
     out[:, 0] = np.clip(out[:, 0], area.x_min, area.x_max)
     out[:, 1] = np.clip(out[:, 1], area.y_min, area.y_max)
     return out
-
-
-def reference_ambient(amap, pts):
-    total = np.zeros(pts.shape[0])
-    for c in amap.components:
-        d2 = (pts[:, 0] - c.center.x) ** 2 + (pts[:, 1] - c.center.y) ** 2
-        total += c.weight * np.exp(-d2 / (2.0 * c.width**2))
-    return total
-
-
-def reference_contributions(xy_pbs, problem):
-    tx = np.minimum(reference_ambient(problem.ambient_map, xy_pbs), problem.cap)
-    dev = positions_to_array(problem.devices)
-    dx = xy_pbs[:, 0, None] - dev[None, :, 0]
-    dy = xy_pbs[:, 1, None] - dev[None, :, 1]
-    gains = path_gain(np.hypot(dx, dy), problem.pathloss)
-    return tx[:, None] * gains
-
-
-def reference_objective(xy_pbs, problem):
-    received = reference_contributions(xy_pbs, problem).sum(axis=0)
-    worst = int(np.argmin(received))
-    return float(received[worst]), worst
 
 
 def bits(value):
@@ -104,7 +83,9 @@ def test_evaluator_matches_the_per_component_loop_bit_for_bit(data):
     assert bits(evaluator.clamp(flat)) == bits(clamped)
     assert bits(evaluator.contributions(clamped)) == bits(reference_contributions(clamped, problem))
     amap = problem.ambient_map
-    assert bits(ambient_power_xy(amap, clamped)) == bits(reference_ambient(amap, clamped))
+    assert bits(mixture_power(clamped[:, 0], clamped[:, 1], mixture_columns(amap))) == bits(
+        reference_ambient(amap, clamped)
+    )
 
     value, worst = evaluator.objective(clamped)
     ref_value, ref_worst = reference_objective(clamped, problem)
