@@ -51,7 +51,7 @@ from .deployment import (
     received_power,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, dft_codebook, harvest
-from .outage import OutageConfig, OutageResult, run_outage, run_trial, sweep_density
+from .outage import OutageConfig, OutageResult, run_outage, sweep_density
 
 __all__ = [
     "__version__",
@@ -96,6 +96,5 @@ __all__ = [
     "OutageConfig",
     "OutageResult",
     "run_outage",
-    "run_trial",
     "sweep_density",
 ]

@@ -116,8 +116,10 @@ def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENC
         raise ValueError(f"tx_power must be >= 0, got {tx_power}")
     if not 0.0 < pa_efficiency <= 1.0:
         raise ValueError(f"pa_efficiency must be in (0, 1], got {pa_efficiency}")
-    if n_rf < 0 or p_rf < 0:
-        raise ValueError("n_rf and p_rf must be >= 0")
+    if n_rf < 0:
+        raise ValueError(f"n_rf must be >= 0, got {n_rf}")
+    if p_rf < 0:
+        raise ValueError(f"p_rf must be >= 0, got {p_rf}")
     return tx_power / pa_efficiency + n_rf * p_rf
 
 
@@ -446,14 +448,17 @@ def sweep_rf_chains(
     _check_solver_arguments(tol, n_randomizations)
     consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
     positions = None if isinstance(devices, (int, np.integer)) else list(devices)
+    n_devices = int(devices) if positions is None else len(positions)
+    if n_devices < 1:
+        raise ValueError(f"devices must hold at least one device, got {n_devices}")
     m_max = ms[-1]
-    entries = (int(devices) if positions is None else len(positions)) * m_max
-    _require_at_most(entries, MAX_ARRAY_ENTRIES, "devices and m_values", "channel entries (devices * max(m_values))")
+    _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, "devices and m_values",
+                     "channel entries (devices * max(m_values))")
     _require_at_most(n_randomizations * m_max, MAX_ARRAY_ENTRIES, "n_randomizations and m_values",
                      "candidate entries (n_randomizations * max(m_values))")
 
     if positions is None:
-        positions = draw_device_positions(int(devices), model.disk_radius, np.random.SeedSequence([int(seed), 0]))
+        positions = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
     h_full = sample_channels(
         positions,
         Position2D(0.0, 0.0),

@@ -11,12 +11,14 @@ The manifest also records the environment that produced the bytes
 outage trials were split across); ``verify_manifest`` does not read them.
 
 A runner builds the library objects from the resolved config, calls the
-study's library entry point and returns a header and rows. The library checks
-its own arguments, and refuses a scenario too large to allocate, before it
-draws anything; its refusal names the config key of the same name. The
-rfchains runner spells the two sweep arguments whose keys differ as those
-keys. The rows are formatted into cells once, and both the CSV and the
-optional plot data are written from those cells.
+study's library entry point and returns a header and rows. The library is
+the only range check: it checks its own arguments, and refuses a scenario
+too large to allocate, before it computes or draws anything. Its refusal
+names the config key of the same name; where a key is spelled otherwise
+(the rfchains sweep's ``devices``, ``p_rf``, ``tol`` and
+``n_randomizations``, the lifetime sweep's ``n_devices``), the runner spells
+the argument as its key. The rows are formatted into cells once, and both
+the CSV and the optional plot data are written from those cells.
 Outputs are renamed into place only after all of them are written, so a
 failed run leaves an earlier run in the same directory as it was.
 """
@@ -40,7 +42,7 @@ from . import __version__
 from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import ChannelModel, sweep_rf_chains
-from .channel import Position2D, positions_to_array
+from .channel import Position2D
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
@@ -129,9 +131,12 @@ def _sha256(path: Path) -> str:
 
 
 def verify_manifest(manifest_path) -> bool:
-    """Recompute the digests of the manifest's output files; True if all match."""
+    """Recompute the digests of the manifest's output files; True if all match
+    and they include the subcommand's CSV, which every run writes."""
     path = Path(manifest_path)
     manifest = RunManifest.from_text(path.read_text())
+    if f"{manifest.subcommand}.csv" not in manifest.outputs:
+        return False
     for name, digest in manifest.outputs.items():
         target = path.parent / name
         if not target.is_file() or _sha256(target) != digest:
@@ -178,12 +183,14 @@ def _build(cls, resolved, prefix: str = "", **given):
 
 def _run_cost(resolved, seed: int):
     params = _build(CostParams, resolved)
-    if resolved["mode"] == "devices":
-        breakdowns = sweep_devices(params, resolved["n_devices"])
-    else:
-        breakdowns = sweep_hardware_lifetime(
+    # A sweep checks its values when called and computes rows only as they are
+    # read, so both modes' values are checked before any cost is computed.
+    devices = sweep_devices(params, resolved["n_devices"])
+    with _spelling({"n_devices": "lifetime_n_devices"}):
+        lifetime = sweep_hardware_lifetime(
             params, resolved["horizons"], resolved["battery_lives"], resolved["lifetime_n_devices"]
         )
+    breakdowns = devices if resolved["mode"] == "devices" else lifetime
     header = [
         "scenario", "n_devices", "horizon", "battery_life",
         "device_install", "device_maintenance", "pb_install", "pb_opex", "total",
@@ -214,6 +221,16 @@ def _naming(keys: str):
         raise ConfigError(f"{keys}: {err}") from err
 
 
+@contextlib.contextmanager
+def _spelling(keys: dict[str, str]):
+    """Report a library ``ValueError`` as a ``ConfigError`` in which each argument
+    name in ``keys`` is spelled as the config key that sets it."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(re.sub(rf"\b({'|'.join(keys)})\b", lambda m: keys[m[0]], str(err))) from err
+
+
 def _run_deploy(resolved, seed: int):
     with _naming("map.area"):
         area = Rect(*resolved["map.area"])
@@ -222,8 +239,6 @@ def _run_deploy(resolved, seed: int):
             tuple(GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]),
             area,
         )
-    with _naming("devices, map.area"):
-        area.require_inside(positions_to_array(resolved["devices"]), "device")
     problem = _build(DeploymentProblem, resolved, ambient_map=ambient_map)
     solution = optimize(problem, _build(SolverConfig, resolved, "solver."), seed=seed)
     header = ["row_type", "index", "x", "y", "tx_power_w", "received_power_w", "is_worst"]
@@ -258,16 +273,13 @@ def _run_outage(resolved, seed: int):
 def _run_rfchains(resolved, seed: int):
     model = _build(ChannelModel, resolved)
     devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
-    try:
+    with _spelling({"devices": "n_devices (or devices)", "p_rf": "p_rf_chain_w", "tol": "solver.tol",
+                    "n_randomizations": "solver.randomizations"}):
         sweep = sweep_rf_chains(
             devices, resolved["gamma"], resolved["m_values"], model=model, seed=seed,
             pa_efficiency=resolved["pa_efficiency"], p_rf=resolved["p_rf_chain_w"],
             tol=resolved["solver.tol"], n_randomizations=resolved["solver.randomizations"],
         )
-    except ValueError as err:
-        # The sweep's refusals name its arguments; two are set by keys spelled otherwise.
-        keys = {"devices": "n_devices (or devices)", "n_randomizations": "solver.randomizations"}
-        raise ConfigError(re.sub(r"\b(devices|n_randomizations)\b", lambda m: keys[m[0]], str(err))) from err
     header = ["m", "tx_power_w", "consumption_w", "is_optimum"]
     rows = [(pt.n_rf, pt.tx_power, pt.total_consumption, int(pt.n_rf == sweep.optimum_n_rf)) for pt in sweep.points]
     return header, rows

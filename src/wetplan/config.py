@@ -11,16 +11,14 @@ A key that sets a library field is generated from that field: the fields of
 ``CostParams``, ``DeploymentProblem``, ``SolverConfig`` (``solver.*``),
 ``OutageConfig`` and ``ChannelModel``, with ``pathloss.*``, ``rician.*`` and
 ``curve.*`` from their nested dataclasses. Such a key has the field's name,
-its default, a kind read from the default's type, and no check of its own:
-the library's constructor checks the value when the study builds its
-objects, and the refusal names the dotted key. Only the keys with no library
-field (device layouts, sweep lists, ``k``, ``gamma``, the arguments of
-``sweep_rf_chains``) are written out here. Those the study's entry point
-checks under the same name (``k``, deploy ``devices``, ``map.components``,
-``densities``, ``archs``, ``gamma``, ``m_values``, ``pa_efficiency``) have no
-check of their own either. The cost lists and the keys spelled differently
-from their library parameter (rfchains ``n_devices``, ``p_rf_chain_w``,
-``solver.tol``, ``solver.randomizations``) keep a check here.
+its default and a kind read from the default's type. Only the keys with no
+library field (device layouts, sweep lists, ``k``, ``gamma``, the arguments
+of ``sweep_rf_chains`` and the lifetime sweep's fleet size) are written out
+here; those that are a function's keyword argument take its default from
+the function's signature. No key has a range check here: the library checks
+every value when the study calls it, before any work, and the runner makes
+the refusal name the key (see ``wetplan.cli``). ``mode`` and ``archs`` take
+only their listed choices.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ import inspect
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from .ambient import example_map
 from .beampower import ChannelModel, sweep_rf_chains
-from .costs import CostParams
+from .costs import CostParams, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig
 from .harvesting import ARCHITECTURES
 from .outage import OutageConfig
@@ -60,7 +57,6 @@ class ConfigKey:
     kind: str
     default: object
     choices: tuple = ()
-    check: Callable[[object], str | None] | None = None
 
 
 def _parse_float(text: str) -> float:
@@ -204,29 +200,11 @@ def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict
             hint = difflib.get_close_matches(name, schema.keys(), n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"{origin}: unknown key {name!r}{suffix}")
-        key = schema[name]
         try:
-            value = _parse_value(key, raw)
+            resolved[name] = _parse_value(schema[name], raw)
         except ConfigError as err:
             raise ConfigError(f"{origin}: {name}: {err}") from err
-        if key.check is not None:
-            problem = key.check(value)
-            if problem:
-                raise ConfigError(f"{origin}: {name}: {problem}")
-        resolved[name] = value
     return resolved
-
-
-def _positive(label: str):
-    return lambda v: None if v > 0 else f"{label} must be > 0, got {v}"
-
-
-def _at_least(minimum: int, label: str):
-    return lambda v: None if v >= minimum else f"{label} must be >= {minimum}, got {v}"
-
-
-def _positive_list(label: str):
-    return lambda vs: None if vs and all(v > 0 for v in vs) else f"{label} must be a non-empty list of positives"
 
 
 # The kind of a key that sets a library field, by the type of its default;
@@ -273,10 +251,11 @@ def _schema(*keys: ConfigKey) -> dict[str, ConfigKey]:
 def _cost_schema() -> dict[str, ConfigKey]:
     return _schema(
         ConfigKey("mode", "str", "devices", choices=("devices", "lifetime")),
-        ConfigKey("n_devices", "int_list", (10, 50, 100), check=_positive_list("device counts")),
-        ConfigKey("lifetime_n_devices", "int", 100, check=_at_least(1, "fleet size")),
-        ConfigKey("horizons", "int_list", (5, 10, 15, 20), check=_positive_list("horizons")),
-        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10), check=_positive_list("battery lives")),
+        ConfigKey("n_devices", "int_list", (10, 50, 100)),
+        ConfigKey("lifetime_n_devices", "int",
+                  inspect.signature(sweep_hardware_lifetime).parameters["n_devices"].default),
+        ConfigKey("horizons", "int_list", (5, 10, 15, 20)),
+        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10)),
         *_field_keys(CostParams),
     )
 
@@ -309,13 +288,12 @@ def _rfchains_schema() -> dict[str, ConfigKey]:
     return _schema(
         ConfigKey("gamma", "float", 2e-6),
         ConfigKey("m_values", "int_list", tuple(range(1, 33))),
-        ConfigKey("n_devices", "int", 4, check=_at_least(1, "devices")),
+        ConfigKey("n_devices", "int", 4),
         ConfigKey("devices", "pair_list", ()),
         ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"]),
-        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"],
-                  check=lambda v: None if v >= 0 else f"chain power must be >= 0, got {v}"),
-        ConfigKey("solver.tol", "float", sweep["tol"], check=_positive("tolerance")),
-        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"], check=_at_least(0, "randomizations")),
+        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"]),
+        ConfigKey("solver.tol", "float", sweep["tol"]),
+        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"]),
         *_field_keys(ChannelModel, skip=("element_spacing",)),
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,27 +185,37 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     )
 
 
-def sweep_devices(params: CostParams, n_list) -> list[CostBreakdown]:
-    """All four scenarios for each device count, scenario-major per count."""
-    counts = list(n_list)
-    if not counts:
-        raise ValueError("device count list must be non-empty")
-    return [scenario_cost(s, n, params) for n in counts for s in SCENARIOS]
+def _positive_list(name: str, values) -> list:
+    """``values`` as a list; errors, naming ``name``, unless it is non-empty and all positive."""
+    items = list(values)
+    if not items or not all(v > 0 for v in items):
+        raise ValueError(f"{name} must be a non-empty list of positives, got {items}")
+    return items
+
+
+def sweep_devices(params: CostParams, n_devices) -> Iterator[CostBreakdown]:
+    """All four scenarios for each device count, scenario-major per count.
+
+    ``n_devices`` is checked when the sweep is called; the rows are computed
+    as they are read.
+    """
+    counts = _positive_list("n_devices", n_devices)
+    return (scenario_cost(s, n, params) for n in counts for s in SCENARIOS)
 
 
 def sweep_hardware_lifetime(
-    params: CostParams, horizon_list, battery_life_list, n_devices: int = 100
-) -> list[CostBreakdown]:
-    """All four scenarios per (horizon, battery life) grid point."""
-    horizons, lives = list(horizon_list), list(battery_life_list)
-    if not horizons or not lives:
-        raise ValueError("horizon and battery-life lists must be non-empty")
-    rows = []
-    for horizon in horizons:
-        for life in lives:
-            p = dataclasses.replace(params, horizon=horizon, device_battery_life=life)
-            rows.extend(scenario_cost(s, n_devices, p) for s in SCENARIOS)
-    return rows
+    params: CostParams, horizons, battery_lives, n_devices: int = 100
+) -> Iterator[CostBreakdown]:
+    """All four scenarios per (horizon, battery life) grid point, for a fleet of ``n_devices``.
+
+    The arguments are checked when the sweep is called; the rows are computed
+    as they are read.
+    """
+    horizons, lives = _positive_list("horizons", horizons), _positive_list("battery_lives", battery_lives)
+    if n_devices < 1:
+        raise ValueError(f"n_devices must be >= 1, got {n_devices}")
+    grid = (dataclasses.replace(params, horizon=h, device_battery_life=life) for h in horizons for life in lives)
+    return (scenario_cost(s, n_devices, p) for p in grid for s in SCENARIOS)
 
 
 def crossover_device_count(params: CostParams, n_max: int = 100) -> int | None:

@@ -75,7 +75,7 @@ class DeploymentProblem:
         _require_finite(self, "cap")
         if self.cap <= 0:
             raise ValueError(f"cap must be > 0, got {self.cap}")
-        self.ambient_map.area.require_inside(positions_to_array(devices), "device")
+        self.ambient_map.area.require_inside(positions_to_array(devices), "devices")
 
     def device_xy(self) -> np.ndarray:
         return positions_to_array(self.devices)

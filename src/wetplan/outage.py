@@ -14,8 +14,7 @@ its own.
 
 Each trial reduces its draws to per-antenna incident powers and the best rf
 codeword's combined power; the trials of one estimate are then rectified
-together, one ``harvest`` call per architecture. ``run_trial`` is the same
-path on one trial.
+together, one ``harvest`` call per architecture.
 
 ``run_outage`` and ``sweep_density`` check their arguments before the first
 trial, and refuse a scenario whose arrays would pass a size limit
@@ -48,7 +47,6 @@ from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codewor
 __all__ = [
     "OutageConfig",
     "OutageResult",
-    "run_trial",
     "run_outage",
     "sweep_density",
 ]
@@ -154,15 +152,6 @@ def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, se
         if codewords is not None:
             combined[t] = _codeword_powers(h, config.tx_power, codewords).max()
     return np.array([_rectify(antenna_powers, combined, arch, config.curve) for arch in archs])
-
-
-def run_trial(config: OutageConfig, seed, archs) -> tuple[float, ...]:
-    """One Monte Carlo draw: sample the field, then the channels, then rectify.
-
-    Returns one harvested power (W) per architecture in ``archs``, all from
-    the same draws.
-    """
-    return tuple(float(v) for v in _harvest_trials(config, _plan(archs), 1, [seed])[:, 0])
 
 
 def _estimate(harvested: np.ndarray, target: float) -> OutageResult:

@@ -15,7 +15,7 @@ from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
 from wetplan.deployment import DeploymentProblem, grid_oracle, optimize
 from wetplan.harvesting import HarvesterCurve, _codeword_powers, dft_codebook, harvest
-from wetplan.outage import OutageConfig, run_trial, sweep_density, trial_seed
+from wetplan.outage import OutageConfig, _harvest_trials, sweep_density, trial_seed
 
 from deployment_reference import reference_objective
 
@@ -86,13 +86,13 @@ def test_criterion_4_outage_monotonicity_and_combining():
     for lo, hi in zip(results, results[1:]):
         assert hi.outage_estimate <= lo.outage_estimate + lo.ci95_halfwidth + hi.ci95_halfwidth
 
-    dominated = 0
-    for t in range(10_000):
-        single, dc = run_trial(config, trial_seed(config.seed, t), ("single", "dc"))
-        dominated += dc >= single
+    seeds = (trial_seed(config.seed, t) for t in range(10_000))
+    single, dc = _harvest_trials(config, ("single", "dc"), 10_000, seeds)
+    dominated = int(np.sum(dc >= single))
     assert dominated == 10_000
 
     cb = dft_codebook(config.n_antennas)
+    [rf] = _harvest_trials(config, ("rf",), 200, (trial_seed(config.seed, t) for t in range(200)))
     checked = 0
     for t in range(200):
         rng = np.random.default_rng(trial_seed(config.seed, t))
@@ -107,8 +107,7 @@ def test_criterion_4_outage_monotonicity_and_combining():
         for power in fixed:
             assert best >= power * (1.0 - 1e-12)
         assert best <= max(fixed) * (1.0 + 1e-12)
-        [harvested] = run_trial(config, trial_seed(config.seed, t), ("rf",))
-        assert harvested == harvest(best, config.curve)
+        assert rf[t] == harvest(best, config.curve)
         checked += 1
     assert checked >= 150
     estimates = [f"{r.outage_estimate:.3f}" for r in results]

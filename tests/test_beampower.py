@@ -233,9 +233,12 @@ BAD_SWEEP_ARGUMENTS = [
     ("pa_efficiency", 0.0, r"^pa_efficiency must be in \(0, 1\], got 0\.0$"),
     ("pa_efficiency", 1.5, r"^pa_efficiency must be in \(0, 1\], got 1\.5$"),
     ("pa_efficiency", math.nan, r"^pa_efficiency must be in \(0, 1\], got nan$"),
-    ("p_rf", -0.5, r"p_rf must be >= 0"),
+    ("p_rf", -0.5, r"^p_rf must be >= 0, got -0\.5$"),
     ("p_rf", math.inf, r"^p_rf must be finite, got inf$"),
     ("n_randomizations", -3, r"^n_randomizations must be >= 0, got -3$"),
+    ("n_randomizations", -1, r"^n_randomizations must be >= 0, got -1$"),
+    ("devices", 0, r"^devices must hold at least one device, got 0$"),
+    ("devices", [], r"^devices must hold at least one device, got 0$"),
     ("gamma", 0.0, r"^gamma must be finite and > 0, got 0\.0$"),
     ("gamma", -1.0, r"^gamma must be finite and > 0, got -1\.0$"),
     ("gamma", math.nan, r"^gamma must be finite and > 0, got nan$"),

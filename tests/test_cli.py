@@ -399,7 +399,7 @@ def test_deploy_device_outside_area_names_the_keys(tmp_path, capsys):
     out = tmp_path / "deploy"
     assert main(["deploy", "--set", "devices=30:0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: devices, map.area: device (30.0, 0.0) lies outside the map area")
+    assert err.startswith("error: devices (30.0, 0.0) lies outside the map area x [-20.0, 20.0]")
     assert not out.exists()
 
 
@@ -475,6 +475,23 @@ def test_manifest_digests_verify_and_detect_tampering(tmp_path):
     manifest = out / "manifest.txt"
     assert verify_manifest(manifest)
     (out / "cost.csv").write_text("tampered\n")
+    assert not verify_manifest(manifest)
+
+
+def test_manifest_that_lists_no_csv_does_not_verify(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("cost", out) == 0
+    manifest = out / "manifest.txt"
+    text = manifest.read_text()
+    (out / "empty.txt").write_text("")
+    assert not verify_manifest(out / "empty.txt")
+    header = "".join(line + "\n" for line in text.splitlines() if not line.startswith(("config.", "output.")))
+    manifest.write_text(header)
+    assert not verify_manifest(manifest)
+    # A manifest whose outputs all match, but which omits the run's CSV.
+    plot = out / "cost.dat"
+    plot.write_text("# series\n")
+    manifest.write_text(header + f"output.cost.dat.sha256 = {hashlib.sha256(plot.read_bytes()).hexdigest()}\n")
     assert not verify_manifest(manifest)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import wetplan.beampower
 import wetplan.cli
+import wetplan.costs
 import wetplan.deployment
 import wetplan.outage
 from wetplan.cli import main
@@ -89,8 +90,8 @@ PINNED = {
     },
 }
 
-# The keys with no library field: each is written out in the schema with
-# its own check. Every other key is generated from a library field.
+# The keys with no library field: each is written out in the schema. Every
+# other key is generated from a library field.
 STUDY_KEYS = {
     "cost": {"mode", "n_devices", "lifetime_n_devices", "horizons", "battery_lives"},
     "deploy": {"k", "devices", "map.components", "map.area"},
@@ -174,8 +175,7 @@ def _refuse_work(monkeypatch):
         raise AssertionError("the study computed costs, started its search or drew a sample")
 
     for module, name in (
-        (wetplan.cli, "sweep_devices"),
-        (wetplan.cli, "sweep_hardware_lifetime"),
+        (wetplan.costs, "scenario_cost"),
         (wetplan.deployment, "_Evaluator"),
         (wetplan.outage, "sample_hppp"),
         (wetplan.beampower, "draw_device_positions"),
@@ -196,7 +196,7 @@ def test_out_of_range_field_value_is_refused_by_name(tmp_path, monkeypatch, caps
 
 
 # Per study, (key with no library field, a value out of its range). The
-# config or the library refuses the value, before any work, naming the key.
+# library refuses the value, before any work, and the refusal names the key.
 STUDY_OUT_OF_RANGE = {
     "cost": [
         ("mode", "both"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import wetplan.costs
 from wetplan.costs import (
     SCENARIOS,
     CostParams,
@@ -111,29 +112,43 @@ def test_pb_totals_step_at_beacon_boundaries():
 
 
 def test_sweep_devices_monotone_and_ordered():
-    rows = sweep_devices(DEFAULTS, [10, 50, 100])
+    rows = list(sweep_devices(DEFAULTS, [10, 50, 100]))
     assert len(rows) == 12
     for scenario in SCENARIOS:
         totals = [r.grand_total_cents for r in rows if r.scenario == scenario]
         assert totals == sorted(totals)
 
 
-def test_sweep_devices_rejects_empty():
-    with pytest.raises(ValueError):
-        sweep_devices(DEFAULTS, [])
-
-
 def test_lifetime_sweep_baseline_monotone_in_battery_life():
-    rows = sweep_hardware_lifetime(DEFAULTS, [15], [1, 2, 3, 5, 10, 20], n_devices=100)
+    rows = list(sweep_hardware_lifetime(DEFAULTS, [15], [1, 2, 3, 5, 10, 20], n_devices=100))
     base = [r.grand_total_cents for r in rows if r.scenario == "baseline"]
     assert base == sorted(base, reverse=True)
     long_life = [r for r in rows if r.scenario == "baseline" and r.battery_life_years == 20][0]
     assert long_life.grand_total_cents == 200_000  # install only
 
 
-def test_lifetime_sweep_requires_positive_battery_life():
-    with pytest.raises(ValueError):
-        sweep_hardware_lifetime(DEFAULTS, [15], [0])
+# (sweep, its arguments after the cost parameters, the refusal it must raise)
+BAD_SWEEP_ARGUMENTS = [
+    pytest.param(sweep_devices, ([],), r"^n_devices must be a non-empty list of positives, got \[\]$",
+                 id="devices-empty"),
+    pytest.param(sweep_devices, ([10, 0],), r"^n_devices must be a non-empty list of positives, got \[10, 0\]$",
+                 id="devices-zero"),
+    pytest.param(sweep_hardware_lifetime, ([5, 0], [1]),
+                 r"^horizons must be a non-empty list of positives, got \[5, 0\]$", id="lifetime-horizon-zero"),
+    pytest.param(sweep_hardware_lifetime, ([15], [0]),
+                 r"^battery_lives must be a non-empty list of positives, got \[0\]$", id="lifetime-battery-zero"),
+    pytest.param(sweep_hardware_lifetime, ([5], [1], 0), r"^n_devices must be >= 1, got 0$", id="lifetime-fleet-zero"),
+]
+
+
+@pytest.mark.parametrize("sweep, arguments, message", BAD_SWEEP_ARGUMENTS)
+def test_sweep_refuses_out_of_range_values_by_name_before_any_cost(monkeypatch, sweep, arguments, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep computed a cost")
+
+    monkeypatch.setattr(wetplan.costs, "scenario_cost", refuse)
+    with pytest.raises(ValueError, match=message):
+        sweep(DEFAULTS, *arguments)
 
 
 def test_green_crossover_in_range_and_baseline_cheapest_when_small():

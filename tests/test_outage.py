@@ -10,7 +10,7 @@ import pytest
 import wetplan.outage
 from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
 from wetplan.harvesting import ARCHITECTURES, _codeword_powers, dft_codebook, harvest
-from wetplan.outage import OutageConfig, run_outage, run_trial, sweep_density, trial_seed
+from wetplan.outage import OutageConfig, run_outage, sweep_density, trial_seed
 
 # 20 dB fixed loss keeps the 1 mW target reachable at modest densities, which
 # gives the Monte Carlo estimates room to move across a density sweep.
@@ -26,9 +26,16 @@ def make_config(**overrides):
 SINGLE = ("single",)
 
 
+def harvested(cfg, archs, indices):
+    """Harvested power of ``cfg``'s trials ``indices``, one row per architecture, from one batched call."""
+    indices = list(indices)
+    seeds = (trial_seed(cfg.seed, t) for t in indices)
+    return wetplan.outage._harvest_trials(cfg, tuple(archs), len(indices), seeds)
+
+
 def test_zero_density_trial_harvests_nothing():
     cfg = make_config(density=0.0)
-    assert run_trial(cfg, trial_seed(cfg.seed, 0), ARCHITECTURES) == (0.0,) * len(ARCHITECTURES)
+    assert harvested(cfg, ARCHITECTURES, [0]).tolist() == [[0.0]] * len(ARCHITECTURES)
 
 
 def test_zero_density_outage_is_certain():
@@ -50,13 +57,14 @@ def test_forced_transmitter_hand_chain(monkeypatch):
         seed=0,
     )
     monkeypatch.setattr(wetplan.outage, "sample_hppp", lambda density, radius, rng: np.array([[1.0, 0.0]]))
-    [harvested] = run_trial(cfg, trial_seed(cfg.seed, 0), SINGLE)
-    assert np.isclose(harvested, harvest(1e-4, cfg.curve), rtol=1e-4)
-    assert np.isclose(harvested, 0.3 * 1e-4, rtol=1e-4)
+    [[power]] = harvested(cfg, SINGLE, [0])
+    assert np.isclose(power, harvest(1e-4, cfg.curve), rtol=1e-4)
+    assert np.isclose(power, 0.3 * 1e-4, rtol=1e-4)
 
 
 def test_dc_trial_is_sum_of_per_antenna_rectifiers():
     cfg = make_config(n_antennas=4)
+    [dc] = harvested(cfg, ("dc",), range(20))
     checked = 0
     for t in range(20):
         rng = np.random.default_rng(trial_seed(cfg.seed, t))
@@ -65,22 +73,21 @@ def test_dc_trial_is_sum_of_per_antenna_rectifiers():
             continue
         h = sample_channels(positions, Position2D(0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
         powers = (np.abs(h) ** 2 * cfg.tx_power).sum(axis=0)
-        [harvested] = run_trial(cfg, trial_seed(cfg.seed, t), ("dc",))
-        assert np.isclose(harvested, float(np.sum(harvest(powers, cfg.curve))), rtol=1e-12)
+        assert np.isclose(dc[t], float(np.sum(harvest(powers, cfg.curve))), rtol=1e-12)
         checked += 1
     assert checked >= 10
 
 
 def test_dc_dominates_single_per_trial():
     base = make_config(n_antennas=4, trials=400)
-    for t in range(400):
-        single, dc = run_trial(base, trial_seed(base.seed, t), ("single", "dc"))
-        assert dc >= single
+    single, dc = harvested(base, ("single", "dc"), range(400))
+    assert (dc >= single).all()
 
 
 def test_rf_trial_uses_best_codeword():
     cfg = make_config(n_antennas=4, trials=10)
     cb = dft_codebook(4)
+    [rf] = harvested(cfg, ("rf",), range(50))
     for t in range(50):
         rng = np.random.default_rng(trial_seed(cfg.seed, t))
         positions = sample_hppp(cfg.density, cfg.disk_radius, rng)
@@ -92,16 +99,15 @@ def test_rf_trial_uses_best_codeword():
         for power in fixed:
             assert best >= power * (1.0 - 1e-12)
         assert best <= max(fixed) * (1.0 + 1e-12)
-        [harvested] = run_trial(cfg, trial_seed(cfg.seed, t), ("rf",))
-        assert np.isclose(harvested, harvest(best, cfg.curve), rtol=1e-12)
+        assert np.isclose(rf[t], harvest(best, cfg.curve), rtol=1e-12)
 
 
 def test_shared_draws_match_one_architecture_at_a_time():
     base = make_config(n_antennas=4, trials=300)
     archs = ("rf", "single", "dc")
-    for t in range(20):
-        seed = trial_seed(base.seed, t)
-        assert run_trial(base, seed, archs) == tuple(run_trial(base, seed, (a,))[0] for a in archs)
+    shared = harvested(base, archs, range(20))
+    for i, a in enumerate(archs):
+        assert (shared[i] == harvested(base, (a,), range(20))[0]).all()
     assert run_outage(base, archs) == tuple(run_outage(base, (a,))[0] for a in archs)
     swept = sweep_density(base, [0.02, 0.05], archs)
     for i, a in enumerate(archs):
@@ -113,7 +119,7 @@ def test_shared_draws_reject_bad_architecture_lists():
     with pytest.raises(ValueError):
         run_outage(cfg, ())
     with pytest.raises(ValueError):
-        run_trial(make_config(density=0.0), trial_seed(0, 0), ("single", "hybrid"))
+        run_outage(make_config(density=0.0, trials=10), ("single", "hybrid"))
 
 
 def test_outage_monotone_in_density():
@@ -262,14 +268,11 @@ TRIAL_DIGESTS = {
 }
 
 
-def _per_trial(cfg):
-    return np.array([run_trial(cfg, trial_seed(cfg.seed, t), ARCHITECTURES) for t in range(cfg.trials)])
-
-
 @pytest.mark.parametrize("density, antennas", sorted(TRIAL_DIGESTS))
 def test_per_trial_bytes_are_pinned(density, antennas):
     cfg = make_config(density=density, n_antennas=antennas, trials=200)
-    digest = hashlib.sha256(_per_trial(cfg).tobytes()).hexdigest()
+    # One row per trial, one column per architecture.
+    digest = hashlib.sha256(harvested(cfg, ARCHITECTURES, range(cfg.trials)).T.tobytes()).hexdigest()
     assert digest == TRIAL_DIGESTS[density, antennas]
 
 
@@ -277,7 +280,7 @@ def test_per_trial_bytes_are_pinned(density, antennas):
 def test_batched_trials_equal_each_trial_alone(density, antennas):
     cfg = make_config(density=density, n_antennas=antennas, trials=200)
     for archs in (ARCHITECTURES, ("rf",), ("dc", "single")):
-        alone = np.array([run_trial(cfg, trial_seed(cfg.seed, t), archs) for t in range(cfg.trials)])
+        alone = np.array([harvested(cfg, archs, [t])[:, 0] for t in range(cfg.trials)])
         seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
         batched = wetplan.outage._harvest_trials(cfg, archs, cfg.trials, iter(seeds))
         assert batched.shape == (len(archs), cfg.trials)
