@@ -34,7 +34,8 @@ MAX_ARRAY_ENTRIES = 10**7
 def _require_at_most(value, limit, names: str, what: str) -> None:
     """Refuse a scenario whose ``value`` (``what``, set by ``names``) exceeds ``limit``."""
     if not value <= limit:
-        raise ValueError(f"{names} give {value:.4g} {what}; the limit is {limit:.0e}")
+        shown = math.inf if isinstance(value, int) and value > 1e308 else value  # near or past the range of a float
+        raise ValueError(f"{names} give {shown:.4g} {what}; the limit is {limit:.0e}")
 
 
 def _require_finite(params, *names: str) -> None:
@@ -64,8 +65,6 @@ def positions_to_array(positions) -> np.ndarray:
     """Stack positions (``Position2D`` or (x, y) pairs) into an (n, 2) array."""
     if isinstance(positions, np.ndarray):
         arr = np.asarray(positions, dtype=float)
-        if arr.ndim == 1 and arr.size == 2:
-            arr = arr.reshape(1, 2)
     else:
         rows = []
         for p in positions:

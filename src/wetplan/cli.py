@@ -13,14 +13,16 @@ outage trials were split across); ``verify_manifest`` does not read them.
 A runner builds the library objects from the resolved config, calls the
 study's library entry point and returns a header and rows. The library is
 the only range check: it checks its own arguments, and refuses a scenario
-too large to allocate, before it computes or draws anything. Its refusal
-names the config key of the same name; where a key is spelled otherwise
-(the rfchains sweep's ``devices``, ``p_rf``, ``tol`` and
-``n_randomizations``, the lifetime sweep's ``n_devices``), the runner spells
-the argument as its key. The rows are formatted into cells once, and both
-the CSV and the optional plot data are written from those cells.
-Outputs are renamed into place only after all of them are written, so a
-failed run leaves an earlier run in the same directory as it was.
+too large to allocate, before it computes or draws anything; a size refusal
+reads ``<names> give <n> <what>; the limit is <limit>``. A refusal names the
+config key of the same name; where the names differ, one helper, ``_keyed``,
+puts the key's prefix in front (``solver.``, ``map.area: ``) or spells the
+argument as its key (the rfchains sweep's ``devices``, ``p_rf``, ``tol`` and
+``n_randomizations``, the lifetime sweep's ``n_devices``). The rows are
+formatted into cells once, and both the CSV and the optional plot data are
+written from those cells. Outputs are renamed into place only after all of
+them are written, so a failed run leaves an earlier run in the same
+directory as it was.
 """
 
 from __future__ import annotations
@@ -134,7 +136,10 @@ def verify_manifest(manifest_path) -> bool:
     """Recompute the digests of the manifest's output files; True if all match
     and they include the subcommand's CSV, which every run writes."""
     path = Path(manifest_path)
-    manifest = RunManifest.from_text(path.read_text())
+    try:
+        manifest = RunManifest.from_text(path.read_text())
+    except ValueError:  # a seed or duration that does not parse
+        return False
     if f"{manifest.subcommand}.csv" not in manifest.outputs:
         return False
     for name, digest in manifest.outputs.items():
@@ -163,8 +168,7 @@ def _build(cls, resolved, prefix: str = "", **given):
     Field ``f`` reads ``resolved[prefix + f]``; a field whose default is a
     dataclass is built from the keys under ``prefix + f + "."``; any other
     field keeps its default. ``given`` supplies the values no key holds.
-    ``cls`` checks the values itself; its ``ValueError`` becomes a
-    ``ConfigError`` with ``prefix`` put in front, so that it names the key.
+    ``cls`` checks the values itself, and its refusal names the key.
     """
     values = dict(given)
     for f in fields(cls):
@@ -175,10 +179,21 @@ def _build(cls, resolved, prefix: str = "", **given):
             values[f.name] = resolved[key]
         elif is_dataclass(f.default):
             values[f.name] = _build(type(f.default), resolved, key + ".")
-    try:
+    with _keyed(prefix):
         return cls(**values)
+
+
+@contextlib.contextmanager
+def _keyed(prefix: str = "", **spelled: str):
+    """Report a library ``ValueError`` as a ``ConfigError`` that names the config key:
+    ``prefix`` goes in front, and each word in ``spelled`` is spelled as its key."""
+    try:
+        yield
     except ValueError as err:
-        raise ConfigError(f"{prefix}{err}") from err
+        message = str(err)
+        if spelled:
+            message = re.sub(rf"\b({'|'.join(spelled)})\b", lambda m: spelled[m[0]], message)
+        raise ConfigError(prefix + message) from err
 
 
 def _run_cost(resolved, seed: int):
@@ -186,7 +201,7 @@ def _run_cost(resolved, seed: int):
     # A sweep checks its values when called and computes rows only as they are
     # read, so both modes' values are checked before any cost is computed.
     devices = sweep_devices(params, resolved["n_devices"])
-    with _spelling({"n_devices": "lifetime_n_devices"}):
+    with _keyed(n_devices="lifetime_n_devices"):
         lifetime = sweep_hardware_lifetime(
             params, resolved["horizons"], resolved["battery_lives"], resolved["lifetime_n_devices"]
         )
@@ -212,29 +227,10 @@ def _run_cost(resolved, seed: int):
     return header, rows
 
 
-@contextlib.contextmanager
-def _naming(keys: str):
-    """Report a ``ValueError`` raised while building a scenario as a ``ConfigError`` naming ``keys``."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(f"{keys}: {err}") from err
-
-
-@contextlib.contextmanager
-def _spelling(keys: dict[str, str]):
-    """Report a library ``ValueError`` as a ``ConfigError`` in which each argument
-    name in ``keys`` is spelled as the config key that sets it."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(re.sub(rf"\b({'|'.join(keys)})\b", lambda m: keys[m[0]], str(err))) from err
-
-
 def _run_deploy(resolved, seed: int):
-    with _naming("map.area"):
+    with _keyed("map.area: "):
         area = Rect(*resolved["map.area"])
-    with _naming("map.components"):
+    with _keyed("map.components: "):
         ambient_map = AmbientMap(
             tuple(GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]),
             area,
@@ -273,8 +269,8 @@ def _run_outage(resolved, seed: int):
 def _run_rfchains(resolved, seed: int):
     model = _build(ChannelModel, resolved)
     devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
-    with _spelling({"devices": "n_devices (or devices)", "p_rf": "p_rf_chain_w", "tol": "solver.tol",
-                    "n_randomizations": "solver.randomizations"}):
+    with _keyed(devices="n_devices (or devices)", p_rf="p_rf_chain_w", tol="solver.tol",
+                n_randomizations="solver.randomizations"):
         sweep = sweep_rf_chains(
             devices, resolved["gamma"], resolved["m_values"], model=model, seed=seed,
             pa_efficiency=resolved["pa_efficiency"], p_rf=resolved["p_rf_chain_w"],

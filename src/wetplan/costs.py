@@ -32,13 +32,7 @@ HOURS_PER_YEAR = 8760
 
 def _frac(value) -> Fraction:
     """Read a number as an exact decimal (floats go through their repr)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 def cents_to_dollars(cents: int) -> str:

@@ -34,7 +34,8 @@ import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
-    PathLossParams, Position2D, _path_gain, _require_at_most, _require_finite, path_gain, positions_to_array,
+    MAX_ARRAY_ENTRIES, PathLossParams, Position2D, _path_gain, _require_at_most, _require_finite, path_gain,
+    positions_to_array,
 )
 
 __all__ = [
@@ -330,12 +331,19 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
 
     Reproducible per seed; the returned objective dominates every candidate
     the search evaluated, including all restart points. A greedy candidate
-    table too large to allocate is refused before anything is built.
+    table, or a last stage's initial simplices, too large to allocate is
+    refused before anything is built.
     """
     solver = solver or SolverConfig()
-    grid, n_devices = solver.greedy_grid, len(problem.devices)
+    grid, k, starts = solver.greedy_grid, problem.k, solver.n_starts
+    n_devices, n_components = len(problem.devices), len(problem.ambient_map.components)
     _require_at_most(grid * grid * n_devices, MAX_GREEDY_ENTRIES, f"solver.greedy_grid = {grid} and {n_devices} "
                      "devices", "greedy candidate entries (solver.greedy_grid**2 * devices)")
+    # Stage k evaluates (1 + n_starts) * (2k + 1) layouts of k beacons at once,
+    # each beacon against every device and every ambient component.
+    _require_at_most((1 + starts) * (2 * k + 1) * k * max(n_devices, n_components), MAX_ARRAY_ENTRIES,
+                     f"k = {k}, solver.n_starts = {starts}, {n_devices} devices and {n_components} map.components",
+                     "simplex entries ((1 + solver.n_starts) * (2k + 1) * k * max(devices, map.components))")
     evaluator = _Evaluator(problem)
     area = problem.ambient_map.area
     device_xy = problem.device_xy()
@@ -387,31 +395,24 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
 def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolution:
     """Exhaustive search over beacon tuples on a square grid at ``resolution``.
 
-    Exact at the grid resolution; refuses instances with more than 10^7
-    candidate tuples.
+    Exact at the grid resolution; refuses, before it builds the grid, an
+    instance with more than ``GRID_ORACLE_BUDGET`` candidate tuples.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be > 0, got {resolution}")
     area = problem.ambient_map.area
     nx = int(math.floor((area.x_max - area.x_min) / resolution + 1e-9)) + 1
     ny = int(math.floor((area.y_max - area.y_min) / resolution + 1e-9)) + 1
-    xs = area.x_min + resolution * np.arange(nx)
-    ys = area.y_min + resolution * np.arange(ny)
-    grid = _grid(xs, ys)
-    n_points = grid.shape[0]
-
-    n_tuples = math.comb(n_points + problem.k - 1, problem.k)
-    if n_tuples > GRID_ORACLE_BUDGET:
-        raise ValueError(
-            f"combinatorial budget exceeded: {n_tuples} candidate tuples for "
-            f"{n_points} grid points and k={problem.k} (limit {GRID_ORACLE_BUDGET})"
-        )
+    _require_at_most(math.comb(nx * ny + problem.k - 1, problem.k), GRID_ORACLE_BUDGET,
+                     f"resolution = {resolution} and k = {problem.k}",
+                     "candidate tuples (grid points multichoose k)")
+    grid = _grid(area.x_min + resolution * np.arange(nx), area.y_min + resolution * np.arange(ny))
 
     evaluator = _Evaluator(problem)
     contrib = evaluator.contributions(grid)
     best_value = -math.inf
     best_idx: tuple[int, ...] | None = None
-    for head in itertools.combinations_with_replacement(range(n_points), problem.k - 1):
+    for head in itertools.combinations_with_replacement(range(len(grid)), problem.k - 1):
         base = contrib[list(head)].sum(axis=0) if head else np.zeros(contrib.shape[1])
         start = head[-1] if head else 0
         values = np.min(base[None, :] + contrib[start:], axis=1)

@@ -336,7 +336,7 @@ class DrawReached(Exception):
 
 def _reach_draws(monkeypatch):
     """Stop outage and rfchains at their first draw, or at outage's rf codebook,
-    on one CPU (no worker is forked)."""
+    on one CPU (no worker is forked), and deploy where its search begins."""
 
     def refuse(*args, **kwargs):
         raise DrawReached
@@ -347,6 +347,7 @@ def _reach_draws(monkeypatch):
         (wetplan.outage, "sample_hppp"),
         (wetplan.beampower, "draw_device_positions"),
         (wetplan.beampower, "sample_channels"),
+        (wetplan.deployment, "_Evaluator"),
     ):
         monkeypatch.setattr(module, name, refuse)
 
@@ -354,7 +355,9 @@ def _reach_draws(monkeypatch):
 # Per product: the study, overrides at the array bound, the same just past
 # it, and the keys the refusal names. With 4 antennas and 32 RF chains the
 # bound is 2,500,000 trials, a disk radius of 446 m, or 312,500 devices or
-# randomizations; 3,162 antennas give a codebook of 9,998,244 entries.
+# randomizations; 3,162 antennas give a codebook of 9,998,244 entries. The
+# deploy search's simplices, (1 + n_starts) * (2k + 1) * k * 8 devices, allow
+# k = 263 at 8 starts, or 22,726 starts at k = 5.
 TOO_LARGE = {
     "codebook": ("outage", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"], "n_antennas"),
     "channels": ("outage", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
@@ -364,6 +367,9 @@ TOO_LARGE = {
                           r"n_devices \(or devices\) and m_values"),
     "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
                    r"solver\.randomizations and m_values"),
+    "simplex_k": ("deploy", ["k=263"], ["k=264"], r"k = 264, solver\.n_starts = 8, 8 devices and 4 map\.components"),
+    "simplex_starts": ("deploy", ["solver.n_starts=22726"], ["solver.n_starts=22727"],
+                       r"k = 5, solver\.n_starts = 22727, 8 devices and 4 map\.components"),
 }
 
 
@@ -426,7 +432,9 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
     assert run_cli("deploy", out, sets=(f"solver.greedy_grid={largest + 1}",)) == 1
     assert not out.exists()
     many_devices = "devices=" + ", ".join(f"{x}:0" for x in range(-10, 10))
-    for sets in (["solver.greedy_grid=1000000000"], ["solver.greedy_grid=224", many_devices]):
+    # A grid of 10**200 points per axis gives an int past the range of a float.
+    for sets in (["solver.greedy_grid=1000000000"], ["solver.greedy_grid=224", many_devices],
+                 [f"solver.greedy_grid={10**200}"]):
         with pytest.raises(ValueError, match=r"^solver\.greedy_grid = "):
             wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, sets), 0)
 
@@ -493,6 +501,18 @@ def test_manifest_that_lists_no_csv_does_not_verify(tmp_path):
     plot.write_text("# series\n")
     manifest.write_text(header + f"output.cost.dat.sha256 = {hashlib.sha256(plot.read_bytes()).hexdigest()}\n")
     assert not verify_manifest(manifest)
+
+
+def test_manifest_whose_seed_or_duration_does_not_parse_does_not_verify(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("cost", out) == 0
+    manifest = out / "manifest.txt"
+    text = manifest.read_text()
+    assert verify_manifest(manifest)
+    for line in ("seed = x", "duration_seconds = soon"):
+        key = line.split(" = ")[0]
+        manifest.write_text(re.sub(rf"(?m)^{key} = .*$", line, text))
+        assert not verify_manifest(manifest)
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):

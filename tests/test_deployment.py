@@ -35,6 +35,9 @@ def test_received_power_cap_and_clamp_at_device():
     prob = DeploymentProblem((Position2D(0.0, 0.0),), amap, k=1, cap=1.0, pathloss=LOSSLESS)
     # Beacon on top of the device: clamped distance, capped power.
     assert np.isclose(received_power(Position2D(0.0, 0.0), [(0.0, 0.0)], prob), 1.0, rtol=1e-12)
+    # One beacon as an array is a (1, 2) array; a bare (2,) pair is refused.
+    with pytest.raises(ValueError, match=r"^expected \(n, 2\) positions, got shape \(2,\)$"):
+        received_power(Position2D(0.0, 0.0), np.array([0.0, 0.0]), prob)
 
 
 def test_received_power_closed_form_at_10m():
@@ -88,10 +91,19 @@ def test_grid_oracle_zero_ambient_everywhere():
     assert grid_oracle(prob, 5.0).min_received_power == 0.0
 
 
-def test_grid_oracle_budget_guard():
+def test_grid_oracle_budget_guard(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(deployment, "_grid", refuse)
     prob = DeploymentProblem((Position2D(0.0, 0.0),), uniform_map(), k=4, pathloss=LOSSLESS)
-    with pytest.raises(ValueError, match="budget"):
+    # 41 x 41 grid points give C(1681 + 4 - 1, 4) = 333,894,039,501 tuples.
+    with pytest.raises(ValueError, match=r"^resolution = 0\.5 and k = 4 give 3\.339e\+11 candidate tuples "
+                                         r"\(grid points multichoose k\); the limit is 1e\+07$"):
         grid_oracle(prob, 0.5)
+    # A count past the range of a float is refused all the same.
+    with pytest.raises(ValueError, match=r"^resolution = 1e-100 and k = 4 give inf candidate tuples "):
+        grid_oracle(prob, 1e-100)
 
 
 def test_optimize_matches_oracle_single_beacon():
@@ -209,6 +221,27 @@ def test_optimize_refuses_a_greedy_table_too_large_before_building_anything(monk
         optimize(prob, SolverConfig(greedy_grid=largest))
     with pytest.raises(ValueError, match=rf"^solver\.greedy_grid = {largest + 1} and 8 devices give .*; the limit is 1e\+06$"):
         optimize(prob, SolverConfig(greedy_grid=largest + 1))
+
+
+def test_optimize_refuses_initial_simplices_too_large_before_building_anything(monkeypatch):
+    class SearchReached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise SearchReached
+
+    monkeypatch.setattr(deployment, "_Evaluator", refuse)
+    devices = tuple(Position2D(float(x), 0.0) for x in range(-4, 4))
+    # (1 + 8) * (2k + 1) * k * 8 entries: 9,979,272 at k = 263, 10,055,232 at k = 264.
+    with pytest.raises(SearchReached):
+        optimize(DeploymentProblem(devices, uniform_map(), k=263), SolverConfig(n_starts=8))
+    with pytest.raises(ValueError, match=r"^k = 264, solver\.n_starts = 8, 8 devices and 1 map\.components give "
+                                         r"1\.006e\+07 simplex entries .*; the limit is 1e\+07$"):
+        optimize(DeploymentProblem(devices, uniform_map(), k=264), SolverConfig(n_starts=8))
+    # More components than devices set the width of the mixture array.
+    components = [GaussianComponent(1.0, Position2D(0.0, 0.0), 1.0)] * 16
+    with pytest.raises(ValueError, match=r"^k = 200, solver\.n_starts = 8, 8 devices and 16 map\.components give "):
+        optimize(DeploymentProblem(devices, make_map(components), k=200), SolverConfig(n_starts=8))
 
 
 COMPONENT = functools.partial(GaussianComponent, weight=1.0, center=Position2D(0.0, 0.0), width=2.0)
