@@ -1,9 +1,7 @@
-"""Fork-join over the CPUs the process may run on.
-
-``fork_join`` runs a list of tasks at once: the first in this process, every
-other one in a forked child that pickles its result into a pipe. The callers
-make each task's result independent of which process computes it, so the
-bytes do not depend on the CPU count.
+"""Fork-join over the CPUs the process may run on: ``fork_map`` deals items
+round-robin to one share per CPU, and every share after the first runs in a
+forked child that pickles its result into a pipe. The callers make an item's
+result independent of its share, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -12,7 +10,9 @@ import os
 import pickle
 import warnings
 
-__all__ = ["usable_cpus", "fork_join"]
+import numpy as np
+
+__all__ = ["usable_cpus", "fork_map"]
 
 
 def usable_cpus() -> int:
@@ -25,9 +25,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork(task):
-    """Fork a child that runs ``task()`` and writes the outcome to a pipe;
-    returns the child's pid and the pipe's read end.
+def _fork(work, share):
+    """Fork a child that runs ``work(share)`` and writes the outcome to a
+    pipe; returns the child's pid and the pipe's read end.
 
     The child writes its pickled result and exits 0, or writes its error
     message and exits 1. It always leaves through ``os._exit``, so it never
@@ -52,7 +52,7 @@ def _fork(task):
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 try:
-                    data = pickle.dumps(task(), pickle.HIGHEST_PROTOCOL)
+                    data = pickle.dumps(work(share), pickle.HIGHEST_PROTOCOL)
                     code = 0
                 except BaseException as err:
                     data = f"{type(err).__name__}: {err}".encode()
@@ -63,31 +63,33 @@ def _fork(task):
     return pid, open(read_end, "rb")
 
 
-def fork_join(tasks, describe) -> list:
-    """``[task() for task in tasks]``, with every task after the first run in
-    a forked child.
+def fork_map(work, n: int, describe):
+    """One result per item ``0 … n-1`` (``n >= 1``), in item order: a list, or
+    an array with a row per item where ``work`` returns arrays.
 
-    Task 0 runs in this process, after every other task has been forked; the
-    results are joined in task order. A child's failure raises a
-    ``RuntimeError`` that starts with ``describe(k)`` for its task ``k``. On
-    any failure the children still running are killed, and every child is
-    reaped.
+    Share ``s`` of ``min(usable_cpus(), n)`` is ``range(s, n, shares)``, and
+    ``work(share)`` gives its items' results in order. Share 0 runs in this
+    process, after the others are forked. A child's failure raises a
+    ``RuntimeError`` that starts with ``describe(share)``; on any failure the
+    children still running are killed, and every child is reaped.
     """
-    children = []  # (task index, pid, pipe) of each child not yet reaped
+    count = min(usable_cpus(), n)
+    shares = [range(s, n, count) for s in range(count)]
+    children = []  # (share, pid, pipe) of each child not yet reaped
     try:
-        for k, task in enumerate(tasks[1:], 1):
-            children.append((k, *_fork(task)))
-        results = [tasks[0]()]
+        for share in shares[1:]:
+            children.append((share, *_fork(work, share)))
+        parts = [work(shares[0])]
         while children:
-            k, pid, pipe = children[0]
+            share, pid, pipe = children[0]
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code != 0:
                 detail = data.decode(errors="replace") or f"exit status {code}"
-                raise RuntimeError(f"{describe(k)} failed in a worker process: {detail}")
-            results.append(pickle.loads(data))
+                raise RuntimeError(f"{describe(share)} failed in a worker process: {detail}")
+            parts.append(pickle.loads(data))
     finally:
         if children:
             import signal
@@ -96,4 +98,7 @@ def fork_join(tasks, describe) -> list:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    results = np.empty((n, *parts[0].shape[1:]), parts[0].dtype) if isinstance(parts[0], np.ndarray) else [None] * n
+    for s, part in enumerate(parts):
+        results[s::count] = part
     return results

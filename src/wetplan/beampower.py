@@ -10,8 +10,8 @@ is solved in three phases:
    Relaxations run as ``(B, n, r)`` stacks, one per reduced shape, each
    problem with its own penalty and counters, so a stack gives bitwise the
    iterates of solving each problem alone. Several problems are dealt
-   round-robin across the CPUs the process may run on, one forked worker
-   per CPU after the first; each worker stacks its own share, so the bytes
+   round-robin across the CPUs the process may run on (``_fork.fork_map``,
+   which ``outage`` shares); each worker stacks its own share, so the bytes
    do not depend on the CPU count.
 3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
    leading-eigenvector and, in a sweep, the previous precoder, each rescaled
@@ -24,16 +24,15 @@ Beacon consumption follows the linear amplifier + per-chain model.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_join, usable_cpus
+from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _require_at_most, _require_finite,
-    _uniform_disk, sample_channels,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _path_gain, _require_at_most,
+    _require_finite, _uniform_disk, positions_to_array, sample_channels,
 )
 
 __all__ = [
@@ -193,22 +192,16 @@ def _reduce(problem: MulticastProblem) -> _Reduced:
 def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray | None, float, float, bool]]:
     """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
 
-    The problems are dealt round-robin to one worker per usable CPU (capped
-    at the problem count); worker 0 is this process, the others forked
-    children (``fork_join``). A worker's failure raises a ``RuntimeError``
-    that names the antenna counts of the problems it held. Returns, per
-    problem, (feasibility-scaled V, primal value, certified dual bound,
-    converged), whatever the CPU count.
+    The problems are dealt round-robin across the CPUs (``fork_map``); a
+    worker's failure raises a ``RuntimeError`` that names the antenna counts
+    of the problems it held. Returns, per problem, (feasibility-scaled V,
+    primal value, certified dual bound, converged), whatever the CPU count.
     """
-    workers = min(usable_cpus(), len(problems))
-    shares = fork_join(
-        [functools.partial(_solve_share, problems[w::workers], tol) for w in range(workers)],
-        lambda w: "SDR relaxations for m = " + ", ".join(str(p.basis.shape[0]) for p in problems[w::workers]),
+    return fork_map(
+        lambda share: _solve_share([problems[k] for k in share], tol),
+        len(problems),
+        lambda share: "SDR relaxations for m = " + ", ".join(str(problems[k].basis.shape[0]) for k in share),
     )
-    results: list = [None] * len(problems)
-    for w, share in enumerate(shares):
-        results[w::workers] = share
-    return results
 
 
 def _solve_share(problems: list[_Reduced], tol: float) -> list:
@@ -435,7 +428,8 @@ def sweep_rf_chains(
     the previous best precoder is zero-padded into the next candidate pool,
     which makes tx_power(M) non-increasing by construction. Ties in total
     consumption resolve to the smallest M. Every argument is checked, and a
-    scenario too large to allocate refused, before anything is drawn.
+    scenario too large to allocate refused, before anything is drawn; a
+    device whose path gain underflows is refused before the channels are.
     """
     model = model or ChannelModel()
     ms = [int(m) for m in m_values]
@@ -457,16 +451,16 @@ def sweep_rf_chains(
     _require_at_most(n_randomizations * m_max, MAX_ARRAY_ENTRIES, "n_randomizations and m_values",
                      "candidate entries (n_randomizations * max(m_values))")
 
-    if positions is None:
+    drawn = positions is None
+    if drawn:
         positions = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
-    h_full = sample_channels(
-        positions,
-        Position2D(0.0, 0.0),
-        ArrayConfig(m_max, model.element_spacing),
-        model.rician,
-        model.pathloss,
-        seed=np.random.SeedSequence([int(seed), 1]),
-    )
+    pts = positions_to_array(positions)
+    gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), model.pathloss)
+    for i in np.flatnonzero(gains < np.finfo(float).tiny):
+        raise ValueError(f"pathloss.* and {'disk_radius' if drawn else 'devices'} give device {i} at "
+                         f"({pts[i, 0]:.4g}, {pts[i, 1]:.4g}) a path gain of {gains[i]:.4g}, which underflows")
+    h_full = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(m_max, model.element_spacing), model.rician,
+                             model.pathloss, seed=np.random.SeedSequence([int(seed), 1]))
 
     reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]
     relaxed = _solve_relaxations(reduced, tol)
@@ -477,15 +471,9 @@ def sweep_rf_chains(
         extras = ()
         if prev_w is not None:
             extras = (np.concatenate([prev_w, np.zeros(m - prev_w.shape[0], dtype=complex)]),)
+        extract_seed = int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0])
         try:
-            sol = _extract(
-                red,
-                rel,
-                tol,
-                n_randomizations,
-                int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0]),
-                extras,
-            )
+            sol = _extract(red, rel, tol, n_randomizations, extract_seed, extras)
         except PrecoderError as err:
             raise PrecoderError(f"precoder failed at m={m}: {err}", best=err.best) from err
         points.append(ConsumptionPoint(m, sol.tx_power, consumption(sol.tx_power, m, pa_efficiency, p_rf)))

@@ -162,7 +162,15 @@ def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     rng = np.random.default_rng(seed)
-    return _uniform_disk(int(rng.poisson(density * math.pi * radius**2)), radius, rng)
+    return _uniform_disk(int(rng.poisson(_mean_sources(density, radius))), radius, rng)
+
+
+def _mean_sources(density: float, radius: float) -> float:
+    """``density * pi * radius**2``, a disk's expected PPP points: 0 at density 0, inf past the range of a float."""
+    try:
+        return float(density) * math.pi * float(radius) ** 2 if density else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:

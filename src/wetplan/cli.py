@@ -8,7 +8,7 @@ with the same seed reproduces the CSVs byte for byte.
 
 The manifest also records the environment that produced the bytes
 (``env.<name> = value`` lines: Python and numpy versions, and the CPUs the
-outage trials were split across); ``verify_manifest`` does not read them.
+outage and rfchains work was dealt across); ``verify_manifest`` ignores them.
 
 A runner builds the library objects from the resolved config, calls the
 study's library entry point and returns a header and rows. The library is

@@ -21,26 +21,25 @@ trial, and refuse a scenario whose arrays would pass a size limit
 (``MAX_MEAN_SOURCES`` expected transmitters per trial, ``MAX_ARRAY_ENTRIES``
 rf codebook, channel or power-stack entries), naming the fields that set it.
 
-``run_outage`` splits an estimate's trials into contiguous blocks, one per
-CPU the process may run on, and runs every block after the first in a forked
-child, through the fork-join helper that ``beampower`` shares. The trials'
-seeds do not depend on the block that runs them, so the bytes do not depend
-on the CPU count.
+``run_outage`` and ``sweep_density`` deal their trials round-robin across
+the CPUs the process may run on (``_fork.fork_map``, which ``beampower``
+shares); each share harvests its trials at every density, so a sweep forks
+once. The trials' seeds do not depend on the share that runs them, so the
+bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_join, usable_cpus
+from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _require_at_most, _require_finite,
-    sample_channels, sample_hppp,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _mean_sources, _require_at_most,
+    _require_finite, sample_channels, sample_hppp,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
@@ -116,7 +115,7 @@ def _require_fits(config: OutageConfig, archs: tuple[str, ...], density: float, 
     trial's transmitters or channels, the rf codebook, or the (trials,
     n_antennas) power stack."""
     m = config.n_antennas
-    sources = density * math.pi * config.disk_radius * config.disk_radius
+    sources = _mean_sources(density, config.disk_radius)
     _require_at_most(sources, MAX_MEAN_SOURCES, f"{name} and disk_radius",
                      "expected transmitters per trial (density * pi * disk_radius**2)")
     if "rf" in archs:
@@ -161,26 +160,22 @@ def _estimate(harvested: np.ndarray, target: float) -> OutageResult:
     return OutageResult(p_hat, half, n, float(np.mean(harvested)))
 
 
-def _block(config: OutageConfig, archs: tuple[str, ...], lo: int, hi: int) -> np.ndarray:
-    """``_harvest_trials`` on trials ``lo`` to ``hi - 1`` of ``config``."""
-    return _harvest_trials(config, archs, hi - lo, (trial_seed(config.seed, t) for t in range(lo, hi)))
+def _harvest_split(configs: list[OutageConfig], archs: tuple[str, ...]) -> np.ndarray:
+    """``_harvest_trials`` on all trials of every config (they share a trial
+    count), as a ``(configs, archs, trials)`` array with contiguous rows.
 
-
-def _harvest_split(config: OutageConfig, archs: tuple[str, ...], cpus: int) -> np.ndarray:
-    """``_harvest_trials`` on all of ``config``'s trials, split into
-    ``min(cpus, config.trials)`` contiguous blocks joined in trial order.
-
-    Block 0 runs in this process and the others in forked workers
-    (``fork_join``). A worker's failure raises a ``RuntimeError`` that names
-    the density and its trials.
+    The trials are dealt round-robin across the CPUs (``fork_map``), each
+    share harvesting its trials under every config. A worker's failure raises
+    a ``RuntimeError`` that names its trials and the densities.
     """
-    workers = min(cpus, config.trials)
-    bounds = [config.trials * k // workers for k in range(workers + 1)]
-    blocks = fork_join(
-        [functools.partial(_block, config, archs, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-        lambda k: f"outage trials {bounds[k]} to {bounds[k + 1] - 1} at density {config.density}",
-    )
-    return np.concatenate(blocks, axis=1)
+    def work(share):
+        harvested = [_harvest_trials(c, archs, len(share), (trial_seed(c.seed, t) for t in share)) for c in configs]
+        return np.moveaxis(np.array(harvested), -1, 0)
+
+    densities = ", ".join(str(c.density) for c in configs)
+    trials = fork_map(work, configs[0].trials, lambda share: (
+        f"outage trials {share[0]} to {share[-1]} step {share.step} at densities {densities}"))
+    return np.ascontiguousarray(np.moveaxis(trials, 0, -1))
 
 
 def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
@@ -193,7 +188,7 @@ def run_outage(config: OutageConfig, archs) -> tuple[OutageResult, ...]:
     """
     plan = _plan(archs)
     _require_fits(config, plan, config.density, "density")
-    harvested = _harvest_split(config, plan, usable_cpus())
+    (harvested,) = _harvest_split([config], plan)
     return tuple(_estimate(row, config.target) for row in harvested)
 
 
@@ -218,5 +213,5 @@ def sweep_density(config: OutageConfig, densities, archs) -> list[tuple[OutageRe
             raise ValueError(f"densities must be finite and >= 0, got {d}")
     plan = _plan(archs)
     _require_fits(config, plan, max(values), "densities")
-    return [run_outage(dataclasses.replace(config, density=d, seed=_density_seed(config.seed, d)), plan)
-            for d in values]
+    configs = [dataclasses.replace(config, density=d, seed=_density_seed(config.seed, d)) for d in values]
+    return [tuple(_estimate(row, config.target) for row in harvested) for harvested in _harvest_split(configs, plan)]

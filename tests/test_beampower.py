@@ -16,7 +16,7 @@ from wetplan.beampower import (
     sweep_rf_chains,
 )
 from wetplan.ambient import Rect
-from wetplan.channel import ArrayConfig, Position2D, RicianParams, path_gain
+from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, path_gain
 
 
 def test_consumption_closed_forms():
@@ -288,6 +288,26 @@ def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, 
         sweep_rf_chains(**{**arguments, **fits})
     with pytest.raises(ValueError, match=rf"^{names} give .*; the limit is 1e\+07$"):
         sweep_rf_chains(**{**arguments, **too_large})
+
+
+# A gain below the least normal float, 2.2e-308, underflows: 1e-4 * 10**-306
+# at 10 m is subnormal, and gains at 8 m with exponent 400 or at 1e200 m are 0.
+@pytest.mark.parametrize("devices, exponent, message", [
+    ([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 306.0, r"devices give device 1 at \(10, 0\) a path gain of 1e-310"),
+    ([Position2D(1e200, 0.0)], 2.7, r"devices give device 0 at \(1e\+200, 0\) a path gain of 0"),
+    (4, 400.0, r"disk_radius give device 0 at \(3\.09, -7\.359\) a path gain of 0"),
+], ids=["subnormal", "zero", "drawn"])
+def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channels(monkeypatch, devices, exponent,
+                                                                                   message):
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(beampower, "sample_channels", refuse)
+    model = ChannelModel(pathloss=PathLossParams(exponent, fixed_loss_db=40.0))
+    with pytest.raises(ValueError, match=rf"^pathloss\.\* and {message}, which underflows$"):
+        sweep_rf_chains(devices, 2e-6, [1], model=model)
+    with pytest.raises(DrawReached):
+        sweep_rf_chains(4, 2e-6, [1])
 
 
 BAD_SOLVER_ARGUMENTS = [case for case in BAD_SWEEP_ARGUMENTS if case[0] in ("tol", "n_randomizations")]

@@ -14,6 +14,7 @@ from wetplan.channel import (
     sample_hppp,
     steering_vector,
 )
+from wetplan.channel import _mean_sources
 
 PL_FIG4 = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
 
@@ -63,6 +64,14 @@ def test_path_loss_params_validation(kwargs):
 def test_hppp_zero_density_is_empty():
     pts = sample_hppp(0.0, 10.0, seed=3)
     assert pts.shape == (0, 2)
+
+
+def test_hppp_mean_count_is_inf_past_the_range_of_a_float():
+    assert sample_hppp(0.0, 1e200, seed=3).shape == (0, 2)
+    assert _mean_sources(1e-320, 1e160) == math.inf
+    assert _mean_sources(1e300, 1e10) == math.inf
+    for density, radius in ((0.5, 10.0), (0.1, 7.3), (1e-300, 1e150)):
+        assert _mean_sources(density, radius) == density * math.pi * radius**2
 
 
 def test_hppp_determinism_and_support():

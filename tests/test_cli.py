@@ -363,6 +363,8 @@ TOO_LARGE = {
     "channels": ("outage", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
                  "densities, disk_radius and n_antennas"),
     "power_stack": ("outage", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
+    "disk_area": ("outage", ["densities=0", "disk_radius=1e200", "trials=2"],
+                  ["densities=1e-320", "disk_radius=1e160", "trials=2"], "densities and disk_radius"),
     "rfchains_channels": ("rfchains", ["n_devices=312500"], ["n_devices=312501"],
                           r"n_devices \(or devices\) and m_values"),
     "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
@@ -385,6 +387,32 @@ def test_scenarios_too_large_to_allocate_fail_before_drawing(tmp_path, monkeypat
     out = tmp_path / study
     assert run_cli(study, out, sets=too_large) == 1
     assert re.match(rf"error: {keys} give ", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_outage_with_no_transmitters_runs_whatever_the_disk_radius(tmp_path):
+    out = tmp_path / "outage"
+    assert main(["outage", "--set", "densities=0", "--set", "disk_radius=1e200", "--trials", "2",
+                 "--out", str(out)]) == 0
+    rows = (out / "outage.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["1.0"] * 3
+
+
+@pytest.mark.parametrize("sets, keys, device", [
+    (["pathloss.exponent=400"], "disk_radius", r"device 0 at \(3\.09, -7\.359\)"),
+    (["devices=1e200:0", "m_values=1"], r"n_devices \(or devices\)", r"device 0 at \(1e\+200, 0\)"),
+    (["devices=1:1, 1e200:0", "m_values=1"], r"n_devices \(or devices\)", r"device 1 at \(1e\+200, 0\)"),
+], ids=["drawn", "explicit", "second_explicit"])
+def test_rfchains_device_whose_path_gain_underflows_is_refused_before_drawing(monkeypatch, capsys, tmp_path,
+                                                                              sets, keys, device):
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(wetplan.beampower, "sample_channels", refuse)
+    out = tmp_path / "rfchains"
+    assert run_cli("rfchains", out, sets=sets) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: pathloss\.\* and {keys} give {device} a path gain of 0, which underflows\n", err)
     assert not out.exists()
 
 
@@ -567,7 +595,8 @@ def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monk
     capsys.readouterr()
     assert main(["outage", "--trials", "20", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: outage trials 10 to 19 at density 0.5 failed in a worker process: MemoryError: worker out of memory\n"
+        "error: outage trials 1 to 19 step 2 at densities 0.5, 1.0, 2.0, 4.0 failed in a worker process: "
+        "MemoryError: worker out of memory\n"
     )
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert verify_manifest(out / "manifest.txt")

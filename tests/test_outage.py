@@ -313,12 +313,11 @@ def _assert_no_child_left():
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
-# 200 trials split 66/67/67 over 3 CPUs and into blocks of 28 or 29 over 7;
-# 5 trials over 7 CPUs run as 5 one-trial blocks, so 4 forks per call.
-@needs_fork
-@pytest.mark.parametrize("trials", [200, 5])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
-def test_split_trials_are_bit_identical_to_one_serial_call(trials, cpus, monkeypatch):
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
     forked = []
     real_fork = os.fork
 
@@ -327,11 +326,24 @@ def test_split_trials_are_bit_identical_to_one_serial_call(trials, cpus, monkeyp
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    cfg = make_config(density=0.5, n_antennas=4, trials=trials)
+    return forked
+
+
+# 200 trials over 3 CPUs are dealt 67/67/66 and over 7 CPUs 29 or 28 per
+# share; 5 trials over 7 CPUs run as 5 one-trial shares, so 4 forks per call.
+# Two configs share each fork.
+@needs_fork
+@pytest.mark.parametrize("trials", [200, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_split_trials_are_bit_identical_to_one_serial_call(trials, cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    forked = _count_forks(monkeypatch)
+    configs = [make_config(density=d, n_antennas=4, trials=trials, seed=s) for d, s in ((0.5, 99), (0.1, 7))]
     for archs in (ARCHITECTURES, ("dc",)):
-        split = wetplan.outage._harvest_split(cfg, archs, cpus)
-        assert split.shape == (len(archs), trials)
-        assert split.tobytes() == _serial(cfg, archs).tobytes()
+        split = wetplan.outage._harvest_split(configs, archs)
+        assert split.shape == (len(configs), len(archs), trials)
+        assert split.flags.c_contiguous
+        assert split.tobytes() == np.array([_serial(cfg, archs) for cfg in configs]).tobytes()
     assert len(forked) == 2 * (min(cpus, trials) - 1)
     _assert_no_child_left()
 
@@ -341,22 +353,31 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch):
     cfg = make_config(n_antennas=4, trials=300)
     seen = {}
     for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        assert wetplan.outage.usable_cpus() == cpus
+        _cpus(monkeypatch, cpus)
         seen[cpus] = (run_outage(cfg, ARCHITECTURES), sweep_density(cfg, [0.02, 0.05], ARCHITECTURES))
     assert seen[1] == seen[3]
 
 
-def _failing_in(blocks, *, otherwise=None):
-    """A ``_harvest_trials`` that raises for the blocks whose first trial
-    ``blocks`` accepts, and runs ``otherwise`` (default: the real one) for the rest."""
+# One fork per share for the whole sweep, not one per density.
+@needs_fork
+def test_a_density_sweep_forks_once_per_share(monkeypatch):
+    _cpus(monkeypatch, 3)
+    forked = _count_forks(monkeypatch)
+    sweep_density(make_config(trials=30), [0.02, 0.05], ARCHITECTURES)
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
+def _failing_in(shares, *, otherwise=None):
+    """A ``_harvest_trials`` that raises for the shares whose first trial
+    ``shares`` accepts, and runs ``otherwise`` (default: the real one) for the rest."""
     real = wetplan.outage._harvest_trials
 
     def fake(config, archs, count, seeds):
         seeds = list(seeds)
         first = seeds[0].entropy[1]
-        if blocks(first):
-            raise ValueError(f"no block from trial {first}")
+        if shares(first):
+            raise ValueError(f"no share from trial {first}")
         return (otherwise or real)(config, archs, count, seeds)
 
     return fake
@@ -364,10 +385,13 @@ def _failing_in(blocks, *, otherwise=None):
 
 @needs_fork
 def test_a_failing_worker_names_the_density_and_trials(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 10))
-    with pytest.raises(RuntimeError, match=r"^outage trials 10 to 19 at density 0\.03 failed .*no block from trial 10"):
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 1))
+    message = r"^outage trials 1 to 28 step 3 at densities 0\.03 failed .*no share from trial 1$"
+    with pytest.raises(RuntimeError, match=message):
         run_outage(make_config(trials=30), ARCHITECTURES)
+    with pytest.raises(RuntimeError, match=r"^outage trials 1 to 28 step 3 at densities 0\.02, 0\.05 failed "):
+        sweep_density(make_config(trials=30), [0.02, 0.05], ARCHITECTURES)
     _assert_no_child_left()
 
 
@@ -376,10 +400,10 @@ def test_a_failing_own_block_kills_and_reaps_the_workers(monkeypatch):
     def stall(*args):
         time.sleep(60)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _cpus(monkeypatch, 3)
     monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 0, otherwise=stall))
     started = time.monotonic()
-    with pytest.raises(ValueError, match="no block from trial 0"):
+    with pytest.raises(ValueError, match="no share from trial 0"):
         run_outage(make_config(trials=30), ARCHITECTURES)
     assert time.monotonic() - started < 30
     _assert_no_child_left()
