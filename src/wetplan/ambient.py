@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Position2D, _require_finite
+from .channel import Position2D, _check_fields, _ranged, _require_finite
 
 __all__ = [
     "Rect",
@@ -61,16 +61,11 @@ class Rect:
 class GaussianComponent:
     """One ambient hot spot: peak available power (W), center, isotropic width (m)."""
 
-    weight: float
+    weight: float = _ranged(at_least=0)
     center: Position2D
-    width: float
+    width: float = _ranged(above=0)
 
-    def __post_init__(self):
-        _require_finite(self, "weight", "width")
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if self.width <= 0:
-            raise ValueError(f"width must be > 0, got {self.width}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

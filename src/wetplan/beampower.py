@@ -31,8 +31,8 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _path_gain, _require_at_most,
-    _require_finite, _uniform_disk, positions_to_array, sample_channels,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _check_fields, _path_gain, _ranged,
+    _require_at_most, _require_bound, _require_finite, _uniform_disk, positions_to_array, sample_channels,
 )
 
 __all__ = [
@@ -57,6 +57,9 @@ _MAX_INNER = 2000
 # candidates), shared by the functions that take them.
 _PA_EFFICIENCY, _P_RF = 0.35, 0.5
 _TOL, _N_RANDOMIZATIONS = 1e-4, 200
+# Limit on gamma * max(gain) / min(gain)**2 over the device path gains: the carried precoder's margins
+# over the normalized floors reach about this, and must stay inside a float (1.8e308) with room for fading.
+_MAX_POWER_SCALE = 1e290
 
 
 class PrecoderError(RuntimeError):
@@ -73,16 +76,14 @@ class MulticastProblem:
     """Device channels (rows, path loss included) and the common power floor."""
 
     channels: np.ndarray
-    gamma: float
+    gamma: float = _ranged(above=0)
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.channels, dtype=complex))
         object.__setattr__(self, "channels", h)
         if h.shape[0] < 1 or h.shape[1] < 1:
             raise ValueError("need at least one device channel with one antenna")
-        _require_finite(self, "gamma")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        _check_fields(self)
         if np.any(np.linalg.norm(h, axis=1) == 0):
             raise ValueError("channels must not contain an all-zero row")
 
@@ -111,14 +112,11 @@ def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENC
     """Beacon power draw: amplifier input at the given efficiency plus the
     per-RF-chain overhead."""
     _require_finite(locals(), "tx_power", "p_rf")
-    if tx_power < 0:
-        raise ValueError(f"tx_power must be >= 0, got {tx_power}")
+    _require_bound("tx_power", tx_power, ">=", 0)
     if not 0.0 < pa_efficiency <= 1.0:
         raise ValueError(f"pa_efficiency must be in (0, 1], got {pa_efficiency}")
-    if n_rf < 0:
-        raise ValueError(f"n_rf must be >= 0, got {n_rf}")
-    if p_rf < 0:
-        raise ValueError(f"p_rf must be >= 0, got {p_rf}")
+    _require_bound("n_rf", n_rf, ">=", 0)
+    _require_bound("p_rf", p_rf, ">=", 0)
     return tx_power / pa_efficiency + n_rf * p_rf
 
 
@@ -360,8 +358,7 @@ def _check_solver_arguments(tol: float, n_randomizations: int) -> None:
     """Refuse a relaxation tolerance or a randomization count no solve can use."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if n_randomizations < 0:
-        raise ValueError(f"n_randomizations must be >= 0, got {n_randomizations}")
+    _require_bound("n_randomizations", n_randomizations, ">=", 0)
 
 
 def min_power_precoder(
@@ -391,15 +388,10 @@ class ChannelModel:
 
     pathloss: PathLossParams = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
     rician: RicianParams = RicianParams(10.0)
-    element_spacing: float = 0.5
-    disk_radius: float = 10.0
+    element_spacing: float = _ranged(0.5, above=0)
+    disk_radius: float = _ranged(10.0, above=0)
 
-    def __post_init__(self):
-        _require_finite(self, "element_spacing", "disk_radius")
-        if self.element_spacing <= 0:
-            raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
-        if self.disk_radius <= 0:
-            raise ValueError(f"disk_radius must be > 0, got {self.disk_radius}")
+    __post_init__ = _check_fields
 
 
 def draw_device_positions(n: int, radius: float, seed) -> list[Position2D]:
@@ -429,7 +421,8 @@ def sweep_rf_chains(
     which makes tx_power(M) non-increasing by construction. Ties in total
     consumption resolve to the smallest M. Every argument is checked, and a
     scenario too large to allocate refused, before anything is drawn; a
-    device whose path gain underflows is refused before the channels are.
+    device whose path gain underflows, or gains whose power scale would
+    overflow (``_MAX_POWER_SCALE``), are refused before the channels are.
     """
     model = model or ChannelModel()
     ms = [int(m) for m in m_values]
@@ -456,9 +449,12 @@ def sweep_rf_chains(
         positions = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
     pts = positions_to_array(positions)
     gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), model.pathloss)
+    names = f"pathloss.* and {'disk_radius' if drawn else 'devices'}"
     for i in np.flatnonzero(gains < np.finfo(float).tiny):
-        raise ValueError(f"pathloss.* and {'disk_radius' if drawn else 'devices'} give device {i} at "
-                         f"({pts[i, 0]:.4g}, {pts[i, 1]:.4g}) a path gain of {gains[i]:.4g}, which underflows")
+        raise ValueError(f"{names} give device {i} at ({pts[i, 0]:.4g}, {pts[i, 1]:.4g}) a path gain of "
+                         f"{gains[i]:.4g}, which underflows")
+    scale = gamma / float(gains.min()) * float(gains.max() / gains.min())  # a Python float overflows to inf silently
+    _require_at_most(scale, _MAX_POWER_SCALE, f"gamma, {names}", "as gamma * max / min**2 of the device path gains")
     h_full = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(m_max, model.element_spacing), model.rician,
                              model.pathloss, seed=np.random.SeedSequence([int(seed), 1]))
 

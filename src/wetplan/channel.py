@@ -3,12 +3,16 @@
 All samplers take an explicit ``seed`` (an int, a ``numpy.random.SeedSequence``,
 or a ``Generator``) and are pure functions of their inputs, so draws can be
 evaluated in any order without changing results.
+
+Every study dataclass declares a field's lower bound at the field (``_ranged``)
+and checks it with ``_check_fields``; a function argument uses ``_require_bound``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +53,28 @@ def _require_finite(params, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_bound(name: str, value, op: str, bound) -> None:
+    """Refuse ``value`` (of ``name``) unless it is ``op`` (``">"`` or ``">="``) ``bound``; NaN is refused too."""
+    if not (value > bound if op == ">" else value >= bound):
+        raise ValueError(f"{name} must be {op} {bound}, got {value}")
+
+
+def _ranged(default=MISSING, *, above=None, at_least=None):
+    """A dataclass field (with ``default``, if given) that must be ``> above`` or ``>= at_least``."""
+    bound = (">", above) if above is not None else (">=", at_least)
+    return field(default=default, metadata={"bound": bound})
+
+
+def _check_fields(obj) -> None:
+    """Refuse NaN and ±inf in ``obj``'s ranged fields, then any ranged value off its bound, each in field order.
+
+    Ints and Fractions skip the first test: they are finite, and ``math.isfinite`` overflows past a float's range."""
+    ranged = [(f.name, f.metadata["bound"]) for f in fields(obj) if "bound" in f.metadata]
+    _require_finite(obj, *(name for name, _ in ranged if not isinstance(getattr(obj, name), numbers.Rational)))
+    for name, (op, bound) in ranged:
+        _require_bound(name, getattr(obj, name), op, bound)
+
+
 @dataclass(frozen=True)
 class Position2D:
     """A point in the deployment plane, in meters."""
@@ -86,30 +112,20 @@ class PathLossParams:
     finite in the near field.
     """
 
-    exponent: float
-    fixed_loss_db: float = 0.0
-    reference_distance: float = 1.0
+    exponent: float = _ranged(above=0)
+    fixed_loss_db: float = _ranged(0.0, at_least=0)
+    reference_distance: float = _ranged(1.0, above=0)
 
-    def __post_init__(self):
-        _require_finite(self, "exponent", "fixed_loss_db", "reference_distance")
-        if self.exponent <= 0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
-        if self.reference_distance <= 0:
-            raise ValueError(f"reference_distance must be > 0, got {self.reference_distance}")
-        if self.fixed_loss_db < 0:
-            raise ValueError(f"fixed_loss_db must be >= 0, got {self.fixed_loss_db}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class RicianParams:
     """Rician fading with linear K-factor; K=0 is Rayleigh, large K is pure LoS."""
 
-    k_factor: float
+    k_factor: float = _ranged(at_least=0)
 
-    def __post_init__(self):
-        _require_finite(self, "k_factor")
-        if self.k_factor < 0:
-            raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -117,14 +133,12 @@ class ArrayConfig:
     """Uniform linear array; element spacing is in wavelengths."""
 
     n_antennas: int
-    element_spacing: float = 0.5
+    element_spacing: float = _ranged(0.5, above=0)
 
     def __post_init__(self):
         if int(self.n_antennas) != self.n_antennas or self.n_antennas < 1:
             raise ValueError(f"n_antennas must be an integer >= 1, got {self.n_antennas}")
-        _require_finite(self, "element_spacing")
-        if self.element_spacing <= 0:
-            raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
+        _check_fields(self)
 
 
 def path_gain(d, params: PathLossParams):
@@ -157,10 +171,8 @@ def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
     are i.i.d. uniform over the disk centered at the origin. Returns an
     (n, 2) array; identical seeds give identical fields.
     """
-    if density < 0:
-        raise ValueError(f"density must be >= 0, got {density}")
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    _require_bound("density", density, ">=", 0)
+    _require_bound("radius", radius, ">", 0)
     rng = np.random.default_rng(seed)
     return _uniform_disk(int(rng.poisson(_mean_sources(density, radius))), radius, rng)
 

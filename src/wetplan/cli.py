@@ -12,8 +12,8 @@ outage and rfchains work was dealt across); ``verify_manifest`` ignores them.
 
 A runner builds the library objects from the resolved config, calls the
 study's library entry point and returns a header and rows. The library is
-the only range check: it checks its own arguments, and refuses a scenario
-too large to allocate, before it computes or draws anything; a size refusal
+the only range check (a field's range is declared at the field) and refuses
+a scenario too large to allocate before it computes or draws; a size refusal
 reads ``<names> give <n> <what>; the limit is <limit>``. A refusal names the
 config key of the same name; where the names differ, one helper, ``_keyed``,
 puts the key's prefix in front (``solver.``, ``map.area: ``) or spells the

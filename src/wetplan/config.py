@@ -15,10 +15,10 @@ its default and a kind read from the default's type. Only the keys with no
 library field (device layouts, sweep lists, ``k``, ``gamma``, the arguments
 of ``sweep_rf_chains`` and the lifetime sweep's fleet size) are written out
 here; those that are a function's keyword argument take its default from
-the function's signature. No key has a range check here: the library checks
-every value when the study calls it, before any work, and the runner makes
-the refusal name the key (see ``wetplan.cli``). ``mode`` and ``archs`` take
-only their listed choices.
+the function's signature. No key has a range check here: a field's range is
+declared at the field (``channel._ranged``), the library checks every value
+before any work, and the runner makes the refusal name the key (see
+``wetplan.cli``). ``mode`` and ``archs`` take only their listed choices.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ rounded components, so breakdowns always add up exactly.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .channel import _check_fields, _ranged, _require_bound
 
 __all__ = [
     "SCENARIOS",
@@ -52,46 +53,26 @@ class CostParams:
     whole replacements only.
     """
 
-    devices_per_pb: int = 50
-    install_grid_pb: Fraction = Fraction(300)
-    install_green_pb: Fraction = Fraction(320)
-    install_battery_pb: Fraction = Fraction(370)
-    device_install: Fraction = Fraction(20)
-    device_maintenance_fraction: Fraction = Fraction(1, 2)
-    battery_pb_annual_fraction: Fraction = Fraction(3, 10)
-    green_pb_replacement_fraction: Fraction = Fraction(19, 50)
-    green_pb_replacement_period: int = 25
-    pb_avg_power_w: Fraction = Fraction(6)
-    grid_price_per_kwh: Fraction = Fraction(1, 4)
-    device_battery_life: int = 5
-    horizon: int = 15
+    devices_per_pb: int = _ranged(50, at_least=1)
+    install_grid_pb: Fraction = _ranged(Fraction(300), at_least=0)
+    install_green_pb: Fraction = _ranged(Fraction(320), at_least=0)
+    install_battery_pb: Fraction = _ranged(Fraction(370), at_least=0)
+    device_install: Fraction = _ranged(Fraction(20), at_least=0)
+    device_maintenance_fraction: Fraction = _ranged(Fraction(1, 2), at_least=0)
+    battery_pb_annual_fraction: Fraction = _ranged(Fraction(3, 10), at_least=0)
+    green_pb_replacement_fraction: Fraction = _ranged(Fraction(19, 50), at_least=0)
+    green_pb_replacement_period: int = _ranged(25, above=0)
+    pb_avg_power_w: Fraction = _ranged(Fraction(6), at_least=0)
+    grid_price_per_kwh: Fraction = _ranged(Fraction(1, 4), at_least=0)
+    device_battery_life: int = _ranged(5, above=0)
+    horizon: int = _ranged(15, above=0)
     include_final_replacement: bool = False
     annualize_green_replacement: bool = True
 
     def __post_init__(self):
-        for name in (
-            "install_grid_pb",
-            "install_green_pb",
-            "install_battery_pb",
-            "device_install",
-            "device_maintenance_fraction",
-            "battery_pb_annual_fraction",
-            "green_pb_replacement_fraction",
-            "pb_avg_power_w",
-            "grid_price_per_kwh",
-        ):
-            value = _frac(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        if self.devices_per_pb < 1:
-            raise ValueError(f"devices_per_pb must be >= 1, got {self.devices_per_pb}")
-        if self.green_pb_replacement_period <= 0:
-            raise ValueError("green_pb_replacement_period must be > 0")
-        if self.device_battery_life <= 0:
-            raise ValueError("device_battery_life must be > 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        for name in [f.name for f in dataclasses.fields(self) if f.type == "Fraction"]:
+            object.__setattr__(self, name, _frac(getattr(self, name)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -117,7 +98,7 @@ def battery_replacements(horizon_years: int, battery_life_years: int, include_fi
         raise ValueError(f"horizon must be > 0 years, got {horizon_years}")
     if include_final:
         return horizon_years // battery_life_years
-    return math.ceil(horizon_years / battery_life_years) - 1
+    return -(-horizon_years // battery_life_years) - 1
 
 
 def _round_cents(dollars: Fraction) -> int:
@@ -143,8 +124,7 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     """Total cost breakdown of one powering scenario over the planning horizon."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    if n_devices < 1:
-        raise ValueError(f"n_devices must be >= 1, got {n_devices}")
+    _require_bound("n_devices", n_devices, ">=", 1)
 
     device_install = n_devices * params.device_install
     if scenario == "baseline":
@@ -156,7 +136,7 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     else:
         # Beacon-powered devices skip battery swaps entirely.
         maintenance = Fraction(0)
-        n_pb = math.ceil(n_devices / params.devices_per_pb)
+        n_pb = -(-n_devices // params.devices_per_pb)  # exact ceiling; a float quotient rounds past 2**53
         unit_install = {
             "grid_pb": params.install_grid_pb,
             "battery_pb": params.install_battery_pb,
@@ -206,8 +186,7 @@ def sweep_hardware_lifetime(
     as they are read.
     """
     horizons, lives = _positive_list("horizons", horizons), _positive_list("battery_lives", battery_lives)
-    if n_devices < 1:
-        raise ValueError(f"n_devices must be >= 1, got {n_devices}")
+    _require_bound("n_devices", n_devices, ">=", 1)
     grid = (dataclasses.replace(params, horizon=h, device_battery_life=life) for h in horizons for life in lives)
     return (scenario_cost(s, n_devices, p) for p in grid for s in SCENARIOS)
 

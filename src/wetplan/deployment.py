@@ -34,8 +34,8 @@ import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
-    MAX_ARRAY_ENTRIES, PathLossParams, Position2D, _path_gain, _require_at_most, _require_finite, path_gain,
-    positions_to_array,
+    MAX_ARRAY_ENTRIES, PathLossParams, Position2D, _check_fields, _path_gain, _ranged, _require_at_most,
+    _require_bound, path_gain, positions_to_array,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ GRID_ORACLE_BUDGET = 10**7
 # the devices) above which ``optimize`` refuses a scenario before it builds
 # anything; the default table has 576 * 8 = 4,608.
 MAX_GREEDY_ENTRIES = 10**6
+_MAX_NM_ITER = 10**18  # Nelder–Mead iterations per start and stage; ``_nelder_mead`` counts in int64
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class DeploymentProblem:
 
     devices: tuple[Position2D, ...]
     ambient_map: AmbientMap
-    k: int
-    cap: float = 1.0
+    k: int = _ranged(at_least=1)
+    cap: float = _ranged(1.0, above=0)
     pathloss: PathLossParams = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
 
     def __post_init__(self):
@@ -71,11 +72,7 @@ class DeploymentProblem:
         object.__setattr__(self, "devices", devices)
         if not devices:
             raise ValueError("devices must hold at least one device")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        _require_finite(self, "cap")
-        if self.cap <= 0:
-            raise ValueError(f"cap must be > 0, got {self.cap}")
+        _check_fields(self)
         self.ambient_map.area.require_inside(positions_to_array(devices), "devices")
 
     def device_xy(self) -> np.ndarray:
@@ -86,17 +83,11 @@ class DeploymentProblem:
 class SolverConfig:
     """Multi-start direct-search budget knobs."""
 
-    n_starts: int = 8
-    greedy_grid: int = 24
-    nm_max_iter: int = 250
+    n_starts: int = _ranged(8, at_least=0)
+    greedy_grid: int = _ranged(24, at_least=2)
+    nm_max_iter: int = _ranged(250, at_least=1)
 
-    def __post_init__(self):
-        if self.n_starts < 0:
-            raise ValueError(f"n_starts must be >= 0, got {self.n_starts}")
-        if self.greedy_grid < 2:
-            raise ValueError(f"greedy_grid must be >= 2, got {self.greedy_grid}")
-        if self.nm_max_iter < 1:
-            raise ValueError(f"nm_max_iter must be >= 1, got {self.nm_max_iter}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -331,7 +322,8 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
 
     Reproducible per seed; the returned objective dominates every candidate
     the search evaluated, including all restart points. A greedy candidate
-    table, or a last stage's initial simplices, too large to allocate is
+    table, or a last stage's initial simplices, too large to allocate, or a
+    last stage's iteration budget past the solver's int64 counters, is
     refused before anything is built.
     """
     solver = solver or SolverConfig()
@@ -344,6 +336,8 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
     _require_at_most((1 + starts) * (2 * k + 1) * k * max(n_devices, n_components), MAX_ARRAY_ENTRIES,
                      f"k = {k}, solver.n_starts = {starts}, {n_devices} devices and {n_components} map.components",
                      "simplex entries ((1 + solver.n_starts) * (2k + 1) * k * max(devices, map.components))")
+    _require_at_most(solver.nm_max_iter * 2 * k, _MAX_NM_ITER, f"solver.nm_max_iter = {solver.nm_max_iter} and "
+                     f"k = {k}", "Nelder–Mead iterations per start in the last stage (solver.nm_max_iter * 2k)")
     evaluator = _Evaluator(problem)
     area = problem.ambient_map.area
     device_xy = problem.device_xy()
@@ -398,8 +392,7 @@ def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolu
     Exact at the grid resolution; refuses, before it builds the grid, an
     instance with more than ``GRID_ORACLE_BUDGET`` candidate tuples.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
+    _require_bound("resolution", resolution, ">", 0)
     area = problem.ambient_map.area
     nx = int(math.floor((area.x_max - area.x_min) / resolution + 1e-9)) + 1
     ny = int(math.floor((area.y_max - area.y_min) / resolution + 1e-9)) + 1

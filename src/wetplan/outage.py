@@ -38,8 +38,8 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _mean_sources, _require_at_most,
-    _require_finite, sample_channels, sample_hppp,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _check_fields, _mean_sources, _ranged,
+    _require_at_most, sample_channels, sample_hppp,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
@@ -56,33 +56,18 @@ class OutageConfig:
     """One Monte Carlo scenario: a device at the disk center harvesting from a
     Poisson field of ambient transmitters."""
 
-    density: float
-    disk_radius: float = 10.0
-    tx_power: float = 1.0
+    density: float = _ranged(at_least=0)
+    disk_radius: float = _ranged(10.0, above=0)
+    tx_power: float = _ranged(1.0, above=0)
     pathloss: PathLossParams = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
     rician: RicianParams = RicianParams(10.0)
-    target: float = 1e-3
-    n_antennas: int = 1
+    target: float = _ranged(1e-3, above=0)
+    n_antennas: int = _ranged(1, at_least=1)
     curve: HarvesterCurve = HarvesterCurve()
-    trials: int = 10_000
-    seed: int = 0
+    trials: int = _ranged(10_000, at_least=1)
+    seed: int = _ranged(0, at_least=0)
 
-    def __post_init__(self):
-        _require_finite(self, "density", "disk_radius", "tx_power", "target")
-        if self.density < 0:
-            raise ValueError(f"density must be >= 0, got {self.density}")
-        if self.disk_radius <= 0:
-            raise ValueError(f"disk_radius must be > 0, got {self.disk_radius}")
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
-        if self.target <= 0:
-            raise ValueError(f"target must be > 0, got {self.target}")
-        if self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -112,18 +97,18 @@ MAX_MEAN_SOURCES = 1e7
 def _require_fits(config: OutageConfig, archs: tuple[str, ...], density: float, name: str) -> None:
     """Refuse ``config`` at ``density``, set by ``name`` (a sweep passes its
     largest), if an array its trials allocate would pass a size limit: a
-    trial's transmitters or channels, the rf codebook, or the (trials,
-    n_antennas) power stack."""
+    trial's transmitters, the (trials, n_antennas) power stack (which bounds
+    ``n_antennas`` before a float multiplies it), the rf codebook or a trial's channels."""
     m = config.n_antennas
     sources = _mean_sources(density, config.disk_radius)
     _require_at_most(sources, MAX_MEAN_SOURCES, f"{name} and disk_radius",
                      "expected transmitters per trial (density * pi * disk_radius**2)")
+    _require_at_most(config.trials * m, MAX_ARRAY_ENTRIES, "trials and n_antennas",
+                     "power entries (trials * n_antennas)")
     if "rf" in archs:
         _require_at_most(m * m, MAX_ARRAY_ENTRIES, "n_antennas", "rf codebook entries (n_antennas**2)")
     _require_at_most(sources * m, MAX_ARRAY_ENTRIES, f"{name}, disk_radius and n_antennas",
                      "expected channel entries per trial (density * pi * disk_radius**2 * n_antennas)")
-    _require_at_most(config.trials * m, MAX_ARRAY_ENTRIES, "trials and n_antennas",
-                     "power entries (trials * n_antennas)")
 
 
 def trial_seed(seed: int, index: int) -> np.random.SeedSequence:

@@ -310,6 +310,27 @@ def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channe
         sweep_rf_chains(4, 2e-6, [1])
 
 
+# Devices at 1 m and 10 m with exponent 145 and no fixed loss have gains 1 and
+# 1e-145, so gamma * max(gain) / min(gain)**2 is gamma * 1e290.
+@pytest.mark.parametrize("devices, exponent, gamma, message", [
+    ([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 145.0, 2.0, r"gamma, pathloss\.\* and devices give 2e\+290"),
+    (4, 300.0, 2e-6, r"gamma, pathloss\.\* and disk_radius give inf"),
+], ids=["explicit", "drawn"])
+def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_channels(monkeypatch, devices, exponent,
+                                                                                      gamma, message):
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(beampower, "sample_channels", refuse)
+    model = ChannelModel(pathloss=PathLossParams(exponent))
+    with pytest.raises(ValueError, match=rf"^{message} as gamma \* max / min\*\*2 of the device path gains; "
+                                         r"the limit is 1e\+290$"):
+        sweep_rf_chains(devices, gamma, [1, 2], model=model)
+    with pytest.raises(DrawReached):
+        sweep_rf_chains([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 0.5, [1, 2],
+                        model=ChannelModel(pathloss=PathLossParams(145.0)))
+
+
 BAD_SOLVER_ARGUMENTS = [case for case in BAD_SWEEP_ARGUMENTS if case[0] in ("tol", "n_randomizations")]
 
 

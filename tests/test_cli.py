@@ -416,6 +416,20 @@ def test_rfchains_device_whose_path_gain_underflows_is_refused_before_drawing(mo
     assert not out.exists()
 
 
+def test_rfchains_refuses_path_gains_whose_power_scale_overflows(monkeypatch, capsys, tmp_path):
+    # Unrefused, the carried precoder's margins over the normalized floors
+    # overflow in a divide, and the run writes about 6e268 W.
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    monkeypatch.setattr(wetplan.beampower, "sample_channels", refuse)
+    out = tmp_path / "rfchains"
+    assert run_cli("rfchains", out, sets=["pathloss.exponent=300", "m_values=1,2"]) == 1
+    assert re.fullmatch(r"error: gamma, pathloss\.\* and disk_radius give inf as gamma \* max / min\*\*2 of the "
+                        r"device path gains; the limit is 1e\+290\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_outage_codebook_bound_applies_only_with_rf(monkeypatch):
     _reach_draws(monkeypatch)
     sets = ["n_antennas=3163", "trials=1", "archs=single, dc"]
@@ -465,6 +479,20 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
                  [f"solver.greedy_grid={10**200}"]):
         with pytest.raises(ValueError, match=r"^solver\.greedy_grid = "):
             wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, sets), 0)
+
+
+@pytest.mark.parametrize("value", [10**18, 10**400], ids=["1e18", "400_digits"])
+def test_deploy_refuses_an_iteration_budget_past_the_solver_counters(tmp_path, monkeypatch, capsys, value):
+    # The last stage runs solver.nm_max_iter * 2k iterations per start, counted in int64.
+    _reach_draws(monkeypatch)
+    with pytest.raises(DrawReached):
+        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, [f"solver.nm_max_iter={10**17}"]), 0)
+    out = tmp_path / "deploy"
+    assert run_cli("deploy", out, sets=[f"solver.nm_max_iter={value}"]) == 1
+    assert re.fullmatch(rf"error: solver\.nm_max_iter = {value} and k = 5 give \S+ Nelder–Mead iterations per start "
+                        r"in the last stage \(solver\.nm_max_iter \* 2k\); the limit is 1e\+18\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_zero_randomizations_run_and_keep_the_rfchains_invariants(tmp_path):

@@ -252,3 +252,32 @@ def test_out_of_range_study_value_is_refused_by_name(tmp_path, monkeypatch, caps
     assert line.startswith("error: ")
     assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", line), line
     assert not out.exists()
+
+
+# Every int key, and the overrides that make its study use it: the lifetime
+# sweep's keys are computed only in lifetime mode, and without rf outage has
+# no codebook to bound n_antennas before a float multiplies it.
+INT_KEYS = [(study, name) for study, schema in sorted(SCHEMAS.items()) for name, key in schema.items()
+            if key.kind in ("int", "int_list")]
+INT_KEY_SETS = {
+    ("cost", "lifetime_n_devices"): ["mode=lifetime"],
+    ("cost", "horizons"): ["mode=lifetime"],
+    ("cost", "battery_lives"): ["mode=lifetime"],
+    ("outage", "n_antennas"): ["archs=single"],
+}
+
+
+@pytest.mark.parametrize("study, key", INT_KEYS, ids=[f"{s}:{k}" for s, k in INT_KEYS])
+def test_an_int_key_past_the_range_of_a_float_is_computed_exactly_or_refused_by_name(tmp_path, capsys, study, key):
+    huge = 10**400
+    out = tmp_path / study
+    code = main([study, "--set", f"{key}={huge}", *(f"--set={s}" for s in INT_KEY_SETS.get((study, key), ())),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert not err
+        assert f"config.{key} = {huge}\n" in (out / "manifest.txt").read_text()
+    else:
+        (line,) = err.splitlines()
+        assert re.search(rf"^error: (.* )?{re.escape(key)}(?![\w.])", line), line
+        assert not out.exists()

@@ -30,6 +30,14 @@ def test_replacement_count_including_final_year():
     assert battery_replacements(7, 5, include_final=True) == 1
 
 
+def test_ceilings_are_exact_past_two_to_the_53():
+    # A float quotient rounds 2**53 + 1 down to 2**53 before the ceiling.
+    assert battery_replacements(2**53 + 1, 1) == 2**53
+    grid = scenario_cost("grid_pb", 2**53 + 1, CostParams(devices_per_pb=1))
+    assert grid.pb_install_cents == (2**53 + 1) * 30_000
+    assert scenario_cost("grid_pb", 10**400 + 1, CostParams(devices_per_pb=10**400)).pb_install_cents == 2 * 30_000
+
+
 def test_replacement_count_rejects_bad_lifetimes():
     with pytest.raises(ValueError):
         battery_replacements(15, 0)

@@ -57,6 +57,17 @@ def test_dc_never_below_single(snapshot):
 
 
 @PROPERTY
+@given(snapshots())
+def test_codeword_powers_sum_to_the_antenna_powers(snapshot):
+    # Parseval: the DFT codebook is orthonormal, so the codewords split the
+    # incident power without loss or gain.
+    h, p = snapshot
+    p = np.broadcast_to(p, (h.shape[0],))[:, None]
+    total = _antenna_powers(h, p).sum()
+    assert abs(_codeword_powers(h, p, dft_codebook(h.shape[1])).sum() - total) <= 1e-12 * total
+
+
+@PROPERTY
 @given(snapshots(antennas=st.just(1)))
 def test_architectures_agree_with_one_antenna(snapshot):
     out = _all_archs(snapshot)
