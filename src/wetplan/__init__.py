@@ -25,7 +25,6 @@ from .beampower import (
 from .channel import (
     ArrayConfig,
     PathLossParams,
-    Position2D,
     RicianParams,
     path_gain,
     sample_channels,
@@ -69,7 +68,6 @@ __all__ = [
     "sweep_rf_chains",
     "ArrayConfig",
     "PathLossParams",
-    "Position2D",
     "RicianParams",
     "path_gain",
     "sample_channels",

@@ -5,6 +5,10 @@ there into transmit power, up to its hardware cap; conversion is lossless up
 to the cap, which ``deployment`` applies. The mixture is evaluated in one
 place, ``mixture_power``, on component arrays from ``mixture_columns``; the
 deployment search builds those arrays once per problem.
+
+A component's ``center`` is one point, an (x, y) pair of floats, so maps stay
+hashable; a set of points is an (n, 2) array. ``channel._as_xy`` coerces and
+checks each where it enters.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Position2D, _check_fields, _ranged, _require_finite
+from .channel import _as_xy, _check_fields, _ranged, _require_finite
 
 __all__ = [
     "Rect",
@@ -62,10 +66,12 @@ class GaussianComponent:
     """One ambient hot spot: peak available power (W), center, isotropic width (m)."""
 
     weight: float = _ranged(at_least=0)
-    center: Position2D
+    center: tuple[float, float]
     width: float = _ranged(above=0)
 
-    __post_init__ = _check_fields
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(_as_xy("center", self.center, pair=True).tolist()))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,8 @@ def mixture_columns(amap: AmbientMap) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Centre x, centre y, weight and ``2 * width**2`` of each component, as arrays."""
     comps = amap.components
     return (
-        np.array([c.center.x for c in comps]),
-        np.array([c.center.y for c in comps]),
+        np.array([c.center[0] for c in comps]),
+        np.array([c.center[1] for c in comps]),
         np.array([c.weight for c in comps]),
         np.array([2.0 * c.width**2 for c in comps]),
     )
@@ -114,10 +120,10 @@ def example_map() -> AmbientMap:
     """
     return AmbientMap(
         components=(
-            GaussianComponent(4.0, Position2D(-12.0, 10.0), 4.0),
-            GaussianComponent(3.0, Position2D(8.0, 14.0), 5.0),
-            GaussianComponent(2.5, Position2D(12.0, -8.0), 4.0),
-            GaussianComponent(1.5, Position2D(-6.0, -14.0), 6.0),
+            GaussianComponent(4.0, (-12.0, 10.0), 4.0),
+            GaussianComponent(3.0, (8.0, 14.0), 5.0),
+            GaussianComponent(2.5, (12.0, -8.0), 4.0),
+            GaussianComponent(1.5, (-6.0, -14.0), 6.0),
         ),
         area=Rect(-20.0, -20.0, 20.0, 20.0),
     )

@@ -31,8 +31,8 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _check_fields, _path_gain, _ranged,
-    _require_at_most, _require_bound, _require_finite, _uniform_disk, positions_to_array, sample_channels,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
+    _require_at_most, _require_bound, _require_finite, _uniform_disk, sample_channels,
 )
 
 __all__ = [
@@ -394,11 +394,13 @@ class ChannelModel:
     __post_init__ = _check_fields
 
 
-def draw_device_positions(n: int, radius: float, seed) -> list[Position2D]:
-    """Uniform device positions in a disk of ``radius`` around the beacon."""
+def draw_device_positions(n: int, radius: float, seed) -> np.ndarray:
+    """``n`` uniform device positions in a disk of ``radius`` around the beacon, as an (n, 2) array."""
     if n < 1:
         raise ValueError(f"need at least one device, got {n}")
-    return [Position2D(float(x), float(y)) for x, y in _uniform_disk(n, radius, np.random.default_rng(seed))]
+    _require_finite(locals(), "radius")
+    _require_bound("radius", radius, ">", 0)
+    return _uniform_disk(n, radius, np.random.default_rng(seed))
 
 
 def sweep_rf_chains(
@@ -415,14 +417,14 @@ def sweep_rf_chains(
     """Transmit power and total consumption across antenna/RF-chain counts.
 
     ``devices`` is a device count (positions drawn uniformly in the model
-    disk) or explicit positions. Channels are drawn once at max(m_values) and
-    truncated, so the M-antenna channel is a prefix of the (M+1)-antenna one;
-    the previous best precoder is zero-padded into the next candidate pool,
-    which makes tx_power(M) non-increasing by construction. Ties in total
-    consumption resolve to the smallest M. Every argument is checked, and a
-    scenario too large to allocate refused, before anything is drawn; a
-    device whose path gain underflows, or gains whose power scale would
-    overflow (``_MAX_POWER_SCALE``), are refused before the channels are.
+    disk) or explicit positions, an (n, 2) array. Channels are drawn once at
+    max(m_values) and truncated, so the M-antenna channel is a prefix of the
+    (M+1)-antenna one; the previous best precoder is zero-padded into the next
+    candidate pool, which makes tx_power(M) non-increasing by construction.
+    Ties in total consumption resolve to the smallest M. Every argument is
+    checked, and a scenario too large to allocate refused, before anything is
+    drawn; a device whose path gain underflows, or gains whose power scale
+    would overflow (``_MAX_POWER_SCALE``), are refused before the channels are.
     """
     model = model or ChannelModel()
     ms = [int(m) for m in m_values]
@@ -434,8 +436,9 @@ def sweep_rf_chains(
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     _check_solver_arguments(tol, n_randomizations)
     consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
-    positions = None if isinstance(devices, (int, np.integer)) else list(devices)
-    n_devices = int(devices) if positions is None else len(positions)
+    drawn = isinstance(devices, (int, np.integer))
+    pts = None if drawn else _as_xy("devices", devices)
+    n_devices = int(devices) if drawn else pts.shape[0]
     if n_devices < 1:
         raise ValueError(f"devices must hold at least one device, got {n_devices}")
     m_max = ms[-1]
@@ -444,10 +447,8 @@ def sweep_rf_chains(
     _require_at_most(n_randomizations * m_max, MAX_ARRAY_ENTRIES, "n_randomizations and m_values",
                      "candidate entries (n_randomizations * max(m_values))")
 
-    drawn = positions is None
     if drawn:
-        positions = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
-    pts = positions_to_array(positions)
+        pts = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
     gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), model.pathloss)
     names = f"pathloss.* and {'disk_radius' if drawn else 'devices'}"
     for i in np.flatnonzero(gains < np.finfo(float).tiny):
@@ -455,8 +456,8 @@ def sweep_rf_chains(
                          f"{gains[i]:.4g}, which underflows")
     scale = gamma / float(gains.min()) * float(gains.max() / gains.min())  # a Python float overflows to inf silently
     _require_at_most(scale, _MAX_POWER_SCALE, f"gamma, {names}", "as gamma * max / min**2 of the device path gains")
-    h_full = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(m_max, model.element_spacing), model.rician,
-                             model.pathloss, seed=np.random.SeedSequence([int(seed), 1]))
+    h_full = sample_channels(pts, np.zeros(2), ArrayConfig(m_max, model.element_spacing), model.rician, model.pathloss,
+                             seed=np.random.SeedSequence([int(seed), 1]))
 
     reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]
     relaxed = _solve_relaxations(reduced, tol)

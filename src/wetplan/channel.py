@@ -6,6 +6,10 @@ evaluated in any order without changing results.
 
 Every study dataclass declares a field's lower bound at the field (``_ranged``)
 and checks it with ``_check_fields``; a function argument uses ``_require_bound``.
+
+Positions are in meters and take two forms: a set of points is an (n, 2)
+float array, one point an (x, y) pair. Each position argument is coerced and
+checked once, where it enters the library, by ``_as_xy``.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 __all__ = [
-    "Position2D",
     "PathLossParams",
     "RicianParams",
     "ArrayConfig",
-    "positions_to_array",
     "path_gain",
     "sample_hppp",
     "steering_vector",
@@ -75,33 +77,22 @@ def _check_fields(obj) -> None:
         _require_bound(name, getattr(obj, name), op, bound)
 
 
-@dataclass(frozen=True)
-class Position2D:
-    """A point in the deployment plane, in meters."""
+def _as_xy(name: str, value, pair: bool = False) -> np.ndarray:
+    """``value`` as an (n, 2) float array of points, or with ``pair`` as one (x, y) point of shape (2,).
 
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-
-def positions_to_array(positions) -> np.ndarray:
-    """Stack positions (``Position2D`` or (x, y) pairs) into an (n, 2) array."""
-    if isinstance(positions, np.ndarray):
-        arr = np.asarray(positions, dtype=float)
-    else:
-        rows = []
-        for p in positions:
-            if isinstance(p, Position2D):
-                rows.append((p.x, p.y))
-            else:
-                rows.append((float(p[0]), float(p[1])))
-        arr = np.array(rows, dtype=float).reshape(-1, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (n, 2) positions, got shape {arr.shape}")
-    return arr
+    An empty sequence holds no points. Another shape, or a non-finite
+    coordinate, is refused by ``name``; the latter names the first such point.
+    """
+    xy = np.asarray(value, dtype=float)
+    if xy.shape == (0,) and not pair:
+        xy = xy.reshape(0, 2)
+    if xy.ndim != (1 if pair else 2) or xy.shape[-1:] != (2,):
+        raise ValueError(f"{name} must be {'an (x, y) pair' if pair else 'an (n, 2) array'}, got shape {xy.shape}")
+    if not np.isfinite(xy).all():
+        rows = xy.reshape(-1, 2)
+        x, y = rows[~np.isfinite(rows).all(axis=1)][0].tolist()
+        raise ValueError(f"{name} must be finite, got ({x}, {y})")
+    return xy
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def sample_channels(
     pathloss: PathLossParams,
     seed,
 ) -> np.ndarray:
-    """Draw one Rician channel vector per source toward a ULA at ``device``.
+    """Draw one Rician channel vector per source (rows of ``sources``) toward a ULA at the (x, y) ``device``.
 
     Returns an (n_sources, n_antennas) complex array whose rows satisfy
     ``E[|h_m|**2] = path_gain(distance)``. The array axis runs along y so
@@ -218,8 +209,8 @@ def sample_channels(
     geometric angle ``atan2(dy, dx)`` as seen from the device.
     """
     rng = np.random.default_rng(seed)
-    pts = positions_to_array(sources)
-    diff = pts - positions_to_array([device])
+    pts = _as_xy("sources", sources)
+    diff = pts - _as_xy("device", device, pair=True)
     dist = np.hypot(diff[:, 0], diff[:, 1])
     theta = np.arctan2(diff[:, 1], diff[:, 0])
 
@@ -228,6 +219,6 @@ def sample_channels(
     scatter = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
     k = rician.k_factor
     mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
-    amp = np.sqrt(path_gain(dist, pathloss))
+    amp = np.sqrt(_path_gain(dist, pathloss))  # ``hypot`` of checked positions is finite and >= 0
     return amp[:, None] * mix
 

@@ -44,7 +44,6 @@ from . import __version__
 from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import ChannelModel, sweep_rf_chains
-from .channel import Position2D
 from .config import SCHEMAS, ConfigError, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
@@ -232,17 +231,17 @@ def _run_deploy(resolved, seed: int):
         area = Rect(*resolved["map.area"])
     with _keyed("map.components: "):
         ambient_map = AmbientMap(
-            tuple(GaussianComponent(w, Position2D(x, y), width) for w, x, y, width in resolved["map.components"]),
+            tuple(GaussianComponent(w, (x, y), width) for w, x, y, width in resolved["map.components"]),
             area,
         )
     problem = _build(DeploymentProblem, resolved, ambient_map=ambient_map)
     solution = optimize(problem, _build(SolverConfig, resolved, "solver."), seed=seed)
     header = ["row_type", "index", "x", "y", "tx_power_w", "received_power_w", "is_worst"]
     pbs = solution.pb_positions
-    rows = [("pb", i, pb.x, pb.y, tx, "", "") for i, (pb, tx) in enumerate(zip(pbs, solution.per_pb_tx_power))]
+    rows = [("pb", i, x, y, tx, "", "") for i, ((x, y), tx) in enumerate(zip(pbs.tolist(), solution.per_pb_tx_power))]
     rows += [
-        ("device", j, d.x, d.y, "", received_power(d, pbs, problem), int(j == solution.worst_device_index))
-        for j, d in enumerate(problem.devices)
+        ("device", j, x, y, "", received_power((x, y), pbs, problem), int(j == solution.worst_device_index))
+        for j, (x, y) in enumerate(problem.devices.tolist())
     ]
     return header, rows
 
@@ -268,7 +267,7 @@ def _run_outage(resolved, seed: int):
 
 def _run_rfchains(resolved, seed: int):
     model = _build(ChannelModel, resolved)
-    devices = [Position2D(x, y) for x, y in resolved["devices"]] or resolved["n_devices"]
+    devices = resolved["devices"] or resolved["n_devices"]
     with _keyed(devices="n_devices (or devices)", p_rf="p_rf_chain_w", tol="solver.tol",
                 n_randomizations="solver.randomizations"):
         sweep = sweep_rf_chains(

@@ -267,7 +267,7 @@ def _deploy_schema() -> dict[str, ConfigKey]:
         ConfigKey("k", "int", 5),
         ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES),
         ConfigKey("map.components", "quad_list",
-                  tuple((c.weight, c.center.x, c.center.y, c.width) for c in amap.components)),
+                  tuple((c.weight, *c.center, c.width) for c in amap.components)),
         ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max)),
         *_field_keys(DeploymentProblem),
         *_field_keys(SolverConfig, "solver."),

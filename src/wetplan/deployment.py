@@ -22,6 +22,9 @@ the area bounds, the device coordinates and the ambient components into
 arrays once, so each batch of layouts is one clip, one (beacons, components)
 mixture and one (beacons, devices) path-gain broadcast, with the same bits as
 evaluating each layout, component and beacon in turn.
+
+Devices and beacon layouts are (n, 2) arrays and one device an (x, y) pair;
+``channel._as_xy`` coerces and checks each where it enters.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
-    MAX_ARRAY_ENTRIES, PathLossParams, Position2D, _check_fields, _path_gain, _ranged, _require_at_most,
-    _require_bound, path_gain, positions_to_array,
+    MAX_ARRAY_ENTRIES, PathLossParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most, _require_bound,
+    path_gain,
 )
 
 __all__ = [
@@ -57,26 +60,22 @@ _MAX_NM_ITER = 10**18  # Nelder–Mead iterations per start and stage; ``_nelder
 
 @dataclass(frozen=True)
 class DeploymentProblem:
-    """Devices to serve, the ambient field, and the beacon/channel parameters."""
+    """Devices to serve (an (n, 2) array), the ambient field, and the beacon/channel parameters."""
 
-    devices: tuple[Position2D, ...]
+    devices: np.ndarray
     ambient_map: AmbientMap
     k: int = _ranged(at_least=1)
     cap: float = _ranged(1.0, above=0)
     pathloss: PathLossParams = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
 
     def __post_init__(self):
-        devices = tuple(
-            d if isinstance(d, Position2D) else Position2D(float(d[0]), float(d[1])) for d in self.devices
-        )
+        devices = _as_xy("devices", self.devices).copy()  # the caller's array cannot move them past the checks
+        devices.flags.writeable = False
         object.__setattr__(self, "devices", devices)
-        if not devices:
+        if not len(devices):
             raise ValueError("devices must hold at least one device")
         _check_fields(self)
-        self.ambient_map.area.require_inside(positions_to_array(devices), "devices")
-
-    def device_xy(self) -> np.ndarray:
-        return positions_to_array(self.devices)
+        self.ambient_map.area.require_inside(devices, "devices")
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class DeploymentSolution:
-    """Optimized beacon placement and the achieved worst-device received power."""
+    """Optimized beacon placement (a (k, 2) array) and the achieved worst-device received power."""
 
-    pb_positions: tuple[Position2D, ...]
+    pb_positions: np.ndarray
     per_pb_tx_power: tuple[float, ...]
     min_received_power: float
     worst_device_index: int
@@ -107,7 +106,7 @@ class _Evaluator:
         area = problem.ambient_map.area
         self.lower = np.array([area.x_min, area.y_min])
         self.upper = np.array([area.x_max, area.y_max])
-        self.device_x, self.device_y = problem.device_xy().T.copy()
+        self.device_x, self.device_y = problem.devices.T.copy()
         self.columns = mixture_columns(problem.ambient_map)
         self.cap = problem.cap
         self.pathloss = problem.pathloss
@@ -139,28 +138,27 @@ class _Evaluator:
 
 
 def received_power(device, pbs, problem: DeploymentProblem) -> float:
-    """Received RF power (W) at ``device`` from beacons at ``pbs`` (powers add).
+    """Received RF power (W) at the (x, y) ``device`` from beacons at the (n, 2) ``pbs`` (powers add).
 
     Transmit powers come from ``_Evaluator.tx_power``, as in the objective; a
     beacon outside the area is an error. The beacons are added in order with
     scalar ``math.hypot`` and ``path_gain``, unlike ``_Evaluator.contributions``,
     so the two differ in the last bits.
     """
-    dev = device if isinstance(device, Position2D) else Position2D(float(device[0]), float(device[1]))
-    xy = positions_to_array(pbs)
+    dx, dy = _as_xy("device", device, pair=True).tolist()
+    xy = _as_xy("pbs", pbs)
     problem.ambient_map.area.require_inside(xy, "beacon")
     tx = _Evaluator(problem).tx_power(xy)
     total = 0.0
     for (x, y), p in zip(xy.tolist(), tx.tolist()):
-        total += p * path_gain(math.hypot(x - dev.x, y - dev.y), problem.pathloss)
+        total += p * path_gain(math.hypot(x - dx, y - dy), problem.pathloss)
     return total
 
 
 def _build_solution(xy: np.ndarray, evaluator: _Evaluator) -> DeploymentSolution:
     value, worst = evaluator.objective(xy)
-    positions = tuple(Position2D(float(x), float(y)) for x, y in xy)
     powers = tuple(float(p) for p in evaluator.tx_power(xy))
-    return DeploymentSolution(positions, powers, value, worst)
+    return DeploymentSolution(xy, powers, value, worst)
 
 
 def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -340,7 +338,7 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
                      f"k = {k}", "Nelder–Mead iterations per start in the last stage (solver.nm_max_iter * 2k)")
     evaluator = _Evaluator(problem)
     area = problem.ambient_map.area
-    device_xy = problem.device_xy()
+    device_xy = problem.devices
     peaks = evaluator.clamp(np.column_stack(evaluator.columns[:2]))
     # Greedy candidates: the grid, the devices and the ambient peaks.
     candidates = evaluator.clamp(_candidate_points(area, solver.greedy_grid, np.vstack([device_xy, peaks])))

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, Position2D, RicianParams, _check_fields, _mean_sources, _ranged,
+    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, RicianParams, _check_fields, _mean_sources, _ranged,
     _require_at_most, sample_channels, sample_hppp,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
@@ -125,7 +125,7 @@ def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, se
     antenna_powers = np.zeros((count, config.n_antennas))
     combined = np.zeros(count)
     codewords = dft_codebook(config.n_antennas) if "rf" in archs else None
-    device, array = Position2D(0.0, 0.0), ArrayConfig(config.n_antennas)
+    device, array = np.zeros(2), ArrayConfig(config.n_antennas)
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         positions = sample_hppp(config.density, config.disk_radius, rng)

@@ -10,7 +10,7 @@ import numpy as np
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import ChannelModel, MulticastProblem, min_power_precoder, sweep_rf_chains
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, path_gain, sample_channels, sample_hppp
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, path_gain, sample_channels, sample_hppp
 from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
 from wetplan.deployment import DeploymentProblem, grid_oracle, optimize
@@ -49,12 +49,12 @@ def test_criterion_3_deployment_against_grid_oracle():
     pathloss = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
     amap = AmbientMap(
         (
-            GaussianComponent(3.0, Position2D(-6.0, 7.0), 3.0),
-            GaussianComponent(1.2, Position2D(5.0, -4.0), 4.0),
+            GaussianComponent(3.0, (-6.0, 7.0), 3.0),
+            GaussianComponent(1.2, (5.0, -4.0), 4.0),
         ),
         area,
     )
-    devices = (Position2D(-4.0, -6.0), Position2D(6.0, 5.0), Position2D(0.0, 2.0))
+    devices = ((-4.0, -6.0), (6.0, 5.0), (0.0, 2.0))
     ratios = []
     for k in (1, 2):
         problem = DeploymentProblem(devices, amap, k=k, cap=1.0, pathloss=pathloss)
@@ -64,7 +64,7 @@ def test_criterion_3_deployment_against_grid_oracle():
             ratios.append(sol.min_received_power / oracle.min_received_power)
             assert sol.min_received_power >= 0.98 * oracle.min_received_power
             assert all(tx <= 1.0 + 1e-15 for tx in sol.per_pb_tx_power)
-            assert all(area.contains(p.x, p.y) for p in sol.pb_positions)
+            assert all(area.contains(x, y) for x, y in sol.pb_positions)
     # Optimizer beats uniform random placement on 10/10 seeds.
     problem = DeploymentProblem(devices, amap, k=2, cap=1.0, pathloss=pathloss)
     wins = 0
@@ -100,7 +100,7 @@ def test_criterion_4_outage_monotonicity_and_combining():
         if positions.shape[0] == 0:
             continue
         h = sample_channels(
-            positions, Position2D(0.0, 0.0), ArrayConfig(4), config.rician, config.pathloss, rng
+            positions, (0.0, 0.0), ArrayConfig(4), config.rician, config.pathloss, rng
         )
         best = _codeword_powers(h, config.tx_power, cb).max()
         fixed = [float(np.sum(config.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]
@@ -134,7 +134,7 @@ def test_criterion_6_beam_power():
     gain = path_gain(10.0, model.pathloss)
     gamma = 2e-6
     ms = list(range(1, 33))
-    sweep = sweep_rf_chains([Position2D(10.0, 0.0)], gamma, ms, model=model, seed=3)
+    sweep = sweep_rf_chains([(10.0, 0.0)], gamma, ms, model=model, seed=3)
     for pt in sweep.points:
         expected = gamma / (pt.n_rf * gain)
         assert abs(pt.tx_power - expected) / expected < 1e-6

@@ -11,19 +11,19 @@ from wetplan.ambient import (
     mixture_columns,
     mixture_power,
 )
-from wetplan.channel import PathLossParams, Position2D, positions_to_array
+from wetplan.channel import PathLossParams
 from wetplan.deployment import DeploymentProblem, received_power
 
 AREA = Rect(-20.0, -20.0, 20.0, 20.0)
 
 
 def single_component_map(weight=2.0, cx=0.0, cy=0.0, width=3.0):
-    return AmbientMap((GaussianComponent(weight, Position2D(cx, cy), width),), AREA)
+    return AmbientMap((GaussianComponent(weight, (cx, cy), width),), AREA)
 
 
 def ambient_power(amap, points):
     """Ambient power (W) at each of ``points``, through the library's one path, ``mixture_power``."""
-    pts = positions_to_array(points)
+    pts = np.asarray(points, dtype=float)
     return mixture_power(pts[:, 0], pts[:, 1], mixture_columns(amap))
 
 
@@ -40,12 +40,12 @@ def co_located_power(amap, at):
 
 def test_peak_value_at_center():
     amap = single_component_map(weight=2.0)
-    assert np.isclose(ambient_power(amap, [Position2D(0.0, 0.0)])[0], 2.0, rtol=1e-12)
+    assert np.isclose(ambient_power(amap, [(0.0, 0.0)])[0], 2.0, rtol=1e-12)
 
 
 def test_one_width_away_decays_by_exp_half():
     amap = single_component_map(weight=2.0, width=3.0)
-    value = ambient_power(amap, [Position2D(3.0, 0.0)])[0]
+    value = ambient_power(amap, [(3.0, 0.0)])[0]
     assert np.isclose(value, 2.0 * math.exp(-0.5), rtol=1e-12)
 
 
@@ -54,20 +54,20 @@ def test_two_component_sum_matches_hand_formula():
     # evaluated midway at (1, 0): distances 5 and 5.
     amap = AmbientMap(
         (
-            GaussianComponent(2.0, Position2D(-4.0, 0.0), 3.0),
-            GaussianComponent(3.0, Position2D(6.0, 0.0), 5.0),
+            GaussianComponent(2.0, (-4.0, 0.0), 3.0),
+            GaussianComponent(3.0, (6.0, 0.0), 5.0),
         ),
         AREA,
     )
     expected = 2.0 * math.exp(-25.0 / 18.0) + 3.0 * math.exp(-25.0 / 50.0)
-    assert np.isclose(ambient_power(amap, [Position2D(1.0, 0.0)])[0], expected, rtol=1e-12)
+    assert np.isclose(ambient_power(amap, [(1.0, 0.0)])[0], expected, rtol=1e-12)
 
 
 def test_outside_area_raises():
     amap = single_component_map()
-    problem = DeploymentProblem((Position2D(0.0, 0.0),), amap, k=1)
+    problem = DeploymentProblem(((0.0, 0.0),), amap, k=1)
     with pytest.raises(ValueError, match=r"^beacon \(25\.0, 0\.0\) lies outside"):
-        received_power(Position2D(0.0, 0.0), [Position2D(25.0, 0.0)], problem)
+        received_power((0.0, 0.0), [(25.0, 0.0)], problem)
 
 
 def test_rect_contains_edges_elementwise():
@@ -81,22 +81,22 @@ def test_rect_contains_edges_elementwise():
 def test_transmit_power_caps_at_limit():
     # A 3.7 W ambient spot under a 1 W cap transmits exactly 1 W.
     amap = single_component_map(weight=3.7)
-    assert co_located_power(amap, Position2D(0.0, 0.0)) == 1.0
+    assert co_located_power(amap, (0.0, 0.0)) == 1.0
 
 
 def test_transmit_power_passes_below_cap():
     amap = single_component_map(weight=0.4)
-    assert np.isclose(co_located_power(amap, Position2D(0.0, 0.0)), 0.4, rtol=1e-12)
+    assert np.isclose(co_located_power(amap, (0.0, 0.0)), 0.4, rtol=1e-12)
 
 
 def test_transmit_power_zero_ambient():
     amap = single_component_map(weight=0.0)
-    assert co_located_power(amap, Position2D(5.0, 5.0)) == 0.0
+    assert co_located_power(amap, (5.0, 5.0)) == 0.0
 
 
 def test_transmit_power_requires_positive_cap():
     with pytest.raises(ValueError, match="cap must be > 0"):
-        DeploymentProblem((Position2D(0.0, 0.0),), single_component_map(), k=1, cap=0.0)
+        DeploymentProblem(((0.0, 0.0),), single_component_map(), k=1, cap=0.0)
 
 
 def test_field_is_nonnegative_and_capped_everywhere():
@@ -113,8 +113,8 @@ def test_well_separated_component_peaks_are_grid_maxima():
     # Two components 30 m apart with widths <= 5 (>= 6 widths separation).
     amap = AmbientMap(
         (
-            GaussianComponent(2.0, Position2D(-15.0, 0.0), 2.0),
-            GaussianComponent(3.0, Position2D(15.0, 0.0), 2.5),
+            GaussianComponent(2.0, (-15.0, 0.0), 2.0),
+            GaussianComponent(3.0, (15.0, 0.0), 2.5),
         ),
         AREA,
     )
@@ -129,9 +129,9 @@ def test_well_separated_component_peaks_are_grid_maxima():
 
 def test_validation_of_components_and_area():
     with pytest.raises(ValueError):
-        GaussianComponent(-1.0, Position2D(0.0, 0.0), 1.0)
+        GaussianComponent(-1.0, (0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        GaussianComponent(1.0, Position2D(0.0, 0.0), 0.0)
+        GaussianComponent(1.0, (0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         Rect(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from wetplan.beampower import (
     sweep_rf_chains,
 )
 from wetplan.ambient import Rect
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, path_gain
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, path_gain
 
 
 def test_consumption_closed_forms():
@@ -184,7 +184,7 @@ def test_sweep_los_single_device_closed_form():
     # consumption curve gamma/(0.35*M*gain) + 0.5*M has a computable argmin.
     # K=1e18 keeps the scattered-component residue at the 1e-9 level.
     model = ChannelModel(rician=RicianParams(1e18))
-    device = [Position2D(10.0, 0.0)]
+    device = [(10.0, 0.0)]
     gain = path_gain(10.0, model.pathloss)
     gamma = 2e-6
     ms = list(range(1, 33))
@@ -270,8 +270,8 @@ class DrawReached(Exception):
 # devices or randomizations; 10,000 explicit devices fit 1,000 antennas.
 SIZE_LIMITS = [
     ({"devices": 312_500}, {"devices": 312_501}, "devices and m_values"),
-    ({"devices": [Position2D(1.0, 0.0)] * 10_000, "m_values": (1, 1000)},
-     {"devices": [Position2D(1.0, 0.0)] * 10_001, "m_values": (1, 1000)}, "devices and m_values"),
+    ({"devices": [(1.0, 0.0)] * 10_000, "m_values": (1, 1000)},
+     {"devices": [(1.0, 0.0)] * 10_001, "m_values": (1, 1000)}, "devices and m_values"),
     ({"n_randomizations": 312_500}, {"n_randomizations": 312_501}, "n_randomizations and m_values"),
 ]
 
@@ -293,8 +293,8 @@ def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, 
 # A gain below the least normal float, 2.2e-308, underflows: 1e-4 * 10**-306
 # at 10 m is subnormal, and gains at 8 m with exponent 400 or at 1e200 m are 0.
 @pytest.mark.parametrize("devices, exponent, message", [
-    ([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 306.0, r"devices give device 1 at \(10, 0\) a path gain of 1e-310"),
-    ([Position2D(1e200, 0.0)], 2.7, r"devices give device 0 at \(1e\+200, 0\) a path gain of 0"),
+    ([(1.0, 0.0), (10.0, 0.0)], 306.0, r"devices give device 1 at \(10, 0\) a path gain of 1e-310"),
+    ([(1e200, 0.0)], 2.7, r"devices give device 0 at \(1e\+200, 0\) a path gain of 0"),
     (4, 400.0, r"disk_radius give device 0 at \(3\.09, -7\.359\) a path gain of 0"),
 ], ids=["subnormal", "zero", "drawn"])
 def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channels(monkeypatch, devices, exponent,
@@ -313,7 +313,7 @@ def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channe
 # Devices at 1 m and 10 m with exponent 145 and no fixed loss have gains 1 and
 # 1e-145, so gamma * max(gain) / min(gain)**2 is gamma * 1e290.
 @pytest.mark.parametrize("devices, exponent, gamma, message", [
-    ([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 145.0, 2.0, r"gamma, pathloss\.\* and devices give 2e\+290"),
+    ([(1.0, 0.0), (10.0, 0.0)], 145.0, 2.0, r"gamma, pathloss\.\* and devices give 2e\+290"),
     (4, 300.0, 2e-6, r"gamma, pathloss\.\* and disk_radius give inf"),
 ], ids=["explicit", "drawn"])
 def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_channels(monkeypatch, devices, exponent,
@@ -327,7 +327,7 @@ def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_cha
                                          r"the limit is 1e\+290$"):
         sweep_rf_chains(devices, gamma, [1, 2], model=model)
     with pytest.raises(DrawReached):
-        sweep_rf_chains([Position2D(1.0, 0.0), Position2D(10.0, 0.0)], 0.5, [1, 2],
+        sweep_rf_chains([(1.0, 0.0), (10.0, 0.0)], 0.5, [1, 2],
                         model=ChannelModel(pathloss=PathLossParams(145.0)))
 
 
@@ -348,11 +348,22 @@ def test_precoder_checks_solver_arguments_before_solving(monkeypatch, name, valu
         min_power_precoder(MulticastProblem(h, 1e-3), **{name: value})
 
 
+@pytest.mark.parametrize("radius, message", [
+    (-1.0, r"^radius must be > 0, got -1\.0$"),
+    (0.0, r"^radius must be > 0, got 0\.0$"),
+    (math.nan, r"^radius must be finite, got nan$"),
+    (math.inf, r"^radius must be finite, got inf$"),
+])
+def test_device_positions_refuse_a_bad_radius_before_drawing(radius, message):
+    with pytest.raises(ValueError, match=message):
+        draw_device_positions(3, radius, 0)
+
+
 def test_device_positions_live_in_disk_and_are_seeded():
     a = draw_device_positions(50, 10.0, seed=1)
     b = draw_device_positions(50, 10.0, seed=1)
-    assert all(math.hypot(p.x, p.y) <= 10.0 for p in a)
-    assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+    assert all(math.hypot(x, y) <= 10.0 for x, y in a)
+    assert [(x, y) for x, y in a] == [(x, y) for x, y in b]
 
 
 def _assert_no_child_left():

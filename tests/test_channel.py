@@ -7,7 +7,6 @@ from scipy import stats
 from wetplan.channel import (
     ArrayConfig,
     PathLossParams,
-    Position2D,
     RicianParams,
     path_gain,
     sample_channels,
@@ -122,7 +121,7 @@ def _link(x, y, draws=1):
 
 
 def test_sample_channel_los_limit():
-    dev = Position2D(0.0, 0.0)
+    dev = (0.0, 0.0)
     arr = ArrayConfig(4)
     [h] = sample_channels(_link(3.0, 4.0), dev, arr, RicianParams(1e12), PL_FIG4, seed=7)
     theta = math.atan2(4.0, 3.0)
@@ -132,14 +131,14 @@ def test_sample_channel_los_limit():
 
 def test_sample_channel_power_normalization():
     # E[|h_0|^2] equals the path gain regardless of K.
-    dev = Position2D(0.0, 0.0)
+    dev = (0.0, 0.0)
     h = sample_channels(_link(5.0, 0.0, 100_000), dev, ArrayConfig(2), RicianParams(10.0), PL_FIG4, seed=11)
     mean_p0 = np.mean(np.abs(h[:, 0]) ** 2)
     assert np.isclose(mean_p0, path_gain(5.0, PL_FIG4), rtol=0.02)
 
 
 def test_sample_channel_total_power_invariant():
-    dev = Position2D(0.0, 0.0)
+    dev = (0.0, 0.0)
     m = 4
     h = sample_channels(_link(2.0, 6.0, 50_000), dev, ArrayConfig(m), RicianParams(3.0), PL_FIG4, seed=13)
     total = np.mean(np.sum(np.abs(h) ** 2, axis=1))
@@ -149,7 +148,7 @@ def test_sample_channel_total_power_invariant():
 
 def test_sample_channel_rayleigh_power_is_exponential():
     # M=1, K=0: |h|^2 ~ Exp(mean = path gain); KS test at the 1% level.
-    dev = Position2D(0.0, 0.0)
+    dev = (0.0, 0.0)
     h = sample_channels(_link(4.0, 0.0, 20_000), dev, ArrayConfig(1), RicianParams(0.0), PL_FIG4, seed=17)
     power = np.abs(h[:, 0]) ** 2
     scale = path_gain(4.0, PL_FIG4)
@@ -158,11 +157,11 @@ def test_sample_channel_rayleigh_power_is_exponential():
 
 
 def test_sample_channel_determinism():
-    args = (_link(1.0, 1.0), Position2D(0.0, 0.0), ArrayConfig(3), RicianParams(10.0), PL_FIG4)
+    args = (_link(1.0, 1.0), (0.0, 0.0), ArrayConfig(3), RicianParams(10.0), PL_FIG4)
     np.testing.assert_array_equal(sample_channels(*args, seed=5), sample_channels(*args, seed=5))
 
 
 def test_sample_channels_matches_per_source_shape():
     pts = sample_hppp(0.05, 10.0, seed=1)
-    h = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(4), RicianParams(10.0), PL_FIG4, seed=2)
+    h = sample_channels(pts, (0.0, 0.0), ArrayConfig(4), RicianParams(10.0), PL_FIG4, seed=2)
     assert h.shape == (pts.shape[0], 4)

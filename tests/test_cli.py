@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import wetplan.deployment
 import wetplan.outage
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import ChannelModel
-from wetplan.channel import PathLossParams, Position2D, RicianParams
+from wetplan.channel import PathLossParams, RicianParams
 from wetplan.cli import RunConfig, RunManifest, main, run, verify_manifest
 from wetplan.config import SCHEMAS, ConfigError, resolve_config
 from wetplan.deployment import DeploymentProblem, SolverConfig
@@ -253,16 +254,17 @@ def test_every_key_reaches_its_field(monkeypatch, study):
     if study == "deploy":
         (call,) = calls
         area = Rect(-20.0, -25.0, 22.0, 21.0)
-        components = (GaussianComponent(2.0, Position2D(1.0, -1.0), 6.0),
-                      GaussianComponent(0.5, Position2D(-3.0, 3.0), 4.0))
+        components = (GaussianComponent(2.0, (1.0, -1.0), 6.0),
+                      GaussianComponent(0.5, (-3.0, 3.0), 4.0))
+        problem = call.pop("problem")
+        assert problem.devices.tolist() == [[-1.0, 2.0], [3.0, -4.0]]
+        assert {f.name: getattr(problem, f.name) for f in fields(problem) if f.name != "devices"} == {
+            "ambient_map": AmbientMap(components, area),
+            "k": 3,
+            "cap": 0.75,
+            "pathloss": PathLossParams(exponent=2.2, fixed_loss_db=3.5, reference_distance=0.5),
+        }
         assert call == {
-            "problem": DeploymentProblem(
-                devices=(Position2D(-1.0, 2.0), Position2D(3.0, -4.0)),
-                ambient_map=AmbientMap(components, area),
-                k=3,
-                cap=0.75,
-                pathloss=PathLossParams(exponent=2.2, fixed_loss_db=3.5, reference_distance=0.5),
-            ),
             "solver": SolverConfig(n_starts=3, greedy_grid=7, nm_max_iter=41),
             "seed": 11,
         }
@@ -297,7 +299,7 @@ def test_every_key_reaches_its_field(monkeypatch, study):
             "tol": 2e-3,
             "n_randomizations": 17,
         }
-        assert explicit["devices"] == [Position2D(1.0, 1.0), Position2D(2.0, -3.0)]
+        assert explicit["devices"] == ((1.0, 1.0), (2.0, -3.0))
 
 
 @pytest.mark.parametrize("study", sorted(GOLDEN_PLOT_DATA))

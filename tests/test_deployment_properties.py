@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect, mixture_columns, mixture_power
-from wetplan.channel import PathLossParams, Position2D, positions_to_array
+from wetplan.channel import PathLossParams
 from wetplan.deployment import DeploymentProblem, _candidate_points, _Evaluator, _grid, _nelder_mead
 
 from deployment_reference import reference_ambient, reference_contributions, reference_objective
@@ -50,12 +50,12 @@ def problems(draw):
     # Centres may lie up to half an extent outside the area; devices lie inside.
     centres = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), min_size=1, max_size=12))
     components = tuple(
-        GaussianComponent(draw(st.floats(0.0, 5.0)), Position2D(*scaled(area, u, v)), draw(st.floats(0.2, 40.0)))
+        GaussianComponent(draw(st.floats(0.0, 5.0)), scaled(area, u, v), draw(st.floats(0.2, 40.0)))
         for u, v in centres
     )
     unit = st.floats(0.0, 1.0)
     devices = tuple(
-        Position2D(min(max(x, area.x_min), area.x_max), min(max(y, area.y_min), area.y_max))
+        (min(max(x, area.x_min), area.x_max), min(max(y, area.y_min), area.y_max))
         for x, y in (scaled(area, u, v) for u, v in draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=10)))
     )
     pathloss = PathLossParams(draw(st.floats(1.5, 4.5)), draw(st.floats(0.0, 40.0)), draw(st.floats(0.1, 3.0)))
@@ -102,7 +102,7 @@ def test_evaluator_matches_the_per_component_loop_bit_for_bit(data):
 @given(problems(), st.integers(2, 12))
 def test_candidate_table_matches_the_per_component_loop_bit_for_bit(problem, per_axis):
     area = problem.ambient_map.area
-    anchors = positions_to_array(problem.devices)
+    anchors = problem.devices
     xs = np.linspace(area.x_min, area.x_max, per_axis)
     ys = np.linspace(area.y_min, area.y_max, per_axis)
     reference = reference_clamp(np.vstack([np.array([(x, y) for x in xs for y in ys]), anchors]), area)

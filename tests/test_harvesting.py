@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, steering_vector
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, sample_channels, steering_vector
 from wetplan.harvesting import (
     ARCHITECTURES,
     HarvesterCurve,
@@ -156,7 +156,7 @@ def test_dc_dominates_single_on_random_snapshots():
     pl = PathLossParams(2.7, 40.0, 1.0)
     for trial in range(50):
         pts = rng.uniform(-5, 5, size=(3, 2))
-        h = sample_channels(pts, Position2D(0.0, 0.0), ArrayConfig(4), RicianParams(10.0), pl, seed=trial)
+        h = sample_channels(pts, (0.0, 0.0), ArrayConfig(4), RicianParams(10.0), pl, seed=trial)
         out = _harvest_all(h, 1.0, 4)
         assert out["dc"] >= out["single"]
 

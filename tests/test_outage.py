@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wetplan.outage
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, sample_channels, sample_hppp
 from wetplan.harvesting import ARCHITECTURES, _codeword_powers, dft_codebook, harvest
 from wetplan.outage import OutageConfig, run_outage, sweep_density, trial_seed
 
@@ -71,7 +71,7 @@ def test_dc_trial_is_sum_of_per_antenna_rectifiers():
         positions = sample_hppp(cfg.density, cfg.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
-        h = sample_channels(positions, Position2D(0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
+        h = sample_channels(positions, (0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
         powers = (np.abs(h) ** 2 * cfg.tx_power).sum(axis=0)
         assert np.isclose(dc[t], float(np.sum(harvest(powers, cfg.curve))), rtol=1e-12)
         checked += 1
@@ -93,7 +93,7 @@ def test_rf_trial_uses_best_codeword():
         positions = sample_hppp(cfg.density, cfg.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
-        h = sample_channels(positions, Position2D(0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
+        h = sample_channels(positions, (0.0, 0.0), ArrayConfig(4), cfg.rician, cfg.pathloss, rng)
         best = _codeword_powers(h, cfg.tx_power, cb).max()
         fixed = [float(np.sum(cfg.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]
         for power in fixed:

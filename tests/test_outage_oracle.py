@@ -21,6 +21,20 @@ integrand decays:
 target (2.1434 mW for the default curve and 1 mW target). Campbell's theorem
 gives the mean of ``P`` exactly, as a second check on the sampler.
 
+The beam path: the rf receiver with its codebook cut to one codeword ``w_k``
+of the M-point DFT codebook combines ``P = sum_s p g(r_s) |w_k^H h_s|^2``.
+A source at angle ``theta`` has ``w_k^H h = mu + sigma xi`` with ``xi ~
+CN(0, 1)``, ``|mu|^2 = K / (K + 1) |w_k^H a(theta)|^2`` for the
+half-wavelength steering vector ``a`` and ``sigma^2 = 1 / (K + 1)``, so
+
+    phi(s | theta) = exp(i s |mu|^2 / (1 - i s sigma^2)) / (1 - i s sigma^2).
+
+The PPP's sources are uniform in angle, so ``phi_X`` above becomes the mean
+of ``phi(s | theta)`` over the circle, taken by the trapezoid rule, which
+converges fast on a periodic integrand. The angle is uniform over the full
+circle, so the oracle sees the steering spacing, the codeword and the
+line-of-sight/scatter split, but not a rotation or a reflection of the angle.
+
 References: Haenggi, *Stochastic Geometry for Wireless Networks*, Cambridge
 2012 (the PPP's characteristic functional, Campbell's theorem); Gil-Pelaez,
 "Note on the inversion theorem", Biometrika 1951.
@@ -32,7 +46,8 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams, sample_channels, sample_hppp
+import wetplan.outage
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, sample_channels, sample_hppp
 from wetplan.harvesting import HarvesterCurve, _antenna_powers, harvest
 from wetplan.outage import OutageConfig, sweep_density, trial_seed
 
@@ -41,6 +56,9 @@ from wetplan.outage import OutageConfig, sweep_density, trial_seed
 # moves no listed value by more than 1e-5.
 R_NODES = 64
 T_PER_DECADE = 400
+# Angles of the trapezoid rule over the circle for the beam path; doubling
+# them moves no listed value by more than 1e-7.
+THETA_NODES = 64
 
 
 def threshold(config: OutageConfig) -> float:
@@ -61,19 +79,40 @@ def rician_cf(s, k: float):
     return (1.0 + k) / d * np.exp(1j * k * s / d)
 
 
-def source_integral(t: np.ndarray, config: OutageConfig) -> np.ndarray:
-    """``lam * int_0^R 2 pi r phi_X(t p g(r)) dr`` at each ``t``; ``log phi_P`` is this minus ``lam pi R^2``."""
-    pl, radius, k = config.pathloss, config.disk_radius, config.rician.k_factor
+def beam_pattern(k: int, m: int) -> np.ndarray:
+    """``|w_k^H a(theta)|^2`` at ``THETA_NODES`` angles evenly over the circle.
+
+    ``w_k`` is row ``k`` of the M-point DFT codebook and ``a`` the steering
+    vector of a half-wavelength ULA, element ``n`` at phase ``pi n sin(theta)``.
+    """
+    theta = 2.0 * math.pi * np.arange(THETA_NODES) / THETA_NODES
+    psi = math.pi * np.sin(theta) - 2.0 * math.pi * k / m
+    return np.abs(np.exp(1j * np.multiply.outer(psi, np.arange(m))).sum(axis=1)) ** 2 / m
+
+
+def beam_cf(s, k: float, pattern: np.ndarray):
+    """Characteristic function of one source's fixed-beam power gain, averaged over the angles of ``pattern``."""
+    d = 1.0 - 1j * s / (1.0 + k)  # 1 - i s sigma^2
+    los = 1j * s * (k / (1.0 + k)) / d  # i s |mu|^2 / (1 - i s sigma^2) per unit of pattern
+    return sum(np.exp(los * q) for q in pattern) / (pattern.size * d)
+
+
+def source_integral(t: np.ndarray, config: OutageConfig, cf) -> np.ndarray:
+    """``lam * int_0^R 2 pi r cf(t p g(r)) dr`` at each ``t``; ``log phi_P`` is this minus ``lam pi R^2``.
+
+    ``cf`` is one source's characteristic function of its power gain.
+    """
+    pl, radius = config.pathloss, config.disk_radius
     g0 = 10.0 ** (-pl.fixed_loss_db / 10.0)
     d0 = pl.reference_distance
-    total = math.pi * min(d0, radius) ** 2 * rician_cf(t * config.tx_power * g0, k)  # the clamped disk
+    total = math.pi * min(d0, radius) ** 2 * cf(t * config.tx_power * g0)  # the clamped disk
     if radius > d0:
         u, w = np.polynomial.legendre.leggauss(R_NODES)
         lo, hi = math.log(d0), math.log(radius)
         r = np.exp(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
         weights = math.pi * (hi - lo) * w * r * r  # 2 pi r dr, with dr = r d(log r)
         gains = config.tx_power * g0 * (r / d0) ** (-pl.exponent)
-        total = total + rician_cf(np.multiply.outer(t, gains), k) @ weights
+        total = total + cf(np.multiply.outer(t, gains)) @ weights
     return config.density * total
 
 
@@ -95,12 +134,17 @@ def oscillatory_integral(t: np.ndarray, f: np.ndarray, x: float) -> float:
     return float(np.sum(np.where(x * h > 0.05, filon, trapezoid)).imag)
 
 
-def exact_outage(config: OutageConfig, p_th: float) -> float:
-    """``F_P(p_th)`` for antenna 0 by Gil-Pelaez inversion, with the atom at 0 split off."""
+def exact_outage(config: OutageConfig, p_th: float, cf=None) -> float:
+    """``F_P(p_th)`` by Gil-Pelaez inversion, with the atom at 0 split off.
+
+    ``cf`` is one source's characteristic function of its power gain, by
+    default antenna 0's Rician ``phi_X``.
+    """
+    cf = cf or (lambda s: rician_cf(s, config.rician.k_factor))
     mass = config.density * math.pi * config.disk_radius**2
     a0 = math.exp(-mass)
     t = np.geomspace(1e-7 / p_th, 1e9 / p_th, 16 * T_PER_DECADE + 1)
-    excess = np.exp(source_integral(t, config) - mass) - a0  # phi_P - a0
+    excess = np.exp(source_integral(t, config, cf) - mass) - a0  # phi_P - a0
     return 0.5 * (1.0 + a0) - oscillatory_integral(t, excess / t, p_th) / math.pi
 
 
@@ -167,12 +211,37 @@ def test_single_antenna_outage_matches_the_exact_value(name):
         assert abs(result.outage_estimate - p) <= bound, (d, result.outage_estimate, p, bound)
 
 
+# name: (scenario, codeword index, exact fixed-beam outage at density 2 to 5
+# decimals). The outage study's 4 antennas; with K = 0 the beam pattern drops
+# out, and the value is that of any codeword.
+BEAM_CASES = {
+    "k0": (OutageConfig(density=0.0, n_antennas=4, trials=4000), 0, 0.93805),
+    "k1": (OutageConfig(density=0.0, n_antennas=4, trials=4000), 1, 0.86246),
+    "rayleigh": (OutageConfig(density=0.0, n_antennas=4, rician=RicianParams(0.0), trials=4000), 1, 0.60469),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEAM_CASES))
+def test_fixed_codeword_outage_matches_the_exact_value(monkeypatch, name):
+    base, k, listed = BEAM_CASES[name]
+    m = base.n_antennas
+    codeword = np.exp(2j * math.pi * k * np.arange(m) / m) / math.sqrt(m)
+    monkeypatch.setattr(wetplan.outage, "dft_codebook", lambda size: codeword[None, :])
+    pattern = beam_pattern(k, m)
+    p = exact_outage(dataclasses.replace(base, density=2.0), threshold(base),
+                     lambda s: beam_cf(s, base.rician.k_factor, pattern))
+    assert p == pytest.approx(listed, abs=2e-5)
+    ((result,),) = sweep_density(base, (2.0,), ("rf",))
+    bound = 4.0 * math.sqrt(p * (1.0 - p) / result.trials) + 1e-4
+    assert abs(result.outage_estimate - p) <= bound, (result.outage_estimate, p, bound)
+
+
 @pytest.mark.parametrize("k_factor", [10.0, 0.0])
 def test_mean_incident_power_matches_campbell(k_factor):
     config = OutageConfig(density=0.08, pathloss=LOSS_20DB, rician=RicianParams(k_factor), n_antennas=4)
     trials = 2000
     powers = np.zeros((trials, config.n_antennas))
-    device, array = Position2D(0.0, 0.0), ArrayConfig(config.n_antennas)
+    device, array = (0.0, 0.0), ArrayConfig(config.n_antennas)
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(config.seed, t))
         positions = sample_hppp(config.density, config.disk_radius, rng)

@@ -17,14 +17,14 @@ import pytest
 import wetplan
 from wetplan.ambient import GaussianComponent, example_map
 from wetplan.beampower import ChannelModel, MulticastProblem
-from wetplan.channel import ArrayConfig, PathLossParams, Position2D, RicianParams
+from wetplan.channel import ArrayConfig, PathLossParams, RicianParams
 from wetplan.costs import CostParams
 from wetplan.deployment import DeploymentProblem, SolverConfig
 from wetplan.outage import OutageConfig
 
 # Arguments of a valid instance of each class that declares a range.
 VALID = {
-    GaussianComponent: {"weight": 1.0, "center": Position2D(0.0, 0.0), "width": 1.0},
+    GaussianComponent: {"weight": 1.0, "center": (0.0, 0.0), "width": 1.0},
     PathLossParams: {"exponent": 2.0},
     RicianParams: {"k_factor": 1.0},
     ArrayConfig: {"n_antennas": 2},

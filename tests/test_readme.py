@@ -1,0 +1,16 @@
+"""The README's library example runs as written, so the documented API cannot drift from the code."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, str(README), "exec"), {})
+    assert len(out.getvalue().splitlines()) == 4
