@@ -23,7 +23,6 @@ from .beampower import (
     sweep_rf_chains,
 )
 from .channel import (
-    ArrayConfig,
     PathLossParams,
     RicianParams,
     path_gain,
@@ -66,7 +65,6 @@ __all__ = [
     "consumption",
     "min_power_precoder",
     "sweep_rf_chains",
-    "ArrayConfig",
     "PathLossParams",
     "RicianParams",
     "path_gain",

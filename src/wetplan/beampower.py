@@ -31,7 +31,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
+    MAX_ARRAY_ENTRIES, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
     _require_at_most, _require_bound, _require_finite, _uniform_disk, sample_channels,
 )
 
@@ -71,7 +71,7 @@ class PrecoderError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
 class MulticastProblem:
     """Device channels (rows, path loss included) and the common power floor."""
 
@@ -88,7 +88,7 @@ class MulticastProblem:
             raise ValueError("channels must not contain an all-zero row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
 class PrecoderSolution:
     precoder: np.ndarray
     tx_power: float
@@ -388,7 +388,6 @@ class ChannelModel:
 
     pathloss: PathLossParams = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
     rician: RicianParams = RicianParams(10.0)
-    element_spacing: float = _ranged(0.5, above=0)
     disk_radius: float = _ranged(10.0, above=0)
 
     __post_init__ = _check_fields
@@ -456,7 +455,7 @@ def sweep_rf_chains(
                          f"{gains[i]:.4g}, which underflows")
     scale = gamma / float(gains.min()) * float(gains.max() / gains.min())  # a Python float overflows to inf silently
     _require_at_most(scale, _MAX_POWER_SCALE, f"gamma, {names}", "as gamma * max / min**2 of the device path gains")
-    h_full = sample_channels(pts, np.zeros(2), ArrayConfig(m_max, model.element_spacing), model.rician, model.pathloss,
+    h_full = sample_channels(pts, np.zeros(2), m_max, model.rician, model.pathloss,
                              seed=np.random.SeedSequence([int(seed), 1]))
 
     reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]

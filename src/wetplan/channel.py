@@ -10,6 +10,11 @@ and checks it with ``_check_fields``; a function argument uses ``_require_bound`
 Positions are in meters and take two forms: a set of points is an (n, 2)
 float array, one point an (x, y) pair. Each position argument is coerced and
 checked once, where it enters the library, by ``_as_xy``.
+
+An array is its antenna count: every ULA has half-wavelength spacing. It is
+fixed because the DFT codebook (``harvesting.dft_codebook``) assumes it: only
+then do its M beams tile the visible region, codeword k peaking at
+sin(theta) = 2k/M wrapped into [-1, 1); another spacing would detune them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 __all__ = [
     "PathLossParams",
     "RicianParams",
-    "ArrayConfig",
     "path_gain",
     "sample_hppp",
     "steering_vector",
@@ -35,6 +39,9 @@ __all__ = [
 # scenario before anything is drawn; the largest default array is outage's
 # (trials, n_antennas) power stack, with 40,000.
 MAX_ARRAY_ENTRIES = 10**7
+# Expected PPP points per field above which a field is refused before
+# anything is drawn; the default outage scenario has about 1,257.
+MAX_MEAN_SOURCES = 1e7
 
 
 def _require_at_most(value, limit, names: str, what: str) -> None:
@@ -47,11 +54,12 @@ def _require_at_most(value, limit, names: str, what: str) -> None:
 def _require_finite(params, *names: str) -> None:
     """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field.
 
-    ``params`` is an object, or a dict such as a function's ``locals()``.
+    ``params`` is an object, or a dict such as a function's ``locals()``. Ints
+    and Fractions are finite and pass (``math.isfinite`` overflows on a huge int).
     """
     for name in names:
         value = params[name] if isinstance(params, dict) else getattr(params, name)
-        if not math.isfinite(value):
+        if not isinstance(value, numbers.Rational) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -68,11 +76,9 @@ def _ranged(default=MISSING, *, above=None, at_least=None):
 
 
 def _check_fields(obj) -> None:
-    """Refuse NaN and ±inf in ``obj``'s ranged fields, then any ranged value off its bound, each in field order.
-
-    Ints and Fractions skip the first test: they are finite, and ``math.isfinite`` overflows past a float's range."""
+    """Refuse NaN and ±inf in ``obj``'s ranged fields, then any ranged value off its bound, each in field order."""
     ranged = [(f.name, f.metadata["bound"]) for f in fields(obj) if "bound" in f.metadata]
-    _require_finite(obj, *(name for name, _ in ranged if not isinstance(getattr(obj, name), numbers.Rational)))
+    _require_finite(obj, *(name for name, _ in ranged))
     for name, (op, bound) in ranged:
         _require_bound(name, getattr(obj, name), op, bound)
 
@@ -119,19 +125,6 @@ class RicianParams:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform linear array; element spacing is in wavelengths."""
-
-    n_antennas: int
-    element_spacing: float = _ranged(0.5, above=0)
-
-    def __post_init__(self):
-        if int(self.n_antennas) != self.n_antennas or self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be an integer >= 1, got {self.n_antennas}")
-        _check_fields(self)
-
-
 def path_gain(d, params: PathLossParams):
     """Linear power gain at distance ``d`` meters (scalar or array).
 
@@ -140,12 +133,10 @@ def path_gain(d, params: PathLossParams):
     gain at ``d0``.
     """
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # NaN is refused too
         raise ValueError("distance must be >= 0")
     gain = _path_gain(arr, params)
-    if arr.ndim == 0:
-        return float(gain)
-    return gain
+    return float(gain) if arr.ndim == 0 else gain
 
 
 def _path_gain(d: np.ndarray, params: PathLossParams) -> np.ndarray:
@@ -160,12 +151,16 @@ def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
 
     The count is Poisson with mean ``density * pi * radius**2`` and positions
     are i.i.d. uniform over the disk centered at the origin. Returns an
-    (n, 2) array; identical seeds give identical fields.
+    (n, 2) array; identical seeds give identical fields. A field whose mean
+    count passes ``MAX_MEAN_SOURCES`` is refused before anything is drawn.
     """
+    _require_finite(locals(), "density", "radius")
     _require_bound("density", density, ">=", 0)
     _require_bound("radius", radius, ">", 0)
+    mean = _mean_sources(density, radius)
+    _require_at_most(mean, MAX_MEAN_SOURCES, "density and radius", "expected points (density * pi * radius**2)")
     rng = np.random.default_rng(seed)
-    return _uniform_disk(int(rng.poisson(_mean_sources(density, radius))), radius, rng)
+    return _uniform_disk(int(rng.poisson(mean)), radius, rng)
 
 
 def _mean_sources(density: float, radius: float) -> float:
@@ -183,20 +178,32 @@ def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
 
 
-def steering_vector(theta, array: ArrayConfig) -> np.ndarray:
-    """ULA response for plane waves at angles ``theta`` off broadside.
+def _antenna_count(n_antennas, rows: int, names: str, what: str) -> int:
+    """``n_antennas`` as an int, refused unless it is an integer >= 1 (NaN and ±inf are not) and ``rows`` rows
+    of it, set by ``names``, fit in ``MAX_ARRAY_ENTRIES`` (no row counts as one: it still builds the phase ramp)."""
+    if not (n_antennas >= 1 and n_antennas % 1 == 0):
+        raise ValueError(f"n_antennas must be an integer >= 1, got {n_antennas}")
+    _require_at_most(max(rows, 1) * int(n_antennas), MAX_ARRAY_ENTRIES, names, what)
+    return int(n_antennas)
 
-    Element m carries phase ``2*pi*spacing*sin(theta)*m``; entries have unit
-    modulus and element 0 is the phase reference. Returns one row of
-    ``n_antennas`` entries per angle: shape ``theta.shape + (n_antennas,)``.
+
+def steering_vector(theta, n_antennas: int) -> np.ndarray:
+    """Half-wavelength ULA response for plane waves at angles ``theta`` off broadside.
+
+    Element m carries phase ``pi*sin(theta)*m``; entries have unit modulus and
+    element 0 is the phase reference. Returns one row of ``n_antennas``
+    entries per angle: shape ``theta.shape + (n_antennas,)``. More than
+    ``MAX_ARRAY_ENTRIES`` entries are refused before they are allocated.
     """
-    return np.exp(2j * math.pi * array.element_spacing * np.multiply.outer(np.sin(theta), np.arange(array.n_antennas)))
+    s = np.sin(theta)
+    m = _antenna_count(n_antennas, s.size, "theta and n_antennas", "steering entries (angles * n_antennas)")
+    return np.exp(1j * math.pi * np.multiply.outer(s, np.arange(m)))
 
 
 def sample_channels(
     sources,
     device,
-    array: ArrayConfig,
+    n_antennas: int,
     rician: RicianParams,
     pathloss: PathLossParams,
     seed,
@@ -206,19 +213,19 @@ def sample_channels(
     Returns an (n_sources, n_antennas) complex array whose rows satisfy
     ``E[|h_m|**2] = path_gain(distance)``. The array axis runs along y so
     broadside faces +x; each source's LoS component is steered to its
-    geometric angle ``atan2(dy, dx)`` as seen from the device.
+    geometric angle ``atan2(dy, dx)`` as seen from the device. More than
+    ``MAX_ARRAY_ENTRIES`` entries are refused before anything is drawn.
     """
-    rng = np.random.default_rng(seed)
     pts = _as_xy("sources", sources)
+    n = pts.shape[0]
+    m = _antenna_count(n_antennas, n, "sources and n_antennas", "channel entries (sources * n_antennas)")
+    rng = np.random.default_rng(seed)
     diff = pts - _as_xy("device", device, pair=True)
     dist = np.hypot(diff[:, 0], diff[:, 1])
     theta = np.arctan2(diff[:, 1], diff[:, 0])
-
-    n, m = pts.shape[0], array.n_antennas
-    los = steering_vector(theta, array)
+    los = steering_vector(theta, m)
     scatter = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
     k = rician.k_factor
     mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
     amp = np.sqrt(_path_gain(dist, pathloss))  # ``hypot`` of checked positions is finite and >= 0
     return amp[:, None] * mix
-

@@ -294,7 +294,7 @@ def _rfchains_schema() -> dict[str, ConfigKey]:
         ConfigKey("p_rf_chain_w", "float", sweep["p_rf"]),
         ConfigKey("solver.tol", "float", sweep["tol"]),
         ConfigKey("solver.randomizations", "int", sweep["n_randomizations"]),
-        *_field_keys(ChannelModel, skip=("element_spacing",)),
+        *_field_keys(ChannelModel),
     )
 
 

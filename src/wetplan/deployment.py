@@ -58,7 +58,7 @@ MAX_GREEDY_ENTRIES = 10**6
 _MAX_NM_ITER = 10**18  # Nelder–Mead iterations per start and stage; ``_nelder_mead`` counts in int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
 class DeploymentProblem:
     """Devices to serve (an (n, 2) array), the ambient field, and the beacon/channel parameters."""
 
@@ -89,7 +89,7 @@ class SolverConfig:
     __post_init__ = _check_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
 class DeploymentSolution:
     """Optimized beacon placement (a (k, 2) array) and the achieved worst-device received power."""
 

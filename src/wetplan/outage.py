@@ -38,7 +38,7 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, ArrayConfig, PathLossParams, RicianParams, _check_fields, _mean_sources, _ranged,
+    MAX_ARRAY_ENTRIES, MAX_MEAN_SOURCES, PathLossParams, RicianParams, _check_fields, _mean_sources, _ranged,
     _require_at_most, sample_channels, sample_hppp,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
@@ -89,11 +89,6 @@ def _plan(archs) -> tuple[str, ...]:
     return names
 
 
-# Expected transmitters per trial above which a scenario is refused before
-# anything is drawn; the default scenario has about 1,257.
-MAX_MEAN_SOURCES = 1e7
-
-
 def _require_fits(config: OutageConfig, archs: tuple[str, ...], density: float, name: str) -> None:
     """Refuse ``config`` at ``density``, set by ``name`` (a sweep passes its
     largest), if an array its trials allocate would pass a size limit: a
@@ -125,13 +120,13 @@ def _harvest_trials(config: OutageConfig, archs: tuple[str, ...], count: int, se
     antenna_powers = np.zeros((count, config.n_antennas))
     combined = np.zeros(count)
     codewords = dft_codebook(config.n_antennas) if "rf" in archs else None
-    device, array = np.zeros(2), ArrayConfig(config.n_antennas)
+    device = np.zeros(2)
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         positions = sample_hppp(config.density, config.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
-        h = sample_channels(positions, device, array, config.rician, config.pathloss, rng)
+        h = sample_channels(positions, device, config.n_antennas, config.rician, config.pathloss, rng)
         antenna_powers[t] = _antenna_powers(h, config.tx_power)
         if codewords is not None:
             combined[t] = _codeword_powers(h, config.tx_power, codewords).max()

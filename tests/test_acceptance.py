@@ -10,7 +10,7 @@ import numpy as np
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import ChannelModel, MulticastProblem, min_power_precoder, sweep_rf_chains
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, path_gain, sample_channels, sample_hppp
+from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, sample_hppp
 from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
 from wetplan.deployment import DeploymentProblem, grid_oracle, optimize
@@ -100,7 +100,7 @@ def test_criterion_4_outage_monotonicity_and_combining():
         if positions.shape[0] == 0:
             continue
         h = sample_channels(
-            positions, (0.0, 0.0), ArrayConfig(4), config.rician, config.pathloss, rng
+            positions, (0.0, 0.0), 4, config.rician, config.pathloss, rng
         )
         best = _codeword_powers(h, config.tx_power, cb).max()
         fixed = [float(np.sum(config.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]

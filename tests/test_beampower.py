@@ -16,7 +16,7 @@ from wetplan.beampower import (
     sweep_rf_chains,
 )
 from wetplan.ambient import Rect
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, path_gain
+from wetplan.channel import PathLossParams, RicianParams, path_gain
 
 
 def test_consumption_closed_forms():
@@ -152,9 +152,7 @@ def test_problem_validation():
 
 
 NON_FINITE_INPUTS = {
-    "ArrayConfig.element_spacing": ("element_spacing", lambda x: ArrayConfig(2, element_spacing=x)),
     "MulticastProblem.gamma": ("gamma", lambda x: MulticastProblem([[1 + 1j]], x)),
-    "ChannelModel.element_spacing": ("element_spacing", lambda x: ChannelModel(element_spacing=x)),
     "ChannelModel.disk_radius": ("disk_radius", lambda x: ChannelModel(disk_radius=x)),
     "Rect.x_min": ("x_min", lambda x: Rect(x, 0.0, 1.0, 1.0)),
     "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
@@ -171,12 +169,6 @@ def test_model_inputs_reject_non_finite_values(field, value):
     name, build = NON_FINITE_INPUTS[field]
     with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
         build(value)
-
-
-def test_channel_model_requires_positive_element_spacing():
-    for spacing in (0.0, -1.0):
-        with pytest.raises(ValueError, match="element_spacing must be > 0"):
-            ChannelModel(element_spacing=spacing)
 
 
 def test_sweep_los_single_device_closed_form():

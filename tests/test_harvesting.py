@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, sample_channels, steering_vector
+from wetplan.channel import PathLossParams, RicianParams, sample_channels, steering_vector
 from wetplan.harvesting import (
     ARCHITECTURES,
     HarvesterCurve,
@@ -144,7 +144,7 @@ def test_rf_matched_codeword_gains_factor_m():
     m = 4
     theta = math.asin(2.0 / m)
     gain = 5e-4
-    h = math.sqrt(gain) * steering_vector(theta, ArrayConfig(m))
+    h = math.sqrt(gain) * steering_vector(theta, m)
     combined = _codeword_powers(h[None, :], 1.0, dft_codebook(m)).max()
     single_in = abs(h[0]) ** 2
     assert np.isclose(combined, m * single_in, rtol=1e-10)
@@ -156,7 +156,7 @@ def test_dc_dominates_single_on_random_snapshots():
     pl = PathLossParams(2.7, 40.0, 1.0)
     for trial in range(50):
         pts = rng.uniform(-5, 5, size=(3, 2))
-        h = sample_channels(pts, (0.0, 0.0), ArrayConfig(4), RicianParams(10.0), pl, seed=trial)
+        h = sample_channels(pts, (0.0, 0.0), 4, RicianParams(10.0), pl, seed=trial)
         out = _harvest_all(h, 1.0, 4)
         assert out["dc"] >= out["single"]
 

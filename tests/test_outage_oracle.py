@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 
 import wetplan.outage
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, sample_channels, sample_hppp
+from wetplan.channel import PathLossParams, RicianParams, sample_channels, sample_hppp
 from wetplan.harvesting import HarvesterCurve, _antenna_powers, harvest
 from wetplan.outage import OutageConfig, sweep_density, trial_seed
 
@@ -241,11 +241,11 @@ def test_mean_incident_power_matches_campbell(k_factor):
     config = OutageConfig(density=0.08, pathloss=LOSS_20DB, rician=RicianParams(k_factor), n_antennas=4)
     trials = 2000
     powers = np.zeros((trials, config.n_antennas))
-    device, array = (0.0, 0.0), ArrayConfig(config.n_antennas)
+    device = (0.0, 0.0)
     for t in range(trials):
         rng = np.random.default_rng(trial_seed(config.seed, t))
         positions = sample_hppp(config.density, config.disk_radius, rng)
-        h = sample_channels(positions, device, array, config.rician, config.pathloss, rng)
+        h = sample_channels(positions, device, config.n_antennas, config.rician, config.pathloss, rng)
         powers[t] = _antenna_powers(h, config.tx_power)
     stderr = powers.std(axis=0, ddof=1) / math.sqrt(trials)
     assert np.all(np.abs(powers.mean(axis=0) - campbell_mean(config)) <= 4.0 * stderr)

@@ -11,12 +11,12 @@ import pytest
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import sweep_rf_chains
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams, path_gain, sample_channels, steering_vector
+from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, steering_vector
 from wetplan.deployment import DeploymentProblem, received_power
 
 MAP = AmbientMap((GaussianComponent(1.0, (0.0, 0.0), 5.0),), Rect(-10.0, -10.0, 10.0, 10.0))
 PROBLEM = DeploymentProblem(((0.0, 0.0),), MAP, k=1)
-CHANNEL = (ArrayConfig(2), RicianParams(1.0), PathLossParams(2.0))
+CHANNEL = (2, RicianParams(1.0), PathLossParams(2.0))
 
 # Each call and the argument name the refusal must give, for a point ``bad``
 # passed in that argument.
@@ -69,7 +69,7 @@ def test_a_center_is_stored_as_a_pair_of_floats():
 
 def test_sample_channel_los_angle_is_seen_from_the_device():
     # The source sits at (3, 4) from a device away from the origin.
-    array, pathloss = ArrayConfig(4), PathLossParams(2.0)
-    [h] = sample_channels([(4.0, 2.0)], (1.0, -2.0), array, RicianParams(1e12), pathloss, seed=7)
-    expected = math.sqrt(path_gain(5.0, pathloss)) * steering_vector(math.atan2(4.0, 3.0), array)
+    pathloss = PathLossParams(2.0)
+    [h] = sample_channels([(4.0, 2.0)], (1.0, -2.0), 4, RicianParams(1e12), pathloss, seed=7)
+    expected = math.sqrt(path_gain(5.0, pathloss)) * steering_vector(math.atan2(4.0, 3.0), 4)
     np.testing.assert_allclose(h, expected, rtol=1e-5)

@@ -17,7 +17,7 @@ import pytest
 import wetplan
 from wetplan.ambient import GaussianComponent, example_map
 from wetplan.beampower import ChannelModel, MulticastProblem
-from wetplan.channel import ArrayConfig, PathLossParams, RicianParams
+from wetplan.channel import PathLossParams, RicianParams
 from wetplan.costs import CostParams
 from wetplan.deployment import DeploymentProblem, SolverConfig
 from wetplan.outage import OutageConfig
@@ -27,7 +27,6 @@ VALID = {
     GaussianComponent: {"weight": 1.0, "center": (0.0, 0.0), "width": 1.0},
     PathLossParams: {"exponent": 2.0},
     RicianParams: {"k_factor": 1.0},
-    ArrayConfig: {"n_antennas": 2},
     ChannelModel: {},
     MulticastProblem: {"channels": [[1 + 1j]], "gamma": 1.0},
     DeploymentProblem: {"devices": ((0.0, 0.0),), "ambient_map": example_map(), "k": 1},
@@ -70,7 +69,7 @@ def _step(f, bound, direction: int):
 
 def test_every_class_with_a_declared_range_is_covered():
     assert set(_ranged_classes()) == set(VALID)
-    assert len(RANGED) == 35
+    assert len(RANGED) == 33
 
 
 @each_field()
