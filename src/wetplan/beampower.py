@@ -426,11 +426,12 @@ def sweep_rf_chains(
     would overflow (``_MAX_POWER_SCALE``), are refused before the channels are.
     """
     model = model or ChannelModel()
-    ms = [int(m) for m in m_values]
+    ms = list(m_values)
     if not ms:
         raise ValueError("m_values must be non-empty")
-    if any(b <= a for a, b in zip(ms, ms[1:])) or ms[0] < 1:
+    if not all(m >= 1 and m % 1 == 0 for m in ms) or any(b <= a for a, b in zip(ms, ms[1:])):  # NaN and ±inf too
         raise ValueError("m_values must be strictly increasing integers >= 1")
+    ms = [int(m) for m in ms]
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     _check_solver_arguments(tol, n_randomizations)

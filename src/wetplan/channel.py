@@ -76,11 +76,16 @@ def _ranged(default=MISSING, *, above=None, at_least=None):
 
 
 def _check_fields(obj) -> None:
-    """Refuse NaN and ±inf in ``obj``'s ranged fields, then any ranged value off its bound, each in field order."""
-    ranged = [(f.name, f.metadata["bound"]) for f in fields(obj) if "bound" in f.metadata]
-    _require_finite(obj, *(name for name, _ in ranged))
-    for name, (op, bound) in ranged:
-        _require_bound(name, getattr(obj, name), op, bound)
+    """Refuse NaN and ±inf in ``obj``'s ranged fields, then a non-integer in a ranged ``int`` field, then any
+    ranged value off its bound, each in field order."""
+    ranged = [f for f in fields(obj) if "bound" in f.metadata]
+    _require_finite(obj, *(f.name for f in ranged))
+    for f in ranged:
+        value = getattr(obj, f.name)
+        if f.type == "int" and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value}")
+    for f in ranged:
+        _require_bound(f.name, getattr(obj, f.name), *f.metadata["bound"])
 
 
 def _as_xy(name: str, value, pair: bool = False) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Batch command line: cost, deploy, outage, and rfchains experiments.
+"""Batch command line: the cost, deploy, outage and rfchains studies.
+
+Each study is one record in ``STUDIES``: its help line, config keys, runner
+and plot layout, written next to each other below.
 
 Each run writes one CSV (fixed column order, LF endings, locale-independent
 numbers) plus ``manifest.txt`` recording the toolkit version, the fully
@@ -17,8 +20,9 @@ a scenario too large to allocate before it computes or draws; a size refusal
 reads ``<names> give <n> <what>; the limit is <limit>``. A refusal names the
 config key of the same name; where the names differ, one helper, ``_keyed``,
 puts the key's prefix in front (``solver.``, ``map.area: ``) or spells the
-argument as its key (the rfchains sweep's ``devices``, ``p_rf``, ``tol`` and
-``n_randomizations``, the lifetime sweep's ``n_devices``). The rows are
+argument as its key. Where keys set a function's keyword arguments of other
+names, one table maps each argument to its key, and gives the key (with the
+argument's default), the call's arguments and that spelling. The rows are
 formatted into cells once, and both the CSV and the optional plot data are
 written from those cells. Outputs are renamed into place only after all of
 them are written, so a failed run leaves an earlier run in the same
@@ -35,23 +39,34 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._fork import usable_cpus
-from .ambient import AmbientMap, GaussianComponent, Rect
+from .ambient import AmbientMap, GaussianComponent, Rect, example_map
 from .beampower import ChannelModel, sweep_rf_chains
-from .config import SCHEMAS, ConfigError, canonical, resolve_config
+from .config import ConfigError, ConfigKey, _argument_keys, _field_keys, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
+from .harvesting import ARCHITECTURES
 from .outage import OutageConfig, sweep_density
 
-__all__ = ["RunConfig", "RunManifest", "main", "run", "emit_plot_data", "verify_manifest"]
+__all__ = ["RunConfig", "RunManifest", "STUDIES", "main", "run", "emit_plot_data", "verify_manifest"]
 
-SUBCOMMANDS = ("cost", "deploy", "outage", "rfchains")
+
+@dataclass(frozen=True)
+class Study:
+    """One subcommand. ``runner(resolved, seed)`` returns the CSV header and rows; ``layout(rows, resolved)``
+    yields the lines of the plot data, each row a dict of one CSV row's cells by column name."""
+
+    help: str
+    keys: dict[str, ConfigKey]
+    runner: Callable[[dict, int], tuple[list[str], list[tuple]]]
+    layout: Callable[[list[dict[str, str]], dict], Iterable[str]]
 
 
 @dataclass(frozen=True)
@@ -66,8 +81,8 @@ class RunConfig:
     plot_data: bool = False
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}; expected one of {SUBCOMMANDS}")
+        if self.subcommand not in STUDIES:
+            raise ConfigError(f"unknown subcommand {self.subcommand!r}; expected one of {tuple(STUDIES)}")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -195,35 +210,77 @@ def _keyed(prefix: str = "", **spelled: str):
         raise ConfigError(prefix + message) from err
 
 
+def _keys(*keys: ConfigKey) -> dict[str, ConfigKey]:
+    return {k.name: k for k in keys}
+
+
+def _series(title: str, columns: list[str], rows) -> Iterator[str]:
+    """One block of plot data: two blank lines, its title and columns, then those cells of each row."""
+    yield from ("", "", f"# series: {title}", "# columns: " + " ".join(columns))
+    for r in rows:
+        yield " ".join(r[c] for c in columns)
+
+
+def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]], resolved) -> str:
+    """Render a run's CSV cells as gnuplot-style columnar text, one block per series, in the study's layout.
+
+    ``resolved`` is the run's resolved config; the cost sweep's ``mode`` sets
+    its x axis.
+    """
+    if subcommand not in STUDIES:
+        raise ValueError(f"no plot layout for subcommand {subcommand!r}")
+    rows = [dict(zip(header, r)) for r in cells]
+    return "\n".join(STUDIES[subcommand].layout(rows, resolved)) + "\n"
+
+
+# The lifetime sweep's keyword argument that a key of another name sets: argument -> key.
+_LIFETIME_ARGUMENTS = {"n_devices": "lifetime_n_devices"}
+
+
 def _run_cost(resolved, seed: int):
     params = _build(CostParams, resolved)
     # A sweep checks its values when called and computes rows only as they are
     # read, so both modes' values are checked before any cost is computed.
     devices = sweep_devices(params, resolved["n_devices"])
-    with _keyed(n_devices="lifetime_n_devices"):
-        lifetime = sweep_hardware_lifetime(
-            params, resolved["horizons"], resolved["battery_lives"], resolved["lifetime_n_devices"]
-        )
+    with _keyed(**_LIFETIME_ARGUMENTS):
+        lifetime = sweep_hardware_lifetime(params, resolved["horizons"], resolved["battery_lives"],
+                                           **{a: resolved[k] for a, k in _LIFETIME_ARGUMENTS.items()})
     breakdowns = devices if resolved["mode"] == "devices" else lifetime
     header = [
         "scenario", "n_devices", "horizon", "battery_life",
         "device_install", "device_maintenance", "pb_install", "pb_opex", "total",
     ]
-    rows = [
-        (
-            b.scenario,
-            b.n_devices,
-            b.horizon_years,
-            b.battery_life_years,
-            cents_to_dollars(b.device_install_cents),
-            cents_to_dollars(b.device_maintenance_cents),
-            cents_to_dollars(b.pb_install_cents),
-            cents_to_dollars(b.pb_opex_cents),
-            cents_to_dollars(b.grand_total_cents),
-        )
-        for b in breakdowns
-    ]
+    # A breakdown's fields are the columns in order: four that name the row, then five totals in cents.
+    rows = [(*astuple(b)[:4], *map(cents_to_dollars, astuple(b)[4:])) for b in breakdowns]
     return header, rows
+
+
+def _plot_cost(rows, resolved):
+    x_name = "n_devices" if resolved["mode"] == "devices" else "horizon"
+    yield f"# cost sweep: x = {x_name}, y = total cost (USD)"
+    for scenario in sorted({r["scenario"] for r in rows}):
+        series = [r for r in rows if r["scenario"] == scenario]
+        if x_name == "n_devices":
+            yield from _series(scenario, [x_name, "total"], series)
+            continue
+        for life in sorted({r["battery_life"] for r in series}, key=float):
+            sub = [r for r in series if r["battery_life"] == life]
+            yield from _series(f"{scenario} battery_life={life}", [x_name, "total"], sub)
+
+
+_COST = Study(
+    "total-cost comparison of device powering scenarios",
+    _keys(
+        ConfigKey("mode", "str", "devices", choices=("devices", "lifetime")),
+        ConfigKey("n_devices", "int_list", (10, 50, 100)),
+        *_argument_keys(sweep_hardware_lifetime, _LIFETIME_ARGUMENTS),
+        ConfigKey("horizons", "int_list", (5, 10, 15, 20)),
+        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10)),
+        *_field_keys(CostParams),
+    ),
+    _run_cost,
+    _plot_cost,
+)
 
 
 def _run_deploy(resolved, seed: int):
@@ -246,6 +303,31 @@ def _run_deploy(resolved, seed: int):
     return header, rows
 
 
+def _plot_deploy(rows, resolved):
+    yield "# deployment: positions in meters; powers in watts"
+    for kind, columns in (("pb", ["x", "y", "tx_power_w"]), ("device", ["x", "y", "received_power_w", "is_worst"])):
+        yield from _series(kind, columns, [r for r in rows if r["row_type"] == kind])
+
+
+_EXAMPLE_MAP = example_map()
+_DEPLOY = Study(
+    "max-min placement of ambient-powered beacons",
+    _keys(
+        ConfigKey("k", "int", 5),
+        # Devices spread over the 40x40 m area of the shipped ambient map.
+        ConfigKey("devices", "pair_list", ((-15.0, -5.0), (-8.0, 12.0), (-2.0, -16.0), (3.0, 4.0),
+                                           (9.0, 16.0), (14.0, -3.0), (16.0, 9.0), (-17.0, 15.0))),
+        ConfigKey("map.components", "quad_list",
+                  tuple((c.weight, *c.center, c.width) for c in _EXAMPLE_MAP.components)),
+        ConfigKey("map.area", "rect", astuple(_EXAMPLE_MAP.area)),
+        *_field_keys(DeploymentProblem),
+        *_field_keys(SolverConfig, "solver."),
+    ),
+    _run_deploy,
+    _plot_deploy,
+)
+
+
 def _run_outage(resolved, seed: int):
     """Outage vs density, one row per (architecture, density), architecture-major.
 
@@ -265,75 +347,72 @@ def _run_outage(resolved, seed: int):
     return header, rows
 
 
+def _plot_outage(rows, resolved):
+    yield "# outage vs density: x = transmitters per m^2, y = outage probability"
+    for arch, antennas in sorted({(r["architecture"], r["antennas"]) for r in rows}):
+        series = [r for r in rows if r["architecture"] == arch and r["antennas"] == antennas]
+        yield from _series(f"{arch} antennas={antennas}", ["density", "outage", "ci95"], series)
+
+
+_OUTAGE = Study(
+    "ambient harvesting outage vs transmitter density",
+    _keys(
+        ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0)),
+        ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES),
+        # The reference scenario has 4 antennas, against OutageConfig's 1.
+        *_field_keys(OutageConfig(density=0.0, n_antennas=4), skip=("density", "seed")),
+    ),
+    _run_outage,
+    _plot_outage,
+)
+
+
+# The sweep's keyword arguments that keys set: argument -> key.
+_SWEEP_ARGUMENTS = {
+    "pa_efficiency": "pa_efficiency",
+    "p_rf": "p_rf_chain_w",
+    "tol": "solver.tol",
+    "n_randomizations": "solver.randomizations",
+}
+
+
 def _run_rfchains(resolved, seed: int):
     model = _build(ChannelModel, resolved)
     devices = resolved["devices"] or resolved["n_devices"]
-    with _keyed(devices="n_devices (or devices)", p_rf="p_rf_chain_w", tol="solver.tol",
-                n_randomizations="solver.randomizations"):
+    with _keyed(devices="n_devices (or devices)", **_SWEEP_ARGUMENTS):
         sweep = sweep_rf_chains(
             devices, resolved["gamma"], resolved["m_values"], model=model, seed=seed,
-            pa_efficiency=resolved["pa_efficiency"], p_rf=resolved["p_rf_chain_w"],
-            tol=resolved["solver.tol"], n_randomizations=resolved["solver.randomizations"],
+            **{a: resolved[k] for a, k in _SWEEP_ARGUMENTS.items()},
         )
     header = ["m", "tx_power_w", "consumption_w", "is_optimum"]
     rows = [(pt.n_rf, pt.tx_power, pt.total_consumption, int(pt.n_rf == sweep.optimum_n_rf)) for pt in sweep.points]
     return header, rows
 
 
-_RUNNERS = {
-    "cost": _run_cost,
-    "deploy": _run_deploy,
-    "outage": _run_outage,
-    "rfchains": _run_rfchains,
-}
+def _plot_rfchains(rows, resolved):
+    yield "# consumption vs RF chains: x = active chains, y = beacon consumption (W)"
+    best = [r["m"] for r in rows if r["is_optimum"] == "1"]
+    if best:
+        yield f"# optimum at m = {best[0]}"
+    yield from _series("consumption", ["m", "tx_power_w", "consumption_w", "is_optimum"], rows)
 
 
-def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]], resolved) -> str:
-    """Render a run's CSV cells as gnuplot-style columnar text, one block per series.
+_RFCHAINS = Study(
+    "beacon consumption vs number of RF chains",
+    _keys(
+        ConfigKey("gamma", "float", 2e-6),
+        ConfigKey("m_values", "int_list", tuple(range(1, 33))),
+        ConfigKey("n_devices", "int", 4),
+        ConfigKey("devices", "pair_list", ()),
+        *_argument_keys(sweep_rf_chains, _SWEEP_ARGUMENTS),
+        *_field_keys(ChannelModel),
+    ),
+    _run_rfchains,
+    _plot_rfchains,
+)
 
-    ``resolved`` is the run's resolved config; the cost sweep's ``mode`` sets
-    its x axis.
-    """
-    col = {name: i for i, name in enumerate(header)}
-    out: list[str] = []
 
-    def block(title: str, columns: list[str], rows) -> None:
-        if out:
-            out.append("")
-            out.append("")
-        out.append(f"# series: {title}")
-        out.append("# columns: " + " ".join(columns))
-        out.extend(" ".join(r[col[c]] for c in columns) for r in rows)
-
-    if subcommand == "cost":
-        x_name = "n_devices" if resolved["mode"] == "devices" else "horizon"
-        out.append(f"# cost sweep: x = {x_name}, y = total cost (USD)")
-        for scenario in sorted({r[col["scenario"]] for r in cells}):
-            series = [r for r in cells if r[col["scenario"]] == scenario]
-            if x_name == "n_devices":
-                block(scenario, [x_name, "total"], series)
-            else:
-                for life in sorted({r[col["battery_life"]] for r in series}, key=float):
-                    sub = [r for r in series if r[col["battery_life"]] == life]
-                    block(f"{scenario} battery_life={life}", [x_name, "total"], sub)
-    elif subcommand == "outage":
-        out.append("# outage vs density: x = transmitters per m^2, y = outage probability")
-        for arch, antennas in sorted({(r[col["architecture"]], r[col["antennas"]]) for r in cells}):
-            series = [r for r in cells if r[col["architecture"]] == arch and r[col["antennas"]] == antennas]
-            block(f"{arch} antennas={antennas}", ["density", "outage", "ci95"], series)
-    elif subcommand == "rfchains":
-        best = [r for r in cells if r[col["is_optimum"]] == "1"]
-        out.append("# consumption vs RF chains: x = active chains, y = beacon consumption (W)")
-        if best:
-            out.append(f"# optimum at m = {best[0][col['m']]}")
-        block("consumption", ["m", "tx_power_w", "consumption_w", "is_optimum"], cells)
-    elif subcommand == "deploy":
-        out.append("# deployment: positions in meters; powers in watts")
-        for kind, columns in (("pb", ["x", "y", "tx_power_w"]), ("device", ["x", "y", "received_power_w", "is_worst"])):
-            block(kind, columns, [r for r in cells if r[col["row_type"]] == kind])
-    else:
-        raise ValueError(f"no plot layout for subcommand {subcommand!r}")
-    return "\n".join(out) + "\n"
+STUDIES: dict[str, Study] = {"cost": _COST, "deploy": _DEPLOY, "outage": _OUTAGE, "rfchains": _RFCHAINS}
 
 
 def run(rc: RunConfig) -> int:
@@ -353,10 +432,10 @@ def run(rc: RunConfig) -> int:
         return staged[out_dir / name]
 
     try:
-        schema = SCHEMAS[rc.subcommand]
-        resolved = resolve_config(schema, rc.config_path, rc.overrides)
+        study = STUDIES[rc.subcommand]
+        resolved = resolve_config(study.keys, rc.config_path, rc.overrides)
 
-        header, rows = _RUNNERS[rc.subcommand](resolved, rc.seed)
+        header, rows = study.runner(resolved, rc.seed)
         cells = [[_fmt(v) for v in row] for row in rows]
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(stage(f"{rc.subcommand}.csv"), header, cells)
@@ -368,7 +447,7 @@ def run(rc: RunConfig) -> int:
             subcommand=rc.subcommand,
             seed=rc.seed,
             duration_seconds=time.perf_counter() - started,
-            resolved={name: canonical(schema[name], value) for name, value in resolved.items()},
+            resolved={name: canonical(study.keys[name], value) for name, value in resolved.items()},
             outputs={final.name: _sha256(tmp) for final, tmp in staged.items()},
             env={"cpus": str(usable_cpus()), "numpy": np.__version__, "python": sys.version.split()[0]},
         )
@@ -393,28 +472,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wetplan {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "cost": "total-cost comparison of device powering scenarios",
-        "deploy": "max-min placement of ambient-powered beacons",
-        "outage": "ambient harvesting outage vs transmitter density",
-        "rfchains": "beacon consumption vs number of RF chains",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, study in STUDIES.items():
+        p = sub.add_parser(name, help=study.help)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=0, help="64-bit unsigned run seed (default 0)")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--plot-data", action="store_true", help="also emit gnuplot-style .dat series")
-        if name == "outage":
+        if "trials" in study.keys:
             p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # --trials (outage only) is the last override, so it wins over --set trials=.
+    # --trials (studies with a trials key) is the last override, so it wins over --set trials=.
     trials = getattr(args, "trials", None)
     try:
         rc = RunConfig(

@@ -1,24 +1,19 @@
-"""Dotted-key config files with per-experiment schemas and strict validation.
+"""Dotted-key config files, parsed strictly against a study's keys.
 
 Files are plain text, one ``key = value`` per line, ``#`` starts a comment.
 Hierarchy is spelled with dots (``pathloss.exponent = 3``). Every key must be
-in the experiment's schema; unknown keys fail with a nearest-sibling hint and
-every parse failure names its key and where it came from (file line or
-``--set #n``), so batch runs die loudly rather than silently drifting from
-the intended scenario.
+one of the study's keys (``wetplan.cli.STUDIES``); unknown keys fail with a
+nearest-sibling hint and every parse failure names its key and where it came
+from (file line or ``--set #n``), so batch runs die loudly rather than
+silently drifting from the intended scenario.
 
-A key that sets a library field is generated from that field: the fields of
-``CostParams``, ``DeploymentProblem``, ``SolverConfig`` (``solver.*``),
-``OutageConfig`` and ``ChannelModel``, with ``pathloss.*``, ``rician.*`` and
-``curve.*`` from their nested dataclasses. Such a key has the field's name,
-its default and a kind read from the default's type. Only the keys with no
-library field (device layouts, sweep lists, ``k``, ``gamma``, the arguments
-of ``sweep_rf_chains`` and the lifetime sweep's fleet size) are written out
-here; those that are a function's keyword argument take its default from
-the function's signature. No key has a range check here: a field's range is
-declared at the field (``channel._ranged``), the library checks every value
-before any work, and the runner makes the refusal name the key (see
-``wetplan.cli``). ``mode`` and ``archs`` take only their listed choices.
+This module knows no study. A key that sets a library field is generated
+from that field (``_field_keys``), and one that sets a function's keyword
+argument from that argument (``_argument_keys``): either has a default and a
+kind read from the default's type. No key has a range check here: a field's
+range is declared at the field (``channel._ranged``), the library checks
+every value before any work, and the runner makes the refusal name the key.
+A key with ``choices`` takes only those.
 """
 
 from __future__ import annotations
@@ -29,13 +24,6 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ambient import example_map
-from .beampower import ChannelModel, sweep_rf_chains
-from .costs import CostParams, sweep_hardware_lifetime
-from .deployment import DeploymentProblem, SolverConfig
-from .harvesting import ARCHITECTURES
-from .outage import OutageConfig
-
 __all__ = [
     "ConfigError",
     "ConfigKey",
@@ -43,7 +31,6 @@ __all__ = [
     "parse_overrides",
     "resolve_config",
     "canonical",
-    "SCHEMAS",
 ]
 
 
@@ -207,8 +194,8 @@ def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict
     return resolved
 
 
-# The kind of a key that sets a library field, by the type of its default;
-# the only tuple fields are tuples of pairs.
+# The kind of a key that sets a library field or argument, by the type of its
+# default; the only tuple fields are tuples of pairs.
 _FIELD_KINDS = {bool: "bool", int: "int", float: "float", Fraction: "decimal", tuple: "pair_list"}
 
 
@@ -230,77 +217,9 @@ def _field_keys(template, prefix: str = "", skip=()):
             yield ConfigKey(prefix + f.name, _FIELD_KINDS[type(value)], value)
 
 
-# Example deployment scenario: devices spread over the 40x40 m area of the
-# shipped ambient map (see wetplan.ambient.example_map).
-_DEFAULT_DEPLOY_DEVICES = (
-    (-15.0, -5.0),
-    (-8.0, 12.0),
-    (-2.0, -16.0),
-    (3.0, 4.0),
-    (9.0, 16.0),
-    (14.0, -3.0),
-    (16.0, 9.0),
-    (-17.0, 15.0),
-)
-
-
-def _schema(*keys: ConfigKey) -> dict[str, ConfigKey]:
-    return {k.name: k for k in keys}
-
-
-def _cost_schema() -> dict[str, ConfigKey]:
-    return _schema(
-        ConfigKey("mode", "str", "devices", choices=("devices", "lifetime")),
-        ConfigKey("n_devices", "int_list", (10, 50, 100)),
-        ConfigKey("lifetime_n_devices", "int",
-                  inspect.signature(sweep_hardware_lifetime).parameters["n_devices"].default),
-        ConfigKey("horizons", "int_list", (5, 10, 15, 20)),
-        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10)),
-        *_field_keys(CostParams),
-    )
-
-
-def _deploy_schema() -> dict[str, ConfigKey]:
-    amap = example_map()
-    area = amap.area
-    return _schema(
-        ConfigKey("k", "int", 5),
-        ConfigKey("devices", "pair_list", _DEFAULT_DEPLOY_DEVICES),
-        ConfigKey("map.components", "quad_list",
-                  tuple((c.weight, *c.center, c.width) for c in amap.components)),
-        ConfigKey("map.area", "rect", (area.x_min, area.y_min, area.x_max, area.y_max)),
-        *_field_keys(DeploymentProblem),
-        *_field_keys(SolverConfig, "solver."),
-    )
-
-
-def _outage_schema() -> dict[str, ConfigKey]:
-    return _schema(
-        ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0)),
-        ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES),
-        # The reference scenario has 4 antennas, against OutageConfig's 1.
-        *_field_keys(OutageConfig(density=0.0, n_antennas=4), skip=("density", "seed")),
-    )
-
-
-def _rfchains_schema() -> dict[str, ConfigKey]:
-    sweep = {name: p.default for name, p in inspect.signature(sweep_rf_chains).parameters.items()}
-    return _schema(
-        ConfigKey("gamma", "float", 2e-6),
-        ConfigKey("m_values", "int_list", tuple(range(1, 33))),
-        ConfigKey("n_devices", "int", 4),
-        ConfigKey("devices", "pair_list", ()),
-        ConfigKey("pa_efficiency", "float", sweep["pa_efficiency"]),
-        ConfigKey("p_rf_chain_w", "float", sweep["p_rf"]),
-        ConfigKey("solver.tol", "float", sweep["tol"]),
-        ConfigKey("solver.randomizations", "int", sweep["n_randomizations"]),
-        *_field_keys(ChannelModel),
-    )
-
-
-SCHEMAS: dict[str, dict[str, ConfigKey]] = {
-    "cost": _cost_schema(),
-    "deploy": _deploy_schema(),
-    "outage": _outage_schema(),
-    "rfchains": _rfchains_schema(),
-}
+def _argument_keys(function, spelled: dict[str, str]):
+    """One key per keyword argument of ``function`` in ``spelled`` (argument -> key name), defaulting to its default."""
+    parameters = inspect.signature(function).parameters
+    for argument, name in spelled.items():
+        default = parameters[argument].default
+        yield ConfigKey(name, _FIELD_KINDS[type(default)], default)

@@ -100,7 +100,7 @@ def harvest(p_in, curve: HarvesterCurve):
 
 def dft_codebook(m: int) -> np.ndarray:
     """Orthonormal (M, M) DFT codebook: row k has element exp(2j*pi*k*m/M)/sqrt(M)."""
-    if int(m) != m or m < 1:
+    if not (m >= 1 and m % 1 == 0):  # NaN and ±inf are refused too
         raise ValueError(f"codebook size must be an integer >= 1, got {m}")
     k = np.arange(m)
     return np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m)

@@ -235,6 +235,9 @@ BAD_SWEEP_ARGUMENTS = [
     ("gamma", -1.0, r"^gamma must be finite and > 0, got -1\.0$"),
     ("gamma", math.nan, r"^gamma must be finite and > 0, got nan$"),
     ("gamma", math.inf, r"^gamma must be finite and > 0, got inf$"),
+    ("m_values", (1.5, 2), r"^m_values must be strictly increasing integers >= 1$"),
+    ("m_values", (1, math.nan), r"^m_values must be strictly increasing integers >= 1$"),
+    ("m_values", (1, math.inf), r"^m_values must be strictly increasing integers >= 1$"),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import inspect
@@ -19,8 +20,8 @@ import wetplan.outage
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import ChannelModel
 from wetplan.channel import PathLossParams, RicianParams
-from wetplan.cli import RunConfig, RunManifest, main, run, verify_manifest
-from wetplan.config import SCHEMAS, ConfigError, resolve_config
+from wetplan.cli import STUDIES, RunConfig, RunManifest, build_parser, emit_plot_data, main, run, verify_manifest
+from wetplan.config import ConfigError, resolve_config
 from wetplan.deployment import DeploymentProblem, SolverConfig
 from wetplan.harvesting import HarvesterCurve
 from wetplan.outage import OutageConfig
@@ -88,7 +89,7 @@ def run_cli(subcommand, out, *, sets=(), seed=0, config=None, plot=False):
 
 
 def test_outage_defaults_match_reference_scenario():
-    resolved = resolve_config(SCHEMAS["outage"], None, [])
+    resolved = resolve_config(STUDIES["outage"].keys, None, [])
     assert resolved["disk_radius"] == 10.0
     assert resolved["tx_power"] == 1.0
     assert resolved["pathloss.exponent"] == 2.7
@@ -107,35 +108,35 @@ def test_override_is_applied_and_recorded(tmp_path):
 
 def test_unknown_key_suggests_sibling():
     with pytest.raises(ConfigError, match="pathloss.exponent"):
-        resolve_config(SCHEMAS["outage"], None, ["pathloss.exponnet=3"])
+        resolve_config(STUDIES["outage"].keys, None, ["pathloss.exponnet=3"])
 
 
 def test_malformed_and_out_of_range_values():
     # Parsing refuses what is not a value of the key's kind; the range of a
     # library field is checked where the runner builds the library object.
     with pytest.raises(ConfigError, match=r"^--set #1: tx_power: not a number"):
-        resolve_config(SCHEMAS["outage"], None, ["tx_power=watts"])
+        resolve_config(STUDIES["outage"].keys, None, ["tx_power=watts"])
     for sets, message in ((["trials=-5"], r"^trials must be >= 1, got -5$"), (["target=0"], r"^target must be > 0")):
-        resolved = resolve_config(SCHEMAS["outage"], None, sets)
+        resolved = resolve_config(STUDIES["outage"].keys, None, sets)
         with pytest.raises(ConfigError, match=message):
-            wetplan.cli._run_outage(resolved, 0)
+            STUDIES["outage"].runner(resolved, 0)
 
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "outage.cfg"
     cfg.write_text("# comment\ntrials = 300\ndensities = 1.0, 2.0  # inline comment\n")
-    resolved = resolve_config(SCHEMAS["outage"], cfg, [])
+    resolved = resolve_config(STUDIES["outage"].keys, cfg, [])
     assert resolved["trials"] == 300
     assert resolved["densities"] == (1.0, 2.0)
 
 
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        resolve_config(SCHEMAS["outage"], tmp_path / "missing.cfg", [])
+        resolve_config(STUDIES["outage"].keys, tmp_path / "missing.cfg", [])
     bad = tmp_path / "bad.cfg"
     bad.write_text("trials 300\n")
     with pytest.raises(ConfigError, match="key = value"):
-        resolve_config(SCHEMAS["outage"], bad, [])
+        resolve_config(STUDIES["outage"].keys, bad, [])
 
 
 def test_cost_run_row_cardinality(tmp_path):
@@ -234,7 +235,7 @@ def test_every_key_reaches_its_field(monkeypatch, study):
         pass
 
     target, runs = OFF_DEFAULT[study]
-    schema, moved, calls = SCHEMAS[study], set(), []
+    schema, moved, calls = STUDIES[study].keys, set(), []
     signature = inspect.signature(getattr(wetplan.cli, target))
 
     def capture(*args, **kwargs):
@@ -249,7 +250,7 @@ def test_every_key_reaches_its_field(monkeypatch, study):
     monkeypatch.setattr(wetplan.cli, target, capture)
     for sets in runs:
         with pytest.raises(Handed):
-            wetplan.cli._RUNNERS[study](resolve_config(schema, None, sets), 11)
+            STUDIES[study].runner(resolve_config(schema, None, sets), 11)
     pathloss = PathLossParams(exponent=2.1, fixed_loss_db=30.0, reference_distance=0.8)
     if study == "deploy":
         (call,) = calls
@@ -329,7 +330,7 @@ def test_outage_too_many_sources_fails_before_drawing(tmp_path, monkeypatch):
     assert not out.exists()
     for radius in ("disk_radius=1e4", "disk_radius=1e200"):
         with pytest.raises(ValueError, match=r"densities.*disk_radius"):
-            wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, [radius]), 0)
+            STUDIES["outage"].runner(resolve_config(STUDIES["outage"].keys, None, [radius]), 0)
 
 
 class DrawReached(Exception):
@@ -381,11 +382,11 @@ TOO_LARGE = {
 def test_scenarios_too_large_to_allocate_fail_before_drawing(tmp_path, monkeypatch, capsys, product):
     study, fits, too_large, keys = TOO_LARGE[product]
     _reach_draws(monkeypatch)
-    runner = getattr(wetplan.cli, f"_run_{study}")
+    runner = STUDIES[study].runner
     with pytest.raises(DrawReached):
-        runner(resolve_config(SCHEMAS[study], None, fits), 0)
+        runner(resolve_config(STUDIES[study].keys, None, fits), 0)
     with pytest.raises(ValueError, match=rf"^{keys} give .*; the limit is 1e\+07$"):
-        runner(resolve_config(SCHEMAS[study], None, too_large), 0)
+        runner(resolve_config(STUDIES[study].keys, None, too_large), 0)
     out = tmp_path / study
     assert run_cli(study, out, sets=too_large) == 1
     assert re.match(rf"error: {keys} give ", capsys.readouterr().err)
@@ -436,7 +437,7 @@ def test_outage_codebook_bound_applies_only_with_rf(monkeypatch):
     _reach_draws(monkeypatch)
     sets = ["n_antennas=3163", "trials=1", "archs=single, dc"]
     with pytest.raises(DrawReached):
-        wetplan.cli._run_outage(resolve_config(SCHEMAS["outage"], None, sets), 0)
+        STUDIES["outage"].runner(resolve_config(STUDIES["outage"].keys, None, sets), 0)
 
 
 def test_deploy_k_zero_fails_without_writing_files(tmp_path):
@@ -458,7 +459,7 @@ def test_deploy_bad_component_names_the_key(tmp_path, capsys):
     assert main(["deploy", "--set", "map.components=1:0:0:0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: map.components: width must be > 0, got 0.0\n"
     with pytest.raises(ConfigError, match=r"^map\.area: rectangle must have positive extent"):
-        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, ["map.area=0:0:0:5"]), 0)
+        STUDIES["deploy"].runner(resolve_config(STUDIES["deploy"].keys, None, ["map.area=0:0:0:5"]), 0)
 
 
 def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypatch):
@@ -471,7 +472,7 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
     monkeypatch.setattr(wetplan.deployment, "_Evaluator", refuse)
     largest = math.isqrt(wetplan.deployment.MAX_GREEDY_ENTRIES // 8)  # the default scenario has 8 devices
     with pytest.raises(SearchReached):
-        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, [f"solver.greedy_grid={largest}"]), 0)
+        STUDIES["deploy"].runner(resolve_config(STUDIES["deploy"].keys, None, [f"solver.greedy_grid={largest}"]), 0)
     out = tmp_path / "deploy"
     assert run_cli("deploy", out, sets=(f"solver.greedy_grid={largest + 1}",)) == 1
     assert not out.exists()
@@ -480,7 +481,7 @@ def test_deploy_oversized_greedy_grid_fails_before_optimizing(tmp_path, monkeypa
     for sets in (["solver.greedy_grid=1000000000"], ["solver.greedy_grid=224", many_devices],
                  [f"solver.greedy_grid={10**200}"]):
         with pytest.raises(ValueError, match=r"^solver\.greedy_grid = "):
-            wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, sets), 0)
+            STUDIES["deploy"].runner(resolve_config(STUDIES["deploy"].keys, None, sets), 0)
 
 
 @pytest.mark.parametrize("value", [10**18, 10**400], ids=["1e18", "400_digits"])
@@ -488,7 +489,7 @@ def test_deploy_refuses_an_iteration_budget_past_the_solver_counters(tmp_path, m
     # The last stage runs solver.nm_max_iter * 2k iterations per start, counted in int64.
     _reach_draws(monkeypatch)
     with pytest.raises(DrawReached):
-        wetplan.cli._run_deploy(resolve_config(SCHEMAS["deploy"], None, [f"solver.nm_max_iter={10**17}"]), 0)
+        STUDIES["deploy"].runner(resolve_config(STUDIES["deploy"].keys, None, [f"solver.nm_max_iter={10**17}"]), 0)
     out = tmp_path / "deploy"
     assert run_cli("deploy", out, sets=[f"solver.nm_max_iter={value}"]) == 1
     assert re.fullmatch(rf"error: solver\.nm_max_iter = {value} and k = 5 give \S+ Nelder–Mead iterations per start "
@@ -513,6 +514,34 @@ def test_zero_randomizations_run_and_keep_the_rfchains_invariants(tmp_path):
     assert [row["m"] for row in zero] == [row["m"] for row in default]
     for d, z in zip(default, zero):
         assert math.isclose(float(z["tx_power_w"]), float(d["tx_power_w"]), rel_tol=4.8e-4)
+
+
+# Each study's help line in ``wetplan --help``, and the options every study takes.
+HELP_LINES = {
+    "cost": "total-cost comparison of device powering scenarios",
+    "deploy": "max-min placement of ambient-powered beacons",
+    "outage": "ambient harvesting outage vs transmitter density",
+    "rfchains": "beacon consumption vs number of RF chains",
+}
+SHARED_OPTIONS = ["-h", "--config", "--set", "--seed", "--out", "--plot-data"]
+
+
+def test_parser_gives_each_study_its_help_line_and_options():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {a.dest: a.help for a in subparsers._choices_actions} == HELP_LINES
+    assert list(subparsers.choices) == list(STUDIES)
+    for study, parser in subparsers.choices.items():
+        options = [a.option_strings[0] for a in parser._actions]
+        assert options == SHARED_OPTIONS + (["--trials"] if "trials" in STUDIES[study].keys else [])
+    assert [study for study in STUDIES if "trials" in STUDIES[study].keys] == ["outage"]
+
+
+def test_an_unknown_subcommand_is_refused_by_name():
+    with pytest.raises(ConfigError, match=r"^unknown subcommand 'nope'; expected one of "
+                                          r"\('cost', 'deploy', 'outage', 'rfchains'\)$"):
+        RunConfig("nope")
+    with pytest.raises(ValueError, match=r"^no plot layout for subcommand 'nope'$"):
+        emit_plot_data("nope", [], [], {})
 
 
 def test_trials_flag_only_for_outage(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetplan.config import SCHEMAS, _parse_value, canonical
+from wetplan.cli import STUDIES
+from wetplan.config import _parse_value, canonical
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -34,7 +35,7 @@ def values(key):
     }[key.kind]
 
 
-ALL_KEYS = [(study, key) for study, schema in sorted(SCHEMAS.items()) for key in schema.values()]
+ALL_KEYS = [(study, key) for study in sorted(STUDIES) for key in STUDIES[study].keys.values()]
 
 
 @pytest.mark.parametrize("study, key", ALL_KEYS, ids=[f"{s}:{k.name}" for s, k in ALL_KEYS])

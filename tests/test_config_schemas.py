@@ -9,8 +9,8 @@ import wetplan.cli
 import wetplan.costs
 import wetplan.deployment
 import wetplan.outage
-from wetplan.cli import main
-from wetplan.config import SCHEMAS, canonical
+from wetplan.cli import STUDIES, main
+from wetplan.config import canonical
 
 M_VALUES = ", ".join(str(m) for m in range(1, 33))
 PATHLOSS_27 = {
@@ -103,7 +103,7 @@ STUDY_KEYS = {
 
 @pytest.mark.parametrize("study", sorted(PINNED))
 def test_schema_keys_are_pinned(study):
-    schema = SCHEMAS[study]
+    schema = STUDIES[study].keys
     assert {name: (key.kind, canonical(key, key.default), key.choices) for name, key in schema.items()} == PINNED[study]
     assert STUDY_KEYS[study] <= set(schema)
 
@@ -163,7 +163,7 @@ OUT_OF_RANGE_CASES = [(study, key, value) for study, cases in sorted(OUT_OF_RANG
 
 @pytest.mark.parametrize("study", sorted(OUT_OF_RANGE))
 def test_every_ranged_generated_key_has_a_case(study):
-    schema = SCHEMAS[study]
+    schema = STUDIES[study].keys
     ranged = {name for name in set(schema) - STUDY_KEYS[study] if schema[name].kind != "bool"}
     assert {key for key, _ in OUT_OF_RANGE[study]} == ranged
 
@@ -257,7 +257,7 @@ def test_out_of_range_study_value_is_refused_by_name(tmp_path, monkeypatch, caps
 # Every int key, and the overrides that make its study use it: the lifetime
 # sweep's keys are computed only in lifetime mode, and without rf outage has
 # no codebook to bound n_antennas before a float multiplies it.
-INT_KEYS = [(study, name) for study, schema in sorted(SCHEMAS.items()) for name, key in schema.items()
+INT_KEYS = [(study, name) for study in sorted(STUDIES) for name, key in STUDIES[study].keys.items()
             if key.kind in ("int", "int_list")]
 INT_KEY_SETS = {
     ("cost", "lifetime_n_devices"): ["mode=lifetime"],

@@ -95,6 +95,13 @@ def test_dft_codebook_trivial_sizes():
     np.testing.assert_allclose(dft_codebook(2), [[s, s], [s, -s]], atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [0, 2.5, math.nan, math.inf])
+def test_dft_codebook_refuses_a_size_that_is_not_an_integer_of_at_least_one(m):
+    with pytest.raises(ValueError) as err:
+        dft_codebook(m)
+    assert str(err.value) == f"codebook size must be an integer >= 1, got {m}"
+
+
 def test_dft_codebook_orthonormal():
     cb = dft_codebook(8)
     gram = cb @ cb.conj().T

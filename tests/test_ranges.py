@@ -2,7 +2,8 @@
 
 Each declared bound refuses the last value off it and takes the first value on
 it, every float field refuses NaN, and every int field takes a value past the
-range of a float; each refusal reads exactly ``<name> must be ...``.
+range of a float and refuses a non-integer; each refusal reads exactly
+``<name> must be ...``.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import math
 import pkgutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import wetplan
@@ -93,3 +95,14 @@ def test_each_float_field_refuses_nan_by_name(cls, f):
 def test_each_int_field_takes_a_value_past_the_range_of_a_float(cls, f):
     # ``math.isfinite`` would raise OverflowError on this int.
     assert getattr(_build(cls, **{f.name: 10**400}), f.name) == 10**400
+
+
+@each_field("int")
+def test_each_int_field_refuses_a_non_integer_by_name(cls, f):
+    op, bound = f.metadata["bound"]
+    first = _step(f, bound, +1) if op == ">" else bound
+    assert getattr(_build(cls, **{f.name: np.int64(first)}), f.name) == first
+    for value in (first + 0.5, float(first)):
+        with pytest.raises(ValueError) as err:
+            _build(cls, **{f.name: value})
+        assert str(err.value) == f"{f.name} must be an integer, got {value}"
