@@ -49,7 +49,7 @@ from .deployment import (
     received_power,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, dft_codebook, harvest
-from .outage import OutageConfig, OutageResult, run_outage, sweep_density
+from .outage import OutageConfig, OutageResult, sweep_density
 
 __all__ = [
     "__version__",
@@ -91,6 +91,5 @@ __all__ = [
     "harvest",
     "OutageConfig",
     "OutageResult",
-    "run_outage",
     "sweep_density",
 ]

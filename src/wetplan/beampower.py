@@ -32,7 +32,7 @@ import numpy as np
 from ._fork import fork_map
 from .channel import (
     MAX_ARRAY_ENTRIES, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
-    _require_at_most, _require_bound, _require_finite, _uniform_disk, sample_channels,
+    _require_at_most, _require_bound, _require_finite, _require_integer, _uniform_disk, sample_channels,
 )
 
 __all__ = [
@@ -354,11 +354,12 @@ def _extract(
     return PrecoderSolution(precoder, tx_power, sdr_lower_bound=min(red.cstar * dual, tx_power))
 
 
-def _check_solver_arguments(tol: float, n_randomizations: int) -> None:
-    """Refuse a relaxation tolerance or a randomization count no solve can use."""
+def _check_solver_arguments(tol: float, n_randomizations: int, seed: int) -> None:
+    """Refuse a relaxation tolerance, a randomization count or a seed no solve can use."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     _require_bound("n_randomizations", n_randomizations, ">=", 0)
+    _require_integer("seed", seed, 0)
 
 
 def min_power_precoder(
@@ -376,7 +377,7 @@ def min_power_precoder(
     put the dual value a few ulps above the precoder that attains it. The
     solver stops once the relaxation's primal-dual gap closes within ``tol``.
     """
-    _check_solver_arguments(tol, n_randomizations)
+    _check_solver_arguments(tol, n_randomizations, seed)
     red = _reduce(problem)
     (relaxed,) = _solve_relaxations([red], tol)
     return _extract(red, relaxed, tol, n_randomizations, seed, ())
@@ -434,7 +435,7 @@ def sweep_rf_chains(
     ms = [int(m) for m in ms]
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    _check_solver_arguments(tol, n_randomizations)
+    _check_solver_arguments(tol, n_randomizations, seed)
     consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
     drawn = isinstance(devices, (int, np.integer))
     pts = None if drawn else _as_xy("devices", devices)

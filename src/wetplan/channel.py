@@ -5,7 +5,8 @@ or a ``Generator``) and are pure functions of their inputs, so draws can be
 evaluated in any order without changing results.
 
 Every study dataclass declares a field's lower bound at the field (``_ranged``)
-and checks it with ``_check_fields``; a function argument uses ``_require_bound``.
+and checks it with ``_check_fields``; a function argument uses ``_require_bound``,
+or ``_require_integer`` where it counts (a seed, antennas, devices).
 
 Positions are in meters and take two forms: a set of points is an (n, 2)
 float array, one point an (x, y) pair. Each position argument is coerced and
@@ -67,6 +68,12 @@ def _require_bound(name: str, value, op: str, bound) -> None:
     """Refuse ``value`` (of ``name``) unless it is ``op`` (``">"`` or ``">="``) ``bound``; NaN is refused too."""
     if not (value > bound if op == ">" else value >= bound):
         raise ValueError(f"{name} must be {op} {bound}, got {value}")
+
+
+def _require_integer(name: str, value, at_least: int) -> None:
+    """Refuse ``value`` (of ``name``) unless it is an integer >= ``at_least``; NaN and ±inf are refused too."""
+    if not (value >= at_least and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer >= {at_least}, got {value}")
 
 
 def _ranged(default=MISSING, *, above=None, at_least=None):
@@ -186,8 +193,7 @@ def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray
 def _antenna_count(n_antennas, rows: int, names: str, what: str) -> int:
     """``n_antennas`` as an int, refused unless it is an integer >= 1 (NaN and ±inf are not) and ``rows`` rows
     of it, set by ``names``, fit in ``MAX_ARRAY_ENTRIES`` (no row counts as one: it still builds the phase ramp)."""
-    if not (n_antennas >= 1 and n_antennas % 1 == 0):
-        raise ValueError(f"n_antennas must be an integer >= 1, got {n_antennas}")
+    _require_integer("n_antennas", n_antennas, 1)
     _require_at_most(max(rows, 1) * int(n_antennas), MAX_ARRAY_ENTRIES, names, what)
     return int(n_antennas)
 

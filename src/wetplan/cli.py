@@ -335,9 +335,9 @@ def _run_outage(resolved, seed: int):
     and channels are sampled once per density and rectified under every
     architecture in ``archs``.
     """
-    base = _build(OutageConfig, resolved, density=0.0, seed=seed)
+    base = _build(OutageConfig, resolved)
     densities, archs = resolved["densities"], resolved["archs"]
-    per_density = sweep_density(base, densities, archs)
+    per_density = sweep_density(base, densities, archs, seed=seed)
     header = ["density", "architecture", "antennas", "trials", "outage", "ci95"]
     rows = [
         (density, arch, base.n_antennas, results[i].trials, results[i].outage_estimate, results[i].ci95_halfwidth)
@@ -360,7 +360,7 @@ _OUTAGE = Study(
         ConfigKey("densities", "float_list", (0.5, 1.0, 2.0, 4.0)),
         ConfigKey("archs", "str_list", ARCHITECTURES, choices=ARCHITECTURES),
         # The reference scenario has 4 antennas, against OutageConfig's 1.
-        *_field_keys(OutageConfig(density=0.0, n_antennas=4), skip=("density", "seed")),
+        *_field_keys(OutageConfig(n_antennas=4)),
     ),
     _run_outage,
     _plot_outage,
@@ -453,8 +453,11 @@ def run(rc: RunConfig) -> int:
         )
         stage("manifest.txt").write_text(manifest.to_text())
         # With the earlier manifest gone first, a rename that fails leaves no
-        # manifest listing outputs this run has already replaced.
+        # manifest listing outputs this run has already replaced; an earlier
+        # run's plot data goes with it, so none is left beside this run's CSV.
         (out_dir / "manifest.txt").unlink(missing_ok=True)
+        if not rc.plot_data:
+            (out_dir / f"{rc.subcommand}.dat").unlink(missing_ok=True)
         for final, tmp in staged.items():
             os.replace(tmp, final)
         return 0

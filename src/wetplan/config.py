@@ -199,17 +199,17 @@ def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict
 _FIELD_KINDS = {bool: "bool", int: "int", float: "float", Fraction: "decimal", tuple: "pair_list"}
 
 
-def _field_keys(template, prefix: str = "", skip=()):
+def _field_keys(template, prefix: str = ""):
     """One key per field of ``template``, named ``prefix + field``, defaulting to its value.
 
     ``template`` is a dataclass instance, or a dataclass for its field
     defaults; a field with no default is supplied by the study and yields no
     key. A field whose value is itself a dataclass yields that dataclass's
-    keys under ``field.``. Fields named in ``skip`` yield no key.
+    keys under ``field.``.
     """
     for f in fields(template):
         value = getattr(template, f.name, MISSING)
-        if f.name in skip or value is MISSING:
+        if value is MISSING:
             continue
         if is_dataclass(value):
             yield from _field_keys(value, f"{prefix}{f.name}.")

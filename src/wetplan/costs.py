@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import _check_fields, _ranged, _require_bound
+from .channel import _check_fields, _ranged, _require_integer
 
 __all__ = [
     "SCENARIOS",
@@ -124,7 +124,7 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
     """Total cost breakdown of one powering scenario over the planning horizon."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    _require_bound("n_devices", n_devices, ">=", 1)
+    _require_integer("n_devices", n_devices, 1)
 
     device_install = n_devices * params.device_install
     if scenario == "baseline":
@@ -160,10 +160,10 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
 
 
 def _positive_list(name: str, values) -> list:
-    """``values`` as a list; errors, naming ``name``, unless it is non-empty and all positive."""
+    """``values`` as a list; errors, naming ``name``, unless it is non-empty and all positive integers."""
     items = list(values)
-    if not items or not all(v > 0 for v in items):
-        raise ValueError(f"{name} must be a non-empty list of positives, got {items}")
+    if not items or not all(v >= 1 and v % 1 == 0 for v in items):  # NaN and ±inf are refused too
+        raise ValueError(f"{name} must be a non-empty list of positive integers, got {items}")
     return items
 
 
@@ -186,7 +186,7 @@ def sweep_hardware_lifetime(
     as they are read.
     """
     horizons, lives = _positive_list("horizons", horizons), _positive_list("battery_lives", battery_lives)
-    _require_bound("n_devices", n_devices, ">=", 1)
+    _require_integer("n_devices", n_devices, 1)
     grid = (dataclasses.replace(params, horizon=h, device_battery_life=life) for h in horizons for life in lives)
     return (scenario_cost(s, n_devices, p) for p in grid for s in SCENARIOS)
 

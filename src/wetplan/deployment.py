@@ -38,7 +38,7 @@ import numpy as np
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
     MAX_ARRAY_ENTRIES, PathLossParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most, _require_bound,
-    path_gain,
+    _require_integer, path_gain,
 )
 
 __all__ = [
@@ -324,6 +324,7 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
     last stage's iteration budget past the solver's int64 counters, is
     refused before anything is built.
     """
+    _require_integer("seed", seed, 0)
     solver = solver or SolverConfig()
     grid, k, starts = solver.greedy_grid, problem.k, solver.n_starts
     n_devices, n_components = len(problem.devices), len(problem.ambient_map.components)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _require_integer
+
 __all__ = [
     "DEFAULT_BREAKPOINTS",
     "ARCHITECTURES",
@@ -100,8 +102,7 @@ def harvest(p_in, curve: HarvesterCurve):
 
 def dft_codebook(m: int) -> np.ndarray:
     """Orthonormal (M, M) DFT codebook: row k has element exp(2j*pi*k*m/M)/sqrt(M)."""
-    if not (m >= 1 and m % 1 == 0):  # NaN and ±inf are refused too
-        raise ValueError(f"codebook size must be an integer >= 1, got {m}")
+    _require_integer("codebook size", m, 1)
     k = np.arange(m)
     return np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m)
 

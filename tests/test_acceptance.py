@@ -79,24 +79,25 @@ def test_criterion_3_deployment_against_grid_oracle():
 
 def test_criterion_4_outage_monotonicity_and_combining():
     pathloss = PathLossParams(exponent=2.7, fixed_loss_db=20.0, reference_distance=1.0)
-    config = OutageConfig(density=0.03, pathloss=pathloss, trials=10_000, seed=424, n_antennas=4)
+    config = OutageConfig(pathloss=pathloss, trials=10_000, n_antennas=4)
+    density, seed = 0.03, 424
 
     densities = [0.01, 0.03, 0.08]
-    results = [single for (single,) in sweep_density(config, densities, ("single",))]
+    results = [single for (single,) in sweep_density(config, densities, ("single",), seed)]
     for lo, hi in zip(results, results[1:]):
         assert hi.outage_estimate <= lo.outage_estimate + lo.ci95_halfwidth + hi.ci95_halfwidth
 
-    seeds = (trial_seed(config.seed, t) for t in range(10_000))
-    single, dc = _harvest_trials(config, ("single", "dc"), 10_000, seeds)
+    seeds = (trial_seed(seed, t) for t in range(10_000))
+    single, dc = _harvest_trials(config, density, ("single", "dc"), 10_000, seeds)
     dominated = int(np.sum(dc >= single))
     assert dominated == 10_000
 
     cb = dft_codebook(config.n_antennas)
-    [rf] = _harvest_trials(config, ("rf",), 200, (trial_seed(config.seed, t) for t in range(200)))
+    [rf] = _harvest_trials(config, density, ("rf",), 200, (trial_seed(seed, t) for t in range(200)))
     checked = 0
     for t in range(200):
-        rng = np.random.default_rng(trial_seed(config.seed, t))
-        positions = sample_hppp(config.density, config.disk_radius, rng)
+        rng = np.random.default_rng(trial_seed(seed, t))
+        positions = sample_hppp(density, config.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
         h = sample_channels(

@@ -273,7 +273,6 @@ def test_every_key_reaches_its_field(monkeypatch, study):
         (call,) = calls
         assert call == {
             "config": OutageConfig(
-                density=0.0,
                 disk_radius=7.5,
                 tx_power=2.5,
                 pathloss=pathloss,
@@ -282,10 +281,10 @@ def test_every_key_reaches_its_field(monkeypatch, study):
                 n_antennas=3,
                 curve=HarvesterCurve(((-25.0, 0.1), (5.0, 0.4), (12.0, 0.6))),
                 trials=77,
-                seed=11,
             ),
             "densities": (0.25, 3.0),
             "archs": ("rf", "single"),
+            "seed": 11,
         }
     else:
         drawn, explicit = calls
@@ -555,7 +554,7 @@ def test_trials_flag_only_for_outage(tmp_path):
 def test_trials_flag_wins_over_set(tmp_path, monkeypatch):
     trials = []
 
-    def capture(config, densities, archs):
+    def capture(config, densities, archs, seed):
         trials.append(config.trials)
         raise RuntimeError("stop before sampling")
 
@@ -619,6 +618,25 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     assert verify_manifest(out / "manifest.txt")
 
 
+def test_a_run_without_plot_data_removes_an_earlier_runs_plot_data(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("cost", out, plot=True) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["cost.csv", "cost.dat", "manifest.txt"]
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    # A failed run leaves the earlier run, plot data included, as it was.
+    with monkeypatch.context() as patched:
+        patched.setattr(wetplan.cli, "write_csv", fail)
+        assert run_cli("cost", out, sets=("mode=lifetime",)) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert run_cli("cost", out, sets=("mode=lifetime",)) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["cost.csv", "manifest.txt"]
+    assert verify_manifest(out / "manifest.txt")
+
+
 def test_manifest_env_lines_round_trip_and_are_not_verified(tmp_path):
     manifest = RunManifest(
         "0.1.0", "cost", 3, 0.5, {"mode": "devices"}, {"cost.csv": "ab"}, env={"cpus": "2", "python": "3.11.7"}
@@ -643,11 +661,11 @@ def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monk
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     real = wetplan.outage._harvest_trials
 
-    def fail_after_trial_0(config, archs, count, seeds):
+    def fail_after_trial_0(config, density, archs, count, seeds):
         seeds = list(seeds)
         if seeds[0].entropy[1] != 0:
             raise MemoryError("worker out of memory")
-        return real(config, archs, count, seeds)
+        return real(config, density, archs, count, seeds)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(wetplan.outage, "_harvest_trials", fail_after_trial_0)

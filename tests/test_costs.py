@@ -137,15 +137,30 @@ def test_lifetime_sweep_baseline_monotone_in_battery_life():
 
 # (sweep, its arguments after the cost parameters, the refusal it must raise)
 BAD_SWEEP_ARGUMENTS = [
-    pytest.param(sweep_devices, ([],), r"^n_devices must be a non-empty list of positives, got \[\]$",
+    pytest.param(sweep_devices, ([],), r"^n_devices must be a non-empty list of positive integers, got \[\]$",
                  id="devices-empty"),
-    pytest.param(sweep_devices, ([10, 0],), r"^n_devices must be a non-empty list of positives, got \[10, 0\]$",
-                 id="devices-zero"),
+    pytest.param(sweep_devices, ([10, 0],),
+                 r"^n_devices must be a non-empty list of positive integers, got \[10, 0\]$", id="devices-zero"),
+    pytest.param(sweep_devices, ([2.5],),
+                 r"^n_devices must be a non-empty list of positive integers, got \[2\.5\]$", id="devices-fraction"),
+    pytest.param(sweep_devices, ([10, float("nan")],),
+                 r"^n_devices must be a non-empty list of positive integers, got \[10, nan\]$", id="devices-nan"),
     pytest.param(sweep_hardware_lifetime, ([5, 0], [1]),
-                 r"^horizons must be a non-empty list of positives, got \[5, 0\]$", id="lifetime-horizon-zero"),
+                 r"^horizons must be a non-empty list of positive integers, got \[5, 0\]$",
+                 id="lifetime-horizon-zero"),
+    pytest.param(sweep_hardware_lifetime, ([2.5], [1]),
+                 r"^horizons must be a non-empty list of positive integers, got \[2\.5\]$",
+                 id="lifetime-horizon-fraction"),
     pytest.param(sweep_hardware_lifetime, ([15], [0]),
-                 r"^battery_lives must be a non-empty list of positives, got \[0\]$", id="lifetime-battery-zero"),
-    pytest.param(sweep_hardware_lifetime, ([5], [1], 0), r"^n_devices must be >= 1, got 0$", id="lifetime-fleet-zero"),
+                 r"^battery_lives must be a non-empty list of positive integers, got \[0\]$",
+                 id="lifetime-battery-zero"),
+    pytest.param(sweep_hardware_lifetime, ([15], [1.5]),
+                 r"^battery_lives must be a non-empty list of positive integers, got \[1\.5\]$",
+                 id="lifetime-battery-fraction"),
+    pytest.param(sweep_hardware_lifetime, ([5], [1], 0), r"^n_devices must be an integer >= 1, got 0$",
+                 id="lifetime-fleet-zero"),
+    pytest.param(sweep_hardware_lifetime, ([5], [1], 2.5), r"^n_devices must be an integer >= 1, got 2\.5$",
+                 id="lifetime-fleet-fraction"),
 ]
 
 
@@ -175,8 +190,9 @@ def test_scenario_ordering_at_hundred_devices():
 def test_unknown_scenario_and_bad_counts():
     with pytest.raises(ValueError):
         scenario_cost("solar", 10, DEFAULTS)
-    with pytest.raises(ValueError):
-        scenario_cost("baseline", 0, DEFAULTS)
+    for count in (0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^n_devices must be an integer >= 1, got {count}$"):
+            scenario_cost("baseline", count, DEFAULTS)
 
 
 def test_params_read_floats_as_decimals():

@@ -10,36 +10,39 @@ import pytest
 import wetplan.outage
 from wetplan.channel import PathLossParams, RicianParams, sample_channels, sample_hppp
 from wetplan.harvesting import ARCHITECTURES, _codeword_powers, dft_codebook, harvest
-from wetplan.outage import OutageConfig, run_outage, sweep_density, trial_seed
+from wetplan.outage import OutageConfig, sweep_density, trial_seed
 
 # 20 dB fixed loss keeps the 1 mW target reachable at modest densities, which
 # gives the Monte Carlo estimates room to move across a density sweep.
 TEST_PL = PathLossParams(exponent=2.7, fixed_loss_db=20.0, reference_distance=1.0)
 
 
+# The density and the trials' scenario seed that a single-density check uses.
+DENSITY, SEED = 0.03, 99
+
+
 def make_config(**overrides):
-    base = dict(density=0.03, pathloss=TEST_PL, trials=2000, seed=99)
-    base.update(overrides)
-    return OutageConfig(**base)
+    return OutageConfig(**{"pathloss": TEST_PL, "trials": 2000, **overrides})
 
 
 SINGLE = ("single",)
 
 
-def harvested(cfg, archs, indices):
-    """Harvested power of ``cfg``'s trials ``indices``, one row per architecture, from one batched call."""
+def harvested(cfg, archs, indices, density=DENSITY):
+    """Harvested power of ``cfg``'s trials ``indices`` at ``density``, one row per architecture, from one batched
+    call; trial ``t`` is seeded ``trial_seed(SEED, t)``."""
     indices = list(indices)
-    seeds = (trial_seed(cfg.seed, t) for t in indices)
-    return wetplan.outage._harvest_trials(cfg, tuple(archs), len(indices), seeds)
+    seeds = (trial_seed(SEED, t) for t in indices)
+    return wetplan.outage._harvest_trials(cfg, density, tuple(archs), len(indices), seeds)
 
 
 def test_zero_density_trial_harvests_nothing():
-    cfg = make_config(density=0.0)
-    assert harvested(cfg, ARCHITECTURES, [0]).tolist() == [[0.0]] * len(ARCHITECTURES)
+    assert harvested(make_config(), ARCHITECTURES, [0], density=0.0).tolist() == [[0.0]] * len(ARCHITECTURES)
 
 
 def test_zero_density_outage_is_certain():
-    for result in run_outage(make_config(density=0.0, trials=500), ARCHITECTURES):
+    [results] = sweep_density(make_config(trials=500), [0.0], ARCHITECTURES, seed=SEED)
+    for result in results:
         assert result.outage_estimate == 1.0
         assert result.ci95_halfwidth == 0.0
         assert result.mean_harvested == 0.0
@@ -49,15 +52,13 @@ def test_forced_transmitter_hand_chain(monkeypatch):
     # One LoS transmitter at 1 m with the 40 dB loss of the default scenario:
     # incident power 1e-4 W, so the trial harvests harvest(1e-4).
     cfg = OutageConfig(
-        density=0.01,
         pathloss=PathLossParams(2.7, 40.0, 1.0),
         rician=RicianParams(1e12),
         n_antennas=1,
         trials=10,
-        seed=0,
     )
     monkeypatch.setattr(wetplan.outage, "sample_hppp", lambda density, radius, rng: np.array([[1.0, 0.0]]))
-    [[power]] = harvested(cfg, SINGLE, [0])
+    [[power]] = harvested(cfg, SINGLE, [0], density=0.01)
     assert np.isclose(power, harvest(1e-4, cfg.curve), rtol=1e-4)
     assert np.isclose(power, 0.3 * 1e-4, rtol=1e-4)
 
@@ -67,8 +68,8 @@ def test_dc_trial_is_sum_of_per_antenna_rectifiers():
     [dc] = harvested(cfg, ("dc",), range(20))
     checked = 0
     for t in range(20):
-        rng = np.random.default_rng(trial_seed(cfg.seed, t))
-        positions = sample_hppp(cfg.density, cfg.disk_radius, rng)
+        rng = np.random.default_rng(trial_seed(SEED, t))
+        positions = sample_hppp(DENSITY, cfg.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
         h = sample_channels(positions, (0.0, 0.0), 4, cfg.rician, cfg.pathloss, rng)
@@ -89,8 +90,8 @@ def test_rf_trial_uses_best_codeword():
     cb = dft_codebook(4)
     [rf] = harvested(cfg, ("rf",), range(50))
     for t in range(50):
-        rng = np.random.default_rng(trial_seed(cfg.seed, t))
-        positions = sample_hppp(cfg.density, cfg.disk_radius, rng)
+        rng = np.random.default_rng(trial_seed(SEED, t))
+        positions = sample_hppp(DENSITY, cfg.disk_radius, rng)
         if positions.shape[0] == 0:
             continue
         h = sample_channels(positions, (0.0, 0.0), 4, cfg.rician, cfg.pathloss, rng)
@@ -108,7 +109,6 @@ def test_shared_draws_match_one_architecture_at_a_time():
     shared = harvested(base, archs, range(20))
     for i, a in enumerate(archs):
         assert (shared[i] == harvested(base, (a,), range(20))[0]).all()
-    assert run_outage(base, archs) == tuple(run_outage(base, (a,))[0] for a in archs)
     swept = sweep_density(base, [0.02, 0.05], archs)
     for i, a in enumerate(archs):
         assert [r[i] for r in swept] == [r[0] for r in sweep_density(base, [0.02, 0.05], (a,))]
@@ -117,21 +117,21 @@ def test_shared_draws_match_one_architecture_at_a_time():
 def test_shared_draws_reject_bad_architecture_lists():
     cfg = make_config(trials=10)
     with pytest.raises(ValueError):
-        run_outage(cfg, ())
+        sweep_density(cfg, [DENSITY], ())
     with pytest.raises(ValueError):
-        run_outage(make_config(density=0.0, trials=10), ("single", "hybrid"))
+        sweep_density(cfg, [0.0], ("single", "hybrid"))
 
 
 def test_outage_monotone_in_density():
     cfg = make_config(trials=4000)
-    results = [single for (single,) in sweep_density(cfg, [0.01, 0.03, 0.08], SINGLE)]
+    results = [single for (single,) in sweep_density(cfg, [0.01, 0.03, 0.08], SINGLE, seed=SEED)]
     for lo, hi in zip(results, results[1:]):
         assert hi.outage_estimate <= lo.outage_estimate + lo.ci95_halfwidth + hi.ci95_halfwidth
 
 
 def test_outage_monotone_in_target():
-    [lenient] = run_outage(make_config(target=5e-4, trials=1500), SINGLE)
-    [strict] = run_outage(make_config(target=2e-3, trials=1500), SINGLE)
+    [[lenient]] = sweep_density(make_config(target=5e-4, trials=1500), [DENSITY], SINGLE, seed=SEED)
+    [[strict]] = sweep_density(make_config(target=2e-3, trials=1500), [DENSITY], SINGLE, seed=SEED)
     assert lenient.outage_estimate <= strict.outage_estimate
 
 
@@ -143,11 +143,17 @@ def test_sweep_density_determinism_and_duplicates():
     assert first[0] == first[2]
 
 
-def test_sweep_density_singleton_matches_run_outage():
+def test_sweep_density_singleton_is_one_estimate():
     cfg = make_config(trials=500)
     [(swept,)] = sweep_density(cfg, [0.03], SINGLE)
     assert 0.0 <= swept.outage_estimate <= 1.0
     assert swept.trials == 500
+
+
+def test_seeds_give_their_own_estimates():
+    cfg = make_config(trials=300)
+    assert sweep_density(cfg, [0.05], SINGLE) == sweep_density(cfg, [0.05], SINGLE, seed=0)
+    assert sweep_density(cfg, [0.05], SINGLE, seed=1) != sweep_density(cfg, [0.05], SINGLE, seed=2)
 
 
 def test_sweep_density_rejects_empty():
@@ -186,10 +192,17 @@ def test_sweep_density_checks_every_density_before_the_first_trial(monkeypatch, 
         sweep_density(make_config(), densities, SINGLE)
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, float("nan"), float("inf")])
+def test_sweep_density_checks_the_seed_before_the_first_trial(monkeypatch, seed):
+    _stop_at_first_draw(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {re.escape(str(seed))}$"):
+        sweep_density(make_config(), [DENSITY], ARCHITECTURES, seed=seed)
+
+
 DEFAULT_DENSITIES = [0.5, 1.0, 2.0, 4.0]
 # The CLI's default scenario (4 antennas, densities up to 4) at each size
 # limit: fields that fit, the same just past the limit, and the names the
-# refusal starts with (after the density's name). 892 m gives 9,998,868
+# refusal starts with (after "densities"). 892 m gives 9,998,868
 # expected transmitters per trial, 446 m ~9,998,000 channel entries, and
 # 3,162 antennas a codebook of 9,998,244 entries.
 SIZE_LIMITS = {
@@ -200,39 +213,35 @@ SIZE_LIMITS = {
 }
 
 
-@pytest.mark.parametrize("entry", ["sweep_density", "run_outage"])
+# A sweep of one density at the largest checks the same limits as the whole sweep.
+@pytest.mark.parametrize("densities", [DEFAULT_DENSITIES, [4.0]], ids=["sweep", "largest"])
 @pytest.mark.parametrize("limit", sorted(SIZE_LIMITS))
-def test_scenarios_too_large_to_allocate_are_refused_before_drawing(monkeypatch, entry, limit):
+def test_scenarios_too_large_to_allocate_are_refused_before_drawing(monkeypatch, densities, limit):
     fits, too_large, names = SIZE_LIMITS[limit]
-    if entry == "sweep_density":
-        run, name = (lambda cfg: sweep_density(cfg, DEFAULT_DENSITIES, ARCHITECTURES)), "densities"
-    else:
-        run, name = (lambda cfg: run_outage(dataclasses.replace(cfg, density=4.0), ARCHITECTURES)), "density"
     _stop_at_first_draw(monkeypatch)
-    cfg = OutageConfig(density=0.0, **{"n_antennas": 4, **fits})
+    cfg = OutageConfig(**{"n_antennas": 4, **fits})
     with pytest.raises(DrawReached):
-        run(cfg)
-    pattern = names if names.startswith("^") else f"^{name}{re.escape(names)}"
+        sweep_density(cfg, densities, ARCHITECTURES)
+    pattern = names if names.startswith("^") else f"^densities{re.escape(names)}"
     with pytest.raises(ValueError, match=rf"{pattern} give .*; the limit is 1e\+07$"):
-        run(dataclasses.replace(cfg, **too_large))
+        sweep_density(dataclasses.replace(cfg, **too_large), densities, ARCHITECTURES)
 
 
-def test_the_codebook_limit_applies_only_with_rf(monkeypatch):
+@pytest.mark.parametrize("densities", [DEFAULT_DENSITIES, [4.0]], ids=["sweep", "largest"])
+def test_the_codebook_limit_applies_only_with_rf(monkeypatch, densities):
     _stop_at_first_draw(monkeypatch)
-    cfg = OutageConfig(density=4.0, n_antennas=3163, trials=1)
+    cfg = OutageConfig(n_antennas=3163, trials=1)
     with pytest.raises(DrawReached):
-        run_outage(cfg, ("single", "dc"))
-    with pytest.raises(DrawReached):
-        sweep_density(cfg, DEFAULT_DENSITIES, ("single", "dc"))
+        sweep_density(cfg, densities, ("single", "dc"))
 
 
 def test_ci_halfwidth_formula():
-    [result] = run_outage(make_config(trials=2000), SINGLE)
+    [[result]] = sweep_density(make_config(trials=2000), [DENSITY], SINGLE, seed=SEED)
     p = result.outage_estimate
     assert np.isclose(result.ci95_halfwidth, 1.96 * np.sqrt(p * (1 - p) / 2000), rtol=1e-12)
 
 
-@pytest.mark.parametrize("field", ["density", "disk_radius", "tx_power", "target"])
+@pytest.mark.parametrize("field", ["disk_radius", "tx_power", "target"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -241,7 +250,7 @@ def test_config_rejects_non_finite_fields(field, value):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        make_config(density=-0.1)
+        make_config(disk_radius=-0.1)
     with pytest.raises(ValueError):
         make_config(target=0.0)
     with pytest.raises(ValueError):
@@ -251,7 +260,7 @@ def test_config_validation():
 
 
 # SHA-256 of the (trials, 3) float64 array of per-trial harvested powers under
-# (single, dc, rf), 200 trials of make_config(density=d, n_antennas=m). At
+# (single, dc, rf), 200 trials of make_config(n_antennas=m) at density d. At
 # d = 0.01 (about three sources per disk) 7 of the 200 trials draw no source.
 TRIAL_DIGESTS = {
     (0.0, 1): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
@@ -270,19 +279,19 @@ TRIAL_DIGESTS = {
 
 @pytest.mark.parametrize("density, antennas", sorted(TRIAL_DIGESTS))
 def test_per_trial_bytes_are_pinned(density, antennas):
-    cfg = make_config(density=density, n_antennas=antennas, trials=200)
+    cfg = make_config(n_antennas=antennas, trials=200)
     # One row per trial, one column per architecture.
-    digest = hashlib.sha256(harvested(cfg, ARCHITECTURES, range(cfg.trials)).T.tobytes()).hexdigest()
+    digest = hashlib.sha256(harvested(cfg, ARCHITECTURES, range(cfg.trials), density).T.tobytes()).hexdigest()
     assert digest == TRIAL_DIGESTS[density, antennas]
 
 
 @pytest.mark.parametrize("density, antennas", sorted(TRIAL_DIGESTS))
 def test_batched_trials_equal_each_trial_alone(density, antennas):
-    cfg = make_config(density=density, n_antennas=antennas, trials=200)
+    cfg = make_config(n_antennas=antennas, trials=200)
     for archs in (ARCHITECTURES, ("rf",), ("dc", "single")):
-        alone = np.array([harvested(cfg, archs, [t])[:, 0] for t in range(cfg.trials)])
-        seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-        batched = wetplan.outage._harvest_trials(cfg, archs, cfg.trials, iter(seeds))
+        alone = np.array([harvested(cfg, archs, [t], density)[:, 0] for t in range(cfg.trials)])
+        seeds = [trial_seed(SEED, t) for t in range(cfg.trials)]
+        batched = wetplan.outage._harvest_trials(cfg, density, archs, cfg.trials, iter(seeds))
         assert batched.shape == (len(archs), cfg.trials)
         assert (batched == alone.T).all()
 
@@ -290,18 +299,18 @@ def test_batched_trials_equal_each_trial_alone(density, antennas):
 def test_outage_result_bits_are_pinned():
     # float.hex of (outage_estimate, ci95_halfwidth, mean_harvested); the CSV
     # does not carry mean_harvested.
-    results = run_outage(make_config(n_antennas=4, trials=500), ARCHITECTURES)
+    [results] = sweep_density(make_config(n_antennas=4, trials=500), [DENSITY], ARCHITECTURES, seed=SEED)
     assert [r.trials for r in results] == [500] * 3
     assert [(r.outage_estimate.hex(), r.ci95_halfwidth.hex(), r.mean_harvested.hex()) for r in results] == [
-        ("0x1.4dd2f1a9fbe77p-1", "0x1.5609be3480857p-5", "0x1.3f2bfce05e873p-10"),
-        ("0x1.916872b020c4ap-3", "0x1.1d0c21ed270dap-5", "0x1.40de1f6375d8bp-8"),
-        ("0x1.999999999999ap-2", "0x1.5fc6be9f91247p-5", "0x1.1680655381712p-9"),
+        ("0x1.4189374bc6a7fp-1", "0x1.5b10f1a36200fp-5", "0x1.5455a5fdfa0f0p-10"),
+        ("0x1.9db22d0e56042p-3", "0x1.204bb20e177f2p-5", "0x1.54e052ba6d42bp-8"),
+        ("0x1.8d4fdf3b645a2p-2", "0x1.5de82ed31993ap-5", "0x1.1d9c522eeea44p-9"),
     ]
 
 
-def _serial(cfg, archs):
-    seeds = (trial_seed(cfg.seed, t) for t in range(cfg.trials))
-    return wetplan.outage._harvest_trials(cfg, archs, cfg.trials, seeds)
+def _serial(cfg, density, seed, archs):
+    seeds = (trial_seed(seed, t) for t in range(cfg.trials))
+    return wetplan.outage._harvest_trials(cfg, density, archs, cfg.trials, seeds)
 
 
 def _assert_no_child_left():
@@ -331,19 +340,21 @@ def _count_forks(monkeypatch):
 
 # 200 trials over 3 CPUs are dealt 67/67/66 and over 7 CPUs 29 or 28 per
 # share; 5 trials over 7 CPUs run as 5 one-trial shares, so 4 forks per call.
-# Two configs share each fork.
+# Two (density, seed) pairs share each fork.
 @needs_fork
 @pytest.mark.parametrize("trials", [200, 5])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_split_trials_are_bit_identical_to_one_serial_call(trials, cpus, monkeypatch):
     _cpus(monkeypatch, cpus)
     forked = _count_forks(monkeypatch)
-    configs = [make_config(density=d, n_antennas=4, trials=trials, seed=s) for d, s in ((0.5, 99), (0.1, 7))]
+    cfg = make_config(n_antennas=4, trials=trials)
+    densities, seeds = [0.5, 0.1], [99, 7]
     for archs in (ARCHITECTURES, ("dc",)):
-        split = wetplan.outage._harvest_split(configs, archs)
-        assert split.shape == (len(configs), len(archs), trials)
+        split = wetplan.outage._harvest_split(cfg, densities, seeds, archs)
+        assert split.shape == (len(densities), len(archs), trials)
         assert split.flags.c_contiguous
-        assert split.tobytes() == np.array([_serial(cfg, archs) for cfg in configs]).tobytes()
+        serial = [_serial(cfg, d, s, archs) for d, s in zip(densities, seeds)]
+        assert split.tobytes() == np.array(serial).tobytes()
     assert len(forked) == 2 * (min(cpus, trials) - 1)
     _assert_no_child_left()
 
@@ -354,7 +365,8 @@ def test_results_do_not_depend_on_the_cpu_count(monkeypatch):
     seen = {}
     for cpus in (1, 3):
         _cpus(monkeypatch, cpus)
-        seen[cpus] = (run_outage(cfg, ARCHITECTURES), sweep_density(cfg, [0.02, 0.05], ARCHITECTURES))
+        seen[cpus] = (sweep_density(cfg, [DENSITY], ARCHITECTURES, seed=SEED),
+                      sweep_density(cfg, [0.02, 0.05], ARCHITECTURES))
     assert seen[1] == seen[3]
 
 
@@ -373,12 +385,12 @@ def _failing_in(shares, *, otherwise=None):
     ``shares`` accepts, and runs ``otherwise`` (default: the real one) for the rest."""
     real = wetplan.outage._harvest_trials
 
-    def fake(config, archs, count, seeds):
+    def fake(config, density, archs, count, seeds):
         seeds = list(seeds)
         first = seeds[0].entropy[1]
         if shares(first):
             raise ValueError(f"no share from trial {first}")
-        return (otherwise or real)(config, archs, count, seeds)
+        return (otherwise or real)(config, density, archs, count, seeds)
 
     return fake
 
@@ -389,7 +401,7 @@ def test_a_failing_worker_names_the_density_and_trials(monkeypatch):
     monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 1))
     message = r"^outage trials 1 to 28 step 3 at densities 0\.03 failed .*no share from trial 1$"
     with pytest.raises(RuntimeError, match=message):
-        run_outage(make_config(trials=30), ARCHITECTURES)
+        sweep_density(make_config(trials=30), [DENSITY], ARCHITECTURES)
     with pytest.raises(RuntimeError, match=r"^outage trials 1 to 28 step 3 at densities 0\.02, 0\.05 failed "):
         sweep_density(make_config(trials=30), [0.02, 0.05], ARCHITECTURES)
     _assert_no_child_left()
@@ -404,6 +416,6 @@ def test_a_failing_own_block_kills_and_reaps_the_workers(monkeypatch):
     monkeypatch.setattr(wetplan.outage, "_harvest_trials", _failing_in(lambda first: first == 0, otherwise=stall))
     started = time.monotonic()
     with pytest.raises(ValueError, match="no share from trial 0"):
-        run_outage(make_config(trials=30), ARCHITECTURES)
+        sweep_density(make_config(trials=30), [DENSITY], ARCHITECTURES)
     assert time.monotonic() - started < 30
     _assert_no_child_left()

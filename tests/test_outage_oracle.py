@@ -40,7 +40,6 @@ References: Haenggi, *Stochastic Geometry for Wireless Networks*, Cambridge
 "Note on the inversion theorem", Biometrika 1951.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -97,7 +96,7 @@ def beam_cf(s, k: float, pattern: np.ndarray):
     return sum(np.exp(los * q) for q in pattern) / (pattern.size * d)
 
 
-def source_integral(t: np.ndarray, config: OutageConfig, cf) -> np.ndarray:
+def source_integral(t: np.ndarray, config: OutageConfig, density: float, cf) -> np.ndarray:
     """``lam * int_0^R 2 pi r cf(t p g(r)) dr`` at each ``t``; ``log phi_P`` is this minus ``lam pi R^2``.
 
     ``cf`` is one source's characteristic function of its power gain.
@@ -113,7 +112,7 @@ def source_integral(t: np.ndarray, config: OutageConfig, cf) -> np.ndarray:
         weights = math.pi * (hi - lo) * w * r * r  # 2 pi r dr, with dr = r d(log r)
         gains = config.tx_power * g0 * (r / d0) ** (-pl.exponent)
         total = total + cf(np.multiply.outer(t, gains)) @ weights
-    return config.density * total
+    return density * total
 
 
 def oscillatory_integral(t: np.ndarray, f: np.ndarray, x: float) -> float:
@@ -134,21 +133,21 @@ def oscillatory_integral(t: np.ndarray, f: np.ndarray, x: float) -> float:
     return float(np.sum(np.where(x * h > 0.05, filon, trapezoid)).imag)
 
 
-def exact_outage(config: OutageConfig, p_th: float, cf=None) -> float:
-    """``F_P(p_th)`` by Gil-Pelaez inversion, with the atom at 0 split off.
+def exact_outage(config: OutageConfig, density: float, p_th: float, cf=None) -> float:
+    """``F_P(p_th)`` at ``density`` by Gil-Pelaez inversion, with the atom at 0 split off.
 
     ``cf`` is one source's characteristic function of its power gain, by
     default antenna 0's Rician ``phi_X``.
     """
     cf = cf or (lambda s: rician_cf(s, config.rician.k_factor))
-    mass = config.density * math.pi * config.disk_radius**2
+    mass = density * math.pi * config.disk_radius**2
     a0 = math.exp(-mass)
     t = np.geomspace(1e-7 / p_th, 1e9 / p_th, 16 * T_PER_DECADE + 1)
-    excess = np.exp(source_integral(t, config, cf) - mass) - a0  # phi_P - a0
+    excess = np.exp(source_integral(t, config, density, cf) - mass) - a0  # phi_P - a0
     return 0.5 * (1.0 + a0) - oscillatory_integral(t, excess / t, p_th) / math.pi
 
 
-def campbell_mean(config: OutageConfig) -> float:
+def campbell_mean(config: OutageConfig, density: float) -> float:
     """``E[P] = lam p int_0^R 2 pi r g(r) dr`` in closed form (``exponent != 2``)."""
     pl, radius = config.pathloss, config.disk_radius
     g0 = 10.0 ** (-pl.fixed_loss_db / 10.0)
@@ -156,35 +155,38 @@ def campbell_mean(config: OutageConfig) -> float:
     area_gain = math.pi * min(d0, radius) ** 2
     if radius > d0:
         area_gain += 2.0 * math.pi * d0**alpha * (radius ** (2.0 - alpha) - d0 ** (2.0 - alpha)) / (2.0 - alpha)
-    return config.density * config.tx_power * g0 * area_gain
+    return density * config.tx_power * g0 * area_gain
 
 
 # 20 dB of fixed loss (acceptance criterion 4's scenario) brings the target
 # within reach at a few transmitters per disk.
 LOSS_20DB = PathLossParams(exponent=2.7, fixed_loss_db=20.0, reference_distance=1.0)
 
-# name: (scenario, densities, exact outage per density to 5 decimals).
+# name: (scenario, run seed, densities, exact outage per density to 5 decimals).
 CASES = {
     # The outage study's defaults, on one antenna (the single receiver reads
     # antenna 0 only) and fewer trials.
-    "default": (OutageConfig(density=0.0, trials=2000), (0.5, 1.0, 2.0, 4.0), (1.0, 0.99988, 0.60985, 0.0)),
+    "default": (OutageConfig(trials=2000), 0, (0.5, 1.0, 2.0, 4.0), (1.0, 0.99988, 0.60985, 0.0)),
     # Criterion 4's sweep, its seed and trials. The 0.08 point reads 2.1
     # sigma low there; independent 40,000-trial runs agree with the exact
     # value, so that is noise, and the gate is 4 sigma.
     "criterion-4": (
-        OutageConfig(density=0.0, pathloss=LOSS_20DB, trials=10_000, seed=424, n_antennas=4),
+        OutageConfig(pathloss=LOSS_20DB, trials=10_000, n_antennas=4),
+        424,
         (0.01, 0.03, 0.08),
         (0.89366, 0.63494, 0.10492),
     ),
     # K = 0: the sources' power gains are exponential.
     "rayleigh": (
-        OutageConfig(density=0.0, pathloss=LOSS_20DB, rician=RicianParams(0.0), trials=4000),
+        OutageConfig(pathloss=LOSS_20DB, rician=RicianParams(0.0), trials=4000),
+        0,
         (0.05,),
         (0.42571,),
     ),
     # A 2 m disk: the clamped inner 1 m carries about half of the mean power.
     "near-field": (
-        OutageConfig(density=0.0, disk_radius=2.0, pathloss=PathLossParams(2.7, 35.0, 1.0), trials=4000),
+        OutageConfig(disk_radius=2.0, pathloss=PathLossParams(2.7, 35.0, 1.0), trials=4000),
+        0,
         (1.0,),
         (0.56281,),
     ),
@@ -193,18 +195,18 @@ CASES = {
 
 def test_threshold_of_the_default_curve():
     # (0.45 + 0.005 x) * 10**(x / 10) mW = 1 mW, on the 0..10 dBm segment.
-    p_th = threshold(OutageConfig(density=0.0))
+    p_th = threshold(OutageConfig())
     assert p_th == pytest.approx(2.1434e-3, rel=5e-5)
     assert harvest(p_th, HarvesterCurve()) >= 1e-3 > harvest(p_th * (1.0 - 1e-9), HarvesterCurve())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_single_antenna_outage_matches_the_exact_value(name):
-    base, densities, listed = CASES[name]
+    base, seed, densities, listed = CASES[name]
     p_th = threshold(base)
-    exact = [exact_outage(dataclasses.replace(base, density=d), p_th) for d in densities]
+    exact = [exact_outage(base, d, p_th) for d in densities]
     assert exact == pytest.approx(listed, abs=2e-5)
-    estimates = sweep_density(base, densities, ("single",))
+    estimates = sweep_density(base, densities, ("single",), seed)
     for d, p, (result,) in zip(densities, exact, estimates):
         p = min(max(p, 0.0), 1.0)
         bound = 4.0 * math.sqrt(p * (1.0 - p) / result.trials) + 1e-4
@@ -215,9 +217,9 @@ def test_single_antenna_outage_matches_the_exact_value(name):
 # decimals). The outage study's 4 antennas; with K = 0 the beam pattern drops
 # out, and the value is that of any codeword.
 BEAM_CASES = {
-    "k0": (OutageConfig(density=0.0, n_antennas=4, trials=4000), 0, 0.93805),
-    "k1": (OutageConfig(density=0.0, n_antennas=4, trials=4000), 1, 0.86246),
-    "rayleigh": (OutageConfig(density=0.0, n_antennas=4, rician=RicianParams(0.0), trials=4000), 1, 0.60469),
+    "k0": (OutageConfig(n_antennas=4, trials=4000), 0, 0.93805),
+    "k1": (OutageConfig(n_antennas=4, trials=4000), 1, 0.86246),
+    "rayleigh": (OutageConfig(n_antennas=4, rician=RicianParams(0.0), trials=4000), 1, 0.60469),
 }
 
 
@@ -228,8 +230,7 @@ def test_fixed_codeword_outage_matches_the_exact_value(monkeypatch, name):
     codeword = np.exp(2j * math.pi * k * np.arange(m) / m) / math.sqrt(m)
     monkeypatch.setattr(wetplan.outage, "dft_codebook", lambda size: codeword[None, :])
     pattern = beam_pattern(k, m)
-    p = exact_outage(dataclasses.replace(base, density=2.0), threshold(base),
-                     lambda s: beam_cf(s, base.rician.k_factor, pattern))
+    p = exact_outage(base, 2.0, threshold(base), lambda s: beam_cf(s, base.rician.k_factor, pattern))
     assert p == pytest.approx(listed, abs=2e-5)
     ((result,),) = sweep_density(base, (2.0,), ("rf",))
     bound = 4.0 * math.sqrt(p * (1.0 - p) / result.trials) + 1e-4
@@ -238,14 +239,14 @@ def test_fixed_codeword_outage_matches_the_exact_value(monkeypatch, name):
 
 @pytest.mark.parametrize("k_factor", [10.0, 0.0])
 def test_mean_incident_power_matches_campbell(k_factor):
-    config = OutageConfig(density=0.08, pathloss=LOSS_20DB, rician=RicianParams(k_factor), n_antennas=4)
-    trials = 2000
+    config = OutageConfig(pathloss=LOSS_20DB, rician=RicianParams(k_factor), n_antennas=4)
+    density, trials = 0.08, 2000
     powers = np.zeros((trials, config.n_antennas))
     device = (0.0, 0.0)
     for t in range(trials):
-        rng = np.random.default_rng(trial_seed(config.seed, t))
-        positions = sample_hppp(config.density, config.disk_radius, rng)
+        rng = np.random.default_rng(trial_seed(0, t))
+        positions = sample_hppp(density, config.disk_radius, rng)
         h = sample_channels(positions, device, config.n_antennas, config.rician, config.pathloss, rng)
         powers[t] = _antenna_powers(h, config.tx_power)
     stderr = powers.std(axis=0, ddof=1) / math.sqrt(trials)
-    assert np.all(np.abs(powers.mean(axis=0) - campbell_mean(config)) <= 4.0 * stderr)
+    assert np.all(np.abs(powers.mean(axis=0) - campbell_mean(config, density)) <= 4.0 * stderr)

@@ -3,7 +3,8 @@
 Each declared bound refuses the last value off it and takes the first value on
 it, every float field refuses NaN, and every int field takes a value past the
 range of a float and refuses a non-integer; each refusal reads exactly
-``<name> must be ...``.
+``<name> must be ...``. Every seeded entry point refuses a seed that is not an
+integer >= 0 before it draws.
 """
 
 import dataclasses
@@ -18,11 +19,11 @@ import pytest
 
 import wetplan
 from wetplan.ambient import GaussianComponent, example_map
-from wetplan.beampower import ChannelModel, MulticastProblem
+from wetplan.beampower import ChannelModel, MulticastProblem, min_power_precoder, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams
 from wetplan.costs import CostParams
-from wetplan.deployment import DeploymentProblem, SolverConfig
-from wetplan.outage import OutageConfig
+from wetplan.deployment import DeploymentProblem, SolverConfig, optimize
+from wetplan.outage import OutageConfig, sweep_density
 
 # Arguments of a valid instance of each class that declares a range.
 VALID = {
@@ -33,7 +34,7 @@ VALID = {
     MulticastProblem: {"channels": [[1 + 1j]], "gamma": 1.0},
     DeploymentProblem: {"devices": ((0.0, 0.0),), "ambient_map": example_map(), "k": 1},
     SolverConfig: {},
-    OutageConfig: {"density": 1.0},
+    OutageConfig: {},
     CostParams: {},
 }
 
@@ -71,7 +72,7 @@ def _step(f, bound, direction: int):
 
 def test_every_class_with_a_declared_range_is_covered():
     assert set(_ranged_classes()) == set(VALID)
-    assert len(RANGED) == 33
+    assert len(RANGED) == 31
 
 
 @each_field()
@@ -106,3 +107,25 @@ def test_each_int_field_refuses_a_non_integer_by_name(cls, f):
         with pytest.raises(ValueError) as err:
             _build(cls, **{f.name: value})
         assert str(err.value) == f"{f.name} must be an integer, got {value}"
+
+
+# Each seeded entry point on a small valid scenario, called with a seed.
+SEEDED = {
+    "optimize": lambda seed: optimize(_build(DeploymentProblem), seed=seed),
+    "sweep_density": lambda seed: sweep_density(OutageConfig(trials=10), [1.0], ("single",), seed=seed),
+    "sweep_rf_chains": lambda seed: sweep_rf_chains(2, 1e-6, [1, 2], seed=seed),
+    "min_power_precoder": lambda seed: min_power_precoder(_build(MulticastProblem), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_each_seeded_entry_point_refuses_a_bad_seed_before_drawing(monkeypatch, entry, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw was seeded before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    with pytest.raises(ValueError) as err:
+        SEEDED[entry](seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed}"
