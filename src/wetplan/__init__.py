@@ -37,8 +37,7 @@ from .costs import (
     battery_replacements,
     crossover_device_count,
     scenario_cost,
-    sweep_devices,
-    sweep_hardware_lifetime,
+    sweep_costs,
 )
 from .deployment import (
     DeploymentProblem,
@@ -77,8 +76,7 @@ __all__ = [
     "battery_replacements",
     "crossover_device_count",
     "scenario_cost",
-    "sweep_devices",
-    "sweep_hardware_lifetime",
+    "sweep_costs",
     "DeploymentProblem",
     "DeploymentSolution",
     "SolverConfig",

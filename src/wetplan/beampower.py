@@ -115,7 +115,7 @@ def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENC
     _require_bound("tx_power", tx_power, ">=", 0)
     if not 0.0 < pa_efficiency <= 1.0:
         raise ValueError(f"pa_efficiency must be in (0, 1], got {pa_efficiency}")
-    _require_bound("n_rf", n_rf, ">=", 0)
+    _require_integer("n_rf", n_rf, 0)
     _require_bound("p_rf", p_rf, ">=", 0)
     return tx_power / pa_efficiency + n_rf * p_rf
 
@@ -358,7 +358,7 @@ def _check_solver_arguments(tol: float, n_randomizations: int, seed: int) -> Non
     """Refuse a relaxation tolerance, a randomization count or a seed no solve can use."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    _require_bound("n_randomizations", n_randomizations, ">=", 0)
+    _require_integer("n_randomizations", n_randomizations, 0)
     _require_integer("seed", seed, 0)
 
 
@@ -396,8 +396,7 @@ class ChannelModel:
 
 def draw_device_positions(n: int, radius: float, seed) -> np.ndarray:
     """``n`` uniform device positions in a disk of ``radius`` around the beacon, as an (n, 2) array."""
-    if n < 1:
-        raise ValueError(f"need at least one device, got {n}")
+    _require_integer("n", n, 1)
     _require_finite(locals(), "radius")
     _require_bound("radius", radius, ">", 0)
     return _uniform_disk(n, radius, np.random.default_rng(seed))

@@ -50,7 +50,7 @@ from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect, example_map
 from .beampower import ChannelModel, sweep_rf_chains
 from .config import ConfigError, ConfigKey, _argument_keys, _field_keys, canonical, resolve_config
-from .costs import CostParams, cents_to_dollars, sweep_devices, sweep_hardware_lifetime
+from .costs import CostParams, cents_to_dollars, sweep_costs
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
 from .harvesting import ARCHITECTURES
 from .outage import OutageConfig, sweep_density
@@ -60,13 +60,13 @@ __all__ = ["RunConfig", "RunManifest", "STUDIES", "main", "run", "emit_plot_data
 
 @dataclass(frozen=True)
 class Study:
-    """One subcommand. ``runner(resolved, seed)`` returns the CSV header and rows; ``layout(rows, resolved)``
-    yields the lines of the plot data, each row a dict of one CSV row's cells by column name."""
+    """One subcommand. ``runner(resolved, seed)`` returns the CSV header and rows; ``layout(rows)`` yields
+    the lines of the plot data, each row a dict of one CSV row's cells by column name."""
 
     help: str
     keys: dict[str, ConfigKey]
     runner: Callable[[dict, int], tuple[list[str], list[tuple]]]
-    layout: Callable[[list[dict[str, str]], dict], Iterable[str]]
+    layout: Callable[[list[dict[str, str]]], Iterable[str]]
 
 
 @dataclass(frozen=True)
@@ -221,31 +221,17 @@ def _series(title: str, columns: list[str], rows) -> Iterator[str]:
         yield " ".join(r[c] for c in columns)
 
 
-def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]], resolved) -> str:
-    """Render a run's CSV cells as gnuplot-style columnar text, one block per series, in the study's layout.
-
-    ``resolved`` is the run's resolved config; the cost sweep's ``mode`` sets
-    its x axis.
-    """
+def emit_plot_data(subcommand: str, header: list[str], cells: list[list[str]]) -> str:
+    """Render a run's CSV cells as gnuplot-style columnar text, one block per series, in the study's layout."""
     if subcommand not in STUDIES:
         raise ValueError(f"no plot layout for subcommand {subcommand!r}")
     rows = [dict(zip(header, r)) for r in cells]
-    return "\n".join(STUDIES[subcommand].layout(rows, resolved)) + "\n"
-
-
-# The lifetime sweep's keyword argument that a key of another name sets: argument -> key.
-_LIFETIME_ARGUMENTS = {"n_devices": "lifetime_n_devices"}
+    return "\n".join(STUDIES[subcommand].layout(rows)) + "\n"
 
 
 def _run_cost(resolved, seed: int):
     params = _build(CostParams, resolved)
-    # A sweep checks its values when called and computes rows only as they are
-    # read, so both modes' values are checked before any cost is computed.
-    devices = sweep_devices(params, resolved["n_devices"])
-    with _keyed(**_LIFETIME_ARGUMENTS):
-        lifetime = sweep_hardware_lifetime(params, resolved["horizons"], resolved["battery_lives"],
-                                           **{a: resolved[k] for a, k in _LIFETIME_ARGUMENTS.items()})
-    breakdowns = devices if resolved["mode"] == "devices" else lifetime
+    breakdowns = sweep_costs(params, resolved["n_devices"], resolved["horizons"], resolved["battery_lives"])
     header = [
         "scenario", "n_devices", "horizon", "battery_life",
         "device_install", "device_maintenance", "pb_install", "pb_opex", "total",
@@ -255,12 +241,15 @@ def _run_cost(resolved, seed: int):
     return header, rows
 
 
-def _plot_cost(rows, resolved):
-    x_name = "n_devices" if resolved["mode"] == "devices" else "horizon"
+def _plot_cost(rows):
+    # One fleet costed over several horizons or battery lives plots against the
+    # horizon, one series per battery life; any other sweep against the fleet size.
+    over_time = len({r["n_devices"] for r in rows}) == 1 and len({(r["horizon"], r["battery_life"]) for r in rows}) > 1
+    x_name = "horizon" if over_time else "n_devices"
     yield f"# cost sweep: x = {x_name}, y = total cost (USD)"
     for scenario in sorted({r["scenario"] for r in rows}):
         series = [r for r in rows if r["scenario"] == scenario]
-        if x_name == "n_devices":
+        if not over_time:
             yield from _series(scenario, [x_name, "total"], series)
             continue
         for life in sorted({r["battery_life"] for r in series}, key=float):
@@ -271,11 +260,9 @@ def _plot_cost(rows, resolved):
 _COST = Study(
     "total-cost comparison of device powering scenarios",
     _keys(
-        ConfigKey("mode", "str", "devices", choices=("devices", "lifetime")),
         ConfigKey("n_devices", "int_list", (10, 50, 100)),
-        *_argument_keys(sweep_hardware_lifetime, _LIFETIME_ARGUMENTS),
-        ConfigKey("horizons", "int_list", (5, 10, 15, 20)),
-        ConfigKey("battery_lives", "int_list", (1, 2, 3, 5, 10)),
+        ConfigKey("horizons", "int_list", (15,)),
+        ConfigKey("battery_lives", "int_list", (5,)),
         *_field_keys(CostParams),
     ),
     _run_cost,
@@ -303,7 +290,7 @@ def _run_deploy(resolved, seed: int):
     return header, rows
 
 
-def _plot_deploy(rows, resolved):
+def _plot_deploy(rows):
     yield "# deployment: positions in meters; powers in watts"
     for kind, columns in (("pb", ["x", "y", "tx_power_w"]), ("device", ["x", "y", "received_power_w", "is_worst"])):
         yield from _series(kind, columns, [r for r in rows if r["row_type"] == kind])
@@ -347,7 +334,7 @@ def _run_outage(resolved, seed: int):
     return header, rows
 
 
-def _plot_outage(rows, resolved):
+def _plot_outage(rows):
     yield "# outage vs density: x = transmitters per m^2, y = outage probability"
     for arch, antennas in sorted({(r["architecture"], r["antennas"]) for r in rows}):
         series = [r for r in rows if r["architecture"] == arch and r["antennas"] == antennas]
@@ -389,7 +376,7 @@ def _run_rfchains(resolved, seed: int):
     return header, rows
 
 
-def _plot_rfchains(rows, resolved):
+def _plot_rfchains(rows):
     yield "# consumption vs RF chains: x = active chains, y = beacon consumption (W)"
     best = [r["m"] for r in rows if r["is_optimum"] == "1"]
     if best:
@@ -440,7 +427,7 @@ def run(rc: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(stage(f"{rc.subcommand}.csv"), header, cells)
         if rc.plot_data:
-            stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells, resolved))
+            stage(f"{rc.subcommand}.dat").write_text(emit_plot_data(rc.subcommand, header, cells))
 
         manifest = RunManifest(
             version=__version__,

@@ -21,8 +21,7 @@ __all__ = [
     "CostBreakdown",
     "battery_replacements",
     "scenario_cost",
-    "sweep_devices",
-    "sweep_hardware_lifetime",
+    "sweep_costs",
     "crossover_device_count",
     "cents_to_dollars",
 ]
@@ -44,7 +43,8 @@ def cents_to_dollars(cents: int) -> str:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Unit costs and lifetimes (dollars, years, watts).
+    """Unit costs and lifetimes (dollars, years, watts); the planning horizon
+    and the device battery life are arguments of each cost.
 
     ``include_final_replacement`` switches the battery-swap count from
     ``ceil(T/L) - 1`` (a swap falling exactly at the end of the horizon is
@@ -64,8 +64,6 @@ class CostParams:
     green_pb_replacement_period: int = _ranged(25, above=0)
     pb_avg_power_w: Fraction = _ranged(Fraction(6), at_least=0)
     grid_price_per_kwh: Fraction = _ranged(Fraction(1, 4), at_least=0)
-    device_battery_life: int = _ranged(5, above=0)
-    horizon: int = _ranged(15, above=0)
     include_final_replacement: bool = False
     annualize_green_replacement: bool = True
 
@@ -92,10 +90,8 @@ class CostBreakdown:
 
 def battery_replacements(horizon_years: int, battery_life_years: int, include_final: bool = False) -> int:
     """Battery swaps over the horizon; the end-of-horizon swap is optional."""
-    if battery_life_years <= 0:
-        raise ValueError(f"battery life must be > 0 years, got {battery_life_years}")
-    if horizon_years <= 0:
-        raise ValueError(f"horizon must be > 0 years, got {horizon_years}")
+    _require_integer("battery_life_years", battery_life_years, 1)
+    _require_integer("horizon_years", horizon_years, 1)
     if include_final:
         return horizon_years // battery_life_years
     return -(-horizon_years // battery_life_years) - 1
@@ -105,8 +101,7 @@ def _round_cents(dollars: Fraction) -> int:
     return round(dollars * 100)
 
 
-def _pb_opex_per_unit(scenario: str, p: CostParams) -> Fraction:
-    t = p.horizon
+def _pb_opex_per_unit(scenario: str, p: CostParams, t: int) -> Fraction:
     if scenario == "grid_pb":
         kwh = p.pb_avg_power_w * HOURS_PER_YEAR * t / 1000
         return kwh * p.grid_price_per_kwh
@@ -120,17 +115,18 @@ def _pb_opex_per_unit(scenario: str, p: CostParams) -> Fraction:
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBreakdown:
-    """Total cost breakdown of one powering scenario over the planning horizon."""
+def scenario_cost(scenario: str, n_devices: int, params: CostParams, horizon: int, battery_life: int) -> CostBreakdown:
+    """Total cost breakdown of one powering scenario over a ``horizon`` of years,
+    for devices whose batteries last ``battery_life`` years."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     _require_integer("n_devices", n_devices, 1)
+    _require_integer("horizon", horizon, 1)
+    _require_integer("battery_life", battery_life, 1)
 
     device_install = n_devices * params.device_install
     if scenario == "baseline":
-        swaps = battery_replacements(
-            params.horizon, params.device_battery_life, params.include_final_replacement
-        )
+        swaps = battery_replacements(horizon, battery_life, params.include_final_replacement)
         maintenance = n_devices * swaps * params.device_install * params.device_maintenance_fraction
         pb_install = pb_opex = Fraction(0)
     else:
@@ -143,14 +139,14 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams) -> CostBrea
             "green_pb": params.install_green_pb,
         }[scenario]
         pb_install = n_pb * unit_install
-        pb_opex = n_pb * _pb_opex_per_unit(scenario, params)
+        pb_opex = n_pb * _pb_opex_per_unit(scenario, params, horizon)
 
     cents = [_round_cents(v) for v in (device_install, maintenance, pb_install, pb_opex)]
     return CostBreakdown(
         scenario=scenario,
         n_devices=n_devices,
-        horizon_years=params.horizon,
-        battery_life_years=params.device_battery_life,
+        horizon_years=horizon,
+        battery_life_years=battery_life,
         device_install_cents=cents[0],
         device_maintenance_cents=cents[1],
         pb_install_cents=cents[2],
@@ -167,35 +163,25 @@ def _positive_list(name: str, values) -> list:
     return items
 
 
-def sweep_devices(params: CostParams, n_devices) -> Iterator[CostBreakdown]:
-    """All four scenarios for each device count, scenario-major per count.
-
-    ``n_devices`` is checked when the sweep is called; the rows are computed
-    as they are read.
-    """
-    counts = _positive_list("n_devices", n_devices)
-    return (scenario_cost(s, n, params) for n in counts for s in SCENARIOS)
-
-
-def sweep_hardware_lifetime(
-    params: CostParams, horizons, battery_lives, n_devices: int = 100
-) -> Iterator[CostBreakdown]:
-    """All four scenarios per (horizon, battery life) grid point, for a fleet of ``n_devices``.
+def sweep_costs(params: CostParams, n_devices, horizons, battery_lives) -> Iterator[CostBreakdown]:
+    """All four scenarios at every (horizon, battery life, fleet size), nested
+    in that order with the scenario innermost.
 
     The arguments are checked when the sweep is called; the rows are computed
     as they are read.
     """
+    counts = _positive_list("n_devices", n_devices)
     horizons, lives = _positive_list("horizons", horizons), _positive_list("battery_lives", battery_lives)
-    _require_integer("n_devices", n_devices, 1)
-    grid = (dataclasses.replace(params, horizon=h, device_battery_life=life) for h in horizons for life in lives)
-    return (scenario_cost(s, n_devices, p) for p in grid for s in SCENARIOS)
+    return (scenario_cost(s, n, params, h, life)
+            for h in horizons for life in lives for n in counts for s in SCENARIOS)
 
 
-def crossover_device_count(params: CostParams, n_max: int = 100) -> int | None:
-    """Smallest fleet size at which green beacons undercut the battery baseline."""
+def crossover_device_count(params: CostParams, horizon: int, battery_life: int, n_max: int = 100) -> int | None:
+    """Smallest fleet size, up to ``n_max``, at which green beacons undercut the battery baseline."""
+    _require_integer("n_max", n_max, 1)
     for n in range(1, n_max + 1):
-        green = scenario_cost("green_pb", n, params).grand_total_cents
-        base = scenario_cost("baseline", n, params).grand_total_cents
+        green = scenario_cost("green_pb", n, params, horizon, battery_life).grand_total_cents
+        base = scenario_cost("baseline", n, params, horizon, battery_life).grand_total_cents
         if green < base:
             return n
     return None

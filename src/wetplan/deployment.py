@@ -38,7 +38,7 @@ import numpy as np
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
     MAX_ARRAY_ENTRIES, PathLossParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most, _require_bound,
-    _require_integer, path_gain,
+    _require_finite, _require_integer, path_gain,
 )
 
 __all__ = [
@@ -391,6 +391,7 @@ def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolu
     Exact at the grid resolution; refuses, before it builds the grid, an
     instance with more than ``GRID_ORACLE_BUDGET`` candidate tuples.
     """
+    _require_finite(locals(), "resolution")
     _require_bound("resolution", resolution, ">", 0)
     area = problem.ambient_map.area
     nx = int(math.floor((area.x_max - area.x_min) / resolution + 1e-9)) + 1

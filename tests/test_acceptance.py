@@ -25,8 +25,8 @@ def report(criterion: int, message: str) -> None:
 
 
 def test_criterion_1_cost_totals_and_ordering():
-    params = CostParams()  # defaults: N per beacon 50, T=15, L=5
-    totals = {s: scenario_cost(s, 100, params).grand_total_cents for s in SCENARIOS}
+    params = CostParams()  # defaults: N per beacon 50; horizon T=15 and battery life L=5 are given
+    totals = {s: scenario_cost(s, 100, params, 15, 5).grand_total_cents for s in SCENARIOS}
     assert totals["baseline"] == 400_000
     assert totals["green_pb"] == 278_592
     assert totals["grid_pb"] == 299_420
@@ -37,9 +37,9 @@ def test_criterion_1_cost_totals_and_ordering():
 
 def test_criterion_2_cost_crossover():
     params = CostParams()
-    n_star = crossover_device_count(params, n_max=100)
+    n_star = crossover_device_count(params, 15, 5, n_max=100)
     assert n_star is not None and 1 <= n_star <= 100
-    at_5 = {s: scenario_cost(s, 5, params).grand_total_cents for s in SCENARIOS}
+    at_5 = {s: scenario_cost(s, 5, params, 15, 5).grand_total_cents for s in SCENARIOS}
     assert all(at_5["baseline"] < at_5[s] for s in SCENARIOS if s != "baseline")
     report(2, f"green beacons undercut the baseline from N*={n_star}; baseline strictly cheapest at N=5")
 

@@ -37,6 +37,9 @@ def test_consumption_validation():
         consumption(1.0, 2, pa_efficiency=0.0)
     with pytest.raises(ValueError):
         consumption(1.0, 2, pa_efficiency=1.2)
+    for n_rf in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^n_rf must be an integer >= 0, got {n_rf}$"):
+            consumption(1.0, n_rf)
 
 
 def test_single_device_matches_matched_filter():
@@ -227,8 +230,11 @@ BAD_SWEEP_ARGUMENTS = [
     ("pa_efficiency", math.nan, r"^pa_efficiency must be in \(0, 1\], got nan$"),
     ("p_rf", -0.5, r"^p_rf must be >= 0, got -0\.5$"),
     ("p_rf", math.inf, r"^p_rf must be finite, got inf$"),
-    ("n_randomizations", -3, r"^n_randomizations must be >= 0, got -3$"),
-    ("n_randomizations", -1, r"^n_randomizations must be >= 0, got -1$"),
+    ("n_randomizations", -3, r"^n_randomizations must be an integer >= 0, got -3$"),
+    ("n_randomizations", -1, r"^n_randomizations must be an integer >= 0, got -1$"),
+    ("n_randomizations", 2.5, r"^n_randomizations must be an integer >= 0, got 2\.5$"),
+    ("n_randomizations", math.nan, r"^n_randomizations must be an integer >= 0, got nan$"),
+    ("n_randomizations", math.inf, r"^n_randomizations must be an integer >= 0, got inf$"),
     ("devices", 0, r"^devices must hold at least one device, got 0$"),
     ("devices", [], r"^devices must hold at least one device, got 0$"),
     ("gamma", 0.0, r"^gamma must be finite and > 0, got 0\.0$"),
@@ -343,15 +349,23 @@ def test_precoder_checks_solver_arguments_before_solving(monkeypatch, name, valu
         min_power_precoder(MulticastProblem(h, 1e-3), **{name: value})
 
 
-@pytest.mark.parametrize("radius, message", [
-    (-1.0, r"^radius must be > 0, got -1\.0$"),
-    (0.0, r"^radius must be > 0, got 0\.0$"),
-    (math.nan, r"^radius must be finite, got nan$"),
-    (math.inf, r"^radius must be finite, got inf$"),
+@pytest.mark.parametrize("n, radius, message", [
+    (3, -1.0, r"^radius must be > 0, got -1\.0$"),
+    (3, 0.0, r"^radius must be > 0, got 0\.0$"),
+    (3, math.nan, r"^radius must be finite, got nan$"),
+    (3, math.inf, r"^radius must be finite, got inf$"),
+    (0, 10.0, r"^n must be an integer >= 1, got 0$"),
+    (2.5, 10.0, r"^n must be an integer >= 1, got 2\.5$"),
+    (math.nan, 10.0, r"^n must be an integer >= 1, got nan$"),
+    (math.inf, 10.0, r"^n must be an integer >= 1, got inf$"),
 ])
-def test_device_positions_refuse_a_bad_radius_before_drawing(radius, message):
+def test_device_positions_refuse_a_bad_count_or_radius_before_drawing(monkeypatch, n, radius, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw was seeded before the arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(ValueError, match=message):
-        draw_device_positions(3, radius, 0)
+        draw_device_positions(n, radius, 0)
 
 
 def test_device_positions_live_in_disk_and_are_seeded():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from wetplan.beampower import ChannelModel
 from wetplan.channel import PathLossParams, RicianParams
 from wetplan.cli import STUDIES, RunConfig, RunManifest, build_parser, emit_plot_data, main, run, verify_manifest
 from wetplan.config import ConfigError, resolve_config
+from wetplan.costs import CostParams
 from wetplan.deployment import DeploymentProblem, SolverConfig
 from wetplan.harvesting import HarvesterCurve
 from wetplan.outage import OutageConfig
@@ -44,19 +46,20 @@ GOLDEN_RFCHAINS_SHA256 = "b73f9b75bc96be135cec52d1d2ebe326ead176fe64b88a5accc082
 GOLDEN_DEPLOY = ("k=3", "solver.n_starts=2")
 GOLDEN_DEPLOY_SHA256 = "ffd699db8d9f1bd46089d263af790e2386cc916e090a30a32491c30224fb511d"
 
-# SHA-256 of cost.csv and cost.dat per sweep mode (cost ignores the seed),
-# recorded while _run_cost still mapped each schema key to CostParams by hand.
-# Every scenario moves keys off their defaults, so a key read into the wrong
-# field changes the bytes.
+# SHA-256 of cost.csv and cost.dat of a sweep over fleet sizes and of one
+# over horizons and battery lives (cost ignores the seed), recorded while
+# _run_cost still mapped each schema key to CostParams by hand and each sweep
+# was a mode of its own. Every scenario moves keys off their defaults, so a
+# key read into the wrong field changes the bytes.
 GOLDEN_COST = {
     "devices": (
-        ("n_devices=1, 10, 50, 51, 100, 1000", "grid_price_per_kwh=0.13", "device_battery_life=3",
-         "horizon=12", "include_final_replacement=true", "install_green_pb=333.33"),
+        ("n_devices=1, 10, 50, 51, 100, 1000", "grid_price_per_kwh=0.13", "battery_lives=3",
+         "horizons=12", "include_final_replacement=true", "install_green_pb=333.33"),
         "dbb38d6cef018e31016b3b5c1e32472e8c6bbb90ec945f97997670ba2844ac49",
         "88eb752c48cbc015637cc78bd0fc41e05fb93c5150827abfa1cabd5b76652618",
     ),
     "lifetime": (
-        ("mode=lifetime", "horizons=5, 10, 25, 30", "battery_lives=1, 3, 7", "lifetime_n_devices=120",
+        ("horizons=5, 10, 25, 30", "battery_lives=1, 3, 7", "n_devices=120",
          "devices_per_pb=30", "green_pb_replacement_period=7", "annualize_green_replacement=false",
          "battery_pb_annual_fraction=0.27"),
         "a4f69cf4a2daa81be041b30df88a648d69e141c4ae97c8b3dafb83bc74dd9f37",
@@ -146,9 +149,9 @@ def test_cost_run_row_cardinality(tmp_path):
     assert len(lines) == 1 + 12  # header + 4 scenarios x 3 counts
 
 
-def test_cost_lifetime_mode(tmp_path):
+def test_cost_sweep_over_horizons_and_battery_lives(tmp_path):
     out = tmp_path / "cost"
-    sets = ("mode=lifetime", "horizons=10, 15", "battery_lives=3, 5", "lifetime_n_devices=100")
+    sets = ("horizons=10, 15", "battery_lives=3, 5", "n_devices=100")
     assert run_cli("cost", out, sets=sets, plot=True) == 0
     lines = (out / "cost.csv").read_text().splitlines()
     assert len(lines) == 1 + 16  # header + 4 scenarios x 2 horizons x 2 lives
@@ -198,10 +201,10 @@ def test_default_deploy_search_path_is_pinned(tmp_path, monkeypatch):
     assert (len(nfev), sum(nfev), sum(nit)) == (45, 53_131, 34_648)
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_COST))
-def test_cost_csv_and_plot_data_match_golden_digests(tmp_path, mode):
-    sets, csv_sha256, dat_sha256 = GOLDEN_COST[mode]
-    out = tmp_path / mode
+@pytest.mark.parametrize("sweep", sorted(GOLDEN_COST))
+def test_cost_csv_and_plot_data_match_golden_digests(tmp_path, sweep):
+    sets, csv_sha256, dat_sha256 = GOLDEN_COST[sweep]
+    out = tmp_path / sweep
     assert run_cli("cost", out, sets=sets, plot=True) == 0
     assert hashlib.sha256((out / "cost.csv").read_bytes()).hexdigest() == csv_sha256
     assert hashlib.sha256((out / "cost.dat").read_bytes()).hexdigest() == dat_sha256
@@ -211,6 +214,13 @@ def test_cost_csv_and_plot_data_match_golden_digests(tmp_path, mode):
 # values that together move every schema key off its default. rfchains needs
 # two runs, since explicit devices override n_devices.
 OFF_DEFAULT = {
+    "cost": ("sweep_costs", [(
+        "n_devices=7, 70", "horizons=9, 11", "battery_lives=2, 4", "devices_per_pb=40", "install_grid_pb=301",
+        "install_green_pb=321.5", "install_battery_pb=371", "device_install=21", "device_maintenance_fraction=0.4",
+        "battery_pb_annual_fraction=0.2", "green_pb_replacement_fraction=0.5", "green_pb_replacement_period=20",
+        "pb_avg_power_w=7", "grid_price_per_kwh=0.3", "include_final_replacement=true",
+        "annualize_green_replacement=false",
+    )]),
     "deploy": ("optimize", [(
         "k=3", "cap=0.75", "devices=-1:2, 3:-4", "map.components=2:1:-1:6, 0.5:-3:3:4",
         "map.area=-20:-25:22:21", "solver.n_starts=3", "solver.greedy_grid=7", "solver.nm_max_iter=41",
@@ -252,7 +262,29 @@ def test_every_key_reaches_its_field(monkeypatch, study):
         with pytest.raises(Handed):
             STUDIES[study].runner(resolve_config(schema, None, sets), 11)
     pathloss = PathLossParams(exponent=2.1, fixed_loss_db=30.0, reference_distance=0.8)
-    if study == "deploy":
+    if study == "cost":
+        (call,) = calls
+        assert call == {
+            "params": CostParams(
+                devices_per_pb=40,
+                install_grid_pb=Fraction(301),
+                install_green_pb=Fraction(643, 2),
+                install_battery_pb=Fraction(371),
+                device_install=Fraction(21),
+                device_maintenance_fraction=Fraction(2, 5),
+                battery_pb_annual_fraction=Fraction(1, 5),
+                green_pb_replacement_fraction=Fraction(1, 2),
+                green_pb_replacement_period=20,
+                pb_avg_power_w=Fraction(7),
+                grid_price_per_kwh=Fraction(3, 10),
+                include_final_replacement=True,
+                annualize_green_replacement=False,
+            ),
+            "n_devices": (7, 70),
+            "horizons": (9, 11),
+            "battery_lives": (2, 4),
+        }
+    elif study == "deploy":
         (call,) = calls
         area = Rect(-20.0, -25.0, 22.0, 21.0)
         components = (GaussianComponent(2.0, (1.0, -1.0), 6.0),
@@ -540,7 +572,7 @@ def test_an_unknown_subcommand_is_refused_by_name():
                                           r"\('cost', 'deploy', 'outage', 'rfchains'\)$"):
         RunConfig("nope")
     with pytest.raises(ValueError, match=r"^no plot layout for subcommand 'nope'$"):
-        emit_plot_data("nope", [], [], {})
+        emit_plot_data("nope", [], [])
 
 
 def test_trials_flag_only_for_outage(tmp_path):
@@ -630,16 +662,16 @@ def test_a_run_without_plot_data_removes_an_earlier_runs_plot_data(tmp_path, mon
     # A failed run leaves the earlier run, plot data included, as it was.
     with monkeypatch.context() as patched:
         patched.setattr(wetplan.cli, "write_csv", fail)
-        assert run_cli("cost", out, sets=("mode=lifetime",)) == 1
+        assert run_cli("cost", out, sets=("horizons=5, 10",)) == 1
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-    assert run_cli("cost", out, sets=("mode=lifetime",)) == 0
+    assert run_cli("cost", out, sets=("horizons=5, 10",)) == 0
     assert sorted(path.name for path in out.iterdir()) == ["cost.csv", "manifest.txt"]
     assert verify_manifest(out / "manifest.txt")
 
 
 def test_manifest_env_lines_round_trip_and_are_not_verified(tmp_path):
     manifest = RunManifest(
-        "0.1.0", "cost", 3, 0.5, {"mode": "devices"}, {"cost.csv": "ab"}, env={"cpus": "2", "python": "3.11.7"}
+        "0.1.0", "cost", 3, 0.5, {"n_devices": "10, 50, 100"}, {"cost.csv": "ab"}, env={"cpus": "2", "python": "3.11.7"}
     )
     text = manifest.to_text()
     assert "env.cpus = 2\nenv.python = 3.11.7\n" in text
@@ -725,23 +757,33 @@ def test_plot_data_cost_has_four_series(tmp_path):
     assert text.count("# series:") == 4
 
 
-@pytest.mark.parametrize(
-    "sets, x_name, first_series",
-    [
-        (("n_devices=10",), "n_devices", "baseline"),
-        (("mode=lifetime", "horizons=10", "battery_lives=3"), "horizon", "baseline battery_life=3"),
-    ],
-    ids=["devices", "lifetime"],
-)
-def test_one_point_cost_sweep_plots_against_its_mode_axis(tmp_path, sets, x_name, first_series):
-    # One point varies neither n_devices nor horizon: the axis comes from mode.
+# (cost sweep, its plot axis, number of series, the first series' title and points)
+COST_AXES = {
+    "one-point": (("n_devices=10", "horizons=10", "battery_lives=3"), "n_devices", 4, "baseline", ["10 500.00"]),
+    "fleet-sizes": (("n_devices=10, 20",), "n_devices", 4, "baseline", ["10 400.00", "20 800.00"]),
+    "horizons": (("n_devices=10", "horizons=5, 10"), "horizon", 4, "baseline battery_life=5",
+                 ["5 200.00", "10 300.00"]),
+    "battery-lives": (("n_devices=10", "horizons=10", "battery_lives=5, 3"), "horizon", 8,
+                      "baseline battery_life=3", ["10 500.00"]),
+    "fleet-sizes-and-horizons": (("n_devices=10, 20", "horizons=5, 10"), "n_devices", 4, "baseline",
+                                 ["10 200.00", "20 400.00", "10 300.00", "20 600.00"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COST_AXES))
+def test_cost_plot_axis_is_inferred_from_the_swept_values(tmp_path, case):
+    # One fleet size costed over more than one (horizon, battery life) plots
+    # against the horizon, one series per battery life; every other sweep,
+    # one point included, plots against the fleet size.
+    sets, x_name, n_series, first_series, first_points = COST_AXES[case]
     out = tmp_path / "cost"
     assert run_cli("cost", out, sets=sets, plot=True) == 0
     lines = (out / "cost.dat").read_text().splitlines()
     assert lines[0] == f"# cost sweep: x = {x_name}, y = total cost (USD)"
     series = [i for i, line in enumerate(lines) if line.startswith("# series:")]
-    assert len(series) == 4
-    assert lines[series[0]:series[0] + 2] == [f"# series: {first_series}", f"# columns: {x_name} total"]
+    assert len(series) == n_series
+    first = lines[series[0]:series[1] - 2]
+    assert first == [f"# series: {first_series}", f"# columns: {x_name} total", *first_points]
 
 
 def test_plot_data_outage_groups_by_architecture(tmp_path):

@@ -23,11 +23,9 @@ PATHLOSS_27 = {
 # library dataclass would add a key here, so it has to be added on purpose.
 PINNED = {
     "cost": {
-        "mode": ("str", "devices", ("devices", "lifetime")),
         "n_devices": ("int_list", "10, 50, 100", ()),
-        "lifetime_n_devices": ("int", "100", ()),
-        "horizons": ("int_list", "5, 10, 15, 20", ()),
-        "battery_lives": ("int_list", "1, 2, 3, 5, 10", ()),
+        "horizons": ("int_list", "15", ()),
+        "battery_lives": ("int_list", "5", ()),
         "devices_per_pb": ("int", "50", ()),
         "install_grid_pb": ("decimal", "300", ()),
         "install_green_pb": ("decimal", "320", ()),
@@ -39,8 +37,6 @@ PINNED = {
         "green_pb_replacement_period": ("int", "25", ()),
         "pb_avg_power_w": ("decimal", "6", ()),
         "grid_price_per_kwh": ("decimal", "1/4", ()),
-        "device_battery_life": ("int", "5", ()),
-        "horizon": ("int", "15", ()),
         "include_final_replacement": ("bool", "false", ()),
         "annualize_green_replacement": ("bool", "true", ()),
     },
@@ -93,7 +89,7 @@ PINNED = {
 # The keys with no library field: each is written out in the schema. Every
 # other key is generated from a library field.
 STUDY_KEYS = {
-    "cost": {"mode", "n_devices", "lifetime_n_devices", "horizons", "battery_lives"},
+    "cost": {"n_devices", "horizons", "battery_lives"},
     "deploy": {"k", "devices", "map.components", "map.area"},
     "outage": {"densities", "archs"},
     "rfchains": {"gamma", "m_values", "n_devices", "devices", "pa_efficiency", "p_rf_chain_w", "solver.tol",
@@ -123,8 +119,6 @@ OUT_OF_RANGE = {
         ("green_pb_replacement_period", "0"),
         ("pb_avg_power_w", "-6"),
         ("grid_price_per_kwh", "-0.25"),
-        ("device_battery_life", "0"),
-        ("horizon", "-15"),
     ],
     "deploy": [
         ("cap", "0"),
@@ -199,11 +193,10 @@ def test_out_of_range_field_value_is_refused_by_name(tmp_path, monkeypatch, caps
 # library refuses the value, before any work, and the refusal names the key.
 STUDY_OUT_OF_RANGE = {
     "cost": [
-        ("mode", "both"),
         ("n_devices", ""),
         ("n_devices", "10, 0"),
-        ("lifetime_n_devices", "0"),
         ("horizons", "5, -1"),
+        ("horizons", ""),
         ("battery_lives", "0"),
     ],
     "deploy": [
@@ -254,17 +247,31 @@ def test_out_of_range_study_value_is_refused_by_name(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-# Every int key, and the overrides that make its study use it: the lifetime
-# sweep's keys are computed only in lifetime mode, and without rf outage has
-# no codebook to bound n_antennas before a float multiplies it.
+# Keys the cost study no longer has, and the key each error suggests: the
+# sweep's mode, the fleet size of its other mode, and the single horizon and
+# battery life that the swept lists replace.
+REMOVED_COST_KEYS = [
+    ("mode=lifetime", "mode", ""),
+    ("lifetime_n_devices=100", "lifetime_n_devices", "; did you mean 'n_devices'?"),
+    ("horizon=15", "horizon", "; did you mean 'horizons'?"),
+    ("device_battery_life=5", "device_battery_life", "; did you mean 'battery_lives'?"),
+]
+
+
+@pytest.mark.parametrize("setting, key, hint", REMOVED_COST_KEYS, ids=[key for _, key, _ in REMOVED_COST_KEYS])
+def test_removed_cost_keys_are_refused_as_unknown_by_name(tmp_path, monkeypatch, capsys, setting, key, hint):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "cost"
+    assert main(["cost", "--set", setting, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --set #1: unknown key {key!r}{hint}\n"
+    assert not out.exists()
+
+
+# Every int key, and the overrides that make its study use it: without rf
+# outage has no codebook to bound n_antennas before a float multiplies it.
 INT_KEYS = [(study, name) for study in sorted(STUDIES) for name, key in STUDIES[study].keys.items()
             if key.kind in ("int", "int_list")]
-INT_KEY_SETS = {
-    ("cost", "lifetime_n_devices"): ["mode=lifetime"],
-    ("cost", "horizons"): ["mode=lifetime"],
-    ("cost", "battery_lives"): ["mode=lifetime"],
-    ("outage", "n_antennas"): ["archs=single"],
-}
+INT_KEY_SETS = {("outage", "n_antennas"): ["archs=single"]}
 
 
 @pytest.mark.parametrize("study, key", INT_KEYS, ids=[f"{s}:{k}" for s, k in INT_KEYS])

@@ -25,18 +25,16 @@ params = st.builds(
     green_pb_replacement_period=_years,
     pb_avg_power_w=st.fractions(min_value=0, max_value=100, max_denominator=10),
     grid_price_per_kwh=st.fractions(min_value=0, max_value=1, max_denominator=1000),
-    device_battery_life=_years,
-    horizon=_years,
     include_final_replacement=st.booleans(),
     annualize_green_replacement=st.booleans(),
 )
 
 
 @PROPERTY
-@given(params, st.sampled_from(SCENARIOS), st.integers(1, 10_000))
-def test_components_sum_exactly_to_the_total(p, scenario, n_devices):
-    b = scenario_cost(scenario, n_devices, p)
+@given(params, st.sampled_from(SCENARIOS), st.integers(1, 10_000), _years, _years)
+def test_components_sum_exactly_to_the_total(p, scenario, n_devices, horizon, battery_life):
+    b = scenario_cost(scenario, n_devices, p, horizon, battery_life)
     parts = (b.device_install_cents, b.device_maintenance_cents, b.pb_install_cents, b.pb_opex_cents)
     assert all(isinstance(c, int) for c in parts)
     assert sum(parts) == b.grand_total_cents
-    assert b.horizon_years == p.horizon and b.battery_life_years == p.device_battery_life
+    assert b.horizon_years == horizon and b.battery_life_years == battery_life

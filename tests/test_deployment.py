@@ -92,7 +92,7 @@ def test_grid_oracle_zero_ambient_everywhere():
     assert grid_oracle(prob, 5.0).min_received_power == 0.0
 
 
-def test_grid_oracle_budget_guard(monkeypatch):
+def test_grid_oracle_refuses_before_building_the_grid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the grid was built")
 
@@ -105,6 +105,11 @@ def test_grid_oracle_budget_guard(monkeypatch):
     # A count past the range of a float is refused all the same.
     with pytest.raises(ValueError, match=r"^resolution = 1e-100 and k = 4 give inf candidate tuples "):
         grid_oracle(prob, 1e-100)
+    # So is a resolution that gives no grid, checked before the grid size is computed.
+    for resolution, message in ((math.inf, "finite, got inf"), (math.nan, "finite, got nan"),
+                                (0.0, r"> 0, got 0\.0"), (-1.0, r"> 0, got -1\.0")):
+        with pytest.raises(ValueError, match=rf"^resolution must be {message}$"):
+            grid_oracle(prob, resolution)
 
 
 def test_optimize_matches_oracle_single_beacon():

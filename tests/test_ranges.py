@@ -72,7 +72,7 @@ def _step(f, bound, direction: int):
 
 def test_every_class_with_a_declared_range_is_covered():
     assert set(_ranged_classes()) == set(VALID)
-    assert len(RANGED) == 31
+    assert len(RANGED) == 29
 
 
 @each_field()
