@@ -12,11 +12,12 @@ __version__ = "0.1.0"
 
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import (
-    ChannelModel,
     ConsumptionPoint,
     MulticastProblem,
     PrecoderError,
     PrecoderSolution,
+    PrecoderSolver,
+    RfChainConfig,
     RfChainSweep,
     consumption,
     min_power_precoder,
@@ -55,11 +56,12 @@ __all__ = [
     "AmbientMap",
     "GaussianComponent",
     "Rect",
-    "ChannelModel",
     "ConsumptionPoint",
     "MulticastProblem",
     "PrecoderError",
     "PrecoderSolution",
+    "PrecoderSolver",
+    "RfChainConfig",
     "RfChainSweep",
     "consumption",
     "min_power_precoder",

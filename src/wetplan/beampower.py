@@ -17,9 +17,12 @@ is solved in three phases:
    leading-eigenvector and, in a sweep, the previous precoder, each rescaled
    to exact feasibility, cheapest kept.
 
-``sweep_rf_chains`` reduces and relaxes every antenna count at once and
-extracts in order, since each candidate pool holds the previous precoder.
-Beacon consumption follows the linear amplifier + per-chain model.
+``sweep_rf_chains`` runs one ``RfChainConfig`` scenario over antenna counts:
+it reduces and relaxes every count at once and extracts in order, since each
+candidate pool holds the previous precoder. Beacon consumption follows the
+linear amplifier + per-chain model. The scenario and ``PrecoderSolver``, the
+solver's record, declare each range at its field; a size refusal names the
+fields by their config keys (``solver.randomizations and m_values give ...``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ __all__ = [
     "PrecoderError",
     "ConsumptionPoint",
     "RfChainSweep",
-    "ChannelModel",
+    "PrecoderSolver",
+    "RfChainConfig",
     "consumption",
     "min_power_precoder",
     "draw_device_positions",
@@ -53,10 +57,8 @@ __all__ = [
 _MAX_OUTER = 8
 _MAX_INNER = 2000
 # Defaults of the beacon's consumption model (amplifier efficiency, W per RF
-# chain) and of the precoder solver (relative primal-dual gap, randomized
-# candidates), shared by the functions that take them.
+# chain), shared by ``consumption`` and ``RfChainConfig``.
 _PA_EFFICIENCY, _P_RF = 0.35, 0.5
-_TOL, _N_RANDOMIZATIONS = 1e-4, 200
 # Limit on gamma * max(gain) / min(gain)**2 over the device path gains: the carried precoder's margins
 # over the normalized floors reach about this, and must stay inside a float (1.8e308) with room for fading.
 _MAX_POWER_SCALE = 1e290
@@ -93,6 +95,22 @@ class PrecoderSolution:
     precoder: np.ndarray
     tx_power: float
     sdr_lower_bound: float
+
+
+@dataclass(frozen=True)
+class PrecoderSolver:
+    """The relaxation's relative primal-dual gap and the Gaussian candidates drawn from its solution."""
+
+    tol: float = _ranged(1e-4, above=0)
+    randomizations: int = _ranged(200, at_least=0)
+
+    __post_init__ = _check_fields
+
+
+def _require_pool_fits(solver: PrecoderSolver, antennas: int, names: str) -> None:
+    """Refuse a candidate pool of ``solver.randomizations`` x ``antennas`` (set by ``names``) too large to allocate."""
+    _require_at_most(solver.randomizations * antennas, MAX_ARRAY_ENTRIES, f"solver.randomizations and {names}",
+                     "candidate entries (randomizations * antennas)")
 
 
 @dataclass(frozen=True)
@@ -324,18 +342,13 @@ def _best_candidate(
 
 
 def _extract(
-    red: _Reduced,
-    relaxed: tuple,
-    tol: float,
-    n_randomizations: int,
-    seed: int,
-    extra_candidates: tuple,
+    red: _Reduced, relaxed: tuple, solver: PrecoderSolver, seed: int, extra_candidates: tuple
 ) -> PrecoderSolution:
     """Cheapest rank-1 precoder from a solved relaxation and extra candidates."""
     v, _, dual, converged = relaxed
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     extras = tuple(np.asarray(e, dtype=complex).ravel() @ red.basis.conj() for e in extra_candidates)
-    picked = _best_candidate(red.hhat, red.tau, v, n_randomizations, rng, extras)
+    picked = _best_candidate(red.hhat, red.tau, v, solver.randomizations, rng, extras)
 
     precoder, tx_power = None, math.inf
     if picked is not None:
@@ -347,27 +360,14 @@ def _extract(
         if picked is not None:
             best = PrecoderSolution(precoder, tx_power, math.nan)
         raise PrecoderError(
-            f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {tol})", best=best
+            f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {solver.tol})", best=best
         )
     if picked is None:
         raise PrecoderError("no feasible rank-1 candidate found", best=None)
     return PrecoderSolution(precoder, tx_power, sdr_lower_bound=min(red.cstar * dual, tx_power))
 
 
-def _check_solver_arguments(tol: float, n_randomizations: int, seed: int) -> None:
-    """Refuse a relaxation tolerance, a randomization count or a seed no solve can use."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    _require_integer("n_randomizations", n_randomizations, 0)
-    _require_integer("seed", seed, 0)
-
-
-def min_power_precoder(
-    problem: MulticastProblem,
-    tol: float = _TOL,
-    n_randomizations: int = _N_RANDOMIZATIONS,
-    seed: int = 0,
-) -> PrecoderSolution:
+def min_power_precoder(problem: MulticastProblem, solver: PrecoderSolver, seed: int = 0) -> PrecoderSolution:
     """Minimum-transmit-power precoder meeting every device's received floor.
 
     The returned precoder satisfies |h_i^H w|^2 >= gamma exactly at the worst
@@ -375,21 +375,32 @@ def min_power_precoder(
     relaxation's dual, so it lower-bounds every feasible transmit power; it is
     capped at ``tx_power``, because where the relaxation is tight rounding can
     put the dual value a few ulps above the precoder that attains it. The
-    solver stops once the relaxation's primal-dual gap closes within ``tol``.
+    solver stops once the relaxation's primal-dual gap closes within
+    ``solver.tol``. The seed, and the candidate pool's size against the
+    antenna count, are checked before anything is solved.
     """
-    _check_solver_arguments(tol, n_randomizations, seed)
+    _require_integer("seed", seed, 0)
+    _require_pool_fits(solver, problem.channels.shape[1], "channels")
     red = _reduce(problem)
-    (relaxed,) = _solve_relaxations([red], tol)
-    return _extract(red, relaxed, tol, n_randomizations, seed, ())
+    (relaxed,) = _solve_relaxations([red], solver.tol)
+    return _extract(red, relaxed, solver, seed, ())
 
 
 @dataclass(frozen=True)
-class ChannelModel:
-    """Link model used to draw device channels for the RF-chain sweep."""
+class RfChainConfig:
+    """One RF-chain scenario: the link model device channels are drawn from
+    (``n_devices`` of them in a disk of ``disk_radius``), the common power
+    floor ``gamma``, the beacon's consumption model and the precoder solver.
+    ``sweep_rf_chains`` moves the antenna count."""
 
     pathloss: PathLossParams = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
     rician: RicianParams = RicianParams(10.0)
     disk_radius: float = _ranged(10.0, above=0)
+    gamma: float = _ranged(2e-6, above=0)
+    n_devices: int = _ranged(4, at_least=1)
+    pa_efficiency: float = _ranged(_PA_EFFICIENCY, above=0, at_most=1.0)
+    p_rf_chain_w: float = _ranged(_P_RF, at_least=0)
+    solver: PrecoderSolver = PrecoderSolver()
 
     __post_init__ = _check_fields
 
@@ -402,65 +413,53 @@ def draw_device_positions(n: int, radius: float, seed) -> np.ndarray:
     return _uniform_disk(n, radius, np.random.default_rng(seed))
 
 
-def sweep_rf_chains(
-    devices,
-    gamma: float,
-    m_values,
-    model: ChannelModel | None = None,
-    seed: int = 0,
-    pa_efficiency: float = _PA_EFFICIENCY,
-    p_rf: float = _P_RF,
-    tol: float = _TOL,
-    n_randomizations: int = _N_RANDOMIZATIONS,
-) -> RfChainSweep:
-    """Transmit power and total consumption across antenna/RF-chain counts.
+def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0) -> RfChainSweep:
+    """Transmit power and total consumption of one scenario across antenna/RF-chain counts.
 
-    ``devices`` is a device count (positions drawn uniformly in the model
-    disk) or explicit positions, an (n, 2) array. Channels are drawn once at
-    max(m_values) and truncated, so the M-antenna channel is a prefix of the
-    (M+1)-antenna one; the previous best precoder is zero-padded into the next
-    candidate pool, which makes tx_power(M) non-increasing by construction.
-    Ties in total consumption resolve to the smallest M. Every argument is
-    checked, and a scenario too large to allocate refused, before anything is
-    drawn; a device whose path gain underflows, or gains whose power scale
-    would overflow (``_MAX_POWER_SCALE``), are refused before the channels are.
+    ``devices`` holds explicit device positions, an (n, 2) array; without
+    them ``config.n_devices`` positions are drawn uniformly in the config's
+    disk. Channels are drawn once at max(m_values) and truncated, so the
+    M-antenna channel is a prefix of the (M+1)-antenna one; the previous best
+    precoder is zero-padded into the next candidate pool, which makes
+    tx_power(M) non-increasing by construction. Ties in total consumption
+    resolve to the smallest M. Every argument is checked, and a scenario too
+    large to allocate refused, before anything is drawn; a device whose path
+    gain underflows, or gains whose power scale would overflow
+    (``_MAX_POWER_SCALE``), are refused before the channels are.
     """
-    model = model or ChannelModel()
     ms = list(m_values)
     if not ms:
         raise ValueError("m_values must be non-empty")
-    if not all(m >= 1 and m % 1 == 0 for m in ms) or any(b <= a for a, b in zip(ms, ms[1:])):  # NaN and ±inf too
-        raise ValueError("m_values must be strictly increasing integers >= 1")
+    for m in ms:
+        _require_integer("m_values", m, 1)
+    if any(b <= a for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"m_values must be strictly increasing, got {ms}")
     ms = [int(m) for m in ms]
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    _check_solver_arguments(tol, n_randomizations, seed)
-    consumption(0.0, 0, pa_efficiency, p_rf)  # checks pa_efficiency and p_rf before anything is drawn
-    drawn = isinstance(devices, (int, np.integer))
+    _require_integer("seed", seed, 0)
+    drawn = devices is None
     pts = None if drawn else _as_xy("devices", devices)
-    n_devices = int(devices) if drawn else pts.shape[0]
+    n_devices = config.n_devices if drawn else len(pts)
     if n_devices < 1:
-        raise ValueError(f"devices must hold at least one device, got {n_devices}")
+        raise ValueError("devices must hold at least one device, got 0")
     m_max = ms[-1]
-    _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, "devices and m_values",
+    _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, f"{'n_devices' if drawn else 'devices'} and m_values",
                      "channel entries (devices * max(m_values))")
-    _require_at_most(n_randomizations * m_max, MAX_ARRAY_ENTRIES, "n_randomizations and m_values",
-                     "candidate entries (n_randomizations * max(m_values))")
+    _require_pool_fits(config.solver, m_max, "m_values")
 
     if drawn:
-        pts = draw_device_positions(n_devices, model.disk_radius, np.random.SeedSequence([int(seed), 0]))
-    gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), model.pathloss)
+        pts = draw_device_positions(n_devices, config.disk_radius, np.random.SeedSequence([int(seed), 0]))
+    gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), config.pathloss)
     names = f"pathloss.* and {'disk_radius' if drawn else 'devices'}"
     for i in np.flatnonzero(gains < np.finfo(float).tiny):
         raise ValueError(f"{names} give device {i} at ({pts[i, 0]:.4g}, {pts[i, 1]:.4g}) a path gain of "
                          f"{gains[i]:.4g}, which underflows")
-    scale = gamma / float(gains.min()) * float(gains.max() / gains.min())  # a Python float overflows to inf silently
+    scale = config.gamma / float(gains.min()) * float(gains.max() / gains.min())  # a float overflows to inf silently
     _require_at_most(scale, _MAX_POWER_SCALE, f"gamma, {names}", "as gamma * max / min**2 of the device path gains")
-    h_full = sample_channels(pts, np.zeros(2), m_max, model.rician, model.pathloss,
+    h_full = sample_channels(pts, np.zeros(2), m_max, config.rician, config.pathloss,
                              seed=np.random.SeedSequence([int(seed), 1]))
 
-    reduced = [_reduce(MulticastProblem(h_full[:, :m], gamma)) for m in ms]
-    relaxed = _solve_relaxations(reduced, tol)
+    reduced = [_reduce(MulticastProblem(h_full[:, :m], config.gamma)) for m in ms]
+    relaxed = _solve_relaxations(reduced, config.solver.tol)
 
     points: list[ConsumptionPoint] = []
     prev_w: np.ndarray | None = None
@@ -470,10 +469,11 @@ def sweep_rf_chains(
             extras = (np.concatenate([prev_w, np.zeros(m - prev_w.shape[0], dtype=complex)]),)
         extract_seed = int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0])
         try:
-            sol = _extract(red, rel, tol, n_randomizations, extract_seed, extras)
+            sol = _extract(red, rel, config.solver, extract_seed, extras)
         except PrecoderError as err:
             raise PrecoderError(f"precoder failed at m={m}: {err}", best=err.best) from err
-        points.append(ConsumptionPoint(m, sol.tx_power, consumption(sol.tx_power, m, pa_efficiency, p_rf)))
+        points.append(ConsumptionPoint(m, sol.tx_power,
+                                       consumption(sol.tx_power, m, config.pa_efficiency, config.p_rf_chain_w)))
         prev_w = sol.precoder
 
     best = min(points, key=lambda pt: (pt.total_consumption, pt.n_rf))

@@ -4,9 +4,10 @@ All samplers take an explicit ``seed`` (an int, a ``numpy.random.SeedSequence``,
 or a ``Generator``) and are pure functions of their inputs, so draws can be
 evaluated in any order without changing results.
 
-Every study dataclass declares a field's lower bound at the field (``_ranged``)
-and checks it with ``_check_fields``; a function argument uses ``_require_bound``,
-or ``_require_integer`` where it counts (a seed, antennas, devices).
+Every study dataclass declares a field's bounds at the field (``_ranged``) and
+checks them with ``_check_fields``; a function argument uses ``_require_bound``,
+or ``_require_integer`` where it counts (a seed, antennas, devices). A count
+that is not an ``Integral``, an integral float included, is refused by both.
 
 Positions are in meters and take two forms: a set of points is an (n, 2)
 float array, one point an (x, y) pair. Each position argument is coerced and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -64,35 +66,44 @@ def _require_finite(params, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
 def _require_bound(name: str, value, op: str, bound) -> None:
-    """Refuse ``value`` (of ``name``) unless it is ``op`` (``">"`` or ``">="``) ``bound``; NaN is refused too."""
-    if not (value > bound if op == ">" else value >= bound):
+    """Refuse ``value`` (of ``name``) unless it is ``op`` (``">"``, ``">="`` or ``"<="``) ``bound``; NaN is
+    refused too."""
+    if not _COMPARE[op](value, bound):
         raise ValueError(f"{name} must be {op} {bound}, got {value}")
 
 
 def _require_integer(name: str, value, at_least: int) -> None:
-    """Refuse ``value`` (of ``name``) unless it is an integer >= ``at_least``; NaN and ±inf are refused too."""
-    if not (value >= at_least and value % 1 == 0):
+    """Refuse ``value`` (of ``name``) unless it is an ``Integral`` >= ``at_least``, the rule of an ``int``
+    field; an integral float, NaN and ±inf are refused too."""
+    if not (isinstance(value, numbers.Integral) and value >= at_least):
         raise ValueError(f"{name} must be an integer >= {at_least}, got {value}")
 
 
-def _ranged(default=MISSING, *, above=None, at_least=None):
-    """A dataclass field (with ``default``, if given) that must be ``> above`` or ``>= at_least``."""
-    bound = (">", above) if above is not None else (">=", at_least)
-    return field(default=default, metadata={"bound": bound})
+def _ranged(default=MISSING, *, above=None, at_least=None, at_most=None):
+    """A dataclass field (with ``default``, if given) that must be ``> above`` or ``>= at_least``, and
+    ``<= at_most`` if that is given."""
+    bounds = ((">", above) if above is not None else (">=", at_least),)
+    if at_most is not None:
+        bounds += (("<=", at_most),)
+    return field(default=default, metadata={"bounds": bounds})
 
 
 def _check_fields(obj) -> None:
     """Refuse NaN and ±inf in ``obj``'s ranged fields, then a non-integer in a ranged ``int`` field, then any
-    ranged value off its bound, each in field order."""
-    ranged = [f for f in fields(obj) if "bound" in f.metadata]
+    ranged value off one of its bounds, each in field order."""
+    ranged = [f for f in fields(obj) if "bounds" in f.metadata]
     _require_finite(obj, *(f.name for f in ranged))
     for f in ranged:
         value = getattr(obj, f.name)
         if f.type == "int" and not isinstance(value, numbers.Integral):
             raise ValueError(f"{f.name} must be an integer, got {value}")
     for f in ranged:
-        _require_bound(f.name, getattr(obj, f.name), *f.metadata["bound"])
+        for bound in f.metadata["bounds"]:
+            _require_bound(f.name, getattr(obj, f.name), *bound)
 
 
 def _as_xy(name: str, value, pair: bool = False) -> np.ndarray:

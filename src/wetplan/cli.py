@@ -14,19 +14,18 @@ The manifest also records the environment that produced the bytes
 outage and rfchains work was dealt across); ``verify_manifest`` ignores them.
 
 A runner builds the library objects from the resolved config, calls the
-study's library entry point and returns a header and rows. The library is
-the only range check (a field's range is declared at the field) and refuses
-a scenario too large to allocate before it computes or draws; a size refusal
-reads ``<names> give <n> <what>; the limit is <limit>``. A refusal names the
-config key of the same name; where the names differ, one helper, ``_keyed``,
-puts the key's prefix in front (``solver.``, ``map.area: ``) or spells the
-argument as its key. Where keys set a function's keyword arguments of other
-names, one table maps each argument to its key, and gives the key (with the
-argument's default), the call's arguments and that spelling. The rows are
-formatted into cells once, and both the CSV and the optional plot data are
-written from those cells. Outputs are renamed into place only after all of
-them are written, so a failed run leaves an earlier run in the same
-directory as it was.
+study's library entry point and returns a header and rows. A key that sets
+a field of a library record is generated from that field, and ``_build``
+builds the record from such keys; a study writes out only the keys no field
+holds. The library is the only range check (a field's range is declared at
+the field) and refuses a scenario too large to allocate before it computes
+or draws; a size refusal reads ``<names> give <n> <what>; the limit is
+<limit>``. A refusal names the config key of the same name; for a nested
+record, one helper, ``_keyed``, puts the key's prefix in front (``solver.``,
+``map.area: ``). The rows are formatted into cells once, and both the CSV
+and the optional plot data are written from those cells. Outputs are
+renamed into place only after all of them are written, so a failed run
+leaves an earlier run in the same directory as it was.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import contextlib
 import csv
 import hashlib
 import os
-import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -48,8 +46,8 @@ import numpy as np
 from . import __version__
 from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect, example_map
-from .beampower import ChannelModel, sweep_rf_chains
-from .config import ConfigError, ConfigKey, _argument_keys, _field_keys, canonical, resolve_config
+from .beampower import RfChainConfig, sweep_rf_chains
+from .config import ConfigError, ConfigKey, _field_keys, canonical, resolve_config
 from .costs import CostParams, cents_to_dollars, sweep_costs
 from .deployment import DeploymentProblem, SolverConfig, optimize, received_power
 from .harvesting import ARCHITECTURES
@@ -198,16 +196,12 @@ def _build(cls, resolved, prefix: str = "", **given):
 
 
 @contextlib.contextmanager
-def _keyed(prefix: str = "", **spelled: str):
-    """Report a library ``ValueError`` as a ``ConfigError`` that names the config key:
-    ``prefix`` goes in front, and each word in ``spelled`` is spelled as its key."""
+def _keyed(prefix: str = ""):
+    """Report a library ``ValueError`` as a ``ConfigError`` that names the config key, ``prefix`` in front."""
     try:
         yield
     except ValueError as err:
-        message = str(err)
-        if spelled:
-            message = re.sub(rf"\b({'|'.join(spelled)})\b", lambda m: spelled[m[0]], message)
-        raise ConfigError(prefix + message) from err
+        raise ConfigError(prefix + str(err)) from err
 
 
 def _keys(*keys: ConfigKey) -> dict[str, ConfigKey]:
@@ -354,23 +348,9 @@ _OUTAGE = Study(
 )
 
 
-# The sweep's keyword arguments that keys set: argument -> key.
-_SWEEP_ARGUMENTS = {
-    "pa_efficiency": "pa_efficiency",
-    "p_rf": "p_rf_chain_w",
-    "tol": "solver.tol",
-    "n_randomizations": "solver.randomizations",
-}
-
-
 def _run_rfchains(resolved, seed: int):
-    model = _build(ChannelModel, resolved)
-    devices = resolved["devices"] or resolved["n_devices"]
-    with _keyed(devices="n_devices (or devices)", **_SWEEP_ARGUMENTS):
-        sweep = sweep_rf_chains(
-            devices, resolved["gamma"], resolved["m_values"], model=model, seed=seed,
-            **{a: resolved[k] for a, k in _SWEEP_ARGUMENTS.items()},
-        )
+    # Explicit devices override the n_devices drawn ones; no devices is the empty list.
+    sweep = sweep_rf_chains(_build(RfChainConfig, resolved), resolved["m_values"], resolved["devices"] or None, seed)
     header = ["m", "tx_power_w", "consumption_w", "is_optimum"]
     rows = [(pt.n_rf, pt.tx_power, pt.total_consumption, int(pt.n_rf == sweep.optimum_n_rf)) for pt in sweep.points]
     return header, rows
@@ -387,12 +367,9 @@ def _plot_rfchains(rows):
 _RFCHAINS = Study(
     "beacon consumption vs number of RF chains",
     _keys(
-        ConfigKey("gamma", "float", 2e-6),
         ConfigKey("m_values", "int_list", tuple(range(1, 33))),
-        ConfigKey("n_devices", "int", 4),
         ConfigKey("devices", "pair_list", ()),
-        *_argument_keys(sweep_rf_chains, _SWEEP_ARGUMENTS),
-        *_field_keys(ChannelModel),
+        *_field_keys(RfChainConfig),
     ),
     _run_rfchains,
     _plot_rfchains,

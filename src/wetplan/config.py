@@ -8,18 +8,16 @@ from (file line or ``--set #n``), so batch runs die loudly rather than
 silently drifting from the intended scenario.
 
 This module knows no study. A key that sets a library field is generated
-from that field (``_field_keys``), and one that sets a function's keyword
-argument from that argument (``_argument_keys``): either has a default and a
+from that field (``_field_keys``), with the field's name, its default and a
 kind read from the default's type. No key has a range check here: a field's
 range is declared at the field (``channel._ranged``), the library checks
-every value before any work, and the runner makes the refusal name the key.
-A key with ``choices`` takes only those.
+every value before any work, and its refusal names the key. A key with
+``choices`` takes only those.
 """
 
 from __future__ import annotations
 
 import difflib
-import inspect
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -194,8 +192,8 @@ def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict
     return resolved
 
 
-# The kind of a key that sets a library field or argument, by the type of its
-# default; the only tuple fields are tuples of pairs.
+# The kind of a key that sets a library field, by the type of its default;
+# the only tuple fields are tuples of pairs.
 _FIELD_KINDS = {bool: "bool", int: "int", float: "float", Fraction: "decimal", tuple: "pair_list"}
 
 
@@ -215,11 +213,3 @@ def _field_keys(template, prefix: str = ""):
             yield from _field_keys(value, f"{prefix}{f.name}.")
         else:
             yield ConfigKey(prefix + f.name, _FIELD_KINDS[type(value)], value)
-
-
-def _argument_keys(function, spelled: dict[str, str]):
-    """One key per keyword argument of ``function`` in ``spelled`` (argument -> key name), defaulting to its default."""
-    parameters = inspect.signature(function).parameters
-    for argument, name in spelled.items():
-        default = parameters[argument].default
-        yield ConfigKey(name, _FIELD_KINDS[type(default)], default)

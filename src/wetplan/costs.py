@@ -156,10 +156,12 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams, horizon: in
 
 
 def _positive_list(name: str, values) -> list:
-    """``values`` as a list; errors, naming ``name``, unless it is non-empty and all positive integers."""
+    """``values`` as a list; errors, naming ``name``, unless it is non-empty and all integers >= 1."""
     items = list(values)
-    if not items or not all(v >= 1 and v % 1 == 0 for v in items):  # NaN and ±inf are refused too
-        raise ValueError(f"{name} must be a non-empty list of positive integers, got {items}")
+    if not items:
+        raise ValueError(f"{name} must be a non-empty list, got []")
+    for v in items:
+        _require_integer(name, v, 1)
     return items
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
-from wetplan.beampower import ChannelModel, MulticastProblem, min_power_precoder, sweep_rf_chains
+from wetplan.beampower import MulticastProblem, PrecoderSolver, RfChainConfig, min_power_precoder, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, sample_hppp
 from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
@@ -131,11 +131,11 @@ def test_criterion_5_harvester_properties():
 
 def test_criterion_6_beam_power():
     # (a) Single pure-LoS device: tx(M) = gamma / (M * gain) within 1e-6.
-    model = ChannelModel(rician=RicianParams(1e18))
-    gain = path_gain(10.0, model.pathloss)
     gamma = 2e-6
+    config = RfChainConfig(rician=RicianParams(1e18), gamma=gamma)
+    gain = path_gain(10.0, config.pathloss)
     ms = list(range(1, 33))
-    sweep = sweep_rf_chains([(10.0, 0.0)], gamma, ms, model=model, seed=3)
+    sweep = sweep_rf_chains(config, ms, [(10.0, 0.0)], seed=3)
     for pt in sweep.points:
         expected = gamma / (pt.n_rf * gain)
         assert abs(pt.tx_power - expected) / expected < 1e-6
@@ -143,7 +143,7 @@ def test_criterion_6_beam_power():
     # (b) M=2, N=3 within 2% of the discretized brute-force oracle.
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    sol = min_power_precoder(MulticastProblem(h, 1e-3), seed=2)
+    sol = min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver(), seed=2)
     amp = np.linspace(0.0, math.pi / 2, 1000)
     phase = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
     a_grid, p_grid = np.meshgrid(amp, phase, indexing="ij")
@@ -154,8 +154,8 @@ def test_criterion_6_beam_power():
     # (c) Nested arrays: transmit power non-increasing within 1%; (d) the
     # default consumption curve has an interior optimum over M in 1..32 and
     # the argmin does not shrink when gamma is raised x10.
-    low = sweep_rf_chains(4, gamma, ms, seed=7)
-    high = sweep_rf_chains(4, 10 * gamma, ms, seed=7)
+    low = sweep_rf_chains(RfChainConfig(gamma=gamma), ms, seed=7)
+    high = sweep_rf_chains(RfChainConfig(gamma=10 * gamma), ms, seed=7)
     for points in (low.points, high.points):
         tx = [pt.tx_power for pt in points]
         for a, b in zip(tx, tx[1:]):

@@ -7,9 +7,10 @@ import pytest
 
 from wetplan import beampower
 from wetplan.beampower import (
-    ChannelModel,
     MulticastProblem,
     PrecoderError,
+    PrecoderSolver,
+    RfChainConfig,
     consumption,
     draw_device_positions,
     min_power_precoder,
@@ -17,6 +18,11 @@ from wetplan.beampower import (
 )
 from wetplan.ambient import Rect
 from wetplan.channel import PathLossParams, RicianParams, path_gain
+
+
+def _sweep(m_values=range(1, 33), devices=None, seed=0, **fields):
+    """``sweep_rf_chains`` on the default scenario with ``fields`` changed."""
+    return sweep_rf_chains(RfChainConfig(**fields), m_values, devices, seed)
 
 
 def test_consumption_closed_forms():
@@ -46,7 +52,7 @@ def test_single_device_matches_matched_filter():
     rng = np.random.default_rng(3)
     h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 1e-2
     gamma = 1e-3
-    sol = min_power_precoder(MulticastProblem(h[None, :], gamma), seed=1)
+    sol = min_power_precoder(MulticastProblem(h[None, :], gamma), PrecoderSolver(), seed=1)
     opt = gamma / np.linalg.norm(h) ** 2
     assert abs(sol.tx_power - opt) / opt < 1e-6
     # Precoder direction aligns with the channel.
@@ -58,7 +64,7 @@ def test_scalar_antenna_is_worst_channel_inverse():
     rng = np.random.default_rng(4)
     h = (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))) * 1e-2
     gamma = 2e-3
-    sol = min_power_precoder(MulticastProblem(h, gamma), seed=1)
+    sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(), seed=1)
     expected = gamma / np.min(np.abs(h) ** 2)
     assert np.isclose(sol.tx_power, expected, rtol=1e-9)
 
@@ -67,7 +73,7 @@ def test_scalar_antenna_is_worst_channel_inverse():
 def test_orthogonal_channels_need_no_division_by_zero():
     # A randomized candidate can miss one device entirely (worst-case gain 0);
     # it is skipped without dividing by its zero gain.
-    sol = min_power_precoder(MulticastProblem([[1, 0], [0, 1]], 1e-3))
+    sol = min_power_precoder(MulticastProblem([[1, 0], [0, 1]], 1e-3), PrecoderSolver())
     assert np.all(np.abs(sol.precoder) ** 2 >= 1e-3 * (1.0 - 1e-4))
     # The optimum puts 1e-3 on each antenna; randomized extraction lands within 2% of it.
     assert np.isclose(sol.sdr_lower_bound, 2e-3, rtol=1e-4)
@@ -78,7 +84,7 @@ def test_two_antenna_three_device_matches_brute_force():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     gamma = 1e-3
-    sol = min_power_precoder(MulticastProblem(h, gamma), seed=2)
+    sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(), seed=2)
     # Oracle: unit-norm precoders on a 1000 x 1000 amplitude/phase grid (the
     # global phase is irrelevant), each rescaled to feasibility.
     amp = np.linspace(0.0, math.pi / 2, 1000)
@@ -97,7 +103,7 @@ def test_solution_feasible_and_above_certified_bound():
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
         h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * 10 ** rng.uniform(-3, 0)
         gamma = 10 ** rng.uniform(-6, -2)
-        sol = min_power_precoder(MulticastProblem(h, gamma), tol=tol, seed=k)
+        sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(tol=tol), seed=k)
         margins = np.abs(h.conj() @ sol.precoder) ** 2
         assert np.all(margins >= gamma * (1.0 - tol))
         assert sol.tx_power >= sol.sdr_lower_bound * (1.0 - tol)
@@ -109,7 +115,7 @@ def test_nonconvergence_raises_with_best_candidate(monkeypatch):
     rng = np.random.default_rng(6)
     h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     with pytest.raises(PrecoderError) as err:
-        min_power_precoder(MulticastProblem(h, 1e-3), tol=1e-15)
+        min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver(tol=1e-15))
     best = err.value.best
     assert best is not None
     margins = np.abs(h.conj() @ best.precoder) ** 2
@@ -138,9 +144,9 @@ def test_sweep_failure_names_first_unconverged_m(monkeypatch):
     # One short round: m = 1..3 still converge, m = 4 is the first that does not.
     monkeypatch.setattr(beampower, "_MAX_OUTER", 1)
     monkeypatch.setattr(beampower, "_MAX_INNER", 50)
-    converged = sweep_rf_chains(4, 2e-6, [1, 2, 3], seed=0)
+    converged = _sweep([1, 2, 3])
     with pytest.raises(PrecoderError, match=r"^precoder failed at m=4: relaxation did not converge") as err:
-        sweep_rf_chains(4, 2e-6, [1, 2, 3, 4, 5, 6], seed=0)
+        _sweep([1, 2, 3, 4, 5, 6])
     best = err.value.best
     assert best is not None and best.precoder.shape == (4,)
     # The failed point's pool still holds the zero-padded m = 3 precoder.
@@ -156,7 +162,7 @@ def test_problem_validation():
 
 NON_FINITE_INPUTS = {
     "MulticastProblem.gamma": ("gamma", lambda x: MulticastProblem([[1 + 1j]], x)),
-    "ChannelModel.disk_radius": ("disk_radius", lambda x: ChannelModel(disk_radius=x)),
+    "RfChainConfig.disk_radius": ("disk_radius", lambda x: RfChainConfig(disk_radius=x)),
     "Rect.x_min": ("x_min", lambda x: Rect(x, 0.0, 1.0, 1.0)),
     "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
     "Rect.x_max": ("x_max", lambda x: Rect(0.0, 0.0, x, 1.0)),
@@ -178,12 +184,11 @@ def test_sweep_los_single_device_closed_form():
     # Pure LoS: ||h||^2 = M * gain, so tx(M) = gamma / (M * gain) and the
     # consumption curve gamma/(0.35*M*gain) + 0.5*M has a computable argmin.
     # K=1e18 keeps the scattered-component residue at the 1e-9 level.
-    model = ChannelModel(rician=RicianParams(1e18))
-    device = [(10.0, 0.0)]
-    gain = path_gain(10.0, model.pathloss)
     gamma = 2e-6
+    config = RfChainConfig(rician=RicianParams(1e18), gamma=gamma)
+    gain = path_gain(10.0, config.pathloss)
     ms = list(range(1, 33))
-    sweep = sweep_rf_chains(device, gamma, ms, model=model, seed=3)
+    sweep = sweep_rf_chains(config, ms, [(10.0, 0.0)], seed=3)
     for pt in sweep.points:
         expected = gamma / (pt.n_rf * gain)
         assert abs(pt.tx_power - expected) / expected < 1e-6
@@ -192,58 +197,66 @@ def test_sweep_los_single_device_closed_form():
 
 
 def test_sweep_tx_power_non_increasing_over_nested_arrays():
-    sweep = sweep_rf_chains(3, 5e-6, [1, 2, 4, 8, 16], seed=11)
+    sweep = _sweep([1, 2, 4, 8, 16], seed=11, gamma=5e-6, n_devices=3)
     tx = [p.tx_power for p in sweep.points]
     for a, b in zip(tx, tx[1:]):
         assert b <= a * 1.01
 
 
 def test_sweep_tiny_gamma_prefers_fewest_chains():
-    sweep = sweep_rf_chains(2, 1e-12, [1, 2, 4, 8], seed=5)
+    sweep = _sweep([1, 2, 4, 8], seed=5, gamma=1e-12, n_devices=2)
     assert sweep.optimum_n_rf == 1
 
 
 def test_sweep_argmin_grows_with_gamma():
     ms = list(range(1, 33))
-    low = sweep_rf_chains(4, 1e-6, ms, seed=7)
-    high = sweep_rf_chains(4, 1e-5, ms, seed=7)
+    low = _sweep(ms, seed=7, gamma=1e-6)
+    high = _sweep(ms, seed=7, gamma=1e-5)
     assert high.optimum_n_rf >= low.optimum_n_rf
 
 
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep_rf_chains(2, 1e-6, [], seed=0)
-    with pytest.raises(ValueError):
-        sweep_rf_chains(2, 1e-6, [2, 2, 3], seed=0)
-    with pytest.raises(ValueError):
-        sweep_rf_chains(2, 0.0, [1, 2], seed=0)
+# (record, field, a bad value, the refusal its constructor must raise)
+BAD_RECORD_FIELDS = [
+    (PrecoderSolver, "tol", math.nan, r"^tol must be finite, got nan$"),
+    (PrecoderSolver, "tol", math.inf, r"^tol must be finite, got inf$"),
+    (PrecoderSolver, "tol", -1.0, r"^tol must be > 0, got -1\.0$"),
+    (PrecoderSolver, "tol", 0.0, r"^tol must be > 0, got 0\.0$"),
+    (PrecoderSolver, "randomizations", -3, r"^randomizations must be >= 0, got -3$"),
+    (PrecoderSolver, "randomizations", -1, r"^randomizations must be >= 0, got -1$"),
+    (PrecoderSolver, "randomizations", 2.5, r"^randomizations must be an integer, got 2\.5$"),
+    (PrecoderSolver, "randomizations", math.nan, r"^randomizations must be finite, got nan$"),
+    (PrecoderSolver, "randomizations", math.inf, r"^randomizations must be finite, got inf$"),
+    (RfChainConfig, "pa_efficiency", 0.0, r"^pa_efficiency must be > 0, got 0\.0$"),
+    (RfChainConfig, "pa_efficiency", 1.5, r"^pa_efficiency must be <= 1\.0, got 1\.5$"),
+    (RfChainConfig, "pa_efficiency", math.nan, r"^pa_efficiency must be finite, got nan$"),
+    (RfChainConfig, "p_rf_chain_w", -0.5, r"^p_rf_chain_w must be >= 0, got -0\.5$"),
+    (RfChainConfig, "p_rf_chain_w", math.inf, r"^p_rf_chain_w must be finite, got inf$"),
+    (RfChainConfig, "gamma", 0.0, r"^gamma must be > 0, got 0\.0$"),
+    (RfChainConfig, "gamma", -1.0, r"^gamma must be > 0, got -1\.0$"),
+    (RfChainConfig, "gamma", math.nan, r"^gamma must be finite, got nan$"),
+    (RfChainConfig, "gamma", math.inf, r"^gamma must be finite, got inf$"),
+    (RfChainConfig, "n_devices", 0, r"^n_devices must be >= 1, got 0$"),
+    (RfChainConfig, "n_devices", 10.0, r"^n_devices must be an integer, got 10\.0$"),
+]
+
+
+@pytest.mark.parametrize("record, name, value, message", BAD_RECORD_FIELDS,
+                         ids=[f"{r.__name__}.{n}={v}" for r, n, v, _ in BAD_RECORD_FIELDS])
+def test_scenario_and_solver_records_refuse_a_bad_field_by_name(record, name, value, message):
+    with pytest.raises(ValueError, match=message):
+        record(**{name: value})
 
 
 # (sweep_rf_chains argument, a bad value, the error it must raise)
 BAD_SWEEP_ARGUMENTS = [
-    ("tol", math.nan, r"^tol must be finite and > 0, got nan$"),
-    ("tol", math.inf, r"^tol must be finite and > 0, got inf$"),
-    ("tol", -1.0, r"^tol must be finite and > 0, got -1\.0$"),
-    ("tol", 0.0, r"^tol must be finite and > 0, got 0\.0$"),
-    ("pa_efficiency", 0.0, r"^pa_efficiency must be in \(0, 1\], got 0\.0$"),
-    ("pa_efficiency", 1.5, r"^pa_efficiency must be in \(0, 1\], got 1\.5$"),
-    ("pa_efficiency", math.nan, r"^pa_efficiency must be in \(0, 1\], got nan$"),
-    ("p_rf", -0.5, r"^p_rf must be >= 0, got -0\.5$"),
-    ("p_rf", math.inf, r"^p_rf must be finite, got inf$"),
-    ("n_randomizations", -3, r"^n_randomizations must be an integer >= 0, got -3$"),
-    ("n_randomizations", -1, r"^n_randomizations must be an integer >= 0, got -1$"),
-    ("n_randomizations", 2.5, r"^n_randomizations must be an integer >= 0, got 2\.5$"),
-    ("n_randomizations", math.nan, r"^n_randomizations must be an integer >= 0, got nan$"),
-    ("n_randomizations", math.inf, r"^n_randomizations must be an integer >= 0, got inf$"),
-    ("devices", 0, r"^devices must hold at least one device, got 0$"),
     ("devices", [], r"^devices must hold at least one device, got 0$"),
-    ("gamma", 0.0, r"^gamma must be finite and > 0, got 0\.0$"),
-    ("gamma", -1.0, r"^gamma must be finite and > 0, got -1\.0$"),
-    ("gamma", math.nan, r"^gamma must be finite and > 0, got nan$"),
-    ("gamma", math.inf, r"^gamma must be finite and > 0, got inf$"),
-    ("m_values", (1.5, 2), r"^m_values must be strictly increasing integers >= 1$"),
-    ("m_values", (1, math.nan), r"^m_values must be strictly increasing integers >= 1$"),
-    ("m_values", (1, math.inf), r"^m_values must be strictly increasing integers >= 1$"),
+    ("m_values", [], r"^m_values must be non-empty$"),
+    ("m_values", (2, 2, 3), r"^m_values must be strictly increasing, got \[2, 2, 3\]$"),
+    ("m_values", (1.5, 2), r"^m_values must be an integer >= 1, got 1\.5$"),
+    ("m_values", (1.0, 2.0), r"^m_values must be an integer >= 1, got 1\.0$"),
+    ("m_values", (1, math.nan), r"^m_values must be an integer >= 1, got nan$"),
+    ("m_values", (1, math.inf), r"^m_values must be an integer >= 1, got inf$"),
+    ("seed", 0.0, r"^seed must be an integer >= 0, got 0\.0$"),
 ]
 
 
@@ -257,23 +270,24 @@ def test_sweep_checks_numeric_arguments_before_any_work(monkeypatch, name, value
     monkeypatch.setattr(beampower, "draw_device_positions", refuse)
     monkeypatch.setattr(beampower, "sample_channels", refuse)
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
-    arguments = {"devices": 4, "gamma": 2e-6, "m_values": range(1, 33), "seed": 0}
     with pytest.raises(ValueError, match=message):
-        sweep_rf_chains(**{**arguments, name: value})
+        _sweep(**{name: value})
 
 
 class DrawReached(Exception):
     pass
 
 
-# Arguments at the sweep's array limits, the same just past them, and the
-# names the refusal starts with. With 32 RF chains the limit is 312,500
-# devices or randomizations; 10,000 explicit devices fit 1,000 antennas.
+# Arguments and scenario fields at the sweep's array limits, the same just
+# past them, and the names the refusal starts with. With 32 RF chains the
+# limit is 312,500 devices or randomizations; 10,000 explicit devices fit
+# 1,000 antennas.
 SIZE_LIMITS = [
-    ({"devices": 312_500}, {"devices": 312_501}, "devices and m_values"),
+    ({"n_devices": 312_500}, {"n_devices": 312_501}, "n_devices and m_values"),
     ({"devices": [(1.0, 0.0)] * 10_000, "m_values": (1, 1000)},
      {"devices": [(1.0, 0.0)] * 10_001, "m_values": (1, 1000)}, "devices and m_values"),
-    ({"n_randomizations": 312_500}, {"n_randomizations": 312_501}, "n_randomizations and m_values"),
+    ({"solver": PrecoderSolver(randomizations=312_500)}, {"solver": PrecoderSolver(randomizations=312_501)},
+     r"solver\.randomizations and m_values"),
 ]
 
 
@@ -284,11 +298,10 @@ def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, 
 
     monkeypatch.setattr(beampower, "draw_device_positions", refuse)
     monkeypatch.setattr(beampower, "sample_channels", refuse)
-    arguments = {"devices": 4, "gamma": 2e-6, "m_values": range(1, 33)}
     with pytest.raises(DrawReached):
-        sweep_rf_chains(**{**arguments, **fits})
+        _sweep(**fits)
     with pytest.raises(ValueError, match=rf"^{names} give .*; the limit is 1e\+07$"):
-        sweep_rf_chains(**{**arguments, **too_large})
+        _sweep(**too_large)
 
 
 # A gain below the least normal float, 2.2e-308, underflows: 1e-4 * 10**-306
@@ -296,7 +309,7 @@ def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, 
 @pytest.mark.parametrize("devices, exponent, message", [
     ([(1.0, 0.0), (10.0, 0.0)], 306.0, r"devices give device 1 at \(10, 0\) a path gain of 1e-310"),
     ([(1e200, 0.0)], 2.7, r"devices give device 0 at \(1e\+200, 0\) a path gain of 0"),
-    (4, 400.0, r"disk_radius give device 0 at \(3\.09, -7\.359\) a path gain of 0"),
+    (None, 400.0, r"disk_radius give device 0 at \(3\.09, -7\.359\) a path gain of 0"),
 ], ids=["subnormal", "zero", "drawn"])
 def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channels(monkeypatch, devices, exponent,
                                                                                    message):
@@ -304,18 +317,17 @@ def test_sweep_refuses_a_device_whose_path_gain_underflows_before_drawing_channe
         raise DrawReached
 
     monkeypatch.setattr(beampower, "sample_channels", refuse)
-    model = ChannelModel(pathloss=PathLossParams(exponent, fixed_loss_db=40.0))
     with pytest.raises(ValueError, match=rf"^pathloss\.\* and {message}, which underflows$"):
-        sweep_rf_chains(devices, 2e-6, [1], model=model)
+        _sweep([1], devices, pathloss=PathLossParams(exponent, fixed_loss_db=40.0))
     with pytest.raises(DrawReached):
-        sweep_rf_chains(4, 2e-6, [1])
+        _sweep([1])
 
 
 # Devices at 1 m and 10 m with exponent 145 and no fixed loss have gains 1 and
 # 1e-145, so gamma * max(gain) / min(gain)**2 is gamma * 1e290.
 @pytest.mark.parametrize("devices, exponent, gamma, message", [
     ([(1.0, 0.0), (10.0, 0.0)], 145.0, 2.0, r"gamma, pathloss\.\* and devices give 2e\+290"),
-    (4, 300.0, 2e-6, r"gamma, pathloss\.\* and disk_radius give inf"),
+    (None, 300.0, 2e-6, r"gamma, pathloss\.\* and disk_radius give inf"),
 ], ids=["explicit", "drawn"])
 def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_channels(monkeypatch, devices, exponent,
                                                                                       gamma, message):
@@ -323,30 +335,27 @@ def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_cha
         raise DrawReached
 
     monkeypatch.setattr(beampower, "sample_channels", refuse)
-    model = ChannelModel(pathloss=PathLossParams(exponent))
     with pytest.raises(ValueError, match=rf"^{message} as gamma \* max / min\*\*2 of the device path gains; "
                                          r"the limit is 1e\+290$"):
-        sweep_rf_chains(devices, gamma, [1, 2], model=model)
+        _sweep([1, 2], devices, gamma=gamma, pathloss=PathLossParams(exponent))
     with pytest.raises(DrawReached):
-        sweep_rf_chains([(1.0, 0.0), (10.0, 0.0)], 0.5, [1, 2],
-                        model=ChannelModel(pathloss=PathLossParams(145.0)))
+        _sweep([1, 2], [(1.0, 0.0), (10.0, 0.0)], gamma=0.5, pathloss=PathLossParams(145.0))
 
 
-BAD_SOLVER_ARGUMENTS = [case for case in BAD_SWEEP_ARGUMENTS if case[0] in ("tol", "n_randomizations")]
-
-
-@pytest.mark.parametrize(
-    "name, value, message", BAD_SOLVER_ARGUMENTS, ids=[f"{n}={v}" for n, v, _ in BAD_SOLVER_ARGUMENTS]
-)
-def test_precoder_checks_solver_arguments_before_solving(monkeypatch, name, value, message):
+# 8 antennas hold 1,250,000 randomizations within the 10**7 candidate entries.
+def test_precoder_refuses_a_candidate_pool_too_large_to_allocate_before_solving(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the precoder solved a relaxation")
+        raise DrawReached
 
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
     rng = np.random.default_rng(5)
-    h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    with pytest.raises(ValueError, match=message):
-        min_power_precoder(MulticastProblem(h, 1e-3), **{name: value})
+    problem = MulticastProblem(rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8)), 1e-3)
+    with pytest.raises(DrawReached):
+        min_power_precoder(problem, PrecoderSolver(randomizations=1_250_000))
+    for randomizations, shown in ((1_250_001, "1e\\+07"), (10**13, "8e\\+13")):
+        with pytest.raises(ValueError, match=rf"^solver\.randomizations and channels give {shown} candidate entries "
+                                             r"\(randomizations \* antennas\); the limit is 1e\+07$"):
+            min_power_precoder(problem, PrecoderSolver(randomizations=randomizations))
 
 
 @pytest.mark.parametrize("n, radius, message", [
@@ -407,7 +416,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_split_relaxations_are_byte_equal_to_a_serial_solve(monkeypatch):
     reduced = _nested_prefixes()
     serial = beampower._solve_share(reduced, 1e-4)
-    reference = sweep_rf_chains(3, 2e-6, range(1, 8), seed=4)
+    reference = _sweep(range(1, 8), seed=4, n_devices=3)
     forked = _count_forks(monkeypatch)
     for cpus in (1, 2, 3, 7):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
@@ -416,7 +425,7 @@ def test_split_relaxations_are_byte_equal_to_a_serial_solve(monkeypatch):
         assert len(forked) == min(cpus, len(reduced)) - 1
         assert [res[1:] for res in split] == [res[1:] for res in serial]
         assert [res[0].tobytes() for res in split] == [res[0].tobytes() for res in serial]
-        assert sweep_rf_chains(3, 2e-6, range(1, 8), seed=4) == reference
+        assert _sweep(range(1, 8), seed=4, n_devices=3) == reference
         assert len(forked) == 2 * (min(cpus, len(reduced)) - 1)
     _assert_no_child_left()
 
@@ -427,7 +436,7 @@ def test_one_precoder_forks_nothing(monkeypatch):
     forked = _count_forks(monkeypatch)
     rng = np.random.default_rng(5)
     h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    min_power_precoder(MulticastProblem(h, 1e-3))
+    min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver())
     assert forked == []
 
 
@@ -451,7 +460,7 @@ def test_a_failing_relaxation_worker_names_its_antenna_counts(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(beampower, "_solve_stack", _failing_stack(in_parent=False))
     with pytest.raises(RuntimeError, match=r"^SDR relaxations for m = 2, 5 failed in a worker process: MemoryError: "):
-        sweep_rf_chains(3, 2e-6, range(1, 8), seed=4)
+        _sweep(range(1, 8), seed=4, n_devices=3)
     _assert_no_child_left()
 
 

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wetplan.beampower import MulticastProblem, min_power_precoder
+from wetplan.beampower import MulticastProblem, PrecoderSolver, min_power_precoder
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -28,7 +28,7 @@ def problems(draw):
 @PROPERTY
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_precoder_meets_every_floor(problem, seed):
-    sol = min_power_precoder(problem, seed=seed)
+    sol = min_power_precoder(problem, PrecoderSolver(), seed=seed)
     received = np.abs(problem.channels.conj() @ sol.precoder) ** 2
     assert np.all(received >= problem.gamma * (1.0 - 1e-9))
     assert np.isclose(sol.tx_power, np.vdot(sol.precoder, sol.precoder).real, rtol=1e-12)
@@ -37,12 +37,12 @@ def test_precoder_meets_every_floor(problem, seed):
 @PROPERTY
 @given(problems(), st.integers(0, 2**32 - 1))
 def test_precoder_power_is_above_its_certified_bound(problem, seed):
-    sol = min_power_precoder(problem, seed=seed)
+    sol = min_power_precoder(problem, PrecoderSolver(), seed=seed)
     assert 0.0 < sol.sdr_lower_bound <= sol.tx_power
 
 
 def test_tight_relaxation_bound_does_not_exceed_power():
     # One device: the relaxation is tight, and the dual value rounds a few
     # ulps above the optimal power (0.005000000000000002 vs 0.004999999999999999).
-    sol = min_power_precoder(MulticastProblem(np.array([[1 + 1j]]), 0.01))
+    sol = min_power_precoder(MulticastProblem(np.array([[1 + 1j]]), 0.01), PrecoderSolver())
     assert 0.0 < sol.sdr_lower_bound <= sol.tx_power

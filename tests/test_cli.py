@@ -19,7 +19,7 @@ import wetplan.cli
 import wetplan.deployment
 import wetplan.outage
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
-from wetplan.beampower import ChannelModel
+from wetplan.beampower import PrecoderSolver, RfChainConfig
 from wetplan.channel import PathLossParams, RicianParams
 from wetplan.cli import STUDIES, RunConfig, RunManifest, build_parser, emit_plot_data, main, run, verify_manifest
 from wetplan.config import ConfigError, resolve_config
@@ -321,15 +321,19 @@ def test_every_key_reaches_its_field(monkeypatch, study):
     else:
         drawn, explicit = calls
         assert drawn == {
-            "devices": 5,
-            "gamma": 3e-6,
+            "config": RfChainConfig(
+                pathloss=pathloss,
+                rician=RicianParams(3.0),
+                disk_radius=7.5,
+                gamma=3e-6,
+                n_devices=5,
+                pa_efficiency=0.6,
+                p_rf_chain_w=0.25,
+                solver=PrecoderSolver(tol=2e-3, randomizations=17),
+            ),
             "m_values": (1, 3),
-            "model": ChannelModel(pathloss=pathloss, rician=RicianParams(3.0), disk_radius=7.5),
+            "devices": None,
             "seed": 11,
-            "pa_efficiency": 0.6,
-            "p_rf": 0.25,
-            "tol": 2e-3,
-            "n_randomizations": 17,
         }
         assert explicit["devices"] == ((1.0, 1.0), (2.0, -3.0))
 
@@ -399,8 +403,7 @@ TOO_LARGE = {
     "power_stack": ("outage", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
     "disk_area": ("outage", ["densities=0", "disk_radius=1e200", "trials=2"],
                   ["densities=1e-320", "disk_radius=1e160", "trials=2"], "densities and disk_radius"),
-    "rfchains_channels": ("rfchains", ["n_devices=312500"], ["n_devices=312501"],
-                          r"n_devices \(or devices\) and m_values"),
+    "rfchains_channels": ("rfchains", ["n_devices=312500"], ["n_devices=312501"], "n_devices and m_values"),
     "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
                    r"solver\.randomizations and m_values"),
     "simplex_k": ("deploy", ["k=263"], ["k=264"], r"k = 264, solver\.n_starts = 8, 8 devices and 4 map\.components"),
@@ -434,8 +437,8 @@ def test_outage_with_no_transmitters_runs_whatever_the_disk_radius(tmp_path):
 
 @pytest.mark.parametrize("sets, keys, device", [
     (["pathloss.exponent=400"], "disk_radius", r"device 0 at \(3\.09, -7\.359\)"),
-    (["devices=1e200:0", "m_values=1"], r"n_devices \(or devices\)", r"device 0 at \(1e\+200, 0\)"),
-    (["devices=1:1, 1e200:0", "m_values=1"], r"n_devices \(or devices\)", r"device 1 at \(1e\+200, 0\)"),
+    (["devices=1e200:0", "m_values=1"], "devices", r"device 0 at \(1e\+200, 0\)"),
+    (["devices=1:1, 1e200:0", "m_values=1"], "devices", r"device 1 at \(1e\+200, 0\)"),
 ], ids=["drawn", "explicit", "second_explicit"])
 def test_rfchains_device_whose_path_gain_underflows_is_refused_before_drawing(monkeypatch, capsys, tmp_path,
                                                                               sets, keys, device):

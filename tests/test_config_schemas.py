@@ -92,8 +92,7 @@ STUDY_KEYS = {
     "cost": {"n_devices", "horizons", "battery_lives"},
     "deploy": {"k", "devices", "map.components", "map.area"},
     "outage": {"densities", "archs"},
-    "rfchains": {"gamma", "m_values", "n_devices", "devices", "pa_efficiency", "p_rf_chain_w", "solver.tol",
-                 "solver.randomizations"},
+    "rfchains": {"m_values", "devices"},
 }
 
 
@@ -150,6 +149,14 @@ OUT_OF_RANGE = {
         ("pathloss.exponent", "0"),
         ("pathloss.fixed_loss_db", "-0.5"),
         ("pathloss.reference_distance", "0"),
+        ("gamma", "0"),
+        ("gamma", "-1e-6"),
+        ("n_devices", "0"),
+        ("pa_efficiency", "0"),
+        ("pa_efficiency", "1.5"),
+        ("p_rf_chain_w", "-0.5"),
+        ("solver.tol", "0"),
+        ("solver.randomizations", "-1"),
     ],
 }
 OUT_OF_RANGE_CASES = [(study, key, value) for study, cases in sorted(OUT_OF_RANGE.items()) for key, value in cases]
@@ -212,17 +219,9 @@ STUDY_OUT_OF_RANGE = {
         ("archs", "single, hybrid"),
     ],
     "rfchains": [
-        ("gamma", "0"),
-        ("gamma", "-1e-6"),
         ("m_values", ""),
         ("m_values", "0, 1"),
         ("m_values", "2, 2"),
-        ("n_devices", "0"),
-        ("pa_efficiency", "0"),
-        ("pa_efficiency", "1.5"),
-        ("p_rf_chain_w", "-0.5"),
-        ("solver.tol", "0"),
-        ("solver.randomizations", "-1"),
     ],
 }
 # Study keys that take any value of their kind: explicit rfchains devices
@@ -244,6 +243,14 @@ def test_out_of_range_study_value_is_refused_by_name(tmp_path, monkeypatch, caps
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
     assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", line), line
+    assert not out.exists()
+
+
+def test_n_devices_is_checked_when_explicit_devices_override_it(tmp_path, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "rfchains"
+    assert main(["rfchains", "--set", "devices=3:4,-5:0", "--set", "n_devices=0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_devices must be >= 1, got 0\n"
     assert not out.exists()
 
 

@@ -150,27 +150,17 @@ def test_sweep_nests_horizon_then_battery_life_then_fleet_size_then_scenario():
 
 # (the sweep's arguments after the cost parameters, the refusal it must raise)
 BAD_SWEEP_ARGUMENTS = [
-    pytest.param(([], [T], [L]), r"^n_devices must be a non-empty list of positive integers, got \[\]$",
-                 id="devices-empty"),
-    pytest.param(([10, 0], [T], [L]),
-                 r"^n_devices must be a non-empty list of positive integers, got \[10, 0\]$", id="devices-zero"),
-    pytest.param(([2.5], [T], [L]),
-                 r"^n_devices must be a non-empty list of positive integers, got \[2\.5\]$", id="devices-fraction"),
-    pytest.param(([10, math.nan], [T], [L]),
-                 r"^n_devices must be a non-empty list of positive integers, got \[10, nan\]$", id="devices-nan"),
-    pytest.param(([100], [5, 0], [1]),
-                 r"^horizons must be a non-empty list of positive integers, got \[5, 0\]$", id="horizon-zero"),
-    pytest.param(([100], [2.5], [1]),
-                 r"^horizons must be a non-empty list of positive integers, got \[2\.5\]$", id="horizon-fraction"),
-    pytest.param(([100], [], [1]), r"^horizons must be a non-empty list of positive integers, got \[\]$",
-                 id="horizon-empty"),
-    pytest.param(([100], [15], [0]),
-                 r"^battery_lives must be a non-empty list of positive integers, got \[0\]$", id="battery-zero"),
-    pytest.param(([100], [15], [1.5]),
-                 r"^battery_lives must be a non-empty list of positive integers, got \[1\.5\]$",
-                 id="battery-fraction"),
-    pytest.param(([100], [15], [math.inf]),
-                 r"^battery_lives must be a non-empty list of positive integers, got \[inf\]$", id="battery-inf"),
+    pytest.param(([], [T], [L]), r"^n_devices must be a non-empty list, got \[\]$", id="devices-empty"),
+    pytest.param(([10, 0], [T], [L]), r"^n_devices must be an integer >= 1, got 0$", id="devices-zero"),
+    pytest.param(([2.5], [T], [L]), r"^n_devices must be an integer >= 1, got 2\.5$", id="devices-fraction"),
+    pytest.param(([10.0], [T], [L]), r"^n_devices must be an integer >= 1, got 10\.0$", id="devices-integral-float"),
+    pytest.param(([10, math.nan], [T], [L]), r"^n_devices must be an integer >= 1, got nan$", id="devices-nan"),
+    pytest.param(([100], [5, 0], [1]), r"^horizons must be an integer >= 1, got 0$", id="horizon-zero"),
+    pytest.param(([100], [2.5], [1]), r"^horizons must be an integer >= 1, got 2\.5$", id="horizon-fraction"),
+    pytest.param(([100], [], [1]), r"^horizons must be a non-empty list, got \[\]$", id="horizon-empty"),
+    pytest.param(([100], [15], [0]), r"^battery_lives must be an integer >= 1, got 0$", id="battery-zero"),
+    pytest.param(([100], [15], [1.5]), r"^battery_lives must be an integer >= 1, got 1\.5$", id="battery-fraction"),
+    pytest.param(([100], [15], [math.inf]), r"^battery_lives must be an integer >= 1, got inf$", id="battery-inf"),
 ]
 
 
@@ -201,7 +191,8 @@ def test_scenario_ordering_at_hundred_devices():
 def test_unknown_scenario_and_bad_counts():
     with pytest.raises(ValueError):
         scenario_cost("solar", 10, DEFAULTS, T, L)
-    for count in (0, 2.5, math.nan, math.inf):
+    # An integral float is refused as an int field refuses it, so no row carries n_devices = 10.0.
+    for count in (0, 2.5, math.nan, math.inf, 10.0):
         with pytest.raises(ValueError, match=rf"^n_devices must be an integer >= 1, got {count}$"):
             scenario_cost("baseline", count, DEFAULTS, T, L)
     # The beacon scenarios swap no batteries, and still refuse a bad battery life.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
-from wetplan.beampower import sweep_rf_chains
+from wetplan.beampower import RfChainConfig, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, steering_vector
 from wetplan.deployment import DeploymentProblem, received_power
 
@@ -27,7 +27,7 @@ POSITION_ARGUMENTS = {
     "received_power.pbs": ("pbs", lambda bad: received_power((0.0, 0.0), [(1.0, 1.0), bad], PROBLEM)),
     "sample_channels.sources": ("sources", lambda bad: sample_channels(np.array([bad]), (0.0, 0.0), *CHANNEL, 0)),
     "sample_channels.device": ("device", lambda bad: sample_channels([(1.0, 1.0)], bad, *CHANNEL, 0)),
-    "sweep_rf_chains.devices": ("devices", lambda bad: sweep_rf_chains([bad], 1e-6, [1, 2])),
+    "sweep_rf_chains.devices": ("devices", lambda bad: sweep_rf_chains(RfChainConfig(), [1, 2], [bad])),
 }
 
 
@@ -44,7 +44,7 @@ def test_each_position_argument_refuses_a_non_finite_coordinate_by_name(argument
     (lambda: DeploymentProblem([(0.0, 0.0, 0.0)], MAP, k=1), r"devices must be an \(n, 2\) array, got shape \(1, 3\)"),
     (lambda: sample_channels(np.zeros(2), (0.0, 0.0), *CHANNEL, 0),
      r"sources must be an \(n, 2\) array, got shape \(2,\)"),
-    (lambda: sweep_rf_chains(4.0, 1e-6, [1]), r"devices must be an \(n, 2\) array, got shape \(\)"),
+    (lambda: sweep_rf_chains(RfChainConfig(), [1], 4), r"devices must be an \(n, 2\) array, got shape \(\)"),
 ], ids=["center", "devices", "sources", "sweep-devices"])
 def test_a_position_of_the_wrong_shape_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,7 +1,8 @@
 """Every field range declared in the library, generated from the declarations.
 
-Each declared bound refuses the last value off it and takes the first value on
-it, every float field refuses NaN, and every int field takes a value past the
+Each declared bound (a lower one on every ranged field, an upper one on some)
+refuses the last value off it and takes the first value on it, every float
+field refuses NaN, and every int field takes a value past the
 range of a float and refuses a non-integer; each refusal reads exactly
 ``<name> must be ...``. Every seeded entry point refuses a seed that is not an
 integer >= 0 before it draws.
@@ -19,7 +20,7 @@ import pytest
 
 import wetplan
 from wetplan.ambient import GaussianComponent, example_map
-from wetplan.beampower import ChannelModel, MulticastProblem, min_power_precoder, sweep_rf_chains
+from wetplan.beampower import MulticastProblem, PrecoderSolver, RfChainConfig, min_power_precoder, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams
 from wetplan.costs import CostParams
 from wetplan.deployment import DeploymentProblem, SolverConfig, optimize
@@ -30,7 +31,8 @@ VALID = {
     GaussianComponent: {"weight": 1.0, "center": (0.0, 0.0), "width": 1.0},
     PathLossParams: {"exponent": 2.0},
     RicianParams: {"k_factor": 1.0},
-    ChannelModel: {},
+    RfChainConfig: {},
+    PrecoderSolver: {},
     MulticastProblem: {"channels": [[1 + 1j]], "gamma": 1.0},
     DeploymentProblem: {"devices": ((0.0, 0.0),), "ambient_map": example_map(), "k": 1},
     SolverConfig: {},
@@ -46,11 +48,13 @@ def _ranged_classes():
         module = importlib.import_module(f"wetplan.{info.name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
-                    and any("bound" in f.metadata for f in dataclasses.fields(cls))):
+                    and any("bounds" in f.metadata for f in dataclasses.fields(cls))):
                 yield cls
 
 
-RANGED = [(cls, f) for cls in VALID for f in dataclasses.fields(cls) if "bound" in f.metadata]
+RANGED = [(cls, f) for cls in VALID for f in dataclasses.fields(cls) if "bounds" in f.metadata]
+# Each declared bound of each ranged field; an upper bound's id names it.
+BOUNDS = [(cls, f, op, bound) for cls, f in RANGED for op, bound in f.metadata["bounds"]]
 
 
 def each_field(kind=None):
@@ -72,13 +76,19 @@ def _step(f, bound, direction: int):
 
 def test_every_class_with_a_declared_range_is_covered():
     assert set(_ranged_classes()) == set(VALID)
-    assert len(RANGED) == 29
+    assert len(RANGED) == 35
+    assert len(BOUNDS) == 36
 
 
-@each_field()
-def test_each_declared_bound_is_exact(cls, f):
-    op, bound = f.metadata["bound"]
-    first, last_off = (_step(f, bound, +1), bound) if op == ">" else (bound, _step(f, bound, -1))
+@pytest.mark.parametrize("cls, f, op, bound", BOUNDS,
+                         ids=[f"{cls.__name__}.{f.name}" + (f"{op}{bound}" if op == "<=" else "")
+                              for cls, f, op, bound in BOUNDS])
+def test_each_declared_bound_is_exact(cls, f, op, bound):
+    first, last_off = {
+        ">": (_step(f, bound, +1), bound),
+        ">=": (bound, _step(f, bound, -1)),
+        "<=": (bound, _step(f, bound, +1)),
+    }[op]
     assert getattr(_build(cls, **{f.name: first}), f.name) == first
     with pytest.raises(ValueError) as err:
         _build(cls, **{f.name: last_off})
@@ -100,7 +110,7 @@ def test_each_int_field_takes_a_value_past_the_range_of_a_float(cls, f):
 
 @each_field("int")
 def test_each_int_field_refuses_a_non_integer_by_name(cls, f):
-    op, bound = f.metadata["bound"]
+    op, bound = f.metadata["bounds"][0]
     first = _step(f, bound, +1) if op == ">" else bound
     assert getattr(_build(cls, **{f.name: np.int64(first)}), f.name) == first
     for value in (first + 0.5, float(first)):
@@ -113,12 +123,12 @@ def test_each_int_field_refuses_a_non_integer_by_name(cls, f):
 SEEDED = {
     "optimize": lambda seed: optimize(_build(DeploymentProblem), seed=seed),
     "sweep_density": lambda seed: sweep_density(OutageConfig(trials=10), [1.0], ("single",), seed=seed),
-    "sweep_rf_chains": lambda seed: sweep_rf_chains(2, 1e-6, [1, 2], seed=seed),
-    "min_power_precoder": lambda seed: min_power_precoder(_build(MulticastProblem), seed=seed),
+    "sweep_rf_chains": lambda seed: sweep_rf_chains(RfChainConfig(gamma=1e-6, n_devices=2), [1, 2], seed=seed),
+    "min_power_precoder": lambda seed: min_power_precoder(_build(MulticastProblem), PrecoderSolver(), seed=seed),
 }
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, math.nan, math.inf])
+@pytest.mark.parametrize("seed", [2.5, -1, math.nan, math.inf, 0.0])
 @pytest.mark.parametrize("entry", sorted(SEEDED))
 def test_each_seeded_entry_point_refuses_a_bad_seed_before_drawing(monkeypatch, entry, seed):
     def refuse(*args, **kwargs):
