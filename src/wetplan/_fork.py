@@ -1,7 +1,8 @@
-"""Fork-join over the CPUs the process may run on: ``fork_map`` deals items
-round-robin to one share per CPU, and every share after the first runs in a
-forked child that pickles its result into a pipe. The callers make an item's
-result independent of its share, so the bytes do not depend on the CPU count.
+"""Fork-join over the CPUs the process may run on, for the outage trials:
+``fork_map`` deals items round-robin to one share per CPU, and every share
+after the first runs in a forked child that pickles its result array into a
+pipe. An item's result does not depend on its share, so the bytes do not
+depend on the CPU count. ``outage`` is the only study that forks.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def _fork(work, share):
 
 
 def fork_map(work, n: int, describe):
-    """One result per item ``0 … n-1`` (``n >= 1``), in item order: a list, or
-    an array with a row per item where ``work`` returns arrays.
+    """One result per item ``0 … n-1`` (``n >= 1``), in item order: an array
+    with a row per item.
 
     Share ``s`` of ``min(usable_cpus(), n)`` is ``range(s, n, shares)``, and
-    ``work(share)`` gives its items' results in order. Share 0 runs in this
+    ``work(share)`` gives its items' rows in order. Share 0 runs in this
     process, after the others are forked. A child's failure raises a
     ``RuntimeError`` that starts with ``describe(share)``; on any failure the
     children still running are killed, and every child is reaped.
@@ -98,7 +99,7 @@ def fork_map(work, n: int, describe):
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results = np.empty((n, *parts[0].shape[1:]), parts[0].dtype) if isinstance(parts[0], np.ndarray) else [None] * n
+    results = np.empty((n, *parts[0].shape[1:]), parts[0].dtype)
     for s, part in enumerate(parts):
         results[s::count] = part
     return results

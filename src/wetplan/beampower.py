@@ -7,12 +7,10 @@ is solved in three phases:
    the semidefinite relaxation (SDR) is at most n_devices-dimensional.
 2. Relax: a penalized projected-gradient scheme (FISTA with restarts; PSD
    projection via eigenvalue clipping) that certifies a dual lower bound.
-   Relaxations run as ``(B, n, r)`` stacks, one per reduced shape, each
-   problem with its own penalty and counters, so a stack gives bitwise the
-   iterates of solving each problem alone. Several problems are dealt
-   round-robin across the CPUs the process may run on (``_fork.fork_map``,
-   which ``outage`` shares); each worker stacks its own share, so the bytes
-   do not depend on the CPU count.
+   Relaxations run in this process as ``(B, n, r)`` stacks, one per reduced
+   shape, each problem with its own penalty, counters and bounds, so a stack
+   gives bitwise the iterates and results of solving each problem alone. A
+   check pass updates the bounds of every problem due at once.
 3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
    leading-eigenvector and, in a sweep, the previous precoder, each rescaled
    to exact feasibility, cheapest kept.
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_map
 from .channel import (
     MAX_ARRAY_ENTRIES, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
     _require_at_most, _require_bound, _require_finite, _require_integer, _uniform_disk, sample_channels,
@@ -107,10 +104,13 @@ class PrecoderSolver:
     __post_init__ = _check_fields
 
 
-def _require_pool_fits(solver: PrecoderSolver, antennas: int, names: str) -> None:
-    """Refuse a candidate pool of ``solver.randomizations`` x ``antennas`` (set by ``names``) too large to allocate."""
-    _require_at_most(solver.randomizations * antennas, MAX_ARRAY_ENTRIES, f"solver.randomizations and {names}",
+def _require_pool_fits(solver: PrecoderSolver, devices: int, antennas: int, names: tuple[str, str]) -> None:
+    """Refuse a candidate pool too large to allocate; ``names`` are the device and antenna keys."""
+    _require_at_most(solver.randomizations * antennas, MAX_ARRAY_ENTRIES, f"solver.randomizations and {names[1]}",
                      "candidate entries (randomizations * antennas)")
+    _require_at_most((devices + solver.randomizations + 2) * devices, MAX_ARRAY_ENTRIES,
+                     f"{names[0]} and solver.randomizations",
+                     "candidate margins ((devices + randomizations + 2) * devices)")
 
 
 @dataclass(frozen=True)
@@ -141,40 +141,6 @@ def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENC
 def _margins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Real quadratic forms u_i^H V u_i for every row of u (stacks too)."""
     return ((u.conj() @ v) * u).sum(axis=-1).real
-
-
-class _RelaxationState:
-    """Best feasibility-scaled primal and best certified dual bound so far."""
-
-    def __init__(self):
-        self.primal = math.inf
-        self.v_feasible: np.ndarray | None = None
-        self.dual = 0.0
-
-    def update(self, hhat: np.ndarray, tau: np.ndarray, v: np.ndarray, rho: float) -> None:
-        marg = _margins(hhat, v)
-        ratio = float(np.min(marg / tau))
-        if ratio > 0:
-            primal = float(np.real(np.trace(v))) / ratio
-            if primal < self.primal:
-                self.primal = primal
-                self.v_feasible = v / ratio
-        # Any lam >= 0 certifies sum(lam*tau)/lambda_max(sum lam_i a_i a_i^H)
-        # as a lower bound on the relaxation value; the penalty gradient
-        # supplies multiplier estimates lam_i = 2*rho*shortfall_i.
-        lam = 2.0 * rho * np.maximum(0.0, tau - marg)
-        if np.any(lam > 0):
-            mat = (hhat.T * lam) @ hhat.conj()
-            lmax = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
-            if lmax > 0:
-                self.dual = max(self.dual, float(lam @ tau) / lmax)
-
-    def gap_closed(self, tol: float) -> bool:
-        return (
-            self.dual > 0.0
-            and math.isfinite(self.primal)
-            and self.primal - self.dual <= tol * self.primal
-        )
 
 
 @dataclass(frozen=True)
@@ -208,46 +174,28 @@ def _reduce(problem: MulticastProblem) -> _Reduced:
 def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray | None, float, float, bool]]:
     """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
 
-    The problems are dealt round-robin across the CPUs (``fork_map``); a
-    worker's failure raises a ``RuntimeError`` that names the antenna counts
-    of the problems it held. Returns, per problem, (feasibility-scaled V,
-    primal value, certified dual bound, converged), whatever the CPU count.
+    The problems of one reduced shape run as one stack (``_solve_stack``).
+    Returns, per problem, (feasibility-scaled V, primal value, certified dual
+    bound, converged), whatever else was solved with it.
     """
-    return fork_map(
-        lambda share: _solve_share([problems[k] for k in share], tol),
-        len(problems),
-        lambda share: "SDR relaxations for m = " + ", ".join(str(problems[k].basis.shape[0]) for k in share),
-    )
-
-
-def _solve_share(problems: list[_Reduced], tol: float) -> list:
-    """``_solve_relaxations`` in this process: the problems of one reduced
-    shape run as one stack. Each keeps its own penalty, step, momentum and
-    iteration counters, so its iterates are bitwise those of solving it
-    alone, whatever else shares its stack."""
-    results: list = [None] * len(problems)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, prob in enumerate(problems):
-        groups.setdefault(prob.hhat.shape, []).append(k)
-    for members in groups.values():
+    results = {}
+    for shape in dict.fromkeys(prob.hhat.shape for prob in problems):
+        members = [k for k, prob in enumerate(problems) if prob.hhat.shape == shape]
         hhat = np.stack([problems[k].hhat for k in members])
         tau = np.stack([problems[k].tau for k in members])
-        for k, res in zip(members, _solve_stack(hhat, tau, tol)):
-            results[k] = res
-    return results
+        results.update(zip(members, _solve_stack(hhat, tau, tol)))
+    return [results[k] for k in range(len(problems))]
 
 
 def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
     """Penalty + FISTA on a ``(B, n, r)`` stack, one problem per matrix.
 
     Every operation acts on each matrix alone, with the strides a 2-D array
-    would have, so a problem's iterates do not depend on the rest of its
-    stack. A problem leaves the stack once its primal-dual gap closes or its
-    outer rounds run out.
+    would have, so a problem's iterates and bounds do not depend on the rest
+    of its stack. A problem leaves the stack once its primal-dual gap closes
+    or its outer rounds run out.
     """
     b, n, r = hhat.shape
-    results: list = [None] * b
-    states = [_RelaxationState() for _ in range(b)]
     live = np.arange(b)
     eye = np.eye(r)
     v = np.repeat(np.eye(r, dtype=complex)[None], b, axis=0)  # feasible start: margins = 1 >= tau
@@ -256,6 +204,11 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
     t_mom = np.ones(b)
     inner = np.zeros(b, dtype=int)
     outer = np.zeros(b, dtype=int)
+    # Per problem: best feasibility-scaled primal and its V, best certified dual bound, gap closed.
+    primal = np.full(b, math.inf)
+    v_best = np.zeros_like(v)
+    dual = np.zeros(b)
+    converged = np.zeros(b, dtype=bool)
     while live.size:
         twice_rho = (2.0 * rho)[:, None, None]
         step = (1.0 / (1.0 + 2.0 * rho * n))[:, None, None]
@@ -287,26 +240,42 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
                 break
         inner += done
         round_over = stalled | (inner == _MAX_INNER)
-        keep = np.ones(live.size, dtype=bool)
-        for i in np.flatnonzero((inner % 50 == 0) | round_over):
-            state = states[live[i]]
-            state.update(hhat[i], tau[i], v[i], rho[i])
-            closed = state.gap_closed(tol)
-            if round_over[i] and not closed and outer[i] + 1 < _MAX_OUTER:
-                # Next round: ten times the penalty, momentum restarted.
-                rho[i] *= 10.0
-                outer[i] += 1
-                y[i] = v[i]
-                t_mom[i] = 1.0
-                inner[i] = 0
-                continue
-            if closed or round_over[i]:
-                keep[i] = False
-                results[live[i]] = (state.v_feasible, state.primal, state.dual, closed)
+        # Check pass: the bounds of every problem due are updated as one stack.
+        due = np.flatnonzero((inner % 50 == 0) | round_over)
+        at = live[due]
+        hhat_d, tau_d, v_d = hhat[due], tau[due], v[due]
+        marg = _margins(hhat_d, v_d)
+        ratio = (marg / tau_d).min(axis=1)
+        scaled = np.trace(v_d, axis1=1, axis2=2).real / np.where(ratio > 0, ratio, np.nan)
+        better = scaled < primal[at]  # never where ratio <= 0, whose scaled primal is nan
+        primal[at[better]] = scaled[better]
+        v_best[at[better]] = v_d[better] / ratio[better, None, None]
+        # Any lam >= 0 certifies sum(lam*tau)/lambda_max(sum lam_i a_i a_i^H)
+        # as a lower bound on the relaxation value; the penalty gradient
+        # supplies multiplier estimates lam_i = 2*rho*shortfall_i. A problem
+        # with no shortfall has lam = 0, so lambda_max = 0 and no bound.
+        lam = 2.0 * rho[due, None] * np.maximum(0.0, tau_d - marg)
+        mat = (hhat_d.transpose(0, 2, 1) * lam[:, None, :]) @ hhat_d.conj()
+        lmax = np.linalg.eigvalsh(0.5 * (mat + mat.conj().transpose(0, 2, 1)))[:, -1]
+        pos = lmax > 0
+        bound = (lam[pos, None, :] @ tau_d[pos, :, None])[:, 0, 0] / lmax[pos]
+        dual[at[pos]] = np.maximum(dual[at[pos]], bound)
+        converged[at] = (dual[at] > 0.0) & np.isfinite(primal[at]) & (primal[at] - dual[at] <= tol * primal[at])
+        closed = converged[live]
+        # Next round for a problem whose round ran out with its gap open: ten
+        # times the penalty, momentum restarted.
+        again = round_over & ~closed & (outer + 1 < _MAX_OUTER)
+        rho[again] *= 10.0
+        outer[again] += 1
+        y[again] = v[again]
+        t_mom[again] = 1.0
+        inner[again] = 0
+        keep = ~(closed | round_over) | again
         if not keep.all():
             live, hhat, tau, v, y = live[keep], hhat[keep], tau[keep], v[keep], y[keep]
             rho, t_mom, inner, outer = rho[keep], t_mom[keep], inner[keep], outer[keep]
-    return results
+    return [(v_best[k] if primal[k] < math.inf else None, float(primal[k]), float(dual[k]), bool(converged[k]))
+            for k in range(b)]
 
 
 def _best_candidate(
@@ -377,10 +346,10 @@ def min_power_precoder(problem: MulticastProblem, solver: PrecoderSolver, seed: 
     put the dual value a few ulps above the precoder that attains it. The
     solver stops once the relaxation's primal-dual gap closes within
     ``solver.tol``. The seed, and the candidate pool's size against the
-    antenna count, are checked before anything is solved.
+    device and antenna counts, are checked before anything is solved.
     """
     _require_integer("seed", seed, 0)
-    _require_pool_fits(solver, problem.channels.shape[1], "channels")
+    _require_pool_fits(solver, *problem.channels.shape, ("channels", "channels"))
     red = _reduce(problem)
     (relaxed,) = _solve_relaxations([red], solver.tol)
     return _extract(red, relaxed, solver, seed, ())
@@ -442,9 +411,10 @@ def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0
     if n_devices < 1:
         raise ValueError("devices must hold at least one device, got 0")
     m_max = ms[-1]
-    _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, f"{'n_devices' if drawn else 'devices'} and m_values",
+    source = "n_devices" if drawn else "devices"
+    _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, f"{source} and m_values",
                      "channel entries (devices * max(m_values))")
-    _require_pool_fits(config.solver, m_max, "m_values")
+    _require_pool_fits(config.solver, n_devices, m_max, (source, "m_values"))
 
     if drawn:
         pts = draw_device_positions(n_devices, config.disk_radius, np.random.SeedSequence([int(seed), 0]))

@@ -11,7 +11,7 @@ with the same seed reproduces the CSVs byte for byte.
 
 The manifest also records the environment that produced the bytes
 (``env.<name> = value`` lines: Python and numpy versions, and the CPUs the
-outage and rfchains work was dealt across); ``verify_manifest`` ignores them.
+outage trials were dealt across); ``verify_manifest`` ignores them.
 
 A runner builds the library objects from the resolved config, calls the
 study's library entry point and returns a header and rows. A key that sets
@@ -146,7 +146,9 @@ def _sha256(path: Path) -> str:
 
 def verify_manifest(manifest_path) -> bool:
     """Recompute the digests of the manifest's output files; True if all match
-    and they include the subcommand's CSV, which every run writes."""
+    and they include the subcommand's CSV, which every run writes. An output
+    is a regular file in the manifest's directory, named plainly: a name with
+    a path in it, or a symbolic link, could reach any file and fails the check."""
     path = Path(manifest_path)
     try:
         manifest = RunManifest.from_text(path.read_text())
@@ -156,7 +158,7 @@ def verify_manifest(manifest_path) -> bool:
         return False
     for name, digest in manifest.outputs.items():
         target = path.parent / name
-        if not target.is_file() or _sha256(target) != digest:
+        if Path(name).name != name or target.is_symlink() or not target.is_file() or _sha256(target) != digest:
             return False
     return True
 

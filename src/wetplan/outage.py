@@ -19,8 +19,8 @@ Before the first trial the sweep checks its arguments, and refuses a scenario
 whose arrays would pass a size limit (``MAX_MEAN_SOURCES`` expected
 transmitters per trial, ``MAX_ARRAY_ENTRIES`` rf codebook, channel or
 power-stack entries), naming the fields that set it. It deals its trials
-round-robin across the CPUs the process may run on (``_fork.fork_map``, which
-``beampower`` shares); each share harvests its trials at every density, so a
+round-robin across the CPUs the process may run on (``_fork.fork_map``; no
+other study forks); each share harvests its trials at every density, so a
 sweep forks once, and the bytes do not depend on the CPU count.
 """
 

@@ -1,6 +1,5 @@
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -122,22 +121,37 @@ def test_nonconvergence_raises_with_best_candidate(monkeypatch):
     assert np.all(margins >= 1e-3 * (1.0 - 1e-9))
 
 
-def test_stacked_relaxations_match_solving_each_alone():
-    # Nested channel prefixes, as in the RF-chain sweep (reduced shapes (3, 1),
-    # (3, 2) and five of (3, 3)), plus unrelated problems of shared shapes.
+def _mixed_problems():
+    """Nested channel prefixes, as in the RF-chain sweep (reduced shapes (3, 1),
+    (3, 2) and five of (3, 3)), plus unrelated problems of shared shapes."""
     rng = np.random.default_rng(8)
     h = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))) * 1e-2
     problems = [MulticastProblem(h[:, :m], 1e-6) for m in range(1, 8)]
     for n, m in ((2, 2), (3, 3), (1, 4), (2, 2)):
         g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         problems.append(MulticastProblem(g, 10 ** rng.uniform(-4, -2)))
-    reduced = [beampower._reduce(p) for p in problems]
+    return [beampower._reduce(p) for p in problems]
+
+
+def _assert_stack_matches_each_alone(reduced):
     together = beampower._solve_relaxations(reduced, 1e-4)
     for red, joint in zip(reduced, together):
         (alone,) = beampower._solve_relaxations([red], 1e-4)
         assert joint[1:] == alone[1:]
         assert joint[0].tobytes() == alone[0].tobytes()
-    assert all(res[3] for res in together)
+    return together
+
+
+def test_stacked_relaxations_match_solving_each_alone():
+    assert all(res[3] for res in _assert_stack_matches_each_alone(_mixed_problems()))
+
+
+# With 120 iterations a round, rounds end between the 50-iteration checks, so
+# problems leave their stack at different check passes, some unconverged.
+def test_stacked_relaxations_match_solving_each_alone_off_the_check_cadence(monkeypatch):
+    monkeypatch.setattr(beampower, "_MAX_INNER", 120)
+    together = _assert_stack_matches_each_alone(_mixed_problems())
+    assert {res[3] for res in together} == {True, False}
 
 
 def test_sweep_failure_names_first_unconverged_m(monkeypatch):
@@ -279,19 +293,21 @@ class DrawReached(Exception):
 
 
 # Arguments and scenario fields at the sweep's array limits, the same just
-# past them, and the names the refusal starts with. With 32 RF chains the
-# limit is 312,500 devices or randomizations; 10,000 explicit devices fit
-# 1,000 antennas.
+# past them, and the names the refusal starts with. 2,000 devices fit 5,000
+# antennas; with 32 RF chains the limit is 312,500 randomizations; with 200
+# randomizations, the candidates' margins limit 3,062 devices.
 SIZE_LIMITS = [
-    ({"n_devices": 312_500}, {"n_devices": 312_501}, "n_devices and m_values"),
-    ({"devices": [(1.0, 0.0)] * 10_000, "m_values": (1, 1000)},
-     {"devices": [(1.0, 0.0)] * 10_001, "m_values": (1, 1000)}, "devices and m_values"),
+    ({"n_devices": 2_000, "m_values": (1, 5000)}, {"n_devices": 2_001, "m_values": (1, 5000)},
+     "n_devices and m_values"),
+    ({"devices": [(1.0, 0.0)] * 2_000, "m_values": (1, 5000)},
+     {"devices": [(1.0, 0.0)] * 2_001, "m_values": (1, 5000)}, "devices and m_values"),
     ({"solver": PrecoderSolver(randomizations=312_500)}, {"solver": PrecoderSolver(randomizations=312_501)},
      r"solver\.randomizations and m_values"),
+    ({"n_devices": 3_062}, {"n_devices": 3_063}, r"n_devices and solver\.randomizations"),
 ]
 
 
-@pytest.mark.parametrize("fits, too_large, names", SIZE_LIMITS, ids=["drawn", "explicit", "candidates"])
+@pytest.mark.parametrize("fits, too_large, names", SIZE_LIMITS, ids=["drawn", "explicit", "candidates", "margins"])
 def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, fits, too_large, names):
     def refuse(*args, **kwargs):
         raise DrawReached
@@ -358,6 +374,23 @@ def test_precoder_refuses_a_candidate_pool_too_large_to_allocate_before_solving(
             min_power_precoder(problem, PrecoderSolver(randomizations=randomizations))
 
 
+# 3,200 devices and 200 randomizations give (3,200 + 202) * 3,200 candidate
+# margins, past the limit, though one antenna keeps every other array small.
+# (SIZE_LIMITS holds the limit for drawn devices.)
+@pytest.mark.parametrize("names, solve", [
+    ("devices", lambda: _sweep([1], [(1.0 + k / 3_200, 0.0) for k in range(3_200)])),
+    ("channels", lambda: min_power_precoder(MulticastProblem(np.ones((3_200, 1)), 1e-3), PrecoderSolver())),
+], ids=["sweep", "precoder"])
+def test_a_candidate_pool_whose_margins_pass_the_limit_is_refused_before_solving(monkeypatch, names, solve):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relaxation was solved")
+
+    monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
+    with pytest.raises(ValueError, match=rf"^{names} and solver\.randomizations give 1\.089e\+07 candidate margins "
+                                         r"\(\(devices \+ randomizations \+ 2\) \* devices\); the limit is 1e\+07$"):
+        solve()
+
+
 @pytest.mark.parametrize("n, radius, message", [
     (3, -1.0, r"^radius must be > 0, got -1\.0$"),
     (3, 0.0, r"^radius must be > 0, got 0\.0$"),
@@ -384,95 +417,14 @@ def test_device_positions_live_in_disk_and_are_seeded():
     assert [(x, y) for x, y in a] == [(x, y) for x, y in b]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# Seven CPUs faked: the relaxations still run in this process.
+def test_rfchains_relaxations_fork_nothing(monkeypatch):
+    def refuse():
+        raise AssertionError("a relaxation forked")
 
-
-def _count_forks(monkeypatch):
-    forked = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forked.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forked
-
-
-def _nested_prefixes():
-    rng = np.random.default_rng(8)
-    h = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))) * 1e-2
-    return [beampower._reduce(MulticastProblem(h[:, :m], 1e-6)) for m in range(1, 8)]
-
-
-# Only a platform that can fork splits the relaxations.
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-# Seven problems over 7 CPUs run one per worker, so 6 forks per call.
-@needs_fork
-def test_split_relaxations_are_byte_equal_to_a_serial_solve(monkeypatch):
-    reduced = _nested_prefixes()
-    serial = beampower._solve_share(reduced, 1e-4)
-    reference = _sweep(range(1, 8), seed=4, n_devices=3)
-    forked = _count_forks(monkeypatch)
-    for cpus in (1, 2, 3, 7):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        forked.clear()
-        split = beampower._solve_relaxations(reduced, 1e-4)
-        assert len(forked) == min(cpus, len(reduced)) - 1
-        assert [res[1:] for res in split] == [res[1:] for res in serial]
-        assert [res[0].tobytes() for res in split] == [res[0].tobytes() for res in serial]
-        assert _sweep(range(1, 8), seed=4, n_devices=3) == reference
-        assert len(forked) == 2 * (min(cpus, len(reduced)) - 1)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_one_precoder_forks_nothing(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
-    forked = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
     rng = np.random.default_rng(5)
     h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
     min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver())
-    assert forked == []
-
-
-def _failing_stack(*, in_parent, otherwise=None):
-    """A ``_solve_stack`` that raises in this process (``in_parent``) or in
-    its forked workers (otherwise), and runs ``otherwise`` (default: the real
-    one) on the other side."""
-    parent, real = os.getpid(), beampower._solve_stack
-
-    def fake(hhat, tau, tol):
-        if (os.getpid() == parent) == in_parent:
-            raise MemoryError("worker out of memory")
-        return (otherwise or real)(hhat, tau, tol)
-
-    return fake
-
-
-# m = 1..7 over 3 CPUs: the workers hold m = 1, 4, 7 (this process), 2, 5 and 3, 6.
-@needs_fork
-def test_a_failing_relaxation_worker_names_its_antenna_counts(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(beampower, "_solve_stack", _failing_stack(in_parent=False))
-    with pytest.raises(RuntimeError, match=r"^SDR relaxations for m = 2, 5 failed in a worker process: MemoryError: "):
-        _sweep(range(1, 8), seed=4, n_devices=3)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_a_failing_own_share_kills_and_reaps_the_workers(monkeypatch):
-    def stall(*args):
-        time.sleep(60)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(beampower, "_solve_stack", _failing_stack(in_parent=True, otherwise=stall))
-    started = time.monotonic()
-    with pytest.raises(MemoryError, match="worker out of memory"):
-        beampower._solve_relaxations(_nested_prefixes(), 1e-4)
-    assert time.monotonic() - started < 30
-    _assert_no_child_left()
+    _sweep(range(1, 8), seed=4, n_devices=3)

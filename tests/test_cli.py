@@ -41,6 +41,13 @@ GOLDEN_OUTAGE_SHA256 = "4f24aa1132bef346cfc9953f6764da52eaf840b534e348f1dea8d5d7
 GOLDEN_RFCHAINS = ("m_values=" + ", ".join(str(m) for m in range(1, 25)),)
 GOLDEN_RFCHAINS_SHA256 = "b73f9b75bc96be135cec52d1d2ebe326ead176fe64b88a5accc0824b6f6fb795"
 
+# SHA-256 of the default rfchains.csv at seeds 1 and 2, recorded while the
+# relaxations were still dealt across forked workers.
+GOLDEN_RFCHAINS_DEFAULT_SHA256 = {
+    1: "c9056c9e5dbe3a21985be60da2586916a87f79c169e4a655158dcca93e201699",
+    2: "1a9749e192fc5c966a3a8cb3f1879d0dc95feb0f570a766c2ea9f396dc780e6a",
+}
+
 # SHA-256 of deploy.csv for GOLDEN_DEPLOY at seed 17, recorded while every
 # objective evaluation still rebuilt its arrays and looped over components.
 GOLDEN_DEPLOY = ("k=3", "solver.n_starts=2")
@@ -176,6 +183,13 @@ def test_rfchains_csv_matches_golden_digest(tmp_path):
     out = tmp_path / "rfchains"
     assert run_cli("rfchains", out, sets=GOLDEN_RFCHAINS, seed=17) == 0
     assert hashlib.sha256((out / "rfchains.csv").read_bytes()).hexdigest() == GOLDEN_RFCHAINS_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_RFCHAINS_DEFAULT_SHA256))
+def test_default_rfchains_csv_matches_golden_digest(tmp_path, seed):
+    out = tmp_path / "rfchains"
+    assert run_cli("rfchains", out, seed=seed) == 0
+    assert hashlib.sha256((out / "rfchains.csv").read_bytes()).hexdigest() == GOLDEN_RFCHAINS_DEFAULT_SHA256[seed]
 
 
 def test_deploy_csv_matches_golden_digest(tmp_path):
@@ -392,10 +406,11 @@ def _reach_draws(monkeypatch):
 
 # Per product: the study, overrides at the array bound, the same just past
 # it, and the keys the refusal names. With 4 antennas and 32 RF chains the
-# bound is 2,500,000 trials, a disk radius of 446 m, or 312,500 devices or
-# randomizations; 3,162 antennas give a codebook of 9,998,244 entries. The
-# deploy search's simplices, (1 + n_starts) * (2k + 1) * k * 8 devices, allow
-# k = 263 at 8 starts, or 22,726 starts at k = 5.
+# bound is 2,500,000 trials, a disk radius of 446 m, or 312,500 randomizations;
+# 2,000 devices fit 5,000 RF chains, and the candidates' margins at 200
+# randomizations allow 3,062 devices; 3,162 antennas give a codebook of
+# 9,998,244 entries. The deploy search's simplices, (1 + n_starts) * (2k + 1)
+# * k * 8 devices, allow k = 263 at 8 starts, or 22,726 starts at k = 5.
 TOO_LARGE = {
     "codebook": ("outage", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"], "n_antennas"),
     "channels": ("outage", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
@@ -403,7 +418,9 @@ TOO_LARGE = {
     "power_stack": ("outage", ["trials=2500000"], ["trials=2500001"], "trials and n_antennas"),
     "disk_area": ("outage", ["densities=0", "disk_radius=1e200", "trials=2"],
                   ["densities=1e-320", "disk_radius=1e160", "trials=2"], "densities and disk_radius"),
-    "rfchains_channels": ("rfchains", ["n_devices=312500"], ["n_devices=312501"], "n_devices and m_values"),
+    "rfchains_channels": ("rfchains", ["n_devices=2000", "m_values=1, 5000"], ["n_devices=2001", "m_values=1, 5000"],
+                          "n_devices and m_values"),
+    "candidate_margins": ("rfchains", ["n_devices=3062"], ["n_devices=3063"], r"n_devices and solver\.randomizations"),
     "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
                    r"solver\.randomizations and m_values"),
     "simplex_k": ("deploy", ["k=263"], ["k=264"], r"k = 264, solver\.n_starts = 8, 8 devices and 4 map\.components"),
@@ -624,6 +641,25 @@ def test_manifest_that_lists_no_csv_does_not_verify(tmp_path):
     assert not verify_manifest(manifest)
 
 
+# An output line whose name is a path, or a link in the run's directory,
+# reaches a file outside it; its digest matches, but it is no output of the run.
+@pytest.mark.parametrize("name", ["absolute", "../outside.txt", "sub/../../outside.txt", "link.txt"])
+def test_manifest_output_outside_its_directory_does_not_verify(tmp_path, name):
+    out = tmp_path / "run"
+    assert run_cli("cost", out) == 0
+    manifest = out / "manifest.txt"
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an output\n")
+    (out / "sub").mkdir()
+    (out / "link.txt").symlink_to(outside)
+    name = str(outside) if name == "absolute" else name
+    text = manifest.read_text()
+    manifest.write_text(text + f"output.{name}.sha256 = {hashlib.sha256(outside.read_bytes()).hexdigest()}\n")
+    assert not verify_manifest(manifest)
+    manifest.write_text(text)
+    assert verify_manifest(manifest)
+
+
 def test_manifest_whose_seed_or_duration_does_not_parse_does_not_verify(tmp_path):
     out = tmp_path / "run"
     assert run_cli("cost", out) == 0
@@ -716,30 +752,25 @@ def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monk
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failing_rfchains_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monkeypatch, capsys):
+def test_failing_rfchains_relaxation_exits_1_and_leaves_earlier_outputs(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     sets = ["--set", "m_values=1, 2, 3, 4"]
     assert main(["rfchains", *sets, "--out", str(out)]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    parent, real = os.getpid(), wetplan.beampower._solve_stack
+    real = wetplan.beampower._solve_stack
 
-    def fail_in_workers(hhat, tau, tol):
-        if os.getpid() != parent:
-            raise MemoryError("worker out of memory")
+    # m = 1..3 are solved; the stack of m = 4, the last one, fails.
+    def fail_at_m_4(hhat, tau, tol):
+        if hhat.shape[2] == 4:
+            raise MemoryError("relaxation out of memory")
         return real(hhat, tau, tol)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(wetplan.beampower, "_solve_stack", fail_in_workers)
+    monkeypatch.setattr(wetplan.beampower, "_solve_stack", fail_at_m_4)
     capsys.readouterr()
     assert main(["rfchains", *sets, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: SDR relaxations for m = 2, 4 failed in a worker process: MemoryError: worker out of memory\n"
-    )
+    assert capsys.readouterr().err == "error: relaxation out of memory\n"
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert verify_manifest(out / "manifest.txt")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_manifest_config_reproduces_run(tmp_path):

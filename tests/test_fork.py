@@ -45,8 +45,8 @@ def _warning_fork(monkeypatch, message):
 
 
 def _tagged(share):
-    """Each item of ``share`` with the share's first item and pid."""
-    return [(k, share[0], os.getpid()) for k in share]
+    """A row per item of ``share``: the item, the share's first item and the pid."""
+    return np.array([(k, share[0], os.getpid()) for k in share])
 
 
 # 7 items over 3 CPUs: shares 0, 3, 6 (this process), 1, 4 and 2, 5.
@@ -57,10 +57,10 @@ def test_items_are_dealt_round_robin_and_come_back_in_item_order(monkeypatch, cp
     forked = _count_forks(monkeypatch)
     shares = min(cpus, 7)
     results = fork_map(_tagged, 7, lambda share: f"share {share[0]}")
-    assert [k for k, _, _ in results] == list(range(7))
-    assert [first for _, first, _ in results] == [k % shares for k in range(7)]
+    assert results[:, 0].tolist() == list(range(7))
+    assert results[:, 1].tolist() == [k % shares for k in range(7)]
     assert len(forked) == shares - 1
-    pids = {first: pid for _, first, pid in results}
+    pids = {int(first): int(pid) for _, first, pid in results}
     assert pids[0] == os.getpid()
     assert len(set(pids.values())) == shares
     _assert_no_child_left()
@@ -81,7 +81,7 @@ def test_a_failing_child_is_described_by_its_share(monkeypatch):
     def work(share):
         if share[0] == 1:
             raise MemoryError("worker out of memory")
-        return list(share)
+        return np.array(share)
 
     with pytest.raises(RuntimeError, match=r"^share 1, 4 failed in a worker process: MemoryError: worker out of"):
         fork_map(work, 6, lambda share: "share " + ", ".join(map(str, share)))
@@ -95,7 +95,7 @@ def test_a_child_that_dies_gives_its_exit_status(monkeypatch):
     def work(share):
         if share[0] == 1:
             os._exit(3)
-        return list(share)
+        return np.array(share)
 
     with pytest.raises(RuntimeError, match=r"^share 1 failed in a worker process: exit status 3$"):
         fork_map(work, 2, lambda share: f"share {share[0]}")
@@ -124,11 +124,8 @@ def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
 def test_the_threaded_fork_warning_is_silenced_around_the_fork(monkeypatch):
     _cpus(monkeypatch, 3)
     _warning_fork(monkeypatch, THREADED_FORK)
-    values = [0, np.arange(3.0), (None, 1.5, True)]
-    first, second, third = fork_map(lambda share: [values[k] for k in share], 3, str)
-    assert first == 0
-    assert second.tobytes() == np.arange(3.0).tobytes()
-    assert third == (None, 1.5, True)
+    values = np.array([[0.0, 1.5], [np.nan, -2.0], [np.inf, 3.0]])
+    assert fork_map(lambda share: values[share], 3, str).tobytes() == values.tobytes()
     _assert_no_child_left()
 
 
@@ -138,11 +135,11 @@ def test_other_deprecation_warnings_still_raise(monkeypatch):
     _cpus(monkeypatch, 2)
     _warning_fork(monkeypatch, "some other deprecation")
     with pytest.raises(DeprecationWarning, match="some other deprecation"):
-        fork_map(list, 2, str)
+        fork_map(np.array, 2, str)
     _assert_no_child_left()
 
 
 def test_one_cpu_runs_every_item_in_this_process(monkeypatch):
     _cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", None)
-    assert fork_map(_tagged, 4, str) == [(k, 0, os.getpid()) for k in range(4)]
+    assert fork_map(_tagged, 4, str).tolist() == [[k, 0, os.getpid()] for k in range(4)]
