@@ -1,7 +1,8 @@
 """Rectenna transfer curves and the single / DC / RF-combining receiver paths.
 
 The receiver sees ``h``, an (n_sources, n_antennas) complex array of channel
-vectors, and each source's transmit power ``p``. Sources add in power (they
+vectors, and each source's power ``p``; the outage trials pass unit-mean
+channels with each source's mean incident power. Sources add in power (they
 are unsynchronized); antennas combine per architecture. ``_antenna_powers``
 and ``_codeword_powers`` reduce one draw to its per-antenna incident powers
 and the combined power of each codeword of a DFT codebook; ``_rectify``
@@ -109,6 +110,8 @@ def dft_codebook(m: int) -> np.ndarray:
 
 # The two reductions of one draw. They are unchecked: ``h`` is (n, M)
 # complex and ``p`` the per-source power as a scalar or an (n, 1) column.
+# Each sums along the source axis; it runs along contiguous memory when
+# ``h``'s columns are contiguous, as the outage trials lay them out.
 
 
 def _antenna_powers(h: np.ndarray, p) -> np.ndarray:
@@ -118,7 +121,7 @@ def _antenna_powers(h: np.ndarray, p) -> np.ndarray:
 
 def _codeword_powers(h: np.ndarray, p, codewords: np.ndarray) -> np.ndarray:
     """Combined power of each codeword, ``sum_s p_s * |w^H h_s|**2``, shape (K,)."""
-    proj = h @ codewords.conj().T  # (n_sources, n_codewords)
+    proj = (codewords.conj() @ h.T).T  # (n_sources, n_codewords), its columns contiguous
     return (np.abs(proj) ** 2 * p).sum(axis=0)
 
 

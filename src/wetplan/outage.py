@@ -11,7 +11,11 @@ and channels once and rectifies that snapshot under each of them. The
 sub-seeds do not depend on the architecture, so each architecture's estimate
 is the one it would get on its own.
 
-Each trial reduces its draws to per-antenna incident powers and the best rf
+A trial (``_draw``) draws what ``sample_hppp`` and then ``sample_channels``
+would draw from its generator, call for call, but keeps the sources in polar
+form around the device at the disk's center and never forms their channels,
+so its powers match theirs to the last few bits, not bit for bit. Each
+trial reduces its draws to per-antenna incident powers and the best rf
 codeword's combined power; the trials of one estimate are then rectified
 together, one ``harvest`` call per architecture.
 
@@ -33,8 +37,8 @@ import numpy as np
 
 from ._fork import fork_map
 from .channel import (
-    MAX_ARRAY_ENTRIES, MAX_MEAN_SOURCES, PathLossParams, RicianParams, _check_fields, _mean_sources, _ranged,
-    _require_at_most, _require_integer, sample_channels, sample_hppp,
+    MAX_ARRAY_ENTRIES, MAX_MEAN_SOURCES, PathLossParams, RicianParams, _check_fields, _mean_sources, _path_gain,
+    _ranged, _require_at_most, _require_integer,
 )
 from .harvesting import ARCHITECTURES, HarvesterCurve, _antenna_powers, _codeword_powers, _rectify, dft_codebook
 
@@ -103,6 +107,36 @@ def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), int(index)])
 
 
+def _draw(config: OutageConfig, density: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's field as the device at the disk center sees it: each source's mean incident power
+    ``p g(r)``, shape (n,), and its unit-mean channel, shape (n, M), whose columns are contiguous.
+
+    ``rng`` draws the count, the radii, the angles and the scatter's real
+    and imaginary parts, the calls ``sample_hppp`` and then ``sample_channels``
+    make, so a trial's numbers are theirs. The sources stay in polar form: a
+    source at (r, phi) lies r from the device, seen at angle phi, so its
+    line-of-sight row ``exp(i pi m sin(phi))`` is the powers of one phasor.
+    The channel ``sqrt(g(r))`` times this one is never formed: each
+    reduction weighs a source's ``|.|**2`` by its power.
+    """
+    m = config.n_antennas
+    n = int(rng.poisson(_mean_sources(density, config.disk_radius)))
+    r = config.disk_radius * np.sqrt(rng.uniform(size=n))
+    phasor = np.exp(1j * math.pi * np.sin(rng.uniform(0.0, 2.0 * math.pi, size=n)))
+    real, imag = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    k = config.rician.k_factor
+    mix = np.empty((m, n), complex)  # antenna-major, so a sum over sources runs along contiguous memory
+    mix[0] = math.sqrt(k / (k + 1.0))
+    for i in range(1, m):
+        np.multiply(mix[i - 1], phasor, out=mix[i])
+    scatter = math.sqrt(0.5 / (k + 1.0))  # each part's share of the unit-mean scatter
+    real *= scatter
+    imag *= scatter
+    mix.real += real.T
+    mix.imag += imag.T
+    return config.tx_power * _path_gain(r, config.pathloss), mix.T
+
+
 def _harvest_trials(config: OutageConfig, density: float, archs: tuple[str, ...], count: int, seeds) -> np.ndarray:
     """Harvested power of ``count`` trials at ``density``, one contiguous row per architecture.
 
@@ -112,16 +146,12 @@ def _harvest_trials(config: OutageConfig, density: float, archs: tuple[str, ...]
     antenna_powers = np.zeros((count, config.n_antennas))
     combined = np.zeros(count)
     codewords = dft_codebook(config.n_antennas) if "rf" in archs else None
-    device = np.zeros(2)
     for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        positions = sample_hppp(density, config.disk_radius, rng)
-        if positions.shape[0] == 0:
-            continue
-        h = sample_channels(positions, device, config.n_antennas, config.rician, config.pathloss, rng)
-        antenna_powers[t] = _antenna_powers(h, config.tx_power)
+        power, mix = _draw(config, density, np.random.default_rng(seed))
+        power = power[:, None]
+        antenna_powers[t] = _antenna_powers(mix, power)
         if codewords is not None:
-            combined[t] = _codeword_powers(h, config.tx_power, codewords).max()
+            combined[t] = _codeword_powers(mix, power, codewords).max()
     return np.array([_rectify(antenna_powers, combined, arch, config.curve) for arch in archs])
 
 

@@ -10,12 +10,12 @@ import numpy as np
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import MulticastProblem, PrecoderSolver, RfChainConfig, min_power_precoder, sweep_rf_chains
-from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, sample_hppp
+from wetplan.channel import PathLossParams, RicianParams, path_gain
 from wetplan.cli import RunConfig, run, verify_manifest
 from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
 from wetplan.deployment import DeploymentProblem, grid_oracle, optimize
 from wetplan.harvesting import HarvesterCurve, _codeword_powers, dft_codebook, harvest
-from wetplan.outage import OutageConfig, _harvest_trials, sweep_density, trial_seed
+from wetplan.outage import OutageConfig, _draw, _harvest_trials, sweep_density, trial_seed
 
 from deployment_reference import reference_objective
 
@@ -96,15 +96,11 @@ def test_criterion_4_outage_monotonicity_and_combining():
     [rf] = _harvest_trials(config, density, ("rf",), 200, (trial_seed(seed, t) for t in range(200)))
     checked = 0
     for t in range(200):
-        rng = np.random.default_rng(trial_seed(seed, t))
-        positions = sample_hppp(density, config.disk_radius, rng)
-        if positions.shape[0] == 0:
+        incident, mix = _draw(config, density, np.random.default_rng(trial_seed(seed, t)))
+        if incident.size == 0:
             continue
-        h = sample_channels(
-            positions, (0.0, 0.0), 4, config.rician, config.pathloss, rng
-        )
-        best = _codeword_powers(h, config.tx_power, cb).max()
-        fixed = [float(np.sum(config.tx_power * np.abs(h @ w.conj()) ** 2)) for w in cb]
+        best = _codeword_powers(mix, incident[:, None], cb).max()
+        fixed = [float(np.sum(incident * np.abs(mix @ w.conj()) ** 2)) for w in cb]
         for power in fixed:
             assert best >= power * (1.0 - 1e-12)
         assert best <= max(fixed) * (1.0 + 1e-12)

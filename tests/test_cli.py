@@ -396,7 +396,7 @@ def _reach_draws(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for module, name in (
         (wetplan.outage, "dft_codebook"),
-        (wetplan.outage, "sample_hppp"),
+        (wetplan.outage, "_draw"),
         (wetplan.beampower, "draw_device_positions"),
         (wetplan.beampower, "sample_channels"),
         (wetplan.deployment, "_Evaluator"),

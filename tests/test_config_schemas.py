@@ -178,7 +178,7 @@ def _refuse_work(monkeypatch):
     for module, name in (
         (wetplan.costs, "scenario_cost"),
         (wetplan.deployment, "_Evaluator"),
-        (wetplan.outage, "sample_hppp"),
+        (wetplan.outage, "_draw"),
         (wetplan.beampower, "draw_device_positions"),
         (wetplan.beampower, "sample_channels"),
     ):

@@ -9,7 +9,7 @@ import pytest
 
 import wetplan.outage
 from wetplan.channel import PathLossParams, RicianParams, sample_channels, sample_hppp
-from wetplan.harvesting import ARCHITECTURES, _codeword_powers, dft_codebook, harvest
+from wetplan.harvesting import ARCHITECTURES, _antenna_powers, _codeword_powers, _rectify, dft_codebook, harvest
 from wetplan.outage import OutageConfig, sweep_density, trial_seed
 
 # 20 dB fixed loss keeps the 1 mW target reachable at modest densities, which
@@ -48,6 +48,23 @@ def test_zero_density_outage_is_certain():
         assert result.mean_harvested == 0.0
 
 
+class OneSourceAtOneMeter:
+    """A generator whose field is one transmitter 1 m from the center of a 10 m disk, at angle 0, with no
+    scatter: it answers the outage draw's calls in their order."""
+
+    def __init__(self):
+        self.uniforms = [np.array([0.01]), np.array([0.0])]  # the radius 10 * sqrt(0.01), then the angle
+
+    def poisson(self, mean):
+        return 1
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 def test_forced_transmitter_hand_chain(monkeypatch):
     # One LoS transmitter at 1 m with the 40 dB loss of the default scenario:
     # incident power 1e-4 W, so the trial harvests harvest(1e-4).
@@ -57,7 +74,12 @@ def test_forced_transmitter_hand_chain(monkeypatch):
         n_antennas=1,
         trials=10,
     )
-    monkeypatch.setattr(wetplan.outage, "sample_hppp", lambda density, radius, rng: np.array([[1.0, 0.0]]))
+    draw = wetplan.outage._draw
+
+    def draw_one_source(config, density, rng):
+        return draw(config, density, OneSourceAtOneMeter())
+
+    monkeypatch.setattr(wetplan.outage, "_draw", draw_one_source)
     [[power]] = harvested(cfg, SINGLE, [0], density=0.01)
     assert np.isclose(power, harvest(1e-4, cfg.curve), rtol=1e-4)
     assert np.isclose(power, 0.3 * 1e-4, rtol=1e-4)
@@ -101,6 +123,32 @@ def test_rf_trial_uses_best_codeword():
             assert best >= power * (1.0 - 1e-12)
         assert best <= max(fixed) * (1.0 + 1e-12)
         assert np.isclose(rf[t], harvest(best, cfg.curve), rtol=1e-12)
+
+
+# Trial by trial, the study's polar draw against the public samplers, whose
+# calls it must make in the same order, under the same reductions. The
+# default scenario's 40 dB loss leaves the dc and rf outage counts open at
+# density 0.5.
+@pytest.mark.parametrize("antennas", [1, 2, 4, 16])
+@pytest.mark.parametrize("k_factor", [0.0, 10.0, 1e12])
+@pytest.mark.parametrize("density", [0.01, 0.5, 4.0])
+def test_the_study_draws_what_the_public_samplers_draw(density, k_factor, antennas):
+    cfg = OutageConfig(rician=RicianParams(k_factor), n_antennas=antennas, trials=40)
+    cb = dft_codebook(antennas)
+    reduced = np.zeros((2, cfg.trials, antennas + 1))  # public, study; per trial the antenna powers, then the rf
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(trial_seed(SEED, t))
+        h = sample_channels(sample_hppp(density, cfg.disk_radius, rng), (0.0, 0.0), antennas, cfg.rician,
+                            cfg.pathloss, rng)
+        reduced[0, t] = *_antenna_powers(h, cfg.tx_power), _codeword_powers(h, cfg.tx_power, cb).max()
+        power, mix = wetplan.outage._draw(cfg, density, np.random.default_rng(trial_seed(SEED, t)))
+        power = power[:, None]
+        reduced[1, t] = *_antenna_powers(mix, power), _codeword_powers(mix, power, cb).max()
+    np.testing.assert_allclose(reduced[1], reduced[0], rtol=1e-12, atol=0)
+    study = harvested(cfg, ARCHITECTURES, range(cfg.trials), density)
+    public = np.array([_rectify(reduced[0, :, :-1], reduced[0, :, -1], arch, cfg.curve) for arch in ARCHITECTURES])
+    np.testing.assert_allclose(study, public, rtol=1e-12, atol=0)
+    assert ((study < cfg.target).sum(axis=1) == (public < cfg.target).sum(axis=1)).all()
 
 
 def test_shared_draws_match_one_architecture_at_a_time():
@@ -173,7 +221,7 @@ def _stop_at_first_draw(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(wetplan.outage, "dft_codebook", refuse)
-    monkeypatch.setattr(wetplan.outage, "sample_hppp", refuse)
+    monkeypatch.setattr(wetplan.outage, "_draw", refuse)
 
 
 @pytest.mark.parametrize(
@@ -266,9 +314,9 @@ TRIAL_DIGESTS = {
     (0.0, 1): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
     (0.0, 2): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
     (0.0, 4): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
-    (0.01, 1): "935539ca4584a2bd4ad51aaea6fbf85b8a13ce7b672644f3ce662248269bbb46",
-    (0.01, 2): "1cea1820f452a68bb2d81b112d06a319054fab3745b24f8d85b28df295a5518b",
-    (0.01, 4): "f3e36b556bb3861b897ae41117d1f93d1581a1154434956bd6a10ac020b641b8",
+    (0.01, 1): "1e65a30bd493083dcd7e5f46912b5b7ee49c5fb531c0c5b0397418df9019da4c",
+    (0.01, 2): "8833b2fe0f4282a79f8fe2b9978a7db94523b5b0021d5e2053709af9b099c278",
+    (0.01, 4): "0a1aafe451d7b3f95e0969abd6e513705a8a4319606ceedd803ff14a7f34f40d",
     (0.5, 1): "79536513ab9a980015310da9b395e6e58eda56b21701c24645a96e0d9276baf3",
     (0.5, 2): "a9e0e8230f328eb6dfc0708380e89ca3f80f60d4e640788087d53d2f09247c0f",
     (0.5, 4): "14bce56d31aa97dc29636447cfae0622458f0f846cfe8a94eb2a975338d7e163",
@@ -303,7 +351,7 @@ def test_outage_result_bits_are_pinned():
     assert [r.trials for r in results] == [500] * 3
     assert [(r.outage_estimate.hex(), r.ci95_halfwidth.hex(), r.mean_harvested.hex()) for r in results] == [
         ("0x1.4189374bc6a7fp-1", "0x1.5b10f1a36200fp-5", "0x1.5455a5fdfa0f0p-10"),
-        ("0x1.9db22d0e56042p-3", "0x1.204bb20e177f2p-5", "0x1.54e052ba6d42bp-8"),
+        ("0x1.9db22d0e56042p-3", "0x1.204bb20e177f2p-5", "0x1.54e052ba6d42ap-8"),
         ("0x1.8d4fdf3b645a2p-2", "0x1.5de82ed31993ap-5", "0x1.1d9c522eeea44p-9"),
     ]
 
