@@ -28,15 +28,12 @@ from .channel import (
     RicianParams,
     path_gain,
     sample_channels,
-    sample_hppp,
     steering_vector,
 )
 from .costs import (
     SCENARIOS,
     CostBreakdown,
     CostParams,
-    battery_replacements,
-    crossover_device_count,
     scenario_cost,
     sweep_costs,
 )
@@ -44,7 +41,6 @@ from .deployment import (
     DeploymentProblem,
     DeploymentSolution,
     SolverConfig,
-    grid_oracle,
     optimize,
     received_power,
 )
@@ -70,19 +66,15 @@ __all__ = [
     "RicianParams",
     "path_gain",
     "sample_channels",
-    "sample_hppp",
     "steering_vector",
     "SCENARIOS",
     "CostBreakdown",
     "CostParams",
-    "battery_replacements",
-    "crossover_device_count",
     "scenario_cost",
     "sweep_costs",
     "DeploymentProblem",
     "DeploymentSolution",
     "SolverConfig",
-    "grid_oracle",
     "optimize",
     "received_power",
     "ARCHITECTURES",

@@ -32,7 +32,6 @@ __all__ = [
     "PathLossParams",
     "RicianParams",
     "path_gain",
-    "sample_hppp",
     "steering_vector",
     "sample_channels",
 ]
@@ -167,23 +166,6 @@ def _path_gain(d: np.ndarray, params: PathLossParams) -> np.ndarray:
     fixed = 10.0 ** (-params.fixed_loss_db / 10.0)
     ratio = np.maximum(d, params.reference_distance) / params.reference_distance
     return fixed * ratio ** (-params.exponent)
-
-
-def sample_hppp(density: float, radius: float, seed) -> np.ndarray:
-    """Sample transmitter positions from a homogeneous PPP over a disk.
-
-    The count is Poisson with mean ``density * pi * radius**2`` and positions
-    are i.i.d. uniform over the disk centered at the origin. Returns an
-    (n, 2) array; identical seeds give identical fields. A field whose mean
-    count passes ``MAX_MEAN_SOURCES`` is refused before anything is drawn.
-    """
-    _require_finite(locals(), "density", "radius")
-    _require_bound("density", density, ">=", 0)
-    _require_bound("radius", radius, ">", 0)
-    mean = _mean_sources(density, radius)
-    _require_at_most(mean, MAX_MEAN_SOURCES, "density and radius", "expected points (density * pi * radius**2)")
-    rng = np.random.default_rng(seed)
-    return _uniform_disk(int(rng.poisson(mean)), radius, rng)
 
 
 def _mean_sources(density: float, radius: float) -> float:

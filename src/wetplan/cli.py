@@ -10,8 +10,8 @@ seed, and a SHA-256 digest per output file. Re-running the manifest's config
 with the same seed reproduces the CSVs byte for byte.
 
 The manifest also records the environment that produced the bytes
-(``env.<name> = value`` lines: Python and numpy versions, and the CPUs the
-outage trials were dealt across); ``verify_manifest`` ignores them.
+(``env.<name> = value`` lines: the Python and numpy versions);
+``verify_manifest`` ignores them.
 
 A runner builds the library objects from the resolved config, calls the
 study's library entry point and returns a header and rows. A key that sets
@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._fork import usable_cpus
 from .ambient import AmbientMap, GaussianComponent, Rect, example_map
 from .beampower import RfChainConfig, sweep_rf_chains
 from .config import ConfigError, ConfigKey, _field_keys, canonical, resolve_config
@@ -415,7 +414,7 @@ def run(rc: RunConfig) -> int:
             duration_seconds=time.perf_counter() - started,
             resolved={name: canonical(study.keys[name], value) for name, value in resolved.items()},
             outputs={final.name: _sha256(tmp) for final, tmp in staged.items()},
-            env={"cpus": str(usable_cpus()), "numpy": np.__version__, "python": sys.version.split()[0]},
+            env={"numpy": np.__version__, "python": sys.version.split()[0]},
         )
         stage("manifest.txt").write_text(manifest.to_text())
         # With the earlier manifest gone first, a rename that fails leaves no

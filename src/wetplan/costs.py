@@ -19,10 +19,8 @@ __all__ = [
     "HOURS_PER_YEAR",
     "CostParams",
     "CostBreakdown",
-    "battery_replacements",
     "scenario_cost",
     "sweep_costs",
-    "crossover_device_count",
     "cents_to_dollars",
 ]
 
@@ -88,10 +86,8 @@ class CostBreakdown:
     grand_total_cents: int
 
 
-def battery_replacements(horizon_years: int, battery_life_years: int, include_final: bool = False) -> int:
-    """Battery swaps over the horizon; the end-of-horizon swap is optional."""
-    _require_integer("battery_life_years", battery_life_years, 1)
-    _require_integer("horizon_years", horizon_years, 1)
+def _battery_replacements(horizon_years: int, battery_life_years: int, include_final: bool = False) -> int:
+    """Battery swaps over the horizon, both integers >= 1; the end-of-horizon swap is optional."""
     if include_final:
         return horizon_years // battery_life_years
     return -(-horizon_years // battery_life_years) - 1
@@ -126,7 +122,7 @@ def scenario_cost(scenario: str, n_devices: int, params: CostParams, horizon: in
 
     device_install = n_devices * params.device_install
     if scenario == "baseline":
-        swaps = battery_replacements(horizon, battery_life, params.include_final_replacement)
+        swaps = _battery_replacements(horizon, battery_life, params.include_final_replacement)
         maintenance = n_devices * swaps * params.device_install * params.device_maintenance_fraction
         pb_install = pb_opex = Fraction(0)
     else:
@@ -177,13 +173,3 @@ def sweep_costs(params: CostParams, n_devices, horizons, battery_lives) -> Itera
     return (scenario_cost(s, n, params, h, life)
             for h in horizons for life in lives for n in counts for s in SCENARIOS)
 
-
-def crossover_device_count(params: CostParams, horizon: int, battery_life: int, n_max: int = 100) -> int | None:
-    """Smallest fleet size, up to ``n_max``, at which green beacons undercut the battery baseline."""
-    _require_integer("n_max", n_max, 1)
-    for n in range(1, n_max + 1):
-        green = scenario_cost("green_pb", n, params, horizon, battery_life).grand_total_cents
-        base = scenario_cost("baseline", n, params, horizon, battery_life).grand_total_cents
-        if green < base:
-            return n
-    return None

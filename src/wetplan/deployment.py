@@ -29,7 +29,6 @@ Devices and beacon layouts are (n, 2) arrays and one device an (x, y) pair;
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,8 @@ import numpy as np
 
 from .ambient import AmbientMap, Rect, mixture_columns, mixture_power
 from .channel import (
-    MAX_ARRAY_ENTRIES, PathLossParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most, _require_bound,
-    _require_finite, _require_integer, path_gain,
+    MAX_ARRAY_ENTRIES, PathLossParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most, _require_integer,
+    path_gain,
 )
 
 __all__ = [
@@ -47,10 +46,8 @@ __all__ = [
     "DeploymentSolution",
     "received_power",
     "optimize",
-    "grid_oracle",
 ]
 
-GRID_ORACLE_BUDGET = 10**7
 # Entries of the greedy candidate table (solver.greedy_grid**2 points times
 # the devices) above which ``optimize`` refuses a scenario before it builds
 # anything; the default table has 576 * 8 = 4,608.
@@ -384,34 +381,3 @@ def optimize(problem: DeploymentProblem, solver: SolverConfig | None = None, see
 
     return _build_solution(prev_xy, evaluator)
 
-
-def grid_oracle(problem: DeploymentProblem, resolution: float) -> DeploymentSolution:
-    """Exhaustive search over beacon tuples on a square grid at ``resolution``.
-
-    Exact at the grid resolution; refuses, before it builds the grid, an
-    instance with more than ``GRID_ORACLE_BUDGET`` candidate tuples.
-    """
-    _require_finite(locals(), "resolution")
-    _require_bound("resolution", resolution, ">", 0)
-    area = problem.ambient_map.area
-    nx = int(math.floor((area.x_max - area.x_min) / resolution + 1e-9)) + 1
-    ny = int(math.floor((area.y_max - area.y_min) / resolution + 1e-9)) + 1
-    _require_at_most(math.comb(nx * ny + problem.k - 1, problem.k), GRID_ORACLE_BUDGET,
-                     f"resolution = {resolution} and k = {problem.k}",
-                     "candidate tuples (grid points multichoose k)")
-    grid = _grid(area.x_min + resolution * np.arange(nx), area.y_min + resolution * np.arange(ny))
-
-    evaluator = _Evaluator(problem)
-    contrib = evaluator.contributions(grid)
-    best_value = -math.inf
-    best_idx: tuple[int, ...] | None = None
-    for head in itertools.combinations_with_replacement(range(len(grid)), problem.k - 1):
-        base = contrib[list(head)].sum(axis=0) if head else np.zeros(contrib.shape[1])
-        start = head[-1] if head else 0
-        values = np.min(base[None, :] + contrib[start:], axis=1)
-        j = int(np.argmax(values))
-        if values[j] > best_value:
-            best_value = float(values[j])
-            best_idx = head + (start + j,)
-
-    return _build_solution(grid[list(best_idx)], evaluator)

@@ -11,10 +11,11 @@ and channels once and rectifies that snapshot under each of them. The
 sub-seeds do not depend on the architecture, so each architecture's estimate
 is the one it would get on its own.
 
-A trial (``_draw``) draws what ``sample_hppp`` and then ``sample_channels``
-would draw from its generator, call for call, but keeps the sources in polar
-form around the device at the disk's center and never forms their channels,
-so its powers match theirs to the last few bits, not bit for bit. Each
+A trial (``_draw``) draws a Poisson count, then the sources' radii and
+angles as ``channel._uniform_disk`` does, then what ``sample_channels`` would
+draw from its generator, call for call, but keeps the sources in polar form
+around the device at the disk's center and never forms their channels, so
+its powers match theirs to the last few bits, not bit for bit. Each
 trial reduces its draws to per-antenna incident powers and the best rf
 codeword's combined power; the trials of one estimate are then rectified
 together, one ``harvest`` call per architecture.
@@ -112,12 +113,12 @@ def _draw(config: OutageConfig, density: float, rng: np.random.Generator) -> tup
     ``p g(r)``, shape (n,), and its unit-mean channel, shape (n, M), whose columns are contiguous.
 
     ``rng`` draws the count, the radii, the angles and the scatter's real
-    and imaginary parts, the calls ``sample_hppp`` and then ``sample_channels``
-    make, so a trial's numbers are theirs. The sources stay in polar form: a
-    source at (r, phi) lies r from the device, seen at angle phi, so its
-    line-of-sight row ``exp(i pi m sin(phi))`` is the powers of one phasor.
-    The channel ``sqrt(g(r))`` times this one is never formed: each
-    reduction weighs a source's ``|.|**2`` by its power.
+    and imaginary parts, the calls a Poisson count, ``_uniform_disk`` and
+    ``sample_channels`` make in turn, so a trial's numbers are theirs. The
+    sources stay in polar form: a source at (r, phi) lies r from the device,
+    seen at angle phi, so its line-of-sight row ``exp(i pi m sin(phi))`` is
+    the powers of one phasor. The channel ``sqrt(g(r))`` times this one is
+    never formed: each reduction weighs a source's ``|.|**2`` by its power.
     """
     m = config.n_antennas
     n = int(rng.poisson(_mean_sources(density, config.disk_radius)))

@@ -12,12 +12,12 @@ from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import MulticastProblem, PrecoderSolver, RfChainConfig, min_power_precoder, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams, path_gain
 from wetplan.cli import RunConfig, run, verify_manifest
-from wetplan.costs import SCENARIOS, CostParams, crossover_device_count, scenario_cost
-from wetplan.deployment import DeploymentProblem, grid_oracle, optimize
+from wetplan.costs import SCENARIOS, CostParams, scenario_cost
+from wetplan.deployment import DeploymentProblem, optimize
 from wetplan.harvesting import HarvesterCurve, _codeword_powers, dft_codebook, harvest
 from wetplan.outage import OutageConfig, _draw, _harvest_trials, sweep_density, trial_seed
 
-from deployment_reference import reference_objective
+from deployment_reference import grid_oracle, reference_objective
 
 
 def report(criterion: int, message: str) -> None:
@@ -33,6 +33,16 @@ def test_criterion_1_cost_totals_and_ordering():
     assert totals["battery_pb"] == 607_000
     assert totals["green_pb"] < totals["grid_pb"] < totals["baseline"] < totals["battery_pb"]
     report(1, "cost totals exact in cents and green < grid < baseline < battery at N=100")
+
+
+def crossover_device_count(params, horizon, battery_life, n_max=100):
+    """Smallest fleet size, up to ``n_max``, at which green beacons undercut the battery baseline, or None."""
+    for n in range(1, n_max + 1):
+        green = scenario_cost("green_pb", n, params, horizon, battery_life).grand_total_cents
+        base = scenario_cost("baseline", n, params, horizon, battery_life).grand_total_cents
+        if green < base:
+            return n
+    return None
 
 
 def test_criterion_2_cost_crossover():

@@ -11,12 +11,11 @@ from wetplan.channel import PathLossParams, RicianParams
 from wetplan.deployment import (
     DeploymentProblem,
     SolverConfig,
-    grid_oracle,
     optimize,
     received_power,
 )
 
-from deployment_reference import reference_ambient, reference_objective
+from deployment_reference import grid_oracle, reference_ambient, reference_objective
 
 AREA = Rect(-10.0, -10.0, 10.0, 10.0)
 LOSSLESS = PathLossParams(exponent=3.0, fixed_loss_db=0.0, reference_distance=1.0)
@@ -90,26 +89,6 @@ def test_grid_oracle_zero_ambient_everywhere():
     amap = make_map([GaussianComponent(0.0, (0.0, 0.0), 3.0)])
     prob = DeploymentProblem(((1.0, 1.0),), amap, k=1, pathloss=LOSSLESS)
     assert grid_oracle(prob, 5.0).min_received_power == 0.0
-
-
-def test_grid_oracle_refuses_before_building_the_grid(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid was built")
-
-    monkeypatch.setattr(deployment, "_grid", refuse)
-    prob = DeploymentProblem(((0.0, 0.0),), uniform_map(), k=4, pathloss=LOSSLESS)
-    # 41 x 41 grid points give C(1681 + 4 - 1, 4) = 333,894,039,501 tuples.
-    with pytest.raises(ValueError, match=r"^resolution = 0\.5 and k = 4 give 3\.339e\+11 candidate tuples "
-                                         r"\(grid points multichoose k\); the limit is 1e\+07$"):
-        grid_oracle(prob, 0.5)
-    # A count past the range of a float is refused all the same.
-    with pytest.raises(ValueError, match=r"^resolution = 1e-100 and k = 4 give inf candidate tuples "):
-        grid_oracle(prob, 1e-100)
-    # So is a resolution that gives no grid, checked before the grid size is computed.
-    for resolution, message in ((math.inf, "finite, got inf"), (math.nan, "finite, got nan"),
-                                (0.0, r"> 0, got 0\.0"), (-1.0, r"> 0, got -1\.0")):
-        with pytest.raises(ValueError, match=rf"^resolution must be {message}$"):
-            grid_oracle(prob, resolution)
 
 
 def test_optimize_matches_oracle_single_beacon():

@@ -10,7 +10,7 @@ time. Every comparison is on the bytes, so a change of rounding fails here.
 import math
 
 import numpy as np
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -195,11 +195,23 @@ def searches(draw):
     return problem, starts, budget, draw(st.sampled_from([1e-3, 1e-1])), draw(st.sampled_from([1e-12, 1e-6]))
 
 
+# A search whose 16th step shrinks and is cut by max_fev = 34 after its first
+# shrunk vertex. Which searches Hypothesis generates moves with the constants
+# of every module loaded, so the generated ones reach this case only at times.
+CUT_SHRINK = (
+    DeploymentProblem(((7.9, 6.8), (4.2, 0.3), (1.7, 7.5)),
+                      AmbientMap((GaussianComponent(3.9, (9.3, 8.7), 1.1),), Rect(0.0, 0.0, 10.0, 10.0)),
+                      k=1, cap=1.0, pathloss=PathLossParams(2.0, 0.0, 1.0)),
+    np.array([[[0.8, 3.1]]]), (120, 34), 1e-3, 1e-12,
+)
+
+
 def test_lockstep_search_matches_scipy_start_by_start():
     seen = set()
 
     @PROPERTY
     @given(searches())
+    @example(CUT_SHRINK)
     def check(search):
         problem, starts, (max_iter, max_fev), xatol, fatol = search
         recorder = RecordingEvaluator(problem)

@@ -38,3 +38,17 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from wetplan import *", namespace)
     assert set(wetplan.__all__) <= namespace.keys()
+
+
+def test_package_all_is_the_public_surface():
+    assert wetplan.__all__ == [
+        "__version__",
+        "AmbientMap", "GaussianComponent", "Rect",
+        "ConsumptionPoint", "MulticastProblem", "PrecoderError", "PrecoderSolution", "PrecoderSolver",
+        "RfChainConfig", "RfChainSweep", "consumption", "min_power_precoder", "sweep_rf_chains",
+        "PathLossParams", "RicianParams", "path_gain", "sample_channels", "steering_vector",
+        "SCENARIOS", "CostBreakdown", "CostParams", "scenario_cost", "sweep_costs",
+        "DeploymentProblem", "DeploymentSolution", "SolverConfig", "optimize", "received_power",
+        "ARCHITECTURES", "HarvesterCurve", "dft_codebook", "harvest",
+        "OutageConfig", "OutageResult", "sweep_density",
+    ]

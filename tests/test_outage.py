@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import wetplan.outage
-from wetplan.channel import PathLossParams, RicianParams, sample_channels, sample_hppp
+from wetplan.channel import PathLossParams, RicianParams, sample_channels
 from wetplan.harvesting import ARCHITECTURES, _antenna_powers, _codeword_powers, _rectify, dft_codebook, harvest
 from wetplan.outage import OutageConfig, sweep_density, trial_seed
+
+from channel_reference import sample_hppp
 
 # 20 dB fixed loss keeps the 1 mW target reachable at modest densities, which
 # gives the Monte Carlo estimates room to move across a density sweep.

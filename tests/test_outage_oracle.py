@@ -46,9 +46,11 @@ import numpy as np
 import pytest
 
 import wetplan.outage
-from wetplan.channel import PathLossParams, RicianParams, sample_channels, sample_hppp
+from wetplan.channel import PathLossParams, RicianParams, sample_channels
 from wetplan.harvesting import HarvesterCurve, _antenna_powers, harvest
 from wetplan.outage import OutageConfig, sweep_density, trial_seed
+
+from channel_reference import sample_hppp
 
 # Quadrature: Gauss-Legendre nodes in log r beyond the reference distance, and
 # log-spaced t points per decade over t * p_th in [1e-7, 1e9]. Doubling either

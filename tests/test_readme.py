@@ -13,4 +13,4 @@ def test_the_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(example, str(README), "exec"), {})
-    assert len(out.getvalue().splitlines()) == 4
+    assert len(out.getvalue().splitlines()) == 3
