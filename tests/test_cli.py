@@ -723,6 +723,17 @@ def test_manifest_env_lines_round_trip_and_are_not_verified(tmp_path):
     assert verify_manifest(out / "manifest.txt")
 
 
+# Whichever study ran, and whether or not it dealt trials across CPUs, the
+# environment is the Python and numpy versions alone.
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_every_study_records_only_the_python_and_numpy_versions(tmp_path, study):
+    sets = GOLDEN_PLOT_DATA[study][0] if study in GOLDEN_PLOT_DATA else ()
+    out = tmp_path / study
+    assert run_cli(study, out, sets=sets) == 0
+    written = RunManifest.from_text((out / "manifest.txt").read_text())
+    assert written.env == {"numpy": np.__version__, "python": sys.version.split()[0]}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_failing_outage_worker_exits_1_and_leaves_earlier_outputs(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"

@@ -185,6 +185,24 @@ def test_unknown_scenario_and_bad_counts():
                 scenario_cost(scenario, 10, DEFAULTS, T, years)
 
 
+# ``_battery_replacements`` checks nothing: the baseline refuses a bad lifetime before it counts a swap.
+@pytest.mark.parametrize("arguments, message", [
+    ((15, 0), r"^battery_life must be an integer >= 1, got 0$"),
+    ((15, 1.5), r"^battery_life must be an integer >= 1, got 1\.5$"),
+    ((0, 5), r"^horizon must be an integer >= 1, got 0$"),
+    ((2.5, 1), r"^horizon must be an integer >= 1, got 2\.5$"),
+    ((math.nan, 1), r"^horizon must be an integer >= 1, got nan$"),
+    ((math.inf, 1), r"^horizon must be an integer >= 1, got inf$"),
+])
+def test_baseline_refuses_bad_lifetimes_before_counting_swaps(monkeypatch, arguments, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the swaps were counted")
+
+    monkeypatch.setattr(wetplan.costs, "_battery_replacements", refuse)
+    with pytest.raises(ValueError, match=message):
+        scenario_cost("baseline", 10, DEFAULTS, *arguments)
+
+
 def test_params_read_floats_as_decimals():
     p = CostParams(green_pb_replacement_fraction=0.38)
     assert p.green_pb_replacement_fraction == Fraction(19, 50)

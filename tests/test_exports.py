@@ -7,6 +7,15 @@ import pytest
 
 import wetplan
 
+# Helpers that only the tests use, and the module each was defined in while
+# it was a library name; the tests keep their own copies.
+TEST_ONLY = {
+    "battery_replacements": "costs",
+    "crossover_device_count": "costs",
+    "grid_oracle": "deployment",
+    "sample_hppp": "channel",
+}
+
 SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(wetplan.__path__) if info.name != "__main__"
 )
@@ -52,3 +61,11 @@ def test_package_all_is_the_public_surface():
         "ARCHITECTURES", "HarvesterCurve", "dft_codebook", "harvest",
         "OutageConfig", "OutageResult", "sweep_density",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ONLY))
+def test_a_test_only_helper_is_no_library_name(name):
+    assert name not in wetplan.__all__
+    with pytest.raises(ImportError):
+        exec(f"from wetplan import {name}", {})
+    assert not hasattr(importlib.import_module(f"wetplan.{TEST_ONLY[name]}"), name)

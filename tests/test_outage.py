@@ -249,6 +249,17 @@ def test_sweep_density_checks_the_seed_before_the_first_trial(monkeypatch, seed)
         sweep_density(make_config(), [DENSITY], ARCHITECTURES, seed=seed)
 
 
+# A field whose mean count passes the range of a float is refused as one just past the limit is.
+@pytest.mark.parametrize("density, radius, shown", [(1e-300, 1e200, "inf"), (1e10, 1.0, "3.142e+10")],
+                         ids=["overflowing-mean", "large-mean"])
+def test_sweep_density_refuses_a_field_it_cannot_draw_by_name(monkeypatch, density, radius, shown):
+    _stop_at_first_draw(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        sweep_density(OutageConfig(disk_radius=radius), [density], SINGLE)
+    assert str(err.value) == (f"densities and disk_radius give {shown} expected transmitters per trial "
+                              "(density * pi * disk_radius**2); the limit is 1e+07")
+
+
 DEFAULT_DENSITIES = [0.5, 1.0, 2.0, 4.0]
 # The CLI's default scenario (4 antennas, densities up to 4) at each size
 # limit: fields that fit, the same just past the limit, and the names the
