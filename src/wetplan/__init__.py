@@ -19,7 +19,6 @@ from .beampower import (
     PrecoderSolver,
     RfChainConfig,
     RfChainSweep,
-    consumption,
     min_power_precoder,
     sweep_rf_chains,
 )
@@ -28,7 +27,6 @@ from .channel import (
     RicianParams,
     path_gain,
     sample_channels,
-    steering_vector,
 )
 from .costs import (
     SCENARIOS,
@@ -59,14 +57,12 @@ __all__ = [
     "PrecoderSolver",
     "RfChainConfig",
     "RfChainSweep",
-    "consumption",
     "min_power_precoder",
     "sweep_rf_chains",
     "PathLossParams",
     "RicianParams",
     "path_gain",
     "sample_channels",
-    "steering_vector",
     "SCENARIOS",
     "CostBreakdown",
     "CostParams",

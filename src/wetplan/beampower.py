@@ -11,16 +11,19 @@ is solved in three phases:
    shape, each problem with its own penalty, counters and bounds, so a stack
    gives bitwise the iterates and results of solving each problem alone. A
    check pass updates the bounds of every problem due at once.
-3. Extract: Gaussian samples of the relaxed solution plus matched-filter,
-   leading-eigenvector and, in a sweep, the previous precoder, each rescaled
-   to exact feasibility, cheapest kept.
+3. Extract: ``_RANDOMIZATIONS`` (200) Gaussian samples of the relaxed
+   solution plus matched-filter, leading-eigenvector and, in a sweep, the
+   previous precoder, each rescaled to exact feasibility, cheapest kept.
 
 ``sweep_rf_chains`` runs one ``RfChainConfig`` scenario over antenna counts:
 it reduces and relaxes every count at once and extracts in order, since each
 candidate pool holds the previous precoder. Beacon consumption follows the
-linear amplifier + per-chain model. The scenario and ``PrecoderSolver``, the
-solver's record, declare each range at its field; a size refusal names the
-fields by their config keys (``solver.randomizations and m_values give ...``).
+linear amplifier + per-chain model, ``tx_power / pa_efficiency + m *
+p_rf_chain_w``, whose two constants are ``RfChainConfig`` fields. The
+scenario and ``PrecoderSolver``, the solver's record, declare each range at
+its field; a size refusal names the fields by their config keys
+(``n_devices and m_values give ...``, ``m_values give ... candidate
+entries``).
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    MAX_ARRAY_ENTRIES, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged,
-    _require_at_most, _require_bound, _require_finite, _require_integer, _uniform_disk, sample_channels,
+    MAX_ARRAY_ENTRIES, PathLossParams, RicianParams, _as_xy, _check_fields, _path_gain, _ranged, _require_at_most,
+    _require_integer, _uniform_disk, sample_channels,
 )
 
 __all__ = [
@@ -43,9 +46,7 @@ __all__ = [
     "RfChainSweep",
     "PrecoderSolver",
     "RfChainConfig",
-    "consumption",
     "min_power_precoder",
-    "draw_device_positions",
     "sweep_rf_chains",
 ]
 
@@ -53,21 +54,15 @@ __all__ = [
 # Relaxation round limits: penalty rounds (rho x10 each) and FISTA iterations per round.
 _MAX_OUTER = 8
 _MAX_INNER = 2000
-# Defaults of the beacon's consumption model (amplifier efficiency, W per RF
-# chain), shared by ``consumption`` and ``RfChainConfig``.
-_PA_EFFICIENCY, _P_RF = 0.35, 0.5
+# Gaussian candidates drawn from each relaxed solution.
+_RANDOMIZATIONS = 200
 # Limit on gamma * max(gain) / min(gain)**2 over the device path gains: the carried precoder's margins
 # over the normalized floors reach about this, and must stay inside a float (1.8e308) with room for fading.
 _MAX_POWER_SCALE = 1e290
 
 
 class PrecoderError(RuntimeError):
-    """Raised when the relaxation fails to converge; carries the best feasible
-    candidate found so far (or None)."""
-
-    def __init__(self, message: str, best: "PrecoderSolution | None" = None):
-        super().__init__(message)
-        self.best = best
+    """Raised when the relaxation fails to converge or no rank-1 candidate is feasible."""
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
@@ -96,21 +91,19 @@ class PrecoderSolution:
 
 @dataclass(frozen=True)
 class PrecoderSolver:
-    """The relaxation's relative primal-dual gap and the Gaussian candidates drawn from its solution."""
+    """The relaxation's relative primal-dual gap."""
 
     tol: float = _ranged(1e-4, above=0)
-    randomizations: int = _ranged(200, at_least=0)
 
     __post_init__ = _check_fields
 
 
-def _require_pool_fits(solver: PrecoderSolver, devices: int, antennas: int, names: tuple[str, str]) -> None:
+def _require_pool_fits(devices: int, antennas: int, names: tuple[str, str]) -> None:
     """Refuse a candidate pool too large to allocate; ``names`` are the device and antenna keys."""
-    _require_at_most(solver.randomizations * antennas, MAX_ARRAY_ENTRIES, f"solver.randomizations and {names[1]}",
-                     "candidate entries (randomizations * antennas)")
-    _require_at_most((devices + solver.randomizations + 2) * devices, MAX_ARRAY_ENTRIES,
-                     f"{names[0]} and solver.randomizations",
-                     "candidate margins ((devices + randomizations + 2) * devices)")
+    _require_at_most(_RANDOMIZATIONS * antennas, MAX_ARRAY_ENTRIES, names[1],
+                     f"candidate entries ({_RANDOMIZATIONS} randomizations * antennas)")
+    _require_at_most((devices + _RANDOMIZATIONS + 2) * devices, MAX_ARRAY_ENTRIES, names[0],
+                     f"candidate margins ((devices + {_RANDOMIZATIONS + 2}) * devices)")
 
 
 @dataclass(frozen=True)
@@ -124,18 +117,6 @@ class ConsumptionPoint:
 class RfChainSweep:
     points: tuple[ConsumptionPoint, ...]
     optimum_n_rf: int
-
-
-def consumption(tx_power: float, n_rf: int, pa_efficiency: float = _PA_EFFICIENCY, p_rf: float = _P_RF) -> float:
-    """Beacon power draw: amplifier input at the given efficiency plus the
-    per-RF-chain overhead."""
-    _require_finite(locals(), "tx_power", "p_rf")
-    _require_bound("tx_power", tx_power, ">=", 0)
-    if not 0.0 < pa_efficiency <= 1.0:
-        raise ValueError(f"pa_efficiency must be in (0, 1], got {pa_efficiency}")
-    _require_integer("n_rf", n_rf, 0)
-    _require_bound("p_rf", p_rf, ">=", 0)
-    return tx_power / pa_efficiency + n_rf * p_rf
 
 
 def _margins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -279,7 +260,7 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
 
 
 def _best_candidate(
-    hhat: np.ndarray, tau: np.ndarray, v: np.ndarray | None, n_random: int, rng, extra: tuple
+    hhat: np.ndarray, tau: np.ndarray, v: np.ndarray | None, rng, extra: tuple
 ) -> tuple[np.ndarray, float] | None:
     """Cheapest candidate direction scaled so min_i margins_i/tau_i = 1.
 
@@ -291,7 +272,8 @@ def _best_candidate(
     if v is not None:
         w_eig, phi = np.linalg.eigh(0.5 * (v + v.conj().T))
         w_eig = np.maximum(w_eig, 0.0)
-        z = (rng.standard_normal((n_random, m)) + 1j * rng.standard_normal((n_random, m))) / math.sqrt(2.0)
+        shape = (_RANDOMIZATIONS, m)
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
         candidates.append((z * np.sqrt(w_eig)) @ phi.T)
         candidates.append(phi[:, -1][None, :])
     candidates.extend(np.asarray(e, dtype=complex).reshape(1, -1) for e in extra)
@@ -317,7 +299,7 @@ def _extract(
     v, _, dual, converged = relaxed
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     extras = tuple(np.asarray(e, dtype=complex).ravel() @ red.basis.conj() for e in extra_candidates)
-    picked = _best_candidate(red.hhat, red.tau, v, solver.randomizations, rng, extras)
+    picked = _best_candidate(red.hhat, red.tau, v, rng, extras)
 
     precoder, tx_power = None, math.inf
     if picked is not None:
@@ -325,14 +307,9 @@ def _extract(
         precoder = math.sqrt(red.cstar) * (red.basis @ w_norm)
         tx_power = red.cstar * cost
     if not converged:
-        best = None
-        if picked is not None:
-            best = PrecoderSolution(precoder, tx_power, math.nan)
-        raise PrecoderError(
-            f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {solver.tol})", best=best
-        )
+        raise PrecoderError(f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {solver.tol})")
     if picked is None:
-        raise PrecoderError("no feasible rank-1 candidate found", best=None)
+        raise PrecoderError("no feasible rank-1 candidate found")
     return PrecoderSolution(precoder, tx_power, sdr_lower_bound=min(red.cstar * dual, tx_power))
 
 
@@ -349,7 +326,7 @@ def min_power_precoder(problem: MulticastProblem, solver: PrecoderSolver, seed: 
     device and antenna counts, are checked before anything is solved.
     """
     _require_integer("seed", seed, 0)
-    _require_pool_fits(solver, *problem.channels.shape, ("channels", "channels"))
+    _require_pool_fits(*problem.channels.shape, ("channels", "channels"))
     red = _reduce(problem)
     (relaxed,) = _solve_relaxations([red], solver.tol)
     return _extract(red, relaxed, solver, seed, ())
@@ -367,19 +344,11 @@ class RfChainConfig:
     disk_radius: float = _ranged(10.0, above=0)
     gamma: float = _ranged(2e-6, above=0)
     n_devices: int = _ranged(4, at_least=1)
-    pa_efficiency: float = _ranged(_PA_EFFICIENCY, above=0, at_most=1.0)
-    p_rf_chain_w: float = _ranged(_P_RF, at_least=0)
+    pa_efficiency: float = _ranged(0.35, above=0, at_most=1.0)
+    p_rf_chain_w: float = _ranged(0.5, at_least=0)
     solver: PrecoderSolver = PrecoderSolver()
 
     __post_init__ = _check_fields
-
-
-def draw_device_positions(n: int, radius: float, seed) -> np.ndarray:
-    """``n`` uniform device positions in a disk of ``radius`` around the beacon, as an (n, 2) array."""
-    _require_integer("n", n, 1)
-    _require_finite(locals(), "radius")
-    _require_bound("radius", radius, ">", 0)
-    return _uniform_disk(n, radius, np.random.default_rng(seed))
 
 
 def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0) -> RfChainSweep:
@@ -414,10 +383,11 @@ def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0
     source = "n_devices" if drawn else "devices"
     _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, f"{source} and m_values",
                      "channel entries (devices * max(m_values))")
-    _require_pool_fits(config.solver, n_devices, m_max, (source, "m_values"))
+    _require_pool_fits(n_devices, m_max, (source, "m_values"))
 
     if drawn:
-        pts = draw_device_positions(n_devices, config.disk_radius, np.random.SeedSequence([int(seed), 0]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+        pts = _uniform_disk(n_devices, config.disk_radius, rng)
     gains = _path_gain(np.hypot(pts[:, 0], pts[:, 1]), config.pathloss)
     names = f"pathloss.* and {'disk_radius' if drawn else 'devices'}"
     for i in np.flatnonzero(gains < np.finfo(float).tiny):
@@ -441,9 +411,8 @@ def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0
         try:
             sol = _extract(red, rel, config.solver, extract_seed, extras)
         except PrecoderError as err:
-            raise PrecoderError(f"precoder failed at m={m}: {err}", best=err.best) from err
-        points.append(ConsumptionPoint(m, sol.tx_power,
-                                       consumption(sol.tx_power, m, config.pa_efficiency, config.p_rf_chain_w)))
+            raise PrecoderError(f"precoder failed at m={m}: {err}") from err
+        points.append(ConsumptionPoint(m, sol.tx_power, sol.tx_power / config.pa_efficiency + m * config.p_rf_chain_w))
         prev_w = sol.precoder
 
     best = min(points, key=lambda pt: (pt.total_consumption, pt.n_rf))

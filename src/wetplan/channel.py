@@ -32,7 +32,6 @@ __all__ = [
     "PathLossParams",
     "RicianParams",
     "path_gain",
-    "steering_vector",
     "sample_channels",
 ]
 
@@ -183,27 +182,6 @@ def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray
     return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
 
 
-def _antenna_count(n_antennas, rows: int, names: str, what: str) -> int:
-    """``n_antennas`` as an int, refused unless it is an integer >= 1 (NaN and ±inf are not) and ``rows`` rows
-    of it, set by ``names``, fit in ``MAX_ARRAY_ENTRIES`` (no row counts as one: it still builds the phase ramp)."""
-    _require_integer("n_antennas", n_antennas, 1)
-    _require_at_most(max(rows, 1) * int(n_antennas), MAX_ARRAY_ENTRIES, names, what)
-    return int(n_antennas)
-
-
-def steering_vector(theta, n_antennas: int) -> np.ndarray:
-    """Half-wavelength ULA response for plane waves at angles ``theta`` off broadside.
-
-    Element m carries phase ``pi*sin(theta)*m``; entries have unit modulus and
-    element 0 is the phase reference. Returns one row of ``n_antennas``
-    entries per angle: shape ``theta.shape + (n_antennas,)``. More than
-    ``MAX_ARRAY_ENTRIES`` entries are refused before they are allocated.
-    """
-    s = np.sin(theta)
-    m = _antenna_count(n_antennas, s.size, "theta and n_antennas", "steering entries (angles * n_antennas)")
-    return np.exp(1j * math.pi * np.multiply.outer(s, np.arange(m)))
-
-
 def sample_channels(
     sources,
     device,
@@ -216,18 +194,23 @@ def sample_channels(
 
     Returns an (n_sources, n_antennas) complex array whose rows satisfy
     ``E[|h_m|**2] = path_gain(distance)``. The array axis runs along y so
-    broadside faces +x; each source's LoS component is steered to its
-    geometric angle ``atan2(dy, dx)`` as seen from the device. More than
-    ``MAX_ARRAY_ENTRIES`` entries are refused before anything is drawn.
+    broadside faces +x; each source's LoS component is the half-wavelength
+    ULA response at its geometric angle ``theta = atan2(dy, dx)`` as seen from
+    the device: element m carries phase ``pi*sin(theta)*m``. More than
+    ``MAX_ARRAY_ENTRIES`` entries are refused before anything is drawn (no
+    source counts as one: it still builds the phase ramp).
     """
     pts = _as_xy("sources", sources)
     n = pts.shape[0]
-    m = _antenna_count(n_antennas, n, "sources and n_antennas", "channel entries (sources * n_antennas)")
+    _require_integer("n_antennas", n_antennas, 1)
+    m = int(n_antennas)
+    _require_at_most(max(n, 1) * m, MAX_ARRAY_ENTRIES, "sources and n_antennas",
+                     "channel entries (sources * n_antennas)")
     rng = np.random.default_rng(seed)
     diff = pts - _as_xy("device", device, pair=True)
     dist = np.hypot(diff[:, 0], diff[:, 1])
     theta = np.arctan2(diff[:, 1], diff[:, 0])
-    los = steering_vector(theta, m)
+    los = np.exp(1j * math.pi * np.multiply.outer(np.sin(theta), np.arange(m)))
     scatter = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
     k = rician.k_factor
     mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter

@@ -118,7 +118,6 @@ _KINDS = {
     "int": (_parse_int, _render_int),
     "bool": (_parse_bool, lambda v: "true" if v else "false"),
     "decimal": (_parse_decimal, str),
-    "str": (str.strip, str),
     "float_list": (_list_of(_parse_float), _joined(_render_float)),
     "int_list": (_list_of(_parse_int), _joined(_render_int)),
     "str_list": (_list_of(str), _joined(str)),

@@ -10,8 +10,6 @@ from wetplan.beampower import (
     PrecoderError,
     PrecoderSolver,
     RfChainConfig,
-    consumption,
-    draw_device_positions,
     min_power_precoder,
     sweep_rf_chains,
 )
@@ -24,27 +22,16 @@ def _sweep(m_values=range(1, 33), devices=None, seed=0, **fields):
     return sweep_rf_chains(RfChainConfig(**fields), m_values, devices, seed)
 
 
-def test_consumption_closed_forms():
-    assert np.isclose(consumption(0.0, 4), 2.0, rtol=1e-15)
-    assert np.isclose(consumption(0.35, 1), 1.5, rtol=1e-15)
-    assert np.isclose(consumption(1.0, 8), 1.0 / 0.35 + 4.0, rtol=1e-15)
+# (pa_efficiency, p_rf_chain_w): off the defaults, at each field's bound, past the defaults, and the defaults.
+CONSUMPTION_MODELS = [(0.6, 0.25), (1.0, 0.0), (0.1, 3.0), (0.35, 0.5)]
 
 
-def test_consumption_monotonicity():
-    assert consumption(1.0, 5) < consumption(1.0, 6)
-    assert consumption(1.0, 5) < consumption(1.5, 5)
-
-
-def test_consumption_validation():
-    with pytest.raises(ValueError):
-        consumption(-1.0, 2)
-    with pytest.raises(ValueError):
-        consumption(1.0, 2, pa_efficiency=0.0)
-    with pytest.raises(ValueError):
-        consumption(1.0, 2, pa_efficiency=1.2)
-    for n_rf in (-1, 2.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match=rf"^n_rf must be an integer >= 0, got {n_rf}$"):
-            consumption(1.0, n_rf)
+@pytest.mark.parametrize("pa_efficiency, p_rf_chain_w", CONSUMPTION_MODELS)
+def test_consumption_is_amplifier_input_plus_chain_overhead_bit_for_bit(pa_efficiency, p_rf_chain_w):
+    sweep = _sweep([1, 2, 3, 5, 8], seed=3, n_devices=3, pa_efficiency=pa_efficiency, p_rf_chain_w=p_rf_chain_w)
+    for pt in sweep.points:
+        assert pt.total_consumption == pt.tx_power / pa_efficiency + pt.n_rf * p_rf_chain_w
+    assert sweep.optimum_n_rf == min(sweep.points, key=lambda pt: (pt.total_consumption, pt.n_rf)).n_rf
 
 
 def test_single_device_matches_matched_filter():
@@ -108,17 +95,13 @@ def test_solution_feasible_and_above_certified_bound():
         assert sol.tx_power >= sol.sdr_lower_bound * (1.0 - tol)
 
 
-def test_nonconvergence_raises_with_best_candidate(monkeypatch):
+def test_nonconvergence_raises_naming_the_round_limit_and_tolerance(monkeypatch):
     monkeypatch.setattr(beampower, "_MAX_OUTER", 1)
     monkeypatch.setattr(beampower, "_MAX_INNER", 2)
     rng = np.random.default_rng(6)
     h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    with pytest.raises(PrecoderError) as err:
+    with pytest.raises(PrecoderError, match=r"^relaxation did not converge within 1 outer rounds \(tol 1e-15\)$"):
         min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver(tol=1e-15))
-    best = err.value.best
-    assert best is not None
-    margins = np.abs(h.conj() @ best.precoder) ** 2
-    assert np.all(margins >= 1e-3 * (1.0 - 1e-9))
 
 
 def _mixed_problems():
@@ -158,13 +141,10 @@ def test_sweep_failure_names_first_unconverged_m(monkeypatch):
     # One short round: m = 1..3 still converge, m = 4 is the first that does not.
     monkeypatch.setattr(beampower, "_MAX_OUTER", 1)
     monkeypatch.setattr(beampower, "_MAX_INNER", 50)
-    converged = _sweep([1, 2, 3])
+    _sweep([1, 2, 3])
     with pytest.raises(PrecoderError, match=r"^precoder failed at m=4: relaxation did not converge") as err:
         _sweep([1, 2, 3, 4, 5, 6])
-    best = err.value.best
-    assert best is not None and best.precoder.shape == (4,)
-    # The failed point's pool still holds the zero-padded m = 3 precoder.
-    assert best.tx_power <= converged.points[-1].tx_power
+    assert isinstance(err.value.__cause__, PrecoderError)
 
 
 def test_problem_validation():
@@ -181,8 +161,8 @@ NON_FINITE_INPUTS = {
     "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
     "Rect.x_max": ("x_max", lambda x: Rect(0.0, 0.0, x, 1.0)),
     "Rect.y_max": ("y_max", lambda x: Rect(0.0, 0.0, 1.0, x)),
-    "consumption.tx_power": ("tx_power", lambda x: consumption(x, 2)),
-    "consumption.p_rf": ("p_rf", lambda x: consumption(1.0, 2, p_rf=x)),
+    "RfChainConfig.pa_efficiency": ("pa_efficiency", lambda x: RfChainConfig(pa_efficiency=x)),
+    "RfChainConfig.p_rf_chain_w": ("p_rf_chain_w", lambda x: RfChainConfig(p_rf_chain_w=x)),
 }
 
 
@@ -235,11 +215,6 @@ BAD_RECORD_FIELDS = [
     (PrecoderSolver, "tol", math.inf, r"^tol must be finite, got inf$"),
     (PrecoderSolver, "tol", -1.0, r"^tol must be > 0, got -1\.0$"),
     (PrecoderSolver, "tol", 0.0, r"^tol must be > 0, got 0\.0$"),
-    (PrecoderSolver, "randomizations", -3, r"^randomizations must be >= 0, got -3$"),
-    (PrecoderSolver, "randomizations", -1, r"^randomizations must be >= 0, got -1$"),
-    (PrecoderSolver, "randomizations", 2.5, r"^randomizations must be an integer, got 2\.5$"),
-    (PrecoderSolver, "randomizations", math.nan, r"^randomizations must be finite, got nan$"),
-    (PrecoderSolver, "randomizations", math.inf, r"^randomizations must be finite, got inf$"),
     (RfChainConfig, "pa_efficiency", 0.0, r"^pa_efficiency must be > 0, got 0\.0$"),
     (RfChainConfig, "pa_efficiency", 1.5, r"^pa_efficiency must be <= 1\.0, got 1\.5$"),
     (RfChainConfig, "pa_efficiency", math.nan, r"^pa_efficiency must be finite, got nan$"),
@@ -251,6 +226,11 @@ BAD_RECORD_FIELDS = [
     (RfChainConfig, "gamma", math.inf, r"^gamma must be finite, got inf$"),
     (RfChainConfig, "n_devices", 0, r"^n_devices must be >= 1, got 0$"),
     (RfChainConfig, "n_devices", 10.0, r"^n_devices must be an integer, got 10\.0$"),
+    (RfChainConfig, "n_devices", 2.5, r"^n_devices must be an integer, got 2\.5$"),
+    (RfChainConfig, "n_devices", math.nan, r"^n_devices must be finite, got nan$"),
+    (RfChainConfig, "n_devices", math.inf, r"^n_devices must be finite, got inf$"),
+    (RfChainConfig, "disk_radius", -1.0, r"^disk_radius must be > 0, got -1\.0$"),
+    (RfChainConfig, "disk_radius", 0.0, r"^disk_radius must be > 0, got 0\.0$"),
 ]
 
 
@@ -281,7 +261,7 @@ def test_sweep_checks_numeric_arguments_before_any_work(monkeypatch, name, value
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep drew channels or solved a relaxation")
 
-    monkeypatch.setattr(beampower, "draw_device_positions", refuse)
+    monkeypatch.setattr(beampower, "_uniform_disk", refuse)
     monkeypatch.setattr(beampower, "sample_channels", refuse)
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
     with pytest.raises(ValueError, match=message):
@@ -294,16 +274,15 @@ class DrawReached(Exception):
 
 # Arguments and scenario fields at the sweep's array limits, the same just
 # past them, and the names the refusal starts with. 2,000 devices fit 5,000
-# antennas; with 32 RF chains the limit is 312,500 randomizations; with 200
-# randomizations, the candidates' margins limit 3,062 devices.
+# antennas; the 200 Gaussian candidates limit the antennas to 50,000, and
+# their margins limit the devices to 3,062.
 SIZE_LIMITS = [
     ({"n_devices": 2_000, "m_values": (1, 5000)}, {"n_devices": 2_001, "m_values": (1, 5000)},
      "n_devices and m_values"),
     ({"devices": [(1.0, 0.0)] * 2_000, "m_values": (1, 5000)},
      {"devices": [(1.0, 0.0)] * 2_001, "m_values": (1, 5000)}, "devices and m_values"),
-    ({"solver": PrecoderSolver(randomizations=312_500)}, {"solver": PrecoderSolver(randomizations=312_501)},
-     r"solver\.randomizations and m_values"),
-    ({"n_devices": 3_062}, {"n_devices": 3_063}, r"n_devices and solver\.randomizations"),
+    ({"m_values": (1, 50_000)}, {"m_values": (1, 50_001)}, "m_values"),
+    ({"n_devices": 3_062}, {"n_devices": 3_063}, "n_devices"),
 ]
 
 
@@ -312,7 +291,7 @@ def test_sweep_refuses_arrays_too_large_to_allocate_before_drawing(monkeypatch, 
     def refuse(*args, **kwargs):
         raise DrawReached
 
-    monkeypatch.setattr(beampower, "draw_device_positions", refuse)
+    monkeypatch.setattr(beampower, "_uniform_disk", refuse)
     monkeypatch.setattr(beampower, "sample_channels", refuse)
     with pytest.raises(DrawReached):
         _sweep(**fits)
@@ -358,20 +337,17 @@ def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_cha
         _sweep([1, 2], [(1.0, 0.0), (10.0, 0.0)], gamma=0.5, pathloss=PathLossParams(145.0))
 
 
-# 8 antennas hold 1,250,000 randomizations within the 10**7 candidate entries.
+# The 200 Gaussian candidates of 50,000 antennas fill the 10**7 candidate entries.
 def test_precoder_refuses_a_candidate_pool_too_large_to_allocate_before_solving(monkeypatch):
     def refuse(*args, **kwargs):
         raise DrawReached
 
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
-    rng = np.random.default_rng(5)
-    problem = MulticastProblem(rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8)), 1e-3)
     with pytest.raises(DrawReached):
-        min_power_precoder(problem, PrecoderSolver(randomizations=1_250_000))
-    for randomizations, shown in ((1_250_001, "1e\\+07"), (10**13, "8e\\+13")):
-        with pytest.raises(ValueError, match=rf"^solver\.randomizations and channels give {shown} candidate entries "
-                                             r"\(randomizations \* antennas\); the limit is 1e\+07$"):
-            min_power_precoder(problem, PrecoderSolver(randomizations=randomizations))
+        min_power_precoder(MulticastProblem(np.ones((1, 50_000)), 1e-3), PrecoderSolver())
+    with pytest.raises(ValueError, match=r"^channels give 1e\+07 candidate entries \(200 randomizations \* antennas\); "
+                                         r"the limit is 1e\+07$"):
+        min_power_precoder(MulticastProblem(np.ones((1, 50_001)), 1e-3), PrecoderSolver())
 
 
 # 3,200 devices and 200 randomizations give (3,200 + 202) * 3,200 candidate
@@ -386,35 +362,25 @@ def test_a_candidate_pool_whose_margins_pass_the_limit_is_refused_before_solving
         raise AssertionError("a relaxation was solved")
 
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
-    with pytest.raises(ValueError, match=rf"^{names} and solver\.randomizations give 1\.089e\+07 candidate margins "
-                                         r"\(\(devices \+ randomizations \+ 2\) \* devices\); the limit is 1e\+07$"):
+    with pytest.raises(ValueError, match=rf"^{names} give 1\.089e\+07 candidate margins "
+                                         r"\(\(devices \+ 202\) \* devices\); the limit is 1e\+07$"):
         solve()
 
 
-@pytest.mark.parametrize("n, radius, message", [
-    (3, -1.0, r"^radius must be > 0, got -1\.0$"),
-    (3, 0.0, r"^radius must be > 0, got 0\.0$"),
-    (3, math.nan, r"^radius must be finite, got nan$"),
-    (3, math.inf, r"^radius must be finite, got inf$"),
-    (0, 10.0, r"^n must be an integer >= 1, got 0$"),
-    (2.5, 10.0, r"^n must be an integer >= 1, got 2\.5$"),
-    (math.nan, 10.0, r"^n must be an integer >= 1, got nan$"),
-    (math.inf, 10.0, r"^n must be an integer >= 1, got inf$"),
-])
-def test_device_positions_refuse_a_bad_count_or_radius_before_drawing(monkeypatch, n, radius, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a draw was seeded before the arguments were checked")
+def test_drawn_devices_live_in_the_disk_and_are_seeded(monkeypatch):
+    drawn, uniform_disk = [], beampower._uniform_disk
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    with pytest.raises(ValueError, match=message):
-        draw_device_positions(n, radius, 0)
+    def record(*args):
+        drawn.append(uniform_disk(*args))
+        return drawn[-1]
 
-
-def test_device_positions_live_in_disk_and_are_seeded():
-    a = draw_device_positions(50, 10.0, seed=1)
-    b = draw_device_positions(50, 10.0, seed=1)
-    assert all(math.hypot(x, y) <= 10.0 for x, y in a)
-    assert [(x, y) for x, y in a] == [(x, y) for x, y in b]
+    monkeypatch.setattr(beampower, "_uniform_disk", record)
+    for seed in (1, 1, 2):
+        _sweep([1], seed=seed, n_devices=50, disk_radius=7.5)
+    a, b, c = drawn
+    assert a.shape == (50, 2)
+    assert np.all(np.hypot(a[:, 0], a[:, 1]) <= 7.5)
+    assert a.tobytes() == b.tobytes() != c.tobytes()
 
 
 # Seven CPUs faked: the relaxations still run in this process.

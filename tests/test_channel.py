@@ -10,12 +10,11 @@ from wetplan.channel import (
     RicianParams,
     path_gain,
     sample_channels,
-    steering_vector,
 )
 from wetplan.channel import _mean_sources
 from wetplan.harvesting import dft_codebook
 
-from channel_reference import sample_hppp
+from channel_reference import sample_hppp, steering_vector
 
 PL_FIG4 = PathLossParams(exponent=2.7, fixed_loss_db=40.0, reference_distance=1.0)
 
@@ -94,22 +93,6 @@ def test_hppp_mean_count_matches_poisson_intensity():
     assert abs(mean - 0.1 * math.pi * 100.0) < 0.2
 
 
-def test_steering_vector_single_antenna():
-    np.testing.assert_allclose(steering_vector(0.7, 1), [1.0 + 0.0j])
-
-
-def test_steering_vector_broadside_is_all_ones():
-    np.testing.assert_allclose(steering_vector(0.0, 5), np.ones(5))
-
-
-def test_steering_vector_stacks_one_row_per_angle():
-    thetas = np.array([-1.2, 0.0, 0.3, math.pi / 2])
-    stacked = steering_vector(thetas, 5)
-    assert stacked.shape == (4, 5)
-    for theta, row in zip(thetas, stacked):
-        assert np.array_equal(row, steering_vector(theta, 5))
-
-
 @pytest.mark.parametrize("m", range(1, 9))
 def test_dft_codewords_tile_the_half_wavelength_array(m):
     # At half-wavelength spacing, a(theta) at sin(theta) = 2k/M (wrapped into
@@ -123,16 +106,26 @@ def test_dft_codewords_tile_the_half_wavelength_array(m):
         np.testing.assert_allclose(np.delete(powers, k), 0.0, atol=1e-12)
 
 
-def test_steering_vector_endfire_phases():
-    v = steering_vector(math.pi / 2, 4)
-    expected = np.exp(1j * math.pi * np.arange(4))  # phases 0, pi, 2pi, 3pi
-    np.testing.assert_allclose(v, expected, atol=1e-12)
-    np.testing.assert_allclose(np.abs(v), 1.0)
-
-
 def _link(x, y, draws=1):
     """``draws`` rows of the same source at (x, y): i.i.d. fading draws of one link."""
     return np.tile([[x, y]], (draws, 1))
+
+
+# A source, the antenna count and its LoS row at a device at the origin, divided by its amplitude: one
+# antenna has phase 0, broadside (+x) all phases equal, endfire (+y) phases
+# 0, pi, 2pi, 3pi. K = 1e18 keeps the scattered residue near 1e-9 of each entry.
+LOS_ROWS = {
+    "single_antenna": ((1.0, 2.0), 1, [1.0]),
+    "broadside": ((5.0, 0.0), 5, np.ones(5)),
+    "endfire": ((0.0, 5.0), 4, np.exp(1j * math.pi * np.arange(4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOS_ROWS))
+def test_los_row_has_the_half_wavelength_phases(case):
+    source, m, expected = LOS_ROWS[case]
+    h = sample_channels([source], (0.0, 0.0), m, RicianParams(1e18), PL_FIG4, seed=3)
+    np.testing.assert_allclose(h / abs(h[0, 0]), [expected], atol=1e-8)
 
 
 def test_sample_channel_los_limit():
@@ -141,6 +134,20 @@ def test_sample_channel_los_limit():
     theta = math.atan2(4.0, 3.0)
     expected = math.sqrt(path_gain(5.0, PL_FIG4)) * steering_vector(theta, 4)
     np.testing.assert_allclose(h, expected, rtol=1e-5)
+
+
+def test_sample_channels_is_the_rician_mix_of_the_steering_vector_bit_for_bit():
+    # The line-of-sight rows are the reference's steering vectors at each
+    # source's angle from the device, mixed with the generator's two normal draws.
+    sources, device, k = np.array([(3.0, 4.0), (-2.0, 1.0), (0.5, -6.0)]), np.array([1.0, -1.0]), 3.0
+    h = sample_channels(sources, device, 5, RicianParams(k), PL_FIG4, seed=9)
+    rng = np.random.default_rng(9)
+    scatter = (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))) / math.sqrt(2.0)
+    diff = sources - device
+    los = steering_vector(np.arctan2(diff[:, 1], diff[:, 0]), 5)
+    mix = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
+    expected = np.sqrt(path_gain(np.hypot(diff[:, 0], diff[:, 1]), PL_FIG4))[:, None] * mix
+    assert h.tobytes() == expected.tobytes()
 
 
 def test_sample_channel_power_normalization():
@@ -182,31 +189,25 @@ def test_sample_channels_matches_per_source_shape():
 
 
 @pytest.mark.parametrize("n_antennas", [0, -1, 2.5, math.nan, math.inf])
-def test_array_functions_refuse_a_bad_antenna_count(n_antennas):
-    message = rf"^n_antennas must be an integer >= 1, got {n_antennas}$"
-    with pytest.raises(ValueError, match=message):
-        steering_vector(0.1, n_antennas)
-    with pytest.raises(ValueError, match=message):
+def test_sample_channels_refuses_a_bad_antenna_count(n_antennas):
+    with pytest.raises(ValueError, match=rf"^n_antennas must be an integer >= 1, got {n_antennas}$"):
         sample_channels(_link(1.0, 1.0), (0.0, 0.0), n_antennas, RicianParams(10.0), PL_FIG4, seed=0)
 
 
-def test_array_functions_refuse_arrays_too_large_to_allocate():
-    with pytest.raises(ValueError) as err:
-        steering_vector(0.1, 10**12)
-    assert str(err.value) == "theta and n_antennas give 1e+12 steering entries (angles * n_antennas); the limit is 1e+07"
+def test_sample_channels_refuses_arrays_too_large_to_allocate():
     with pytest.raises(ValueError) as err:
         sample_channels(_link(1.0, 1.0, 3), (0.0, 0.0), 10**12, RicianParams(10.0), PL_FIG4, seed=0)
     assert str(err.value) == "sources and n_antennas give 3e+12 channel entries (sources * n_antennas); the limit is 1e+07"
-    # An empty input still builds the phase ramp of n_antennas entries.
-    with pytest.raises(ValueError, match=r"^theta and n_antennas give 1e\+12 "):
-        steering_vector(np.zeros(0), 10**12)
+    # No source still builds the phase ramp of n_antennas entries.
     with pytest.raises(ValueError, match=r"^sources and n_antennas give 1e\+12 "):
         sample_channels(np.zeros((0, 2)), (0.0, 0.0), 10**12, RicianParams(10.0), PL_FIG4, seed=0)
 
 
-def test_array_limits_take_an_array_at_the_limit(monkeypatch):
+def test_sample_channels_takes_an_array_at_the_limit(monkeypatch):
     monkeypatch.setattr(channel, "MAX_ARRAY_ENTRIES", 12)
-    assert steering_vector(np.zeros(3), 4).shape == (3, 4)
     assert sample_channels(_link(1.0, 1.0, 3), (0.0, 0.0), 4, RicianParams(10.0), PL_FIG4, seed=0).shape == (3, 4)
-    with pytest.raises(ValueError, match=r"^theta and n_antennas give 13 "):
-        steering_vector(np.zeros(13), 1)
+    assert sample_channels(np.zeros((0, 2)), (0.0, 0.0), 12, RicianParams(10.0), PL_FIG4, seed=0).shape == (0, 12)
+    with pytest.raises(ValueError, match=r"^sources and n_antennas give 13 "):
+        sample_channels(_link(1.0, 1.0, 13), (0.0, 0.0), 1, RicianParams(10.0), PL_FIG4, seed=0)
+    with pytest.raises(ValueError, match=r"^sources and n_antennas give 13 "):
+        sample_channels(np.zeros((0, 2)), (0.0, 0.0), 13, RicianParams(10.0), PL_FIG4, seed=0)

@@ -48,6 +48,16 @@ GOLDEN_RFCHAINS_DEFAULT_SHA256 = {
     2: "1a9749e192fc5c966a3a8cb3f1879d0dc95feb0f570a766c2ea9f396dc780e6a",
 }
 
+# SHA-256 of rfchains.csv and rfchains.dat for explicit devices and a
+# consumption model off its defaults at seed 5, recorded while the sweep
+# still computed each point's consumption through ``consumption()``.
+GOLDEN_RFCHAINS_EXPLICIT = ("devices=3:4, -5:0, 1:-7, 6:2", "m_values=1, 2, 3, 4, 6, 8, 12", "pa_efficiency=0.6",
+                            "p_rf_chain_w=0.25")
+GOLDEN_RFCHAINS_EXPLICIT_SHA256 = (
+    "69ab5634783bc928a6d765f2129aebcd4d02dfe948ab22264fd0023569633347",
+    "c76191221a39b52ffbc86ed21716ba06335c6c25a677feeecc583a46517246d8",
+)
+
 # SHA-256 of deploy.csv for GOLDEN_DEPLOY at seed 17, recorded while every
 # objective evaluation still rebuilt its arrays and looped over components.
 GOLDEN_DEPLOY = ("k=3", "solver.n_starts=2")
@@ -185,6 +195,13 @@ def test_rfchains_csv_matches_golden_digest(tmp_path):
     assert hashlib.sha256((out / "rfchains.csv").read_bytes()).hexdigest() == GOLDEN_RFCHAINS_SHA256
 
 
+def test_rfchains_with_explicit_devices_matches_golden_digests(tmp_path):
+    out = tmp_path / "rfchains"
+    assert run_cli("rfchains", out, sets=GOLDEN_RFCHAINS_EXPLICIT, seed=5, plot=True) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("rfchains.csv", "rfchains.dat"))
+    assert digests == GOLDEN_RFCHAINS_EXPLICIT_SHA256
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_RFCHAINS_DEFAULT_SHA256))
 def test_default_rfchains_csv_matches_golden_digest(tmp_path, seed):
     out = tmp_path / "rfchains"
@@ -247,7 +264,7 @@ OFF_DEFAULT = {
     )]),
     "rfchains": ("sweep_rf_chains", [(
         "gamma=3e-6", "m_values=1, 3", "n_devices=5", "disk_radius=7.5", "rician.k_factor=3",
-        "pa_efficiency=0.6", "p_rf_chain_w=0.25", "solver.tol=2e-3", "solver.randomizations=17",
+        "pa_efficiency=0.6", "p_rf_chain_w=0.25", "solver.tol=2e-3",
         "pathloss.exponent=2.1", "pathloss.fixed_loss_db=30", "pathloss.reference_distance=0.8",
     ), ("devices=1:1, 2:-3",)]),
 }
@@ -343,7 +360,7 @@ def test_every_key_reaches_its_field(monkeypatch, study):
                 n_devices=5,
                 pa_efficiency=0.6,
                 p_rf_chain_w=0.25,
-                solver=PrecoderSolver(tol=2e-3, randomizations=17),
+                solver=PrecoderSolver(tol=2e-3),
             ),
             "m_values": (1, 3),
             "devices": None,
@@ -397,7 +414,7 @@ def _reach_draws(monkeypatch):
     for module, name in (
         (wetplan.outage, "dft_codebook"),
         (wetplan.outage, "_draw"),
-        (wetplan.beampower, "draw_device_positions"),
+        (wetplan.beampower, "_uniform_disk"),
         (wetplan.beampower, "sample_channels"),
         (wetplan.deployment, "_Evaluator"),
     ):
@@ -405,12 +422,12 @@ def _reach_draws(monkeypatch):
 
 
 # Per product: the study, overrides at the array bound, the same just past
-# it, and the keys the refusal names. With 4 antennas and 32 RF chains the
-# bound is 2,500,000 trials, a disk radius of 446 m, or 312,500 randomizations;
-# 2,000 devices fit 5,000 RF chains, and the candidates' margins at 200
-# randomizations allow 3,062 devices; 3,162 antennas give a codebook of
-# 9,998,244 entries. The deploy search's simplices, (1 + n_starts) * (2k + 1)
-# * k * 8 devices, allow k = 263 at 8 starts, or 22,726 starts at k = 5.
+# it, and the keys the refusal names. With 4 antennas the bound is 2,500,000
+# trials or a disk radius of 446 m; 2,000 devices fit 5,000 RF chains, the
+# 200 Gaussian candidates allow 50,000 RF chains and their margins 3,062
+# devices; 3,162 antennas give a codebook of 9,998,244 entries. The deploy
+# search's simplices, (1 + n_starts) * (2k + 1) * k * 8 devices, allow
+# k = 263 at 8 starts, or 22,726 starts at k = 5.
 TOO_LARGE = {
     "codebook": ("outage", ["n_antennas=3162", "trials=1"], ["n_antennas=3163", "trials=1"], "n_antennas"),
     "channels": ("outage", ["disk_radius=446", "trials=1"], ["disk_radius=447", "trials=1"],
@@ -420,9 +437,8 @@ TOO_LARGE = {
                   ["densities=1e-320", "disk_radius=1e160", "trials=2"], "densities and disk_radius"),
     "rfchains_channels": ("rfchains", ["n_devices=2000", "m_values=1, 5000"], ["n_devices=2001", "m_values=1, 5000"],
                           "n_devices and m_values"),
-    "candidate_margins": ("rfchains", ["n_devices=3062"], ["n_devices=3063"], r"n_devices and solver\.randomizations"),
-    "candidates": ("rfchains", ["solver.randomizations=312500"], ["solver.randomizations=312501"],
-                   r"solver\.randomizations and m_values"),
+    "candidate_margins": ("rfchains", ["n_devices=3062"], ["n_devices=3063"], "n_devices"),
+    "candidates": ("rfchains", ["m_values=50000"], ["m_values=50001"], "m_values"),
     "simplex_k": ("deploy", ["k=263"], ["k=264"], r"k = 264, solver\.n_starts = 8, 8 devices and 4 map\.components"),
     "simplex_starts": ("deploy", ["solver.n_starts=22726"], ["solver.n_starts=22727"],
                        r"k = 5, solver\.n_starts = 22727, 8 devices and 4 map\.components"),
@@ -547,24 +563,6 @@ def test_deploy_refuses_an_iteration_budget_past_the_solver_counters(tmp_path, m
                         r"in the last stage \(solver\.nm_max_iter \* 2k\); the limit is 1e\+18\n",
                         capsys.readouterr().err)
     assert not out.exists()
-
-
-def test_zero_randomizations_run_and_keep_the_rfchains_invariants(tmp_path):
-    # With no Gaussian samples the extraction picks among the matched-filter,
-    # leading-eigenvector and previous precoders alone.
-    tables = []
-    for sets in ((), ("solver.randomizations=0",)):
-        out = tmp_path / f"run{len(tables)}"
-        assert run_cli("rfchains", out, sets=sets) == 0
-        with open(out / "rfchains.csv", newline="") as handle:
-            tables.append(list(csv.DictReader(handle)))
-    default, zero = tables
-    tx = [float(row["tx_power_w"]) for row in zero]
-    assert all(b <= a for a, b in zip(tx, tx[1:]))
-    assert [row["m"] for row in zero if row["is_optimum"] == "1"] == ["4"]
-    assert [row["m"] for row in zero] == [row["m"] for row in default]
-    for d, z in zip(default, zero):
-        assert math.isclose(float(z["tx_power_w"]), float(d["tx_power_w"]), rel_tol=4.8e-4)
 
 
 # Each study's help line in ``wetplan --help``, and the options every study takes.

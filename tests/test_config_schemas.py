@@ -81,7 +81,6 @@ PINNED = {
         "pa_efficiency": ("float", "0.35", ()),
         "p_rf_chain_w": ("float", "0.5", ()),
         "solver.tol": ("float", "0.0001", ()),
-        "solver.randomizations": ("int", "200", ()),
         **PATHLOSS_27,
     },
 }
@@ -156,7 +155,6 @@ OUT_OF_RANGE = {
         ("pa_efficiency", "1.5"),
         ("p_rf_chain_w", "-0.5"),
         ("solver.tol", "0"),
-        ("solver.randomizations", "-1"),
     ],
 }
 OUT_OF_RANGE_CASES = [(study, key, value) for study, cases in sorted(OUT_OF_RANGE.items()) for key, value in cases]
@@ -179,7 +177,7 @@ def _refuse_work(monkeypatch):
         (wetplan.costs, "scenario_cost"),
         (wetplan.deployment, "_Evaluator"),
         (wetplan.outage, "_draw"),
-        (wetplan.beampower, "draw_device_positions"),
+        (wetplan.beampower, "_uniform_disk"),
         (wetplan.beampower, "sample_channels"),
     ):
         monkeypatch.setattr(module, name, refuse)
@@ -271,6 +269,15 @@ def test_removed_cost_keys_are_refused_as_unknown_by_name(tmp_path, monkeypatch,
     out = tmp_path / "cost"
     assert main(["cost", "--set", setting, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --set #1: unknown key {key!r}{hint}\n"
+    assert not out.exists()
+
+
+# The Gaussian candidates' count is a constant of the extraction, not a key.
+def test_removed_randomizations_key_is_refused_as_unknown_by_name(tmp_path, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "rfchains"
+    assert main(["rfchains", "--set", "solver.randomizations=17", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --set #1: unknown key 'solver.randomizations'\n"
     assert not out.exists()
 
 

@@ -195,15 +195,26 @@ def searches(draw):
     return problem, starts, budget, draw(st.sampled_from([1e-3, 1e-1])), draw(st.sampled_from([1e-12, 1e-6]))
 
 
-# A search whose 16th step shrinks and is cut by max_fev = 34 after its first
-# shrunk vertex. Which searches Hypothesis generates moves with the constants
-# of every module loaded, so the generated ones reach this case only at times.
-CUT_SHRINK = (
-    DeploymentProblem(((7.9, 6.8), (4.2, 0.3), (1.7, 7.5)),
-                      AmbientMap((GaussianComponent(3.9, (9.3, 8.7), 1.1),), Rect(0.0, 0.0, 10.0, 10.0)),
-                      k=1, cap=1.0, pathloss=PathLossParams(2.0, 0.0, 1.0)),
-    np.array([[[0.8, 3.1]]]), (120, 34), 1e-3, 1e-12,
+# Which searches Hypothesis generates moves with the constants of every
+# module loaded, so the generated ones reach each named case only at times.
+# These searches of one problem reach each case whatever is generated.
+EXAMPLE_PROBLEM = DeploymentProblem(
+    ((7.9, 6.8), (4.2, 0.3), (1.7, 7.5)),
+    AmbientMap((GaussianComponent(3.9, (9.3, 8.7), 1.1),), Rect(0.0, 0.0, 10.0, 10.0)),
+    k=1, cap=1.0, pathloss=PathLossParams(2.0, 0.0, 1.0),
 )
+CONVERGED = (EXAMPLE_PROBLEM, np.array([[[9.0, 8.5]]]), (120, 160), 1e-1, 1e-6)
+MAXITER = (EXAMPLE_PROBLEM, np.array([[[0.8, 3.1]]]), (3, 160), 1e-3, 1e-12)
+MAXFEV = (EXAMPLE_PROBLEM, np.array([[[0.8, 3.1]]]), (120, 5), 1e-3, 1e-12)
+# Its shrinks move every vertex but the best.
+SHRINK = (EXAMPLE_PROBLEM, np.array([[[0.8, 3.1]]]), (120, 160), 1e-3, 1e-12)
+# Its 16th step shrinks and is cut by max_fev = 34 after its first shrunk vertex.
+CUT_SHRINK = (EXAMPLE_PROBLEM, np.array([[[0.8, 3.1]]]), (120, 34), 1e-3, 1e-12)
+# A start at the area's corner: the initial simplex leaves the area and is clamped back onto the start.
+CLAMPED_TWICE = (EXAMPLE_PROBLEM, np.array([[[10.0, 10.0]]]), (120, 160), 1e-3, 1e-12)
+# max_fev = 16 cuts the first start's 7th step after its reflection, in a batch where the second start's 7th
+# step is whole.
+MIXED_BATCH = (EXAMPLE_PROBLEM, np.array([[[0.8, 3.1]], [[5.0, 5.0]]]), (120, 16), 1e-3, 1e-12)
 
 
 def test_lockstep_search_matches_scipy_start_by_start():
@@ -211,7 +222,13 @@ def test_lockstep_search_matches_scipy_start_by_start():
 
     @PROPERTY
     @given(searches())
+    @example(CONVERGED)
+    @example(MAXITER)
+    @example(MAXFEV)
+    @example(SHRINK)
     @example(CUT_SHRINK)
+    @example(CLAMPED_TWICE)
+    @example(MIXED_BATCH)
     def check(search):
         problem, starts, (max_iter, max_fev), xatol, fatol = search
         recorder = RecordingEvaluator(problem)

@@ -2,18 +2,23 @@
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import wetplan
 
-# Helpers that only the tests use, and the module each was defined in while
-# it was a library name; the tests keep their own copies.
-TEST_ONLY = {
+# Helpers that left the library, and the module each was defined in while it
+# was a library name: the test-only ones, of which the tests keep their own
+# copies, and the ones folded into their only caller.
+REMOVED = {
     "battery_replacements": "costs",
     "crossover_device_count": "costs",
     "grid_oracle": "deployment",
     "sample_hppp": "channel",
+    "steering_vector": "channel",
+    "consumption": "beampower",
+    "draw_device_positions": "beampower",
 }
 
 SUBMODULES = sorted(
@@ -54,8 +59,8 @@ def test_package_all_is_the_public_surface():
         "__version__",
         "AmbientMap", "GaussianComponent", "Rect",
         "ConsumptionPoint", "MulticastProblem", "PrecoderError", "PrecoderSolution", "PrecoderSolver",
-        "RfChainConfig", "RfChainSweep", "consumption", "min_power_precoder", "sweep_rf_chains",
-        "PathLossParams", "RicianParams", "path_gain", "sample_channels", "steering_vector",
+        "RfChainConfig", "RfChainSweep", "min_power_precoder", "sweep_rf_chains",
+        "PathLossParams", "RicianParams", "path_gain", "sample_channels",
         "SCENARIOS", "CostBreakdown", "CostParams", "scenario_cost", "sweep_costs",
         "DeploymentProblem", "DeploymentSolution", "SolverConfig", "optimize", "received_power",
         "ARCHITECTURES", "HarvesterCurve", "dft_codebook", "harvest",
@@ -63,9 +68,14 @@ def test_package_all_is_the_public_surface():
     ]
 
 
-@pytest.mark.parametrize("name", sorted(TEST_ONLY))
-def test_a_test_only_helper_is_no_library_name(name):
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_a_removed_helper_is_no_library_name(name):
     assert name not in wetplan.__all__
     with pytest.raises(ImportError):
         exec(f"from wetplan import {name}", {})
-    assert not hasattr(importlib.import_module(f"wetplan.{TEST_ONLY[name]}"), name)
+    assert not hasattr(importlib.import_module(f"wetplan.{REMOVED[name]}"), name)
+
+
+def test_the_folded_solver_and_error_fields_are_gone():
+    assert [f.name for f in fields(wetplan.PrecoderSolver)] == ["tol"]
+    assert not hasattr(wetplan.PrecoderError("failed"), "best")

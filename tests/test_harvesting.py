@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wetplan.channel import PathLossParams, RicianParams, sample_channels, steering_vector
+from wetplan.channel import PathLossParams, RicianParams, sample_channels
 from wetplan.harvesting import (
     ARCHITECTURES,
     HarvesterCurve,
@@ -13,6 +13,8 @@ from wetplan.harvesting import (
     dft_codebook,
     harvest,
 )
+
+from channel_reference import steering_vector
 
 CURVE = HarvesterCurve()
 

@@ -11,8 +11,10 @@ import pytest
 
 from wetplan.ambient import AmbientMap, GaussianComponent, Rect
 from wetplan.beampower import RfChainConfig, sweep_rf_chains
-from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels, steering_vector
+from wetplan.channel import PathLossParams, RicianParams, path_gain, sample_channels
 from wetplan.deployment import DeploymentProblem, received_power
+
+from channel_reference import steering_vector
 
 MAP = AmbientMap((GaussianComponent(1.0, (0.0, 0.0), 5.0),), Rect(-10.0, -10.0, 10.0, 10.0))
 PROBLEM = DeploymentProblem(((0.0, 0.0),), MAP, k=1)
