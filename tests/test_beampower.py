@@ -244,13 +244,21 @@ def test_scenario_and_solver_records_refuse_a_bad_field_by_name(record, name, va
 # (sweep_rf_chains argument, a bad value, the error it must raise)
 BAD_SWEEP_ARGUMENTS = [
     ("devices", [], r"^devices must hold at least one device, got 0$"),
+    ("devices", [(math.nan, 0.0)], r"^devices must be finite, got \(nan, 0\.0\)$"),
+    ("devices", [(1.0, math.inf)], r"^devices must be finite, got \(1\.0, inf\)$"),
+    ("devices", [(1.0, 2.0, 3.0)], r"^devices must be an \(n, 2\) array, got shape \(1, 3\)$"),
     ("m_values", [], r"^m_values must be non-empty$"),
+    ("m_values", (0, 1), r"^m_values must be an integer >= 1, got 0$"),
+    ("m_values", (-1, 2), r"^m_values must be an integer >= 1, got -1$"),
     ("m_values", (2, 2, 3), r"^m_values must be strictly increasing, got \[2, 2, 3\]$"),
     ("m_values", (1.5, 2), r"^m_values must be an integer >= 1, got 1\.5$"),
     ("m_values", (1.0, 2.0), r"^m_values must be an integer >= 1, got 1\.0$"),
     ("m_values", (1, math.nan), r"^m_values must be an integer >= 1, got nan$"),
     ("m_values", (1, math.inf), r"^m_values must be an integer >= 1, got inf$"),
     ("seed", 0.0, r"^seed must be an integer >= 0, got 0\.0$"),
+    ("seed", -1, r"^seed must be an integer >= 0, got -1$"),
+    ("seed", 2.5, r"^seed must be an integer >= 0, got 2\.5$"),
+    ("seed", math.nan, r"^seed must be an integer >= 0, got nan$"),
 ]
 
 
