@@ -13,13 +13,10 @@ __version__ = "0.1.0"
 from .ambient import AmbientMap, GaussianComponent, Rect
 from .beampower import (
     ConsumptionPoint,
-    MulticastProblem,
     PrecoderError,
-    PrecoderSolution,
     PrecoderSolver,
     RfChainConfig,
     RfChainSweep,
-    min_power_precoder,
     sweep_rf_chains,
 )
 from .channel import (
@@ -51,13 +48,10 @@ __all__ = [
     "GaussianComponent",
     "Rect",
     "ConsumptionPoint",
-    "MulticastProblem",
     "PrecoderError",
-    "PrecoderSolution",
     "PrecoderSolver",
     "RfChainConfig",
     "RfChainSweep",
-    "min_power_precoder",
     "sweep_rf_chains",
     "PathLossParams",
     "RicianParams",

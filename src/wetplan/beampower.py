@@ -1,7 +1,9 @@
 """Minimum-power multicast energy precoding and the RF-chain consumption sweep.
 
-The precoder problem (min ||w||^2 s.t. |h_i^H w|^2 >= gamma for every device)
-is solved in three phases:
+``sweep_rf_chains`` runs one ``RfChainConfig`` scenario over antenna counts.
+At each count M the precoder problem (min ||w||^2 s.t. |h_i^H w|^2 >= gamma
+for every device, on the first M antennas of the drawn channels) is solved
+in three phases:
 
 1. Reduce: normalize the channels and restrict the problem to their span, so
    the semidefinite relaxation (SDR) is at most n_devices-dimensional.
@@ -11,14 +13,14 @@ is solved in three phases:
    shape, each problem with its own penalty, counters and bounds, so a stack
    gives bitwise the iterates and results of solving each problem alone. A
    check pass updates the bounds of every problem due at once.
-3. Extract: ``_RANDOMIZATIONS`` (200) Gaussian samples of the relaxed
-   solution plus matched-filter, leading-eigenvector and, in a sweep, the
-   previous precoder, each rescaled to exact feasibility, cheapest kept.
+3. Extract, only from a converged relaxation: ``_RANDOMIZATIONS`` (200)
+   Gaussian samples of the relaxed solution plus matched-filter,
+   leading-eigenvector and the previous count's precoder, each rescaled to
+   exact feasibility, cheapest kept.
 
-``sweep_rf_chains`` runs one ``RfChainConfig`` scenario over antenna counts:
-it reduces and relaxes every count at once and extracts in order, since each
-candidate pool holds the previous precoder. Beacon consumption follows the
-linear amplifier + per-chain model, ``tx_power / pa_efficiency + m *
+Every count is reduced and relaxed at once, and extracted in order, since
+each candidate pool holds the previous precoder. Beacon consumption follows
+the linear amplifier + per-chain model, ``tx_power / pa_efficiency + m *
 p_rf_chain_w``, whose two constants are ``RfChainConfig`` fields. The
 scenario and ``PrecoderSolver``, the solver's record, declare each range at
 its field; a size refusal names the fields by their config keys
@@ -39,14 +41,11 @@ from .channel import (
 )
 
 __all__ = [
-    "MulticastProblem",
-    "PrecoderSolution",
     "PrecoderError",
     "ConsumptionPoint",
     "RfChainSweep",
     "PrecoderSolver",
     "RfChainConfig",
-    "min_power_precoder",
     "sweep_rf_chains",
 ]
 
@@ -65,30 +64,6 @@ class PrecoderError(RuntimeError):
     """Raised when the relaxation fails to converge or no rank-1 candidate is feasible."""
 
 
-@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
-class MulticastProblem:
-    """Device channels (rows, path loss included) and the common power floor."""
-
-    channels: np.ndarray
-    gamma: float = _ranged(above=0)
-
-    def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.channels, dtype=complex))
-        object.__setattr__(self, "channels", h)
-        if h.shape[0] < 1 or h.shape[1] < 1:
-            raise ValueError("need at least one device channel with one antenna")
-        _check_fields(self)
-        if np.any(np.linalg.norm(h, axis=1) == 0):
-            raise ValueError("channels must not contain an all-zero row")
-
-
-@dataclass(frozen=True, eq=False)  # array fields: == and hash() go by identity
-class PrecoderSolution:
-    precoder: np.ndarray
-    tx_power: float
-    sdr_lower_bound: float
-
-
 @dataclass(frozen=True)
 class PrecoderSolver:
     """The relaxation's relative primal-dual gap."""
@@ -96,14 +71,6 @@ class PrecoderSolver:
     tol: float = _ranged(1e-4, above=0)
 
     __post_init__ = _check_fields
-
-
-def _require_pool_fits(devices: int, antennas: int, names: tuple[str, str]) -> None:
-    """Refuse a candidate pool too large to allocate; ``names`` are the device and antenna keys."""
-    _require_at_most(_RANDOMIZATIONS * antennas, MAX_ARRAY_ENTRIES, names[1],
-                     f"candidate entries ({_RANDOMIZATIONS} randomizations * antennas)")
-    _require_at_most((devices + _RANDOMIZATIONS + 2) * devices, MAX_ARRAY_ENTRIES, names[0],
-                     f"candidate margins ((devices + {_RANDOMIZATIONS + 2}) * devices)")
 
 
 @dataclass(frozen=True)
@@ -139,11 +106,11 @@ class _Reduced:
     basis: np.ndarray
 
 
-def _reduce(problem: MulticastProblem) -> _Reduced:
-    h = problem.channels
+def _reduce(h: np.ndarray, gamma: float) -> _Reduced:
+    """The problem of channel rows ``h`` (no row zero) and floor ``gamma``, reduced."""
     norms = np.linalg.norm(h, axis=1)
     hhat = h / norms[:, None]
-    thresholds = problem.gamma / norms**2  # per-device floor on |hhat_i^H w|^2
+    thresholds = gamma / norms**2  # per-device floor on |hhat_i^H w|^2
     cstar = float(np.max(thresholds))
     # The optimum is supported on span{h_i}: any orthogonal precoder (or V)
     # component changes no margin and only adds power. Solving in that
@@ -152,12 +119,13 @@ def _reduce(problem: MulticastProblem) -> _Reduced:
     return _Reduced(hhat @ basis.conj(), thresholds / cstar, cstar, basis)
 
 
-def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray | None, float, float, bool]]:
+def _solve_relaxations(problems: list[_Reduced], tol: float) -> list[tuple[np.ndarray, float, float, bool]]:
     """min tr(V) s.t. hhat_i^H V hhat_i >= tau_i, V PSD, for every problem.
 
     The problems of one reduced shape run as one stack (``_solve_stack``).
     Returns, per problem, (feasibility-scaled V, primal value, certified dual
-    bound, converged), whatever else was solved with it.
+    bound, converged), whatever else was solved with it; V is zero where no
+    iterate was feasible, and such a problem has not converged.
     """
     results = {}
     for shape in dict.fromkeys(prob.hhat.shape for prob in problems):
@@ -255,28 +223,32 @@ def _solve_stack(hhat: np.ndarray, tau: np.ndarray, tol: float) -> list:
         if not keep.all():
             live, hhat, tau, v, y = live[keep], hhat[keep], tau[keep], v[keep], y[keep]
             rho, t_mom, inner, outer = rho[keep], t_mom[keep], inner[keep], outer[keep]
-    return [(v_best[k] if primal[k] < math.inf else None, float(primal[k]), float(dual[k]), bool(converged[k]))
-            for k in range(b)]
+    return [(v_best[k], float(primal[k]), float(dual[k]), bool(converged[k])) for k in range(b)]
 
 
-def _best_candidate(
-    hhat: np.ndarray, tau: np.ndarray, v: np.ndarray | None, rng, extra: tuple
-) -> tuple[np.ndarray, float] | None:
-    """Cheapest candidate direction scaled so min_i margins_i/tau_i = 1.
+def _extract(red: _Reduced, relaxed: tuple, tol: float, seed: int, prev: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """Cheapest rank-1 precoder from a converged relaxation, and its transmit power.
 
-    Returns (scaled vector, cost) in normalized units; the original transmit
-    power is ``cstar * cost``.
+    The candidates are the reduced channel rows, ``_RANDOMIZATIONS`` Gaussian
+    samples of the relaxed V, V's leading eigenvector and ``prev``, the
+    previous precoder zero-padded (or None); each is scaled so min_i
+    margins_i/tau_i = 1, a normalized cost c being a transmit power of
+    ``cstar * c``. An unconverged relaxation is refused before anything is
+    drawn.
     """
-    n, m = hhat.shape
-    candidates = [hhat]
-    if v is not None:
-        w_eig, phi = np.linalg.eigh(0.5 * (v + v.conj().T))
-        w_eig = np.maximum(w_eig, 0.0)
-        shape = (_RANDOMIZATIONS, m)
-        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-        candidates.append((z * np.sqrt(w_eig)) @ phi.T)
-        candidates.append(phi[:, -1][None, :])
-    candidates.extend(np.asarray(e, dtype=complex).reshape(1, -1) for e in extra)
+    v, _, _, converged = relaxed
+    if not converged:
+        raise PrecoderError(f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {tol})")
+    hhat, tau = red.hhat, red.tau
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    w_eig, phi = np.linalg.eigh(0.5 * (v + v.conj().T))
+    w_eig = np.maximum(w_eig, 0.0)
+    shape = (_RANDOMIZATIONS, hhat.shape[1])
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    candidates = [hhat, (z * np.sqrt(w_eig)) @ phi.T, phi[:, -1][None, :]]
+    if prev is not None:
+        padded = np.concatenate([prev, np.zeros(red.basis.shape[0] - prev.shape[0], dtype=complex)])
+        candidates.append((padded @ red.basis.conj())[None, :])
     pool = np.vstack(candidates)
 
     margins = np.abs(pool @ hhat.conj().T) ** 2  # (n_cand, n_dev)
@@ -284,52 +256,12 @@ def _best_candidate(
     norms = np.sum(np.abs(pool) ** 2, axis=1)
     valid = (worst > 0.0) & np.isfinite(worst) & (norms > 0.0)
     if not np.any(valid):
-        return None
+        raise PrecoderError("no feasible rank-1 candidate found")
     cost = np.full(worst.shape, np.inf)
     cost[valid] = norms[valid] / worst[valid]
     j = int(np.argmin(cost))
-    w = pool[j] / math.sqrt(worst[j])
-    return w, float(cost[j])
-
-
-def _extract(
-    red: _Reduced, relaxed: tuple, solver: PrecoderSolver, seed: int, extra_candidates: tuple
-) -> PrecoderSolution:
-    """Cheapest rank-1 precoder from a solved relaxation and extra candidates."""
-    v, _, dual, converged = relaxed
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    extras = tuple(np.asarray(e, dtype=complex).ravel() @ red.basis.conj() for e in extra_candidates)
-    picked = _best_candidate(red.hhat, red.tau, v, rng, extras)
-
-    precoder, tx_power = None, math.inf
-    if picked is not None:
-        w_norm, cost = picked
-        precoder = math.sqrt(red.cstar) * (red.basis @ w_norm)
-        tx_power = red.cstar * cost
-    if not converged:
-        raise PrecoderError(f"relaxation did not converge within {_MAX_OUTER} outer rounds (tol {solver.tol})")
-    if picked is None:
-        raise PrecoderError("no feasible rank-1 candidate found")
-    return PrecoderSolution(precoder, tx_power, sdr_lower_bound=min(red.cstar * dual, tx_power))
-
-
-def min_power_precoder(problem: MulticastProblem, solver: PrecoderSolver, seed: int = 0) -> PrecoderSolution:
-    """Minimum-transmit-power precoder meeting every device's received floor.
-
-    The returned precoder satisfies |h_i^H w|^2 >= gamma exactly at the worst
-    device. ``sdr_lower_bound`` is a certified value of the semidefinite
-    relaxation's dual, so it lower-bounds every feasible transmit power; it is
-    capped at ``tx_power``, because where the relaxation is tight rounding can
-    put the dual value a few ulps above the precoder that attains it. The
-    solver stops once the relaxation's primal-dual gap closes within
-    ``solver.tol``. The seed, and the candidate pool's size against the
-    device and antenna counts, are checked before anything is solved.
-    """
-    _require_integer("seed", seed, 0)
-    _require_pool_fits(*problem.channels.shape, ("channels", "channels"))
-    red = _reduce(problem)
-    (relaxed,) = _solve_relaxations([red], solver.tol)
-    return _extract(red, relaxed, solver, seed, ())
+    precoder = math.sqrt(red.cstar) * (red.basis @ (pool[j] / math.sqrt(worst[j])))
+    return precoder, red.cstar * float(cost[j])
 
 
 @dataclass(frozen=True)
@@ -383,7 +315,11 @@ def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0
     source = "n_devices" if drawn else "devices"
     _require_at_most(n_devices * m_max, MAX_ARRAY_ENTRIES, f"{source} and m_values",
                      "channel entries (devices * max(m_values))")
-    _require_pool_fits(n_devices, m_max, (source, "m_values"))
+    # _extract's candidate pool at m_max, and the margins of its candidates over the devices.
+    _require_at_most(_RANDOMIZATIONS * m_max, MAX_ARRAY_ENTRIES, "m_values",
+                     f"candidate entries ({_RANDOMIZATIONS} randomizations * antennas)")
+    _require_at_most((n_devices + _RANDOMIZATIONS + 2) * n_devices, MAX_ARRAY_ENTRIES, source,
+                     f"candidate margins ((devices + {_RANDOMIZATIONS + 2}) * devices)")
 
     if drawn:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
@@ -398,22 +334,18 @@ def sweep_rf_chains(config: RfChainConfig, m_values, devices=None, seed: int = 0
     h_full = sample_channels(pts, np.zeros(2), m_max, config.rician, config.pathloss,
                              seed=np.random.SeedSequence([int(seed), 1]))
 
-    reduced = [_reduce(MulticastProblem(h_full[:, :m], config.gamma)) for m in ms]
+    reduced = [_reduce(h_full[:, :m], config.gamma) for m in ms]
     relaxed = _solve_relaxations(reduced, config.solver.tol)
 
     points: list[ConsumptionPoint] = []
-    prev_w: np.ndarray | None = None
+    precoder = None
     for m, red, rel in zip(ms, reduced, relaxed):
-        extras = ()
-        if prev_w is not None:
-            extras = (np.concatenate([prev_w, np.zeros(m - prev_w.shape[0], dtype=complex)]),)
         extract_seed = int(np.random.SeedSequence([int(seed), 2, m]).generate_state(1, dtype=np.uint64)[0])
         try:
-            sol = _extract(red, rel, config.solver, extract_seed, extras)
+            precoder, tx_power = _extract(red, rel, config.solver.tol, extract_seed, precoder)
         except PrecoderError as err:
             raise PrecoderError(f"precoder failed at m={m}: {err}") from err
-        points.append(ConsumptionPoint(m, sol.tx_power, sol.tx_power / config.pa_efficiency + m * config.p_rf_chain_w))
-        prev_w = sol.precoder
+        points.append(ConsumptionPoint(m, tx_power, tx_power / config.pa_efficiency + m * config.p_rf_chain_w))
 
     best = min(points, key=lambda pt: (pt.total_consumption, pt.n_rf))
     return RfChainSweep(tuple(points), best.n_rf)

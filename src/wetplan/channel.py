@@ -5,9 +5,10 @@ or a ``Generator``) and are pure functions of their inputs, so draws can be
 evaluated in any order without changing results.
 
 Every study dataclass declares a field's bounds at the field (``_ranged``) and
-checks them with ``_check_fields``; a function argument uses ``_require_bound``,
-or ``_require_integer`` where it counts (a seed, antennas, devices). A count
-that is not an ``Integral``, an integral float included, is refused by both.
+checks them with ``_check_fields``, the one caller of ``_require_bound``; a
+function argument that counts (a seed, antennas, devices) goes through
+``_require_integer``. A count that is not an ``Integral``, an integral float
+included, is refused by both.
 
 Positions are in meters and take two forms: a set of points is an (n, 2)
 float array, one point an (x, y) pair. Each position argument is coerced and
@@ -52,14 +53,13 @@ def _require_at_most(value, limit, names: str, what: str) -> None:
         raise ValueError(f"{names} give {shown:.4g} {what}; the limit is {limit:.0e}")
 
 
-def _require_finite(params, *names: str) -> None:
-    """Refuse NaN and ±inf in the named fields of ``params``, naming the first such field.
+def _require_finite(obj, *names: str) -> None:
+    """Refuse NaN and ±inf in the named attributes of ``obj``, naming the first such attribute.
 
-    ``params`` is an object, or a dict such as a function's ``locals()``. Ints
-    and Fractions are finite and pass (``math.isfinite`` overflows on a huge int).
+    Ints and Fractions are finite and pass (``math.isfinite`` overflows on a huge int).
     """
     for name in names:
-        value = params[name] if isinstance(params, dict) else getattr(params, name)
+        value = getattr(obj, name)
         if not isinstance(value, numbers.Rational) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 

@@ -25,8 +25,6 @@ from pathlib import Path
 __all__ = [
     "ConfigError",
     "ConfigKey",
-    "read_config_file",
-    "parse_overrides",
     "resolve_config",
     "canonical",
 ]
@@ -141,42 +139,29 @@ def canonical(key: ConfigKey, value) -> str:
     return _KINDS[key.kind][1](value)
 
 
-def read_config_file(path) -> list[tuple[int, str, str]]:
-    """Parse a config file into (line number, key, raw value) triples."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    triples = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{p}:{lineno}: empty key")
-        triples.append((lineno, key, value.strip()))
-    return triples
-
-
-def parse_overrides(overrides) -> list[tuple[int, str, str]]:
-    triples = []
+def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict[str, object]:
+    """Merge file and overrides against a schema; fill and type all defaults."""
+    pairs: list[tuple[str, str, str]] = []  # (origin, key, raw value)
+    if config_path is not None:
+        p = Path(config_path)
+        if not p.is_file():
+            raise ConfigError(f"config file not found: {p}")
+        for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise ConfigError(f"{p}:{lineno}: empty key")
+            pairs.append((f"{config_path}:{lineno}", key, value.strip()))
     for i, item in enumerate(overrides, start=1):
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, _, value = item.partition("=")
-        triples.append((i, key.strip(), value.strip()))
-    return triples
-
-
-def resolve_config(schema: dict[str, ConfigKey], config_path, overrides) -> dict[str, object]:
-    """Merge file and overrides against a schema; fill and type all defaults."""
-    pairs: list[tuple[str, str, str]] = []
-    if config_path is not None:
-        pairs.extend((f"{config_path}:{n}", k, v) for n, k, v in read_config_file(config_path))
-    pairs.extend((f"--set #{n}", k, v) for n, k, v in parse_overrides(overrides))
+        pairs.append((f"--set #{i}", key.strip(), value.strip()))
 
     resolved = {name: key.default for name, key in schema.items()}
     for origin, name, raw in pairs:

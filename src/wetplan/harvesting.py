@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_BREAKPOINTS",
     "ARCHITECTURES",
     "HarvesterCurve",
-    "dbm_to_watts",
     "harvest",
     "dft_codebook",
 ]
@@ -40,10 +39,6 @@ DEFAULT_BREAKPOINTS: tuple[tuple[float, float], ...] = (
 )
 
 ARCHITECTURES = ("single", "dc", "rf")
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,6 @@ class HarvesterCurve:
         if any(not 0.0 <= e <= 1.0 for _, e in pts):
             raise ValueError("breakpoints must have efficiencies in [0, 1]")
 
-    @property
-    def sensitivity_dbm(self) -> float:
-        return self.breakpoints[0][0]
-
-    @property
-    def saturation_input_dbm(self) -> float:
-        return self.breakpoints[-1][0]
-
 
 def harvest(p_in, curve: HarvesterCurve):
     """Harvested DC power (W) for input RF power ``p_in`` (W, scalar or array)."""
@@ -94,8 +81,9 @@ def harvest(p_in, curve: HarvesterCurve):
     xp = np.array([p for p, _ in curve.breakpoints])
     fp = np.array([e for _, e in curve.breakpoints])
     eta = np.interp(np.clip(dbm, xp[0], xp[-1]), xp, fp)
-    p_sat = dbm_to_watts(curve.saturation_input_dbm)
-    out = np.where(dbm >= curve.sensitivity_dbm, eta * np.minimum(arr, p_sat), 0.0)
+    (sensitivity_dbm, _), (saturation_dbm, _) = curve.breakpoints[0], curve.breakpoints[-1]
+    p_sat = 10.0 ** (saturation_dbm / 10.0) / 1000.0
+    out = np.where(dbm >= sensitivity_dbm, eta * np.minimum(arr, p_sat), 0.0)
     if np.asarray(p_in).ndim == 0:
         return float(out[0])
     return out

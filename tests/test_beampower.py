@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 
 from wetplan import beampower
-from wetplan.beampower import (
-    MulticastProblem,
-    PrecoderError,
-    PrecoderSolver,
-    RfChainConfig,
-    min_power_precoder,
-    sweep_rf_chains,
-)
+from wetplan.beampower import PrecoderError, PrecoderSolver, RfChainConfig, sweep_rf_chains
 from wetplan.ambient import Rect
 from wetplan.channel import PathLossParams, RicianParams, path_gain
+
+from precoder_reference import min_power_precoder
 
 
 def _sweep(m_values=range(1, 33), devices=None, seed=0, **fields):
@@ -38,11 +33,11 @@ def test_single_device_matches_matched_filter():
     rng = np.random.default_rng(3)
     h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 1e-2
     gamma = 1e-3
-    sol = min_power_precoder(MulticastProblem(h[None, :], gamma), PrecoderSolver(), seed=1)
+    precoder, tx_power, _ = min_power_precoder(h[None, :], gamma, seed=1)
     opt = gamma / np.linalg.norm(h) ** 2
-    assert abs(sol.tx_power - opt) / opt < 1e-6
+    assert abs(tx_power - opt) / opt < 1e-6
     # Precoder direction aligns with the channel.
-    corr = abs(np.vdot(h, sol.precoder)) / (np.linalg.norm(h) * np.linalg.norm(sol.precoder))
+    corr = abs(np.vdot(h, precoder)) / (np.linalg.norm(h) * np.linalg.norm(precoder))
     assert corr > 1.0 - 1e-6
 
 
@@ -50,27 +45,27 @@ def test_scalar_antenna_is_worst_channel_inverse():
     rng = np.random.default_rng(4)
     h = (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))) * 1e-2
     gamma = 2e-3
-    sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(), seed=1)
+    _, tx_power, _ = min_power_precoder(h, gamma, seed=1)
     expected = gamma / np.min(np.abs(h) ** 2)
-    assert np.isclose(sol.tx_power, expected, rtol=1e-9)
+    assert np.isclose(tx_power, expected, rtol=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_orthogonal_channels_need_no_division_by_zero():
     # A randomized candidate can miss one device entirely (worst-case gain 0);
     # it is skipped without dividing by its zero gain.
-    sol = min_power_precoder(MulticastProblem([[1, 0], [0, 1]], 1e-3), PrecoderSolver())
-    assert np.all(np.abs(sol.precoder) ** 2 >= 1e-3 * (1.0 - 1e-4))
+    precoder, tx_power, bound = min_power_precoder([[1, 0], [0, 1]], 1e-3)
+    assert np.all(np.abs(precoder) ** 2 >= 1e-3 * (1.0 - 1e-4))
     # The optimum puts 1e-3 on each antenna; randomized extraction lands within 2% of it.
-    assert np.isclose(sol.sdr_lower_bound, 2e-3, rtol=1e-4)
-    assert sol.sdr_lower_bound <= sol.tx_power <= 1.02 * 2e-3
+    assert np.isclose(bound, 2e-3, rtol=1e-4)
+    assert bound <= tx_power <= 1.02 * 2e-3
 
 
 def test_two_antenna_three_device_matches_brute_force():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     gamma = 1e-3
-    sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(), seed=2)
+    _, tx_power, _ = min_power_precoder(h, gamma, seed=2)
     # Oracle: unit-norm precoders on a 1000 x 1000 amplitude/phase grid (the
     # global phase is irrelevant), each rescaled to feasibility.
     amp = np.linspace(0.0, math.pi / 2, 1000)
@@ -79,7 +74,7 @@ def test_two_antenna_three_device_matches_brute_force():
     w = np.stack([np.cos(a_grid).ravel(), (np.sin(a_grid) * np.exp(1j * p_grid)).ravel()], axis=1)
     worst = (np.abs(w @ h.conj().T) ** 2).min(axis=1)
     tx_oracle = gamma / worst.max()
-    assert abs(sol.tx_power - tx_oracle) <= 0.02 * tx_oracle
+    assert abs(tx_power - tx_oracle) <= 0.02 * tx_oracle
 
 
 def test_solution_feasible_and_above_certified_bound():
@@ -89,10 +84,10 @@ def test_solution_feasible_and_above_certified_bound():
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
         h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * 10 ** rng.uniform(-3, 0)
         gamma = 10 ** rng.uniform(-6, -2)
-        sol = min_power_precoder(MulticastProblem(h, gamma), PrecoderSolver(tol=tol), seed=k)
-        margins = np.abs(h.conj() @ sol.precoder) ** 2
+        precoder, tx_power, bound = min_power_precoder(h, gamma, tol=tol, seed=k)
+        margins = np.abs(h.conj() @ precoder) ** 2
         assert np.all(margins >= gamma * (1.0 - tol))
-        assert sol.tx_power >= sol.sdr_lower_bound * (1.0 - tol)
+        assert tx_power >= bound * (1.0 - tol)
 
 
 def test_nonconvergence_raises_naming_the_round_limit_and_tolerance(monkeypatch):
@@ -101,7 +96,19 @@ def test_nonconvergence_raises_naming_the_round_limit_and_tolerance(monkeypatch)
     rng = np.random.default_rng(6)
     h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     with pytest.raises(PrecoderError, match=r"^relaxation did not converge within 1 outer rounds \(tol 1e-15\)$"):
-        min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver(tol=1e-15))
+        min_power_precoder(h, 1e-3, tol=1e-15)
+
+
+def test_an_unconverged_relaxation_is_refused_before_anything_is_drawn(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unconverged relaxation was decomposed or drawn from")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    red = beampower._reduce(np.array([[1.0 + 0j, 0.0], [0.0, 1.0]]), 1e-3)
+    with pytest.raises(PrecoderError, match=r"^relaxation did not converge within 8 outer rounds \(tol 0\.001\)$"):
+        beampower._extract(red, (None, 2.0, 1.0, False), 1e-3, 0, None)
 
 
 def _mixed_problems():
@@ -109,11 +116,11 @@ def _mixed_problems():
     (3, 2) and five of (3, 3)), plus unrelated problems of shared shapes."""
     rng = np.random.default_rng(8)
     h = (rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))) * 1e-2
-    problems = [MulticastProblem(h[:, :m], 1e-6) for m in range(1, 8)]
+    problems = [(h[:, :m], 1e-6) for m in range(1, 8)]
     for n, m in ((2, 2), (3, 3), (1, 4), (2, 2)):
         g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        problems.append(MulticastProblem(g, 10 ** rng.uniform(-4, -2)))
-    return [beampower._reduce(p) for p in problems]
+        problems.append((g, 10 ** rng.uniform(-4, -2)))
+    return [beampower._reduce(g, gamma) for g, gamma in problems]
 
 
 def _assert_stack_matches_each_alone(reduced):
@@ -147,15 +154,7 @@ def test_sweep_failure_names_first_unconverged_m(monkeypatch):
     assert isinstance(err.value.__cause__, PrecoderError)
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        MulticastProblem(np.zeros((2, 3), dtype=complex), 1e-3)
-    with pytest.raises(ValueError):
-        MulticastProblem(np.ones((2, 3), dtype=complex), 0.0)
-
-
 NON_FINITE_INPUTS = {
-    "MulticastProblem.gamma": ("gamma", lambda x: MulticastProblem([[1 + 1j]], x)),
     "RfChainConfig.disk_radius": ("disk_radius", lambda x: RfChainConfig(disk_radius=x)),
     "Rect.x_min": ("x_min", lambda x: Rect(x, 0.0, 1.0, 1.0)),
     "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
@@ -345,34 +344,17 @@ def test_sweep_refuses_path_gains_whose_power_scale_overflows_before_drawing_cha
         _sweep([1, 2], [(1.0, 0.0), (10.0, 0.0)], gamma=0.5, pathloss=PathLossParams(145.0))
 
 
-# The 200 Gaussian candidates of 50,000 antennas fill the 10**7 candidate entries.
-def test_precoder_refuses_a_candidate_pool_too_large_to_allocate_before_solving(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise DrawReached
-
-    monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
-    with pytest.raises(DrawReached):
-        min_power_precoder(MulticastProblem(np.ones((1, 50_000)), 1e-3), PrecoderSolver())
-    with pytest.raises(ValueError, match=r"^channels give 1e\+07 candidate entries \(200 randomizations \* antennas\); "
-                                         r"the limit is 1e\+07$"):
-        min_power_precoder(MulticastProblem(np.ones((1, 50_001)), 1e-3), PrecoderSolver())
-
-
 # 3,200 devices and 200 randomizations give (3,200 + 202) * 3,200 candidate
 # margins, past the limit, though one antenna keeps every other array small.
 # (SIZE_LIMITS holds the limit for drawn devices.)
-@pytest.mark.parametrize("names, solve", [
-    ("devices", lambda: _sweep([1], [(1.0 + k / 3_200, 0.0) for k in range(3_200)])),
-    ("channels", lambda: min_power_precoder(MulticastProblem(np.ones((3_200, 1)), 1e-3), PrecoderSolver())),
-], ids=["sweep", "precoder"])
-def test_a_candidate_pool_whose_margins_pass_the_limit_is_refused_before_solving(monkeypatch, names, solve):
+def test_a_candidate_pool_whose_margins_pass_the_limit_is_refused_before_solving(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a relaxation was solved")
 
     monkeypatch.setattr(beampower, "_solve_relaxations", refuse)
-    with pytest.raises(ValueError, match=rf"^{names} give 1\.089e\+07 candidate margins "
+    with pytest.raises(ValueError, match=r"^devices give 1\.089e\+07 candidate margins "
                                          r"\(\(devices \+ 202\) \* devices\); the limit is 1e\+07$"):
-        solve()
+        _sweep([1], [(1.0 + k / 3_200, 0.0) for k in range(3_200)])
 
 
 def test_drawn_devices_live_in_the_disk_and_are_seeded(monkeypatch):
@@ -398,7 +380,4 @@ def test_rfchains_relaxations_fork_nothing(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
     monkeypatch.setattr(os, "fork", refuse, raising=False)
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    min_power_precoder(MulticastProblem(h, 1e-3), PrecoderSolver())
     _sweep(range(1, 8), seed=4, n_devices=3)

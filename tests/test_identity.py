@@ -10,14 +10,11 @@ import numpy as np
 import pytest
 
 from wetplan.ambient import example_map
-from wetplan.beampower import MulticastProblem, PrecoderSolution
 from wetplan.deployment import DeploymentProblem, DeploymentSolution
 
 BUILD = {
     "DeploymentProblem": lambda: DeploymentProblem(np.array([[0.0, 0.0]]), example_map(), k=1),
     "DeploymentSolution": lambda: DeploymentSolution(np.array([[0.0, 0.0]]), (1.0,), 1e-3, 0),
-    "MulticastProblem": lambda: MulticastProblem([[1 + 1j, 1]], 1.0),
-    "PrecoderSolution": lambda: PrecoderSolution(np.array([1 + 0j, 0j]), 1.0, 0.5),
 }
 
 

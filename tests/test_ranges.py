@@ -20,7 +20,7 @@ import pytest
 
 import wetplan
 from wetplan.ambient import GaussianComponent, example_map
-from wetplan.beampower import MulticastProblem, PrecoderSolver, RfChainConfig, min_power_precoder, sweep_rf_chains
+from wetplan.beampower import PrecoderSolver, RfChainConfig, sweep_rf_chains
 from wetplan.channel import PathLossParams, RicianParams
 from wetplan.costs import CostParams
 from wetplan.deployment import DeploymentProblem, SolverConfig, optimize
@@ -33,7 +33,6 @@ VALID = {
     RicianParams: {"k_factor": 1.0},
     RfChainConfig: {},
     PrecoderSolver: {},
-    MulticastProblem: {"channels": [[1 + 1j]], "gamma": 1.0},
     DeploymentProblem: {"devices": ((0.0, 0.0),), "ambient_map": example_map(), "k": 1},
     SolverConfig: {},
     OutageConfig: {},
@@ -76,8 +75,8 @@ def _step(f, bound, direction: int):
 
 def test_every_class_with_a_declared_range_is_covered():
     assert set(_ranged_classes()) == set(VALID)
-    assert len(RANGED) == 34
-    assert len(BOUNDS) == 35
+    assert len(RANGED) == 33
+    assert len(BOUNDS) == 34
 
 
 @pytest.mark.parametrize("cls, f, op, bound", BOUNDS,
@@ -124,7 +123,6 @@ SEEDED = {
     "optimize": lambda seed: optimize(_build(DeploymentProblem), seed=seed),
     "sweep_density": lambda seed: sweep_density(OutageConfig(trials=10), [1.0], ("single",), seed=seed),
     "sweep_rf_chains": lambda seed: sweep_rf_chains(RfChainConfig(gamma=1e-6, n_devices=2), [1, 2], seed=seed),
-    "min_power_precoder": lambda seed: min_power_precoder(_build(MulticastProblem), PrecoderSolver(), seed=seed),
 }
 
 
