@@ -99,7 +99,9 @@ def test_nonconvergence_raises_naming_the_round_limit_and_tolerance(monkeypatch)
         min_power_precoder(h, 1e-3, tol=1e-15)
 
 
-def test_an_unconverged_relaxation_is_refused_before_anything_is_drawn(monkeypatch):
+# With or without the previous count's precoder to carry into the pool.
+@pytest.mark.parametrize("prev", [None, np.array([1.0 + 0j])], ids=["first", "carried"])
+def test_an_unconverged_relaxation_is_refused_before_anything_is_drawn(monkeypatch, prev):
     def refuse(*args, **kwargs):
         raise AssertionError("an unconverged relaxation was decomposed or drawn from")
 
@@ -108,7 +110,7 @@ def test_an_unconverged_relaxation_is_refused_before_anything_is_drawn(monkeypat
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     red = beampower._reduce(np.array([[1.0 + 0j, 0.0], [0.0, 1.0]]), 1e-3)
     with pytest.raises(PrecoderError, match=r"^relaxation did not converge within 8 outer rounds \(tol 0\.001\)$"):
-        beampower._extract(red, (None, 2.0, 1.0, False), 1e-3, 0, None)
+        beampower._extract(red, (None, 2.0, 1.0, False), 1e-3, 0, prev)
 
 
 def _mixed_problems():
@@ -156,6 +158,8 @@ def test_sweep_failure_names_first_unconverged_m(monkeypatch):
 
 NON_FINITE_INPUTS = {
     "RfChainConfig.disk_radius": ("disk_radius", lambda x: RfChainConfig(disk_radius=x)),
+    "RfChainConfig.gamma": ("gamma", lambda x: RfChainConfig(gamma=x)),
+    "PrecoderSolver.tol": ("tol", lambda x: PrecoderSolver(tol=x)),
     "Rect.x_min": ("x_min", lambda x: Rect(x, 0.0, 1.0, 1.0)),
     "Rect.y_min": ("y_min", lambda x: Rect(0.0, x, 1.0, 1.0)),
     "Rect.x_max": ("x_max", lambda x: Rect(0.0, 0.0, x, 1.0)),

@@ -159,6 +159,30 @@ def test_config_file_errors(tmp_path):
         resolve_config(STUDIES["outage"].keys, bad, [])
 
 
+# Each refusal of a malformed config file or override: (file name, its text,
+# overrides, message); the message names the file line or override at fault.
+CONFIG_REFUSALS = {
+    "missing": ("missing.cfg", None, [], r"^config file not found: {dir}/missing\.cfg$"),
+    "no-equals": ("bad.cfg", "trials = 300\n\ntrials 300  # bare\n", [],
+                  r"^{dir}/bad\.cfg:3: expected 'key = value', got 'trials 300  # bare'$"),
+    "empty-key": ("bad.cfg", "# comment\n = 300\n", [], r"^{dir}/bad\.cfg:2: empty key$"),
+    "file-origin": ("bad.cfg", "trials = 300\ntrails = 3\n", [],
+                    r"^{dir}/bad\.cfg:2: unknown key 'trails'; did you mean 'trials'\?$"),
+    "override": (None, None, ["trials=300", "trials"], r"^override 'trials' must look like key=value$"),
+    "override-origin": (None, None, ["trials=300", "trials=lots"], r"^--set #2: trials: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_config_refusals_name_their_line_or_override(tmp_path, case):
+    name, text, sets, message = CONFIG_REFUSALS[case]
+    path = None if name is None else tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message.format(dir=re.escape(str(tmp_path)))):
+        resolve_config(STUDIES["outage"].keys, path, sets)
+
+
 def test_cost_run_row_cardinality(tmp_path):
     out = tmp_path / "cost"
     assert run_cli("cost", out, sets=("n_devices=10, 50, 100",)) == 0
